@@ -4,7 +4,8 @@
 //! bench builds on these helpers:
 //!
 //! * [`planners`] — loads (or trains once, cached under
-//!   `target/planner-cache/`) the conservative and aggressive NN planners.
+//!   `target/planner-cache/<key>/`, keyed by the NN numerics and the
+//!   training set-up) the conservative and aggressive NN planners.
 //! * [`CommScenario`] — the three communication settings of Section V with
 //!   the paper's parameters.
 //! * [`evaluate_block`] / [`TableRow`] — run one (setting × planner-stack)
@@ -21,12 +22,15 @@ use cv_planner::NnPlanner;
 use cv_sensing::SensorNoise;
 use cv_sim::training::{load_or_train_planners, TrainSetup};
 use cv_sim::{
-    run_batch, winning_percentage, BatchConfig, BatchSummary, EpisodeConfig, StackSpec, WindowKind,
+    run_batch, winning_percentage, BatchConfig, BatchSummary, EpisodeConfig, KeyHasher, StackSpec,
+    WindowKind,
 };
 use safe_shield::AggressiveConfig;
 use std::path::PathBuf;
 
-/// Directory used to cache trained planner weights between runs.
+/// Directory used to cache trained planner weights between runs: the
+/// workspace's `target/planner-cache/`, one subdirectory per NN numerics
+/// tag and training set-up.
 pub fn planner_cache_dir() -> PathBuf {
     // Keep the cache inside the workspace target dir so `cargo clean`
     // removes it.
@@ -47,7 +51,21 @@ pub fn planner_cache_dir() -> PathBuf {
             break;
         }
     }
-    dir.join("target").join("planner-cache")
+    dir.join("target")
+        .join("planner-cache")
+        .join(planner_cache_key(cv_nn::NUMERICS, &TrainSetup::default()))
+}
+
+/// Name of the planner-cache subdirectory for weights trained under NN
+/// numerics `numerics` (normally [`cv_nn::NUMERICS`]) with `setup`: a
+/// digest of both, so a build whose `tanh` or kernels round differently,
+/// or a different set-up, never loads weights another one trained.
+fn planner_cache_key(numerics: &str, setup: &TrainSetup) -> String {
+    let mut h = KeyHasher::new();
+    h.write_str(numerics);
+    h.write_str(&format!("{setup:?}"));
+    let key = h.finish();
+    format!("{:016x}{:016x}", key.hi, key.lo)
 }
 
 /// Loads (or trains and caches) the two NN planners of Section V-A:
@@ -263,6 +281,20 @@ mod tests {
         assert_eq!(cfg.noise.delta_p, 2.0);
         CommScenario::Delayed.apply(&mut cfg);
         assert!(matches!(cfg.comm, CommSetting::Delayed { .. }));
+    }
+
+    #[test]
+    fn planner_cache_key_follows_numerics_and_setup() {
+        let setup = TrainSetup::default();
+        let key = planner_cache_key(cv_nn::NUMERICS, &setup);
+        assert_eq!(key, planner_cache_key(cv_nn::NUMERICS, &setup));
+        assert_ne!(key, planner_cache_key("libm-tanh", &setup));
+        let reseeded = TrainSetup {
+            seed: setup.seed + 1,
+            ..setup
+        };
+        assert_ne!(key, planner_cache_key(cv_nn::NUMERICS, &reseeded));
+        assert!(planner_cache_dir().ends_with(&key));
     }
 
     #[test]

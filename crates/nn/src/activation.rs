@@ -3,7 +3,8 @@
 pub enum Activation {
     /// `max(0, x)`.
     Relu,
-    /// Hyperbolic tangent.
+    /// Hyperbolic tangent, evaluated by the crate's one vectorisable
+    /// kernel (within a few ulp of libm's `tanh`; NaN in, NaN out).
     #[default]
     Tanh,
     /// Logistic sigmoid `1 / (1 + e^{−x})`.
@@ -17,7 +18,7 @@ impl Activation {
     pub fn apply(&self, x: f64) -> f64 {
         match self {
             Activation::Relu => x.max(0.0),
-            Activation::Tanh => x.tanh(),
+            Activation::Tanh => crate::simd::tanh(x),
             Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
             Activation::Identity => x,
         }
@@ -25,6 +26,13 @@ impl Activation {
 
     /// Derivative at pre-activation `x`.
     pub fn derivative(&self, x: f64) -> f64 {
+        self.derivative_from(x, self.apply(x))
+    }
+
+    /// Derivative at pre-activation `x` whose activation `y = apply(x)` is
+    /// already known, as in training's forward cache: `tanh′ = 1 − y²` and
+    /// `σ′ = y(1 − y)` need no second evaluation.
+    pub(crate) fn derivative_from(&self, x: f64, y: f64) -> f64 {
         match self {
             Activation::Relu => {
                 if x > 0.0 {
@@ -33,14 +41,8 @@ impl Activation {
                     0.0
                 }
             }
-            Activation::Tanh => {
-                let t = x.tanh();
-                1.0 - t * t
-            }
-            Activation::Sigmoid => {
-                let s = self.apply(x);
-                s * (1.0 - s)
-            }
+            Activation::Tanh => 1.0 - y * y,
+            Activation::Sigmoid => y * (1.0 - y),
             Activation::Identity => 1.0,
         }
     }
@@ -84,6 +86,17 @@ mod tests {
         assert_eq!(Activation::Identity.apply(1.5), 1.5);
         assert!((Activation::Sigmoid.apply(0.0) - 0.5).abs() < 1e-12);
         assert!(Activation::Tanh.apply(0.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn tanh_is_within_a_few_ulp_of_libm() {
+        for i in 0..=40_000 {
+            let x = (i as f64 - 20_000.0) * 0.00125; // [-25, 25]
+            let (got, want) = (Activation::Tanh.apply(x), x.tanh());
+            let ulp = (got.to_bits() as i64 - want.to_bits() as i64).abs();
+            assert!(ulp <= 8, "tanh({x}) = {got} vs {want}: {ulp} ulp");
+        }
+        assert!(Activation::Tanh.apply(f64::NAN).is_nan());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use cv_rng::SplitMix64;
 
-use crate::{Activation, Matrix, NnError};
+use crate::{simd, Activation, Matrix, NnError};
 
 /// A fully connected layer `y = σ(x·W + b)`.
 ///
@@ -108,24 +108,31 @@ impl Dense {
         Ok(z.map(|v| self.activation.apply(v)))
     }
 
-    /// Fused forward pass into `out`, reusing its storage: the tiled matmul
-    /// accumulates `x·W` into `out`, then one finishing sweep applies
-    /// `+ bias` and the activation per element. Per output element the
-    /// float-op sequence — ascending-`k` accumulation with zero-skip, then
-    /// `+ b`, then `σ` — is exactly that of [`Dense::forward`], so results
-    /// are bit-identical with zero per-call heap allocation once `out` has
-    /// grown to shape.
+    /// Fused forward pass into `out`, reusing its storage: the matmul
+    /// accumulates `x·W` into `out`, `+ bias` follows per element, then one
+    /// activation sweep (the vectorised kernel of the `simd` module) runs
+    /// over the whole output. Per output element the float-op sequence —
+    /// ascending-`k` accumulation with zero-skip, then `+ b`, then `σ` — is
+    /// exactly that of [`Dense::forward`], so results are bit-identical
+    /// with zero per-call heap allocation once `out` has grown to shape.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] if `x.cols() != in_dim`.
     pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
-        x.matmul_into(&self.weights, out)?;
+        self.affine_into(x, out)?;
+        simd::activate(self.activation, out.as_mut_slice());
+        Ok(())
+    }
+
+    /// The pre-activations `z = x·W + b` into `z`.
+    fn affine_into(&self, x: &Matrix, z: &mut Matrix) -> Result<(), NnError> {
+        x.matmul_into(&self.weights, z)?;
         let cols = self.bias.len();
         if cols > 0 {
-            for row in out.as_mut_slice().chunks_exact_mut(cols) {
+            for row in z.as_mut_slice().chunks_exact_mut(cols) {
                 for (v, b) in row.iter_mut().zip(&self.bias) {
-                    *v = self.activation.apply(*v + b);
+                    *v += b;
                 }
             }
         }
@@ -144,19 +151,10 @@ impl Dense {
         pre: &mut Matrix,
         out: &mut Matrix,
     ) -> Result<(), NnError> {
-        x.matmul_into(&self.weights, pre)?;
-        let cols = self.bias.len();
-        if cols > 0 {
-            for row in pre.as_mut_slice().chunks_exact_mut(cols) {
-                for (v, b) in row.iter_mut().zip(&self.bias) {
-                    *v += b;
-                }
-            }
-        }
+        self.affine_into(x, pre)?;
         out.reset_zeroed(pre.rows(), pre.cols());
-        for (o, z) in out.as_mut_slice().iter_mut().zip(pre.as_slice()) {
-            *o = self.activation.apply(*z);
-        }
+        out.as_mut_slice().copy_from_slice(pre.as_slice());
+        simd::activate(self.activation, out.as_mut_slice());
         Ok(())
     }
 
@@ -193,15 +191,18 @@ impl Dense {
     }
 
     /// In-place variant of [`Dense::backward`] writing every intermediate
-    /// into caller-owned buffers. `input`/`pre` are the forward cache (as
-    /// produced by [`Dense::forward_cached_into`]); `w_t` stages the weight
-    /// transpose for the `δ·Wᵀ` product. Per element the float-op sequence
-    /// matches the allocating path exactly, so gradients are bit-identical.
+    /// into caller-owned buffers. `input`/`pre`/`out` are the forward cache
+    /// (as produced by [`Dense::forward_cached_into`]), so `σ′` comes from
+    /// the cached activation instead of a second `σ`; `w_t` stages the
+    /// weight transpose for the `δ·Wᵀ` product. Per element the float-op
+    /// sequence matches the allocating path exactly, so gradients are
+    /// bit-identical.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn backward_in_place(
         &self,
         input: &Matrix,
         pre: &Matrix,
+        out: &Matrix,
         d_out: &Matrix,
         d_pre: &mut Matrix,
         d_weights: &mut Matrix,
@@ -221,13 +222,14 @@ impl Dense {
             });
         }
         d_pre.reset_zeroed(pre.rows(), pre.cols());
-        for ((dp, &g), &z) in d_pre
+        for (((dp, &g), &z), &y) in d_pre
             .as_mut_slice()
             .iter_mut()
             .zip(d_out.as_slice())
             .zip(pre.as_slice())
+            .zip(out.as_slice())
         {
-            *dp = g * self.activation.derivative(z);
+            *dp = g * self.activation.derivative_from(z, y);
         }
         input.tr_matmul_into(d_pre, d_weights)?;
         d_pre.column_sums_into(d_bias);

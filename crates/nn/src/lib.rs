@@ -19,8 +19,9 @@
 //!   ([`Mlp::forward_batch_into`]): [`LANE_WIDTH`] = 8 samples stepped in
 //!   lockstep through structure-of-arrays slabs and runtime-dispatched
 //!   SIMD kernels (AVX-512VL / AVX2+FMA / scalar, all bit-identical to
-//!   each other); deterministic, with a documented few-ulp tolerance to
-//!   the per-sample path.
+//!   each other); deterministic, with a documented tolerance to the
+//!   per-sample path (FMA contraction, no zero-skip — both paths share the
+//!   one vectorised `tanh`).
 //! * Plain-text weight serialization ([`Mlp::to_text`], [`Mlp::from_text`])
 //!   so trained planners can be embedded or cached without extra formats.
 //!
@@ -62,3 +63,8 @@ pub use optimizer::Optimizer;
 pub use scratch::{BatchScratch, MlpScratch};
 pub use simd::LANE_WIDTH;
 pub use train::{TrainConfig, Trainer};
+
+/// Tag of this crate's numerics (the `tanh` kernel, the dense kernels' op
+/// order); changed whenever any output may move by an ulp, so caches keyed
+/// by it are never served across such a change.
+pub const NUMERICS: &str = "tanh-lane-1";

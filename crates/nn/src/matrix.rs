@@ -270,20 +270,11 @@ impl Matrix {
             }
             return Ok(());
         }
-        // Single-row products (per-step planner inference): one axpy chain
-        // per output lane with no tile bookkeeping, so the `j` loop
-        // vectorises over the whole row. Same accumulation order.
+        // Single-row products (per-step planner inference): the
+        // runtime-dispatched row kernel keeps the output row in vector
+        // registers across the `k` sweep. Same accumulation order.
         if self.rows == 1 {
-            let crow = &mut out.data[..n];
-            for (k, &aik) in self.data.iter().enumerate() {
-                if aik == 0.0 {
-                    continue;
-                }
-                let orow = &other.data[k * n..(k + 1) * n];
-                for (c, o) in crow.iter_mut().zip(orow) {
-                    *c += aik * o;
-                }
-            }
+            crate::simd::row_matmul(&self.data, &other.data, &mut out.data);
             return Ok(());
         }
         for i0 in (0..self.rows).step_by(TILE_ROWS) {
@@ -347,15 +338,14 @@ impl Matrix {
         // bias and stores all LANE_WIDTH entries, so zeroing first would be
         // a dead memset on the per-step hot path.
         out.reshape_for_overwrite(self.rows, crate::LANE_WIDTH);
-        crate::simd::dense_lanes(&self.data, bias, self.cols, &act.data, &mut out.data);
+        crate::simd::dense_lanes(&self.data, bias, &act.data, &mut out.data);
         Ok(())
     }
 
     /// Matrix product `selfᵀ · other` without materialising the transpose.
     ///
     /// Runs the output-tiled kernel (see [`Matrix::tr_matmul_into`]);
-    /// bit-identical to [`Matrix::tr_matmul_naive`] and to
-    /// `self.transpose().matmul(other)`.
+    /// bit-identical to `self.transpose().matmul(other)`.
     ///
     /// # Errors
     ///
@@ -366,49 +356,13 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Pre-tiling reference kernel for `selfᵀ · other` (k-outer over
-    /// `self`'s rows, zero-skip). Per output element the accumulation order
-    /// (k ascending) and the zero-skip are exactly those of
-    /// `self.transpose().matmul(other)` — bit-identical, minus one full
-    /// matrix allocation and a strided copy. This is the `Xᵀ·δ`
-    /// weight-gradient product on backprop's hot path; kept as the A/B
-    /// baseline for the tiled kernel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if `self.rows != other.rows`.
-    pub fn tr_matmul_naive(&self, other: &Matrix) -> Result<Matrix, NnError> {
-        if self.rows != other.rows {
-            return Err(NnError::ShapeMismatch {
-                context: format!(
-                    "tr_matmul: ({}x{})^T * {}x{}",
-                    self.rows, self.cols, other.rows, other.cols
-                ),
-            });
-        }
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        for i in 0..self.cols {
-            for k in 0..self.rows {
-                let aki = self.data[k * self.cols + i];
-                if aki == 0.0 {
-                    continue;
-                }
-                let orow = &other.data[k * other.cols..(k + 1) * other.cols];
-                let crow = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (c, o) in crow.iter_mut().zip(orow) {
-                    *c += aki * o;
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Matrix product `selfᵀ · other` into `out`, reusing its storage.
     ///
     /// Same output-tiling contract as [`Matrix::matmul_into`]: blocks over
     /// rows/columns of the output, i → k → j within a tile, one
     /// ascending-`k` accumulation chain with zero-skip per output element —
-    /// bit-identical to [`Matrix::tr_matmul_naive`].
+    /// bit-identical to the untiled k-outer kernel (kept as the test
+    /// suite's `tr_matmul_naive` oracle).
     ///
     /// # Errors
     ///
@@ -823,6 +777,26 @@ mod tests {
         }
     }
 
+    /// Pre-tiling reference kernel for `aᵀ · b` (k-outer over `a`'s rows,
+    /// zero-skip): the oracle of the tiled `tr_matmul`.
+    fn tr_matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.cols, b.cols);
+        for i in 0..a.cols {
+            for k in 0..a.rows {
+                let aki = a.data[k * a.cols + i];
+                if aki == 0.0 {
+                    continue;
+                }
+                let brow = &b.data[k * b.cols..(k + 1) * b.cols];
+                let crow = &mut out.data[i * b.cols..(i + 1) * b.cols];
+                for (c, o) in crow.iter_mut().zip(brow) {
+                    *c += aki * o;
+                }
+            }
+        }
+        out
+    }
+
     /// The tiled kernels against their retained naive baselines across
     /// odd, prime, and tile-straddling shapes (tiles are 16×64, so 15–17
     /// straddles the row tile and 63–65 the column tile).
@@ -840,11 +814,7 @@ mod tests {
 
                     let at = sparse_random(k, m, &mut rng);
                     let ctx = format!("tr_matmul ({k}x{m})^T * {k}x{n}");
-                    assert_bits_eq(
-                        &at.tr_matmul(&b).unwrap(),
-                        &at.tr_matmul_naive(&b).unwrap(),
-                        &ctx,
-                    );
+                    assert_bits_eq(&at.tr_matmul(&b).unwrap(), &tr_matmul_naive(&at, &b), &ctx);
                 }
             }
         }

@@ -84,7 +84,7 @@ impl LanePlan {
                 layer.wt.matmul_lanes_into(pong, &layer.bias, dst)?;
                 dst
             };
-            simd::activate_lanes(layer.activation, dst.as_mut_slice());
+            simd::activate(layer.activation, dst.as_mut_slice());
         }
         Ok(())
     }
@@ -322,10 +322,10 @@ impl Mlp {
     ///
     /// Results are deterministic (independent of host ISA and of which
     /// lanes are live) but **not** bit-identical to the per-sample
-    /// reference path: the FMA accumulation contracts rounding steps the
-    /// reference performs, and `Tanh` uses the documented few-ulp lane
-    /// approximation. Callers that need bit-identity (lanes-of-1) must use
-    /// [`Mlp::predict_into`].
+    /// reference path: the activations are the same function, but the
+    /// lane kernel's FMA accumulation contracts rounding steps the
+    /// reference performs, and it has no zero-skip. Callers that need
+    /// bit-identity (lanes-of-1) must use [`Mlp::predict_into`].
     ///
     /// # Errors
     ///
@@ -579,7 +579,7 @@ mod tests {
 
     /// The batched lane pass against per-lane `predict`: every lane's
     /// column must match the per-sample path within the documented
-    /// tolerance (FMA contraction + few-ulp lane tanh), across layer
+    /// tolerance (FMA contraction, no zero-skip), across layer
     /// counts and every activation on the hidden layers.
     #[test]
     fn forward_batch_matches_predict_within_tolerance() {

@@ -1,4 +1,6 @@
-//! Lane-batched SIMD kernels for the structure-of-arrays forward pass.
+//! SIMD kernels of the forward pass: the crate's one `tanh`, the
+//! activation sweep, the single-row matmul and the lane-batched dense
+//! product.
 //!
 //! The lane layout is fixed at [`LANE_WIDTH`] = 8 episodes wide: an
 //! activation block for a layer of width `d` is a flat `d × 8` row-major
@@ -11,14 +13,15 @@
 //! scalar fallback — selected once per process by runtime feature
 //! detection. All three compute **bit-identical** results: the scalar tier
 //! mirrors the vector tiers' exact per-element op sequence (`mul_add` ≡
-//! FMA, exponent-field construction of `2^n` ≡ `vscalefpd`), so batched
-//! results never depend on the host's ISA, only on the lane math itself.
+//! FMA, exponent-field construction of `2^n` ≡ `vscalefpd`), so results
+//! never depend on the host's ISA, only on the math itself.
 //!
-//! `tanh` is the one place the lane path diverges numerically from the
-//! per-episode reference: `f64::tanh` goes through libm and does not
-//! vectorise, so the lane kernels use a branchless `expm1`-based
-//! approximation ([`tanh_lane`], max relative error ≈ 1e-15 ≈ a few ulp)
-//! evaluated identically in all tiers. Every other activation is exact.
+//! There is one `tanh`: the branchless `expm1`-based [`tanh_lane`] (max
+//! relative error ≈ 1e-15 ≈ a few ulp against libm). The scalar
+//! [`crate::Activation::apply`], the activation sweep behind every
+//! single-row and batched forward, training, and the lane plan all
+//! evaluate it, so the per-episode and lane paths differ only by the lane
+//! kernel's FMA contraction and its missing zero-skip.
 
 #[cfg(target_arch = "x86_64")]
 use std::sync::OnceLock;
@@ -54,10 +57,13 @@ const LN2: f64 = std::f64::consts::LN_2;
 /// `N = 2^n·q + (2^n − 1)`, `D = 2^n·q + (2^n + 1)`, `q = e^t − 1`,
 /// then restores the sign. `|x|` is capped at 20 (tanh saturates to 1.0
 /// exactly well before that), which also bounds `n` for the exact
-/// exponent-field construction of `2^n`.
+/// exponent-field construction of `2^n`. The cap is `minpd(20, |x|)`'s
+/// select, not `f64::min`, so a NaN input fails the compare and comes out
+/// NaN instead of saturating to ±1.
 #[inline(always)]
 pub(crate) fn tanh_lane(x: f64) -> f64 {
-    let ax = x.abs().min(20.0);
+    let ax = x.abs();
+    let ax = if 20.0 < ax { 20.0 } else { ax };
     let y = ax * LOG2E_2;
     let n = (y + 0.5).floor();
     let t = (y - n) * LN2;
@@ -87,7 +93,8 @@ pub(crate) fn tanh_lane(x: f64) -> f64 {
 /// act[k·8+l]`, accumulated ascending-`k` with `mul_add` — the exact
 /// float-op chain of the vector tiers (no zero-skip: lane slabs are dense
 /// by construction and a skip would break the FMA chain equivalence).
-fn dense_lanes_scalar(wt: &[f64], bias: &[f64], in_dim: usize, act: &[f64], out: &mut [f64]) {
+fn dense_lanes_scalar(wt: &[f64], bias: &[f64], act: &[f64], out: &mut [f64]) {
+    let in_dim = act.len() / LANE_WIDTH;
     for (o, &b) in bias.iter().enumerate() {
         let wrow = &wt[o * in_dim..(o + 1) * in_dim];
         let orow = &mut out[o * LANE_WIDTH..(o + 1) * LANE_WIDTH];
@@ -101,12 +108,25 @@ fn dense_lanes_scalar(wt: &[f64], bias: &[f64], in_dim: usize, act: &[f64], out:
     }
 }
 
-fn tanh_lanes_scalar(xs: &mut [f64]) {
-    for x in xs {
-        *x = tanh_lane(*x);
+/// Scalar single-row kernel: `out[j] = Σ_k a[k] · b[k·stride + j]`,
+/// accumulated ascending-`k` from `+0.0` as separate `mul` and `add`,
+/// skipping exact-zero `a[k]` — the chain of [`crate::Matrix::matmul_into`]
+/// for every other shape.
+fn row_matmul_scalar(a: &[f64], b: &[f64], stride: usize, out: &mut [f64]) {
+    out.fill(0.0);
+    for (k, &ak) in a.iter().enumerate() {
+        if ak == 0.0 {
+            continue;
+        }
+        for (c, o) in out.iter_mut().zip(&b[k * stride..]) {
+            *c += ak * o;
+        }
     }
 }
 
+/// The vector tiers. Safety: every `unsafe fn` here needs the CPU features
+/// its `target_feature` names, and the slice lengths its dispatcher below
+/// asserts.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{C10, C11, C12, C3, C4, C5, C6, C7, C8, C9, LANE_WIDTH, LN2, LOG2E_2};
@@ -121,7 +141,8 @@ mod x86 {
             let one = _mm256_set1_pd(1.0);
             let half = _mm256_set1_pd(0.5);
             let x = $x;
-            let ax = _mm256_min_pd(_mm256_andnot_pd(sign_mask, x), _mm256_set1_pd(20.0));
+            // `minpd` returns its second operand on NaN: a NaN lane stays NaN.
+            let ax = _mm256_min_pd(_mm256_set1_pd(20.0), _mm256_andnot_pd(sign_mask, x));
             let y = _mm256_mul_pd(ax, _mm256_set1_pd(LOG2E_2));
             let n = _mm256_floor_pd(_mm256_add_pd(y, half));
             let t = _mm256_mul_pd(_mm256_sub_pd(y, n), _mm256_set1_pd(LN2));
@@ -146,152 +167,143 @@ mod x86 {
         }};
     }
 
+    /// In-place tanh over a slice of any length: 4-wide vector body, the
+    /// tail padded through the same body, so every element takes the one
+    /// op sequence.
+    macro_rules! tanh_sweep {
+        ($xs:expr, $p2n_of:expr) => {{
+            let mut chunks = $xs.chunks_exact_mut(4);
+            for c in &mut chunks {
+                let r = tanh_vec4_body!(_mm256_loadu_pd(c.as_ptr()), $p2n_of);
+                _mm256_storeu_pd(c.as_mut_ptr(), r);
+            }
+            let tail = chunks.into_remainder();
+            if !tail.is_empty() {
+                let mut pad = [0.0; 4];
+                pad[..tail.len()].copy_from_slice(tail);
+                let r = tanh_vec4_body!(_mm256_loadu_pd(pad.as_ptr()), $p2n_of);
+                _mm256_storeu_pd(pad.as_mut_ptr(), r);
+                tail.copy_from_slice(&pad[..tail.len()]);
+            }
+        }};
+    }
+
     #[target_feature(enable = "avx512vl,avx512f")]
-    pub unsafe fn tanh_lanes_avx512vl(xs: &mut [f64]) {
-        debug_assert_eq!(xs.len() % 4, 0);
-        for c in xs.chunks_exact_mut(4) {
-            let x = _mm256_loadu_pd(c.as_ptr());
-            let r = tanh_vec4_body!(x, |one, n| _mm256_scalef_pd(one, n));
-            _mm256_storeu_pd(c.as_mut_ptr(), r);
-        }
+    pub unsafe fn tanh_avx512vl(xs: &mut [f64]) {
+        tanh_sweep!(xs, |one, n| _mm256_scalef_pd(one, n));
     }
 
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn tanh_lanes_avx2(xs: &mut [f64]) {
-        debug_assert_eq!(xs.len() % 4, 0);
-        for c in xs.chunks_exact_mut(4) {
-            let x = _mm256_loadu_pd(c.as_ptr());
-            // 2^n without vscalefpd: n ≥ 0 integer-valued, so adding
-            // n << 52 to the bits of 1.0 sets the exponent exactly.
-            let r = tanh_vec4_body!(x, |one: __m256d, n: __m256d| {
-                let ni = _mm256_cvtpd_epi32(n);
-                let ni64 = _mm256_cvtepi32_epi64(ni);
-                _mm256_castsi256_pd(_mm256_add_epi64(
-                    _mm256_castpd_si256(one),
-                    _mm256_slli_epi64(ni64, 52),
-                ))
-            });
-            _mm256_storeu_pd(c.as_mut_ptr(), r);
+    pub unsafe fn tanh_avx2(xs: &mut [f64]) {
+        // 2^n without vscalefpd: n ≥ 0 integer-valued, so adding n << 52
+        // to the bits of 1.0 sets the exponent exactly.
+        tanh_sweep!(xs, |one: __m256d, n: __m256d| {
+            let ni64 = _mm256_cvtepi32_epi64(_mm256_cvtpd_epi32(n));
+            _mm256_castsi256_pd(_mm256_add_epi64(
+                _mm256_castpd_si256(one),
+                _mm256_slli_epi64(ni64, 52),
+            ))
+        });
+    }
+
+    /// Scalar [`super::tanh_lane`] compiled with `fma`, so each `mul_add`
+    /// is one `vfmadd` instead of a call into libm's `fma`. Same bits.
+    #[target_feature(enable = "fma")]
+    pub unsafe fn tanh_fma(x: f64) -> f64 {
+        super::tanh_lane(x)
+    }
+
+    /// Output columns `j..` of [`row_matmul_avx2`] in blocks of `4·V`
+    /// while they fit, each block's `V` ymm accumulators held across the
+    /// whole `k` sweep: the scalar tier's ascending-`k` chain and
+    /// zero-skip, with `mul` and `add` kept separate. Returns the first
+    /// column left undone.
+    #[inline(always)]
+    unsafe fn row_block<const V: usize>(
+        a: &[f64],
+        b: &[f64],
+        mut j: usize,
+        out: &mut [f64],
+    ) -> usize {
+        let n = out.len();
+        while j + 4 * V <= n {
+            let mut acc = [_mm256_setzero_pd(); V];
+            for (k, &ak) in a.iter().enumerate() {
+                if ak == 0.0 {
+                    continue;
+                }
+                let av = _mm256_set1_pd(ak);
+                let row = b.as_ptr().add(k * n + j);
+                for (v, acc) in acc.iter_mut().enumerate() {
+                    *acc = _mm256_add_pd(*acc, _mm256_mul_pd(av, _mm256_loadu_pd(row.add(4 * v))));
+                }
+            }
+            for (v, acc) in acc.iter().enumerate() {
+                _mm256_storeu_pd(out.as_mut_ptr().add(j + 4 * v), *acc);
+            }
+            j += 4 * V;
+        }
+        j
+    }
+
+    /// AVX2 single-row kernel: 32 output columns per block, then 4, then
+    /// the scalar chain for the last `n mod 4`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn row_matmul_avx2(a: &[f64], b: &[f64], out: &mut [f64]) {
+        let j = row_block::<8>(a, b, 0, out);
+        let j = row_block::<1>(a, b, j, out);
+        let n = out.len();
+        super::row_matmul_scalar(a, b.get(j..).unwrap_or_default(), n, &mut out[j..]);
+    }
+
+    /// Dense-lane kernel over blocks of `B` output features, so each
+    /// activation row is loaded once per block: per feature, two
+    /// accumulators (lanes 0–3 and 4–7) seeded with its bias and one
+    /// ascending-`k` FMA chain against the broadcast weight. Leftover
+    /// features run one at a time.
+    #[inline(always)]
+    unsafe fn dense_blocks<const B: usize>(wt: &[f64], bias: &[f64], act: &[f64], out: &mut [f64]) {
+        let in_dim = act.len() / LANE_WIDTH;
+        let full = bias.len() / B * B;
+        for o in (0..full).step_by(B) {
+            let mut lo = [_mm256_setzero_pd(); B];
+            for (i, acc) in lo.iter_mut().enumerate() {
+                *acc = _mm256_set1_pd(bias[o + i]);
+            }
+            let mut hi = lo;
+            for k in 0..in_dim {
+                let avl = _mm256_loadu_pd(act.as_ptr().add(k * LANE_WIDTH));
+                let avh = _mm256_loadu_pd(act.as_ptr().add(k * LANE_WIDTH + 4));
+                for i in 0..B {
+                    let w = _mm256_set1_pd(wt[(o + i) * in_dim + k]);
+                    lo[i] = _mm256_fmadd_pd(w, avl, lo[i]);
+                    hi[i] = _mm256_fmadd_pd(w, avh, hi[i]);
+                }
+            }
+            for i in 0..B {
+                _mm256_storeu_pd(out.as_mut_ptr().add((o + i) * LANE_WIDTH), lo[i]);
+                _mm256_storeu_pd(out.as_mut_ptr().add((o + i) * LANE_WIDTH + 4), hi[i]);
+            }
+        }
+        if B > 1 && full < bias.len() {
+            let (wt, out) = (&wt[full * in_dim..], &mut out[full * LANE_WIDTH..]);
+            dense_blocks::<1>(wt, &bias[full..], act, out);
         }
     }
 
-    /// AVX-512VL dense-lane kernel: blocks four output features at a time
-    /// (16 ymm accumulators — the VL tier's registers 16–31 keep the block
-    /// resident), broadcasting weights against the two 4-lane halves of
-    /// each activation row. Bias seeds the accumulators.
+    /// AVX-512VL dense-lane kernel: four output features per block (16
+    /// ymm accumulators — the VL tier's registers 16–31 keep the block
+    /// resident).
     #[target_feature(enable = "avx512vl,avx512f")]
-    pub unsafe fn dense_lanes_avx512vl(
-        wt: &[f64],
-        bias: &[f64],
-        in_dim: usize,
-        act: &[f64],
-        out: &mut [f64],
-    ) {
-        let out_dim = bias.len();
-        let mut oo = 0;
-        while oo + 4 <= out_dim {
-            let w0 = &wt[oo * in_dim..];
-            let w1 = &wt[(oo + 1) * in_dim..];
-            let w2 = &wt[(oo + 2) * in_dim..];
-            let w3 = &wt[(oo + 3) * in_dim..];
-            let b0 = _mm256_set1_pd(bias[oo]);
-            let b1 = _mm256_set1_pd(bias[oo + 1]);
-            let b2 = _mm256_set1_pd(bias[oo + 2]);
-            let b3 = _mm256_set1_pd(bias[oo + 3]);
-            let (mut a0l, mut a0h, mut a1l, mut a1h) = (b0, b0, b1, b1);
-            let (mut a2l, mut a2h, mut a3l, mut a3h) = (b2, b2, b3, b3);
-            for k in 0..in_dim {
-                let avl = _mm256_loadu_pd(act.as_ptr().add(k * LANE_WIDTH));
-                let avh = _mm256_loadu_pd(act.as_ptr().add(k * LANE_WIDTH + 4));
-                let wv0 = _mm256_set1_pd(w0[k]);
-                let wv1 = _mm256_set1_pd(w1[k]);
-                let wv2 = _mm256_set1_pd(w2[k]);
-                let wv3 = _mm256_set1_pd(w3[k]);
-                a0l = _mm256_fmadd_pd(wv0, avl, a0l);
-                a0h = _mm256_fmadd_pd(wv0, avh, a0h);
-                a1l = _mm256_fmadd_pd(wv1, avl, a1l);
-                a1h = _mm256_fmadd_pd(wv1, avh, a1h);
-                a2l = _mm256_fmadd_pd(wv2, avl, a2l);
-                a2h = _mm256_fmadd_pd(wv2, avh, a2h);
-                a3l = _mm256_fmadd_pd(wv3, avl, a3l);
-                a3h = _mm256_fmadd_pd(wv3, avh, a3h);
-            }
-            _mm256_storeu_pd(out.as_mut_ptr().add(oo * LANE_WIDTH), a0l);
-            _mm256_storeu_pd(out.as_mut_ptr().add(oo * LANE_WIDTH + 4), a0h);
-            _mm256_storeu_pd(out.as_mut_ptr().add((oo + 1) * LANE_WIDTH), a1l);
-            _mm256_storeu_pd(out.as_mut_ptr().add((oo + 1) * LANE_WIDTH + 4), a1h);
-            _mm256_storeu_pd(out.as_mut_ptr().add((oo + 2) * LANE_WIDTH), a2l);
-            _mm256_storeu_pd(out.as_mut_ptr().add((oo + 2) * LANE_WIDTH + 4), a2h);
-            _mm256_storeu_pd(out.as_mut_ptr().add((oo + 3) * LANE_WIDTH), a3l);
-            _mm256_storeu_pd(out.as_mut_ptr().add((oo + 3) * LANE_WIDTH + 4), a3h);
-            oo += 4;
-        }
-        while oo < out_dim {
-            let w0 = &wt[oo * in_dim..(oo + 1) * in_dim];
-            let b0 = _mm256_set1_pd(bias[oo]);
-            let (mut a0l, mut a0h) = (b0, b0);
-            for (k, &w) in w0.iter().enumerate() {
-                let avl = _mm256_loadu_pd(act.as_ptr().add(k * LANE_WIDTH));
-                let avh = _mm256_loadu_pd(act.as_ptr().add(k * LANE_WIDTH + 4));
-                let wv0 = _mm256_set1_pd(w);
-                a0l = _mm256_fmadd_pd(wv0, avl, a0l);
-                a0h = _mm256_fmadd_pd(wv0, avh, a0h);
-            }
-            _mm256_storeu_pd(out.as_mut_ptr().add(oo * LANE_WIDTH), a0l);
-            _mm256_storeu_pd(out.as_mut_ptr().add(oo * LANE_WIDTH + 4), a0h);
-            oo += 1;
-        }
+    pub unsafe fn dense_lanes_avx512vl(wt: &[f64], bias: &[f64], act: &[f64], out: &mut [f64]) {
+        dense_blocks::<4>(wt, bias, act, out);
     }
 
-    /// AVX2+FMA dense-lane kernel: same math as the VL tier, blocked two
-    /// output features at a time (AVX2 has only ymm0–15).
+    /// AVX2+FMA dense-lane kernel: two output features per block (AVX2
+    /// has only ymm0–15).
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dense_lanes_avx2(
-        wt: &[f64],
-        bias: &[f64],
-        in_dim: usize,
-        act: &[f64],
-        out: &mut [f64],
-    ) {
-        let out_dim = bias.len();
-        let mut oo = 0;
-        while oo + 2 <= out_dim {
-            let w0 = &wt[oo * in_dim..];
-            let w1 = &wt[(oo + 1) * in_dim..];
-            let b0 = _mm256_set1_pd(bias[oo]);
-            let b1 = _mm256_set1_pd(bias[oo + 1]);
-            let (mut a0l, mut a0h, mut a1l, mut a1h) = (b0, b0, b1, b1);
-            for k in 0..in_dim {
-                let avl = _mm256_loadu_pd(act.as_ptr().add(k * LANE_WIDTH));
-                let avh = _mm256_loadu_pd(act.as_ptr().add(k * LANE_WIDTH + 4));
-                let wv0 = _mm256_set1_pd(w0[k]);
-                let wv1 = _mm256_set1_pd(w1[k]);
-                a0l = _mm256_fmadd_pd(wv0, avl, a0l);
-                a0h = _mm256_fmadd_pd(wv0, avh, a0h);
-                a1l = _mm256_fmadd_pd(wv1, avl, a1l);
-                a1h = _mm256_fmadd_pd(wv1, avh, a1h);
-            }
-            _mm256_storeu_pd(out.as_mut_ptr().add(oo * LANE_WIDTH), a0l);
-            _mm256_storeu_pd(out.as_mut_ptr().add(oo * LANE_WIDTH + 4), a0h);
-            _mm256_storeu_pd(out.as_mut_ptr().add((oo + 1) * LANE_WIDTH), a1l);
-            _mm256_storeu_pd(out.as_mut_ptr().add((oo + 1) * LANE_WIDTH + 4), a1h);
-            oo += 2;
-        }
-        while oo < out_dim {
-            let w0 = &wt[oo * in_dim..(oo + 1) * in_dim];
-            let b0 = _mm256_set1_pd(bias[oo]);
-            let (mut a0l, mut a0h) = (b0, b0);
-            for (k, &w) in w0.iter().enumerate() {
-                let avl = _mm256_loadu_pd(act.as_ptr().add(k * LANE_WIDTH));
-                let avh = _mm256_loadu_pd(act.as_ptr().add(k * LANE_WIDTH + 4));
-                let wv0 = _mm256_set1_pd(w);
-                a0l = _mm256_fmadd_pd(wv0, avl, a0l);
-                a0h = _mm256_fmadd_pd(wv0, avh, a0h);
-            }
-            _mm256_storeu_pd(out.as_mut_ptr().add(oo * LANE_WIDTH), a0l);
-            _mm256_storeu_pd(out.as_mut_ptr().add(oo * LANE_WIDTH + 4), a0h);
-            oo += 1;
-        }
+    pub unsafe fn dense_lanes_avx2(wt: &[f64], bias: &[f64], act: &[f64], out: &mut [f64]) {
+        dense_blocks::<2>(wt, bias, act, out);
     }
 }
 
@@ -317,12 +329,14 @@ pub(crate) fn isa() -> Isa {
     #[cfg(target_arch = "x86_64")]
     {
         *ISA.get_or_init(|| {
-            if is_x86_feature_detected!("avx512vl") && is_x86_feature_detected!("avx512f") {
-                Isa::Avx512Vl
-            } else if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-                Isa::Avx2Fma
-            } else {
+            // Both vector tiers also run the AVX2 row kernel and the
+            // FMA-compiled scalar tanh.
+            if !(is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")) {
                 Isa::Scalar
+            } else if is_x86_feature_detected!("avx512vl") && is_x86_feature_detected!("avx512f") {
+                Isa::Avx512Vl
+            } else {
+                Isa::Avx2Fma
             }
         })
     }
@@ -337,54 +351,60 @@ pub(crate) fn isa() -> Isa {
 /// `wt` is the **transposed** weight matrix (`out_dim × in_dim` row-major),
 /// `act` is `in_dim × 8`, `out` is `out_dim × 8`. Callers (the shape-checked
 /// [`crate::Matrix::matmul_lanes_into`]) guarantee the slice lengths.
-pub(crate) fn dense_lanes(wt: &[f64], bias: &[f64], in_dim: usize, act: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(wt.len(), bias.len() * in_dim);
-    debug_assert_eq!(act.len(), in_dim * LANE_WIDTH);
-    debug_assert_eq!(out.len(), bias.len() * LANE_WIDTH);
+pub(crate) fn dense_lanes(wt: &[f64], bias: &[f64], act: &[f64], out: &mut [f64]) {
+    debug_assert_eq!(act.len() % LANE_WIDTH, 0);
+    debug_assert_eq!(wt.len() * LANE_WIDTH, bias.len() * act.len());
+    assert_eq!(out.len(), bias.len() * LANE_WIDTH, "out is out_dim × 8");
     match isa() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: tier selected only when the features are detected; slice
-        // lengths are asserted above and rechecked by the caller.
-        Isa::Avx512Vl => unsafe { x86::dense_lanes_avx512vl(wt, bias, in_dim, act, out) },
+        // SAFETY: tier selected only when the features are detected; the
+        // vector tiers index `act` within `act.len()` and `wt` with bounds
+        // checks, and store into `out` only within the length asserted above.
+        Isa::Avx512Vl => unsafe { x86::dense_lanes_avx512vl(wt, bias, act, out) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
-        Isa::Avx2Fma => unsafe { x86::dense_lanes_avx2(wt, bias, in_dim, act, out) },
-        Isa::Scalar => dense_lanes_scalar(wt, bias, in_dim, act, out),
+        Isa::Avx2Fma => unsafe { x86::dense_lanes_avx2(wt, bias, act, out) },
+        Isa::Scalar => dense_lanes_scalar(wt, bias, act, out),
     }
 }
 
-/// In-place lane `tanh` over an SoA slab (`xs.len()` a multiple of 8).
-pub(crate) fn tanh_lanes(xs: &mut [f64]) {
-    debug_assert_eq!(xs.len() % LANE_WIDTH, 0);
+/// The crate's `tanh` on one value ([`crate::Activation::apply`]).
+pub(crate) fn tanh(x: f64) -> f64 {
     match isa() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: both vector tiers are selected only when `fma` is detected.
+        Isa::Avx512Vl | Isa::Avx2Fma => unsafe { x86::tanh_fma(x) },
+        Isa::Scalar => tanh_lane(x),
+    }
+}
+
+/// Applies `act` element-wise, in place, to a slice of any length: one
+/// row of a layer's output or an 8-wide SoA slab. `Tanh` runs the vector
+/// tier of this host; every result equals [`crate::Activation::apply`]
+/// to the bit.
+pub(crate) fn activate(act: crate::Activation, xs: &mut [f64]) {
+    match (act, isa()) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: tier selected only when the features are detected.
-        Isa::Avx512Vl => unsafe { x86::tanh_lanes_avx512vl(xs) },
+        (crate::Activation::Tanh, Isa::Avx512Vl) => unsafe { x86::tanh_avx512vl(xs) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
-        Isa::Avx2Fma => unsafe { x86::tanh_lanes_avx2(xs) },
-        Isa::Scalar => tanh_lanes_scalar(xs),
+        (crate::Activation::Tanh, Isa::Avx2Fma) => unsafe { x86::tanh_avx2(xs) },
+        _ => xs.iter_mut().for_each(|x| *x = act.apply(*x)),
     }
 }
 
-/// Applies `act` element-wise to an SoA slab. `Tanh` uses the lane
-/// approximation; the rest are exact and identical in every tier
-/// (`Relu`/`Identity` are branch-free compares, `Sigmoid` stays scalar —
-/// it is not on any planner hot path).
-pub(crate) fn activate_lanes(act: crate::Activation, xs: &mut [f64]) {
-    match act {
-        crate::Activation::Tanh => tanh_lanes(xs),
-        crate::Activation::Relu => {
-            for x in xs {
-                *x = x.max(0.0);
-            }
-        }
-        crate::Activation::Sigmoid => {
-            for x in xs {
-                *x = 1.0 / (1.0 + (-*x).exp());
-            }
-        }
-        crate::Activation::Identity => {}
+/// Single-row product `out = a · B` for a row-major `B` of `a.len() ×
+/// out.len()`. Every tier runs the ascending-`k`, zero-skipping chain of
+/// [`row_matmul_scalar`], so the result is the same to the bit.
+pub(crate) fn row_matmul(a: &[f64], b: &[f64], out: &mut [f64]) {
+    assert_eq!(b.len(), a.len() * out.len(), "b is a.len() × out.len()");
+    match isa() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: both vector tiers are selected only when `avx2` is
+        // detected; the row kernel loads `b` within the length asserted above.
+        Isa::Avx512Vl | Isa::Avx2Fma => unsafe { x86::row_matmul_avx2(a, b, out) },
+        Isa::Scalar => row_matmul_scalar(a, b, out.len(), out),
     }
 }
 
@@ -421,10 +441,60 @@ mod tests {
         assert_eq!(tanh_lane(50.0), 1.0);
         assert_eq!(tanh_lane(-50.0), -1.0);
         assert_eq!(tanh_lane(1e300), 1.0);
+        assert_eq!(tanh_lane(20.0), 1.0);
+        assert_eq!(tanh_lane(-20.0), -1.0);
+        assert_eq!(tanh_lane(f64::INFINITY), 1.0);
+        assert_eq!(tanh_lane(f64::NEG_INFINITY), -1.0);
+        assert!(tanh_lane(f64::NAN).is_nan());
+        assert!(tanh_lane(-f64::NAN).is_nan());
         // Odd symmetry is exact (copysign of an |x| computation).
         for x in [1e-8, 0.3, 1.0, 5.0, 19.9] {
             assert_eq!(tanh_lane(-x).to_bits(), (-tanh_lane(x)).to_bits());
         }
+    }
+
+    /// Inputs every tanh tier must agree on: signed zeros, subnormals,
+    /// the cap, infinities and NaN, beside ordinary values.
+    const TANH_EDGES: [f64; 13] = [
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE / 4.0,
+        -f64::MIN_POSITIVE / 4.0,
+        20.0,
+        -20.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        1e-8,
+        0.75,
+        -3.5,
+    ];
+
+    /// A vector tanh tier by name.
+    #[cfg(target_arch = "x86_64")]
+    type TanhTier = (&'static str, unsafe fn(&mut [f64]));
+
+    /// The vector tiers detected on this host.
+    #[cfg(target_arch = "x86_64")]
+    fn tanh_tiers() -> Vec<TanhTier> {
+        let mut tiers: Vec<TanhTier> = Vec::new();
+        if is_x86_feature_detected!("avx512vl")
+            && is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("fma")
+        {
+            tiers.push(("avx512vl", x86::tanh_avx512vl));
+        }
+        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+            tiers.push(("avx2", x86::tanh_avx2));
+        }
+        tiers
+    }
+
+    /// Bit equality that also accepts NaN against NaN (payloads and signs
+    /// of NaN are not part of the contract).
+    fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
     }
 
     /// Every detected vector tier must reproduce the scalar kernels to the
@@ -442,14 +512,16 @@ mod tests {
                 .map(|_| rng.random_range(-3.0..3.0))
                 .collect();
             let mut reference = vec![0.0; out_dim * LANE_WIDTH];
-            dense_lanes_scalar(&wt, &bias, in_dim, &act, &mut reference);
-            let mut tanh_ref = reference.clone();
-            tanh_lanes_scalar(&mut tanh_ref);
+            dense_lanes_scalar(&wt, &bias, &act, &mut reference);
+            // The edge inputs ride along in the tanh half of the check.
+            let mut tanh_in = reference.clone();
+            tanh_in.extend(TANH_EDGES);
+            let tanh_ref: Vec<f64> = tanh_in.iter().map(|&x| tanh_lane(x)).collect();
 
             if is_x86_feature_detected!("avx512vl") && is_x86_feature_detected!("avx512f") {
                 let mut got = vec![0.0; out_dim * LANE_WIDTH];
                 // SAFETY: feature checked above.
-                unsafe { x86::dense_lanes_avx512vl(&wt, &bias, in_dim, &act, &mut got) };
+                unsafe { x86::dense_lanes_avx512vl(&wt, &bias, &act, &mut got) };
                 for (g, r) in got.iter().zip(&reference) {
                     assert_eq!(
                         g.to_bits(),
@@ -457,26 +529,111 @@ mod tests {
                         "avx512vl dense {in_dim}x{out_dim}"
                     );
                 }
-                // SAFETY: feature checked above.
-                unsafe { x86::tanh_lanes_avx512vl(&mut got) };
-                for (g, r) in got.iter().zip(&tanh_ref) {
-                    assert_eq!(g.to_bits(), r.to_bits(), "avx512vl tanh {in_dim}x{out_dim}");
-                }
             }
             if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
                 let mut got = vec![0.0; out_dim * LANE_WIDTH];
                 // SAFETY: feature checked above.
-                unsafe { x86::dense_lanes_avx2(&wt, &bias, in_dim, &act, &mut got) };
+                unsafe { x86::dense_lanes_avx2(&wt, &bias, &act, &mut got) };
                 for (g, r) in got.iter().zip(&reference) {
                     assert_eq!(g.to_bits(), r.to_bits(), "avx2 dense {in_dim}x{out_dim}");
                 }
-                // SAFETY: feature checked above.
-                unsafe { x86::tanh_lanes_avx2(&mut got) };
+            }
+            for (tier, sweep) in tanh_tiers() {
+                let mut got = tanh_in.clone();
+                // SAFETY: `tanh_tiers` lists only detected tiers.
+                unsafe { sweep(&mut got) };
                 for (g, r) in got.iter().zip(&tanh_ref) {
-                    assert_eq!(g.to_bits(), r.to_bits(), "avx2 tanh {in_dim}x{out_dim}");
+                    assert!(
+                        same_bits(*g, *r),
+                        "{tier} tanh {in_dim}x{out_dim}: {g} vs {r}"
+                    );
                 }
             }
         }
+    }
+
+    /// The sweep pads its tail through the vector body: every length from
+    /// empty to 40 (every tail length, several full blocks) must match the
+    /// scalar `tanh_lane` per element, on every tier, with the edge inputs
+    /// placed at every position modulo the block width.
+    #[test]
+    fn sweep_matches_scalar_tanh_at_every_length() {
+        let mut rng = SplitMix64::seed_from_u64(0x7A4);
+        for len in 0..=40usize {
+            for shift in 0..4 {
+                let xs: Vec<f64> = (0..len)
+                    .map(|i| match (i + shift) % 3 {
+                        0 => TANH_EDGES[(i + shift) % TANH_EDGES.len()],
+                        _ => rng.random_range(-25.0..25.0),
+                    })
+                    .collect();
+                let want: Vec<f64> = xs.iter().map(|&x| tanh_lane(x)).collect();
+                let mut got = xs.clone();
+                activate(crate::Activation::Tanh, &mut got);
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert!(same_bits(*g, *w), "dispatched len {len} [{i}] {}", xs[i]);
+                }
+                #[cfg(target_arch = "x86_64")]
+                for (tier, sweep) in tanh_tiers() {
+                    let mut got = xs.clone();
+                    // SAFETY: `tanh_tiers` lists only detected tiers.
+                    unsafe { sweep(&mut got) };
+                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert!(same_bits(*g, *w), "{tier} len {len} [{i}] {}", xs[i]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The dispatched single-row matmul against the scalar chain, across
+    /// widths around the 4- and 32-column blocks, with `0.0` and `-0.0`
+    /// in the row so the zero-skip decides some sums.
+    #[test]
+    fn row_matmul_is_bit_identical_to_scalar_chain() {
+        let mut rng = SplitMix64::seed_from_u64(0x5EED);
+        for in_dim in [0usize, 1, 5, 32] {
+            for n in [1usize, 3, 4, 5, 31, 32, 33] {
+                let a: Vec<f64> = (0..in_dim)
+                    .map(|k| match k % 4 {
+                        1 => 0.0,
+                        3 => -0.0,
+                        _ => rng.random_range(-2.0..2.0),
+                    })
+                    .collect();
+                let b: Vec<f64> = (0..in_dim * n)
+                    .map(|i| {
+                        if i % 7 == 0 {
+                            -0.0
+                        } else {
+                            rng.random_range(-2.0..2.0)
+                        }
+                    })
+                    .collect();
+                let mut want = vec![f64::NAN; n];
+                row_matmul_scalar(&a, &b, n, &mut want);
+                let mut got = vec![f64::NAN; n];
+                row_matmul(&a, &b, &mut got);
+                for (j, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{in_dim}x{n} col {j}");
+                }
+                #[cfg(target_arch = "x86_64")]
+                if is_x86_feature_detected!("avx2") {
+                    let mut got = vec![f64::NAN; n];
+                    // SAFETY: feature checked above; `b` is `a.len() × n`.
+                    unsafe { x86::row_matmul_avx2(&a, &b, &mut got) };
+                    for (j, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(g.to_bits(), w.to_bits(), "avx2 {in_dim}x{n} col {j}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "b is a.len()")]
+    fn row_matmul_rejects_a_short_operand() {
+        row_matmul(&[1.0, 2.0], &[0.0; 7], &mut [0.0; 4]);
     }
 
     #[test]
@@ -493,16 +650,16 @@ mod tests {
             .map(|_| rng.random_range(-1.0..1.0))
             .collect();
         let mut out_a = vec![0.0; out_dim * LANE_WIDTH];
-        dense_lanes(&wt, &bias, in_dim, &act, &mut out_a);
-        tanh_lanes(&mut out_a);
+        dense_lanes(&wt, &bias, &act, &mut out_a);
+        activate(crate::Activation::Tanh, &mut out_a);
         for k in 0..in_dim {
             for lane in 4..LANE_WIDTH {
                 act[k * LANE_WIDTH + lane] = 1e6 * (lane as f64);
             }
         }
         let mut out_b = vec![0.0; out_dim * LANE_WIDTH];
-        dense_lanes(&wt, &bias, in_dim, &act, &mut out_b);
-        tanh_lanes(&mut out_b);
+        dense_lanes(&wt, &bias, &act, &mut out_b);
+        activate(crate::Activation::Tanh, &mut out_b);
         for o in 0..out_dim {
             for lane in 0..4 {
                 let i = o * LANE_WIDTH + lane;
@@ -512,12 +669,17 @@ mod tests {
     }
 
     #[test]
-    fn activate_lanes_matches_exact_activations() {
+    fn activate_matches_apply_for_every_activation() {
         use crate::Activation;
-        let xs: Vec<f64> = (0..16).map(|i| (i as f64 - 8.0) * 0.4).collect();
-        for act in [Activation::Relu, Activation::Sigmoid, Activation::Identity] {
+        let xs: Vec<f64> = (0..19).map(|i| (i as f64 - 8.0) * 0.4).collect();
+        for act in [
+            Activation::Relu,
+            Activation::Sigmoid,
+            Activation::Identity,
+            Activation::Tanh,
+        ] {
             let mut got = xs.clone();
-            activate_lanes(act, &mut got);
+            activate(act, &mut got);
             for (&g, &x) in got.iter().zip(&xs) {
                 assert_eq!(g.to_bits(), act.apply(x).to_bits(), "{act}");
             }

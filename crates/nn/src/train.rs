@@ -252,6 +252,7 @@ impl Trainer {
                 net.layers()[idx].backward_in_place(
                     input,
                     &s.pres[idx],
+                    &s.acts[idx],
                     &s.grad,
                     &mut s.d_pre,
                     &mut s.d_w,

@@ -177,19 +177,23 @@ fn feed_nn(h: &mut KeyHasher, planner: &NnPlanner) -> Result<(), KeyError> {
 
 /// Folds the *salt* — everything outside the configs that can change what a
 /// simulation produces — into a key stream: the crate version (code
-/// evolution invalidates old entries wholesale) and the active
-/// behaviour-relevant feature flags (a `fault-injection` build compiles
-/// different stack shapes and must never share keys with a default build).
+/// evolution invalidates old entries wholesale), the NN numerics tag
+/// ([`cv_nn::NUMERICS`]: a build whose network outputs round differently
+/// must not serve another's results) and the active behaviour-relevant
+/// feature flags (a `fault-injection` build compiles different stack
+/// shapes and must never share keys with a default build).
 fn feed_salt(h: &mut KeyHasher) {
     h.write_str(concat!("cv-sim/", env!("CARGO_PKG_VERSION")));
+    h.write_str(cv_nn::NUMERICS);
     h.write_u8(u8::from(cfg!(feature = "fault-injection")));
 }
 
-/// The segment-store salt: the same code-version + feature-flag stream that
-/// salts every [`stack_digest`], hashed alone. A persistent cache directory
-/// written by a different binary (version bump, feature change) fails the
-/// salt check at startup and is *refused* — counted as stale, never misread
-/// — instead of serving results the current code would not reproduce.
+/// The segment-store salt: the same code-version + numerics + feature-flag
+/// stream that salts every [`stack_digest`], hashed alone. A persistent
+/// cache directory written by a different binary (version bump, NN
+/// numerics or feature change) fails the salt check at startup and is
+/// *refused* — counted as stale, never misread — instead of serving
+/// results the current code would not reproduce.
 pub fn store_salt() -> CacheKey {
     let mut h = KeyHasher::new();
     feed_salt(&mut h);

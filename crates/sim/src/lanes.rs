@@ -29,10 +29,11 @@
 //! * `Lanes(1)` routes every NN evaluation through the exact per-episode
 //!   `predict_into` path and is **bit-identical** to
 //!   [`crate::run_batch_supervised`];
-//! * `Lanes(k)` for `k > 1` uses the padded 8-wide kernel, whose FMA
-//!   contraction and vectorized tanh differ from the per-episode path at
-//!   the last few ulps; trajectories can diverge at decision boundaries,
-//!   bounded by the per-field gate in [`lane_tolerance_check`].
+//! * `Lanes(k)` for `k > 1` uses the padded 8-wide kernel. Both paths
+//!   share cv-nn's one vectorised `tanh`; the lane kernel's FMA
+//!   contraction and missing zero-skip differ from the per-episode path
+//!   at the last few ulps, so trajectories can diverge at decision
+//!   boundaries, bounded by the per-field gate in [`lane_tolerance_check`].
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -97,8 +97,10 @@ impl Dense {
 
     /// Forward pass on a batch.
     ///
-    /// Allocating reference path (kept for A/B against
-    /// [`Dense::forward_into`], which is bit-identical).
+    /// Allocating reference path: per output element, an ascending-`k`
+    /// accumulation with zero-skip, then `+ b`, then `σ` — the chain the
+    /// single-row kernel behind [`crate::Mlp::predict_into`] reproduces to
+    /// the bit.
     ///
     /// # Errors
     ///
@@ -108,39 +110,10 @@ impl Dense {
         Ok(z.map(|v| self.activation.apply(v)))
     }
 
-    /// Fused forward pass into `out`, reusing its storage: the matmul
-    /// accumulates `x·W` into `out`, `+ bias` follows per element, then one
-    /// activation sweep (the vectorised kernel of the `simd` module) runs
-    /// over the whole output. Per output element the float-op sequence —
-    /// ascending-`k` accumulation with zero-skip, then `+ b`, then `σ` — is
-    /// exactly that of [`Dense::forward`], so results are bit-identical
-    /// with zero per-call heap allocation once `out` has grown to shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if `x.cols() != in_dim`.
-    pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
-        self.affine_into(x, out)?;
-        simd::activate(self.activation, out.as_mut_slice());
-        Ok(())
-    }
-
-    /// The pre-activations `z = x·W + b` into `z`.
-    fn affine_into(&self, x: &Matrix, z: &mut Matrix) -> Result<(), NnError> {
-        x.matmul_into(&self.weights, z)?;
-        let cols = self.bias.len();
-        if cols > 0 {
-            for row in z.as_mut_slice().chunks_exact_mut(cols) {
-                for (v, b) in row.iter_mut().zip(&self.bias) {
-                    *v += b;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// [`Dense::forward_into`] keeping the pre-activations in `pre` for the
-    /// in-place backward pass ([`Dense::backward_in_place`]).
+    /// Training's fused forward pass: the pre-activations into `pre` (kept
+    /// for the in-place backward pass, [`Dense::backward_in_place`]), then
+    /// one activation sweep into `out`. Per element it runs the chain of
+    /// [`Dense::forward`], so results are bit-identical.
     ///
     /// # Errors
     ///
@@ -151,7 +124,12 @@ impl Dense {
         pre: &mut Matrix,
         out: &mut Matrix,
     ) -> Result<(), NnError> {
-        self.affine_into(x, pre)?;
+        x.matmul_into(&self.weights, pre)?;
+        for row in pre.as_mut_slice().chunks_exact_mut(self.bias.len().max(1)) {
+            for (v, b) in row.iter_mut().zip(&self.bias) {
+                *v += b;
+            }
+        }
         out.reset_zeroed(pre.rows(), pre.cols());
         out.as_mut_slice().copy_from_slice(pre.as_slice());
         simd::activate(self.activation, out.as_mut_slice());

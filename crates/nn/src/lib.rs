@@ -12,9 +12,11 @@
 //!   forward inference and reverse-mode gradients.
 //! * [`Loss`], [`Optimizer`], [`Trainer`] — mean-squared-error training with
 //!   SGD or Adam, mini-batching, and shuffling.
-//! * [`MlpScratch`] — reusable workspace behind the zero-allocation
-//!   inference path ([`Mlp::forward_into`], [`Mlp::predict_into`]) used on
-//!   the episode hot path; bit-identical to the allocating reference.
+//! * [`MlpScratch`] — two flat hidden-row buffers behind the
+//!   zero-allocation [`Mlp::predict_into`] used on the episode hot path: one
+//!   single-row kernel runs the whole network, each layer's row held in
+//!   registers through `+ b` and `tanh`; bit-identical to the allocating
+//!   reference [`Mlp::forward`].
 //! * [`LanePlan`], [`BatchScratch`] — lane-batched inference
 //!   ([`Mlp::forward_batch_into`]): [`LANE_WIDTH`] = 8 samples stepped in
 //!   lockstep through structure-of-arrays slabs and runtime-dispatched

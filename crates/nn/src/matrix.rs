@@ -28,12 +28,12 @@ pub struct Matrix {
     data: Vec<f64>,
 }
 
-/// Output-tile height of the blocked matmul kernels. Sized so a tile of the
-/// right-hand operand (`TILE_ROWS` reuses × `TILE_COLS` doubles) stays
+/// Output-tile height of the blocked `tr_matmul` kernel. Sized so a tile of
+/// the right-hand operand (`TILE_ROWS` reuses × `TILE_COLS` doubles) stays
 /// cache-resident across the rows of a block; the paper's planner shapes fit
 /// a single tile, where the blocked loop degenerates to the naive traversal.
 const TILE_ROWS: usize = 16;
-/// Output-tile width of the blocked matmul kernels (in `f64` lanes).
+/// Output-tile width of the blocked `tr_matmul` kernel (in `f64` lanes).
 const TILE_COLS: usize = 64;
 
 impl Matrix {
@@ -179,8 +179,8 @@ impl Matrix {
 
     /// Matrix product `self · other`.
     ///
-    /// Runs the output-tiled kernel (see [`Matrix::matmul_into`]);
-    /// bit-identical to [`Matrix::matmul_naive`].
+    /// Runs the single-row kernel on every row (see
+    /// [`Matrix::matmul_into`]); bit-identical to [`Matrix::matmul_naive`].
     ///
     /// # Errors
     ///
@@ -191,10 +191,10 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Pre-tiling reference kernel for `self · other` (i-k-j loop order,
-    /// exact-zero skip). Kept — like `run_batch_static` in `cv-sim` — as
-    /// the A/B baseline the tiled kernel is `to_bits`-tested against and
-    /// benchmarked over; not dead code.
+    /// Reference kernel for `self · other` (i-k-j loop order, exact-zero
+    /// skip). Kept — like `run_batch_static` in `cv-sim` — as the A/B
+    /// baseline the row kernel is `to_bits`-tested against and benchmarked
+    /// over; not dead code.
     ///
     /// # Errors
     ///
@@ -227,19 +227,11 @@ impl Matrix {
 
     /// Matrix product `self · other` into `out`, reusing its storage.
     ///
-    /// The kernel blocks over rows and columns of the *output*: within a
-    /// `TILE_ROWS × TILE_COLS` output tile the loops run i → k → j, so every
-    /// output element is still accumulated along one ascending-`k` chain
-    /// with the exact-zero skip of the naive kernel. Tiling only changes
-    /// *which elements* are computed when — never the summation order
-    /// within an element — so results are bit-identical to
-    /// [`Matrix::matmul_naive`] while the `other`-operand tile stays
-    /// resident in cache across the rows of a block.
-    ///
-    /// Degenerate shapes (a single-row left operand, or a width-1 output)
-    /// take specialised paths that drop the tile bookkeeping entirely but
-    /// keep the identical per-element accumulation chain and zero-skip —
-    /// these are the planner-inference and scalar-output-head shapes.
+    /// Every output row is one call of the single-row kernel
+    /// (`simd::row_matmul`): each element is accumulated along one
+    /// ascending-`k` chain from `+0.0` with the exact-zero skip, `mul` and
+    /// `add` kept separate, so results are bit-identical to
+    /// [`Matrix::matmul_naive`].
     ///
     /// # Errors
     ///
@@ -255,45 +247,10 @@ impl Matrix {
         }
         let n = other.cols;
         out.reset_zeroed(self.rows, n);
-        // Width-1 products (the planner head, training's δ·w for a scalar
-        // output): each output element is one strided dot — the same
-        // ascending-`k` chain and zero-skip, minus the per-`k` row slicing.
-        if n == 1 {
-            for (i, c) in out.data.iter_mut().enumerate() {
-                let arow = &self.data[i * self.cols..(i + 1) * self.cols];
-                for (&aik, o) in arow.iter().zip(&other.data) {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    *c += aik * o;
-                }
-            }
-            return Ok(());
-        }
-        // Single-row products (per-step planner inference): the
-        // runtime-dispatched row kernel keeps the output row in vector
-        // registers across the `k` sweep. Same accumulation order.
-        if self.rows == 1 {
-            crate::simd::row_matmul(&self.data, &other.data, &mut out.data);
-            return Ok(());
-        }
-        for i0 in (0..self.rows).step_by(TILE_ROWS) {
-            let i1 = (i0 + TILE_ROWS).min(self.rows);
-            for j0 in (0..n).step_by(TILE_COLS) {
-                let j1 = (j0 + TILE_COLS).min(n);
-                for i in i0..i1 {
-                    let arow = &self.data[i * self.cols..(i + 1) * self.cols];
-                    let crow = &mut out.data[i * n + j0..i * n + j1];
-                    for (k, &aik) in arow.iter().enumerate() {
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        let orow = &other.data[k * n + j0..k * n + j1];
-                        for (c, o) in crow.iter_mut().zip(orow) {
-                            *c += aik * o;
-                        }
-                    }
-                }
+        if self.cols > 0 && n > 0 {
+            let rows = self.data.chunks_exact(self.cols);
+            for (arow, crow) in rows.zip(out.data.chunks_exact_mut(n)) {
+                crate::simd::row_matmul(arow, &other.data, crow);
             }
         }
         Ok(())
@@ -797,9 +754,10 @@ mod tests {
         out
     }
 
-    /// The tiled kernels against their retained naive baselines across
-    /// odd, prime, and tile-straddling shapes (tiles are 16×64, so 15–17
-    /// straddles the row tile and 63–65 the column tile).
+    /// The blocked kernels against their retained naive baselines across
+    /// odd, prime, and block-straddling shapes (`tr_matmul` tiles are
+    /// 16×64, so 15–17 straddles the row tile and 63–65 the column tile;
+    /// the row kernel's 32- and 4-column blocks are straddled too).
     #[test]
     fn tiled_kernels_are_bit_identical_to_naive_across_tile_boundaries() {
         let dims = [1usize, 2, 3, 5, 7, 15, 16, 17, 31, 63, 64, 65];

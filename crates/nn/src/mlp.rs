@@ -195,8 +195,8 @@ impl Mlp {
 
     /// Batch forward pass.
     ///
-    /// Allocating reference path (one matrix per layer per call), kept as
-    /// the A/B baseline for [`Mlp::forward_into`], which is bit-identical.
+    /// Allocating reference path (one matrix per layer per call);
+    /// [`Mlp::predict_into`] is bit-identical to it on every row.
     ///
     /// # Errors
     ///
@@ -209,50 +209,11 @@ impl Mlp {
         Ok(cur)
     }
 
-    /// Ping-pong core of the scratch-backed forward pass: layer `l` reads
-    /// one buffer and writes the other. Returns the buffer holding the
-    /// final activations.
-    fn forward_pingpong<'s>(
-        &self,
-        x: &Matrix,
-        ping: &'s mut Matrix,
-        pong: &'s mut Matrix,
-    ) -> Result<&'s Matrix, NnError> {
-        for (i, layer) in self.layers.iter().enumerate() {
-            if i == 0 {
-                layer.forward_into(x, ping)?;
-            } else if i % 2 == 1 {
-                layer.forward_into(ping, pong)?;
-            } else {
-                layer.forward_into(pong, ping)?;
-            }
-        }
-        Ok(if self.layers.len() % 2 == 1 {
-            ping
-        } else {
-            pong
-        })
-    }
-
-    /// Batch forward pass into `scratch`'s reusable buffers; returns a view
-    /// of the final activations. Bit-identical to [`Mlp::forward`] (fused
-    /// per-layer kernel, same per-element op order) with zero heap
-    /// allocation once the scratch has grown to shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if `x.cols() != input_dim`.
-    pub fn forward_into<'s>(
-        &self,
-        x: &Matrix,
-        scratch: &'s mut MlpScratch,
-    ) -> Result<&'s Matrix, NnError> {
-        self.forward_pingpong(x, &mut scratch.ping, &mut scratch.pong)
-    }
-
-    /// Single-sample inference into a caller-owned output slice, staging
-    /// the input through `scratch` — the allocation-free hot path behind
-    /// the planner's per-step call. Bit-identical to [`Mlp::predict`].
+    /// Single-sample inference into a caller-owned output slice — the
+    /// allocation-free hot path behind the planner's per-step call. One
+    /// single-row kernel runs the whole network: each layer's row stays in
+    /// registers through `+ b` and `tanh` and is stored once into
+    /// `scratch`. Bit-identical to [`Mlp::forward`].
     ///
     /// # Errors
     ///
@@ -264,20 +225,20 @@ impl Mlp {
         scratch: &mut MlpScratch,
         out: &mut [f64],
     ) -> Result<(), NnError> {
-        if out.len() != self.output_dim() {
+        if input.len() != self.input_dim() || out.len() != self.output_dim() {
             return Err(NnError::ShapeMismatch {
-                context: format!("predict out {} vs {}", out.len(), self.output_dim()),
+                context: format!(
+                    "predict {} -> {} vs {} -> {}",
+                    input.len(),
+                    out.len(),
+                    self.input_dim(),
+                    self.output_dim()
+                ),
             });
         }
-        let MlpScratch {
-            input: stage,
-            ping,
-            pong,
-        } = scratch;
-        stage.reset_zeroed(1, input.len());
-        stage.as_mut_slice().copy_from_slice(input);
-        let y = self.forward_pingpong(stage, ping, pong)?;
-        out.copy_from_slice(y.as_slice());
+        scratch.fit(self);
+        let MlpScratch { ping, pong } = scratch;
+        simd::row_forward(simd::isa(), &self.layers, input, ping, pong, out);
         Ok(())
     }
 
@@ -519,31 +480,6 @@ mod tests {
         let l2 = Dense::new(4, 1, Activation::Identity, &mut rng);
         assert!(Mlp::from_layers(vec![l1, l2]).is_err());
         assert!(Mlp::from_layers(vec![]).is_err());
-    }
-
-    /// `forward_into` must reproduce `forward` to the bit across layer
-    /// counts (odd/even exercises both ping-pong endings) and batch sizes.
-    #[test]
-    fn forward_into_is_bit_identical_to_forward() {
-        for sizes in [
-            vec![5, 1],
-            vec![5, 32, 32, 1],
-            vec![3, 7, 11, 2],
-            vec![4, 16, 3],
-        ] {
-            let net = Mlp::new(&sizes, Activation::Tanh, Activation::Identity, 13).unwrap();
-            let mut scratch = MlpScratch::for_net(&net);
-            for rows in [1usize, 2, 5, 17] {
-                let x =
-                    Matrix::from_fn(rows, sizes[0], |r, c| ((r * 31 + c * 7) as f64).sin() * 0.7);
-                let reference = net.forward(&x).unwrap();
-                let fused = net.forward_into(&x, &mut scratch).unwrap();
-                assert_eq!((fused.rows(), fused.cols()), (rows, *sizes.last().unwrap()));
-                for (a, b) in reference.as_slice().iter().zip(fused.as_slice()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "sizes {sizes:?} rows {rows}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -1,15 +1,15 @@
 use crate::{Matrix, Mlp};
 
-/// Reusable activation workspace for allocation-free [`Mlp`] inference.
+/// Reusable workspace for allocation-free single-row [`Mlp`] inference.
 ///
 /// [`Mlp::forward`] allocates one matrix per layer per call; on the episode
 /// hot path the planner invokes the network every control step, so those
-/// allocations dominate small-network inference cost. An `MlpScratch` holds
-/// the input staging buffer and two ping-pong activation buffers; once they
-/// have grown to the largest shape seen (done eagerly by
-/// [`MlpScratch::for_net`] for single-sample inference),
-/// [`Mlp::forward_into`] and [`Mlp::predict_into`] perform no heap
-/// allocation at all.
+/// allocations would dominate small-network inference cost. An `MlpScratch`
+/// holds two flat hidden-row buffers that [`Mlp::predict_into`] ping-pongs
+/// between: each layer's row is stored once into one and the next layer
+/// broadcasts from it. Once they have grown to the widest hidden layer
+/// (done eagerly by [`MlpScratch::for_net`]), `predict_into` performs no
+/// heap allocation at all.
 ///
 /// A scratch is not tied to one network: buffers regrow on demand, so the
 /// same scratch can serve differently shaped [`Mlp`]s (at the cost of a
@@ -29,12 +29,9 @@ use crate::{Matrix, Mlp};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MlpScratch {
-    /// Single-sample input staging buffer for [`Mlp::predict_into`].
-    pub(crate) input: Matrix,
-    /// Ping-pong activation buffers; layer `l` reads one and writes the
-    /// other.
-    pub(crate) ping: Matrix,
-    pub(crate) pong: Matrix,
+    /// Hidden-row buffers; layer `l` reads one and writes the other.
+    pub(crate) ping: Vec<f64>,
+    pub(crate) pong: Vec<f64>,
 }
 
 impl MlpScratch {
@@ -46,12 +43,18 @@ impl MlpScratch {
     /// A scratch pre-grown for single-sample inference through `net`, so
     /// even the first [`Mlp::predict_into`] call allocates nothing.
     pub fn for_net(net: &Mlp) -> Self {
-        let widest = net.layers().iter().map(|l| l.out_dim()).max().unwrap_or(0);
         let mut s = Self::new();
-        s.input.reset_zeroed(1, net.input_dim());
-        s.ping.reset_zeroed(1, widest);
-        s.pong.reset_zeroed(1, widest);
+        s.fit(net);
         s
+    }
+
+    /// Grows both buffers to `net`'s widest layer; a no-op once they fit.
+    pub(crate) fn fit(&mut self, net: &Mlp) {
+        let widest = net.layers().iter().map(|l| l.out_dim()).max().unwrap_or(0);
+        if self.ping.len() < widest {
+            self.ping.resize(widest, 0.0);
+            self.pong.resize(widest, 0.0);
+        }
     }
 }
 
@@ -96,9 +99,7 @@ mod tests {
     fn for_net_sizes_buffers_for_one_row() {
         let net = Mlp::new(&[3, 8, 2], Activation::Tanh, Activation::Identity, 1).unwrap();
         let s = MlpScratch::for_net(&net);
-        assert_eq!((s.input.rows(), s.input.cols()), (1, 3));
-        assert_eq!(s.ping.cols(), 8);
-        assert_eq!(s.pong.cols(), 8);
+        assert_eq!((s.ping.len(), s.pong.len()), (8, 8));
     }
 
     #[test]

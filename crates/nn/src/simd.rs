@@ -26,6 +26,8 @@
 #[cfg(target_arch = "x86_64")]
 use std::sync::OnceLock;
 
+use crate::{Activation, Dense};
+
 /// Number of episodes stepped in lockstep by the lane-batched kernels.
 ///
 /// Activation slabs are always this many lanes wide regardless of how many
@@ -108,19 +110,30 @@ fn dense_lanes_scalar(wt: &[f64], bias: &[f64], act: &[f64], out: &mut [f64]) {
     }
 }
 
-/// Scalar single-row kernel: `out[j] = Σ_k a[k] · b[k·stride + j]`,
-/// accumulated ascending-`k` from `+0.0` as separate `mul` and `add`,
-/// skipping exact-zero `a[k]` — the chain of [`crate::Matrix::matmul_into`]
-/// for every other shape.
-fn row_matmul_scalar(a: &[f64], b: &[f64], stride: usize, out: &mut [f64]) {
-    out.fill(0.0);
-    for (k, &ak) in a.iter().enumerate() {
-        if ak == 0.0 {
-            continue;
+/// Scalar single-row dense kernel, `out[j] = σ(Σ_k a[k]·b[k·stride + j] +
+/// bias[j])`: accumulated ascending-`k` from `+0.0` as separate `mul` and
+/// `add`, skipping exact-zero `a[k]`, then `+ bias[j]` when a bias is
+/// given, then `σ` — the per-element chain of [`crate::Dense::forward`].
+/// One column at a time, so each sum stays in a register.
+fn row_dense_scalar(
+    a: &[f64],
+    b: &[f64],
+    stride: usize,
+    bias: Option<&[f64]>,
+    act: Activation,
+    out: &mut [f64],
+) {
+    for (j, o) in out.iter_mut().enumerate() {
+        let mut acc = 0.0;
+        for (&ak, &bk) in a.iter().zip(b.iter().skip(j).step_by(stride)) {
+            if ak != 0.0 {
+                acc += ak * bk;
+            }
         }
-        for (c, o) in out.iter_mut().zip(&b[k * stride..]) {
-            *c += ak * o;
+        if let Some(bias) = bias {
+            acc += bias[j];
         }
+        *o = act.apply(acc);
     }
 }
 
@@ -129,7 +142,7 @@ fn row_matmul_scalar(a: &[f64], b: &[f64], stride: usize, out: &mut [f64]) {
 /// asserts.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{C10, C11, C12, C3, C4, C5, C6, C7, C8, C9, LANE_WIDTH, LN2, LOG2E_2};
+    use super::{Activation, C10, C11, C12, C3, C4, C5, C6, C7, C8, C9, LANE_WIDTH, LN2, LOG2E_2};
     use std::arch::x86_64::*;
 
     /// One 4-lane tanh in ymm registers; shared op sequence for the AVX2
@@ -193,17 +206,20 @@ mod x86 {
         tanh_sweep!(xs, |one, n| _mm256_scalef_pd(one, n));
     }
 
+    /// `2^n` without `vscalefpd`: `n ≥ 0` is integer-valued, so adding
+    /// `n << 52` to the bits of 1.0 sets the exponent exactly.
+    #[inline(always)]
+    unsafe fn p2n_avx2(one: __m256d, n: __m256d) -> __m256d {
+        let ni64 = _mm256_cvtepi32_epi64(_mm256_cvtpd_epi32(n));
+        _mm256_castsi256_pd(_mm256_add_epi64(
+            _mm256_castpd_si256(one),
+            _mm256_slli_epi64(ni64, 52),
+        ))
+    }
+
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn tanh_avx2(xs: &mut [f64]) {
-        // 2^n without vscalefpd: n ≥ 0 integer-valued, so adding n << 52
-        // to the bits of 1.0 sets the exponent exactly.
-        tanh_sweep!(xs, |one: __m256d, n: __m256d| {
-            let ni64 = _mm256_cvtepi32_epi64(_mm256_cvtpd_epi32(n));
-            _mm256_castsi256_pd(_mm256_add_epi64(
-                _mm256_castpd_si256(one),
-                _mm256_slli_epi64(ni64, 52),
-            ))
-        });
+        tanh_sweep!(xs, p2n_avx2);
     }
 
     /// Scalar [`super::tanh_lane`] compiled with `fma`, so each `mul_add`
@@ -213,47 +229,76 @@ mod x86 {
         super::tanh_lane(x)
     }
 
-    /// Output columns `j..` of [`row_matmul_avx2`] in blocks of `4·V`
-    /// while they fit, each block's `V` ymm accumulators held across the
-    /// whole `k` sweep: the scalar tier's ascending-`k` chain and
-    /// zero-skip, with `mul` and `add` kept separate. Returns the first
-    /// column left undone.
-    #[inline(always)]
+    /// Output columns `j..j + 4·V` of [`row_dense_avx2`], `V` ymm
+    /// accumulators held across the whole `k` sweep (the scalar tier's
+    /// ascending-`k` chain and zero-skip, `mul` and `add` kept separate),
+    /// then `+ bias` and, for `tanh`, the vector tanh body applied in
+    /// registers before the one store. Never inlined, so the epilogue's
+    /// constants are not hoisted into registers the `k` sweep needs.
+    #[inline(never)]
+    #[target_feature(enable = "avx2,fma")]
     unsafe fn row_block<const V: usize>(
         a: &[f64],
         b: &[f64],
-        mut j: usize,
+        bias: Option<&[f64]>,
+        tanh: bool,
+        j: usize,
         out: &mut [f64],
-    ) -> usize {
+    ) {
         let n = out.len();
-        while j + 4 * V <= n {
-            let mut acc = [_mm256_setzero_pd(); V];
-            for (k, &ak) in a.iter().enumerate() {
-                if ak == 0.0 {
-                    continue;
-                }
-                let av = _mm256_set1_pd(ak);
-                let row = b.as_ptr().add(k * n + j);
-                for (v, acc) in acc.iter_mut().enumerate() {
-                    *acc = _mm256_add_pd(*acc, _mm256_mul_pd(av, _mm256_loadu_pd(row.add(4 * v))));
-                }
+        let mut acc = [_mm256_setzero_pd(); V];
+        for (k, &ak) in a.iter().enumerate() {
+            if ak == 0.0 {
+                continue;
             }
-            for (v, acc) in acc.iter().enumerate() {
-                _mm256_storeu_pd(out.as_mut_ptr().add(j + 4 * v), *acc);
+            let av = _mm256_set1_pd(ak);
+            let row = b.as_ptr().add(k * n + j);
+            for (v, acc) in acc.iter_mut().enumerate() {
+                *acc = _mm256_add_pd(*acc, _mm256_mul_pd(av, _mm256_loadu_pd(row.add(4 * v))));
             }
-            j += 4 * V;
         }
-        j
+        if let Some(bias) = bias {
+            for (v, acc) in acc.iter_mut().enumerate() {
+                *acc = _mm256_add_pd(*acc, _mm256_loadu_pd(bias.as_ptr().add(j + 4 * v)));
+            }
+        }
+        if tanh {
+            for acc in acc.iter_mut() {
+                *acc = tanh_vec4_body!(*acc, p2n_avx2);
+            }
+        }
+        for (v, acc) in acc.iter().enumerate() {
+            _mm256_storeu_pd(out.as_mut_ptr().add(j + 4 * v), *acc);
+        }
     }
 
-    /// AVX2 single-row kernel: 32 output columns per block, then 4, then
-    /// the scalar chain for the last `n mod 4`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn row_matmul_avx2(a: &[f64], b: &[f64], out: &mut [f64]) {
-        let j = row_block::<8>(a, b, 0, out);
-        let j = row_block::<1>(a, b, j, out);
-        let n = out.len();
-        super::row_matmul_scalar(a, b.get(j..).unwrap_or_default(), n, &mut out[j..]);
+    /// AVX2 single-row dense kernel: 32 output columns per block, then 4,
+    /// then the scalar chain, activation included, for the last `n mod 4`.
+    /// `tanh` runs in the blocks' epilogue; any other activation runs on
+    /// the stored row.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn row_dense_avx2(
+        a: &[f64],
+        b: &[f64],
+        bias: Option<&[f64]>,
+        act: Activation,
+        out: &mut [f64],
+    ) {
+        let (n, tanh) = (out.len(), act == Activation::Tanh);
+        let mut j = 0;
+        while j + 32 <= n {
+            row_block::<8>(a, b, bias, tanh, j, out);
+            j += 32;
+        }
+        while j + 4 <= n {
+            row_block::<1>(a, b, bias, tanh, j, out);
+            j += 4;
+        }
+        let (tail, bias) = (b.get(j..).unwrap_or_default(), bias.map(|b| &b[j..]));
+        super::row_dense_scalar(a, tail, n, bias, act, &mut out[j..]);
+        if !tanh && act != Activation::Identity {
+            out[..j].iter_mut().for_each(|x| *x = act.apply(*x));
+        }
     }
 
     /// Dense-lane kernel over blocks of `B` output features, so each
@@ -382,29 +427,80 @@ pub(crate) fn tanh(x: f64) -> f64 {
 /// row of a layer's output or an 8-wide SoA slab. `Tanh` runs the vector
 /// tier of this host; every result equals [`crate::Activation::apply`]
 /// to the bit.
-pub(crate) fn activate(act: crate::Activation, xs: &mut [f64]) {
+pub(crate) fn activate(act: Activation, xs: &mut [f64]) {
     match (act, isa()) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: tier selected only when the features are detected.
-        (crate::Activation::Tanh, Isa::Avx512Vl) => unsafe { x86::tanh_avx512vl(xs) },
+        (Activation::Tanh, Isa::Avx512Vl) => unsafe { x86::tanh_avx512vl(xs) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
-        (crate::Activation::Tanh, Isa::Avx2Fma) => unsafe { x86::tanh_avx2(xs) },
+        (Activation::Tanh, Isa::Avx2Fma) => unsafe { x86::tanh_avx2(xs) },
         _ => xs.iter_mut().for_each(|x| *x = act.apply(*x)),
     }
 }
 
-/// Single-row product `out = a · B` for a row-major `B` of `a.len() ×
-/// out.len()`. Every tier runs the ascending-`k`, zero-skipping chain of
-/// [`row_matmul_scalar`], so the result is the same to the bit.
-pub(crate) fn row_matmul(a: &[f64], b: &[f64], out: &mut [f64]) {
+/// One dense layer on one row, `out = σ(a·B + bias)` for a row-major `B`
+/// of `a.len() × out.len()` and an optional `out.len()`-long `bias`, on
+/// tier `isa` ([`isa()`] or [`Isa::Scalar`]). Every tier runs the chain of
+/// [`row_dense_scalar`], so the result is the same to the bit.
+fn row_dense(
+    isa: Isa,
+    a: &[f64],
+    b: &[f64],
+    bias: Option<&[f64]>,
+    act: Activation,
+    out: &mut [f64],
+) {
+    assert!(
+        isa == Isa::Scalar || isa == self::isa(),
+        "{isa:?} not detected"
+    );
     assert_eq!(b.len(), a.len() * out.len(), "b is a.len() × out.len()");
-    match isa() {
+    assert!(bias.is_none_or(|b| b.len() == out.len()), "bias length");
+    match isa {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: both vector tiers are selected only when `avx2` is
-        // detected; the row kernel loads `b` within the length asserted above.
-        Isa::Avx512Vl | Isa::Avx2Fma => unsafe { x86::row_matmul_avx2(a, b, out) },
-        Isa::Scalar => row_matmul_scalar(a, b, out.len(), out),
+        // SAFETY: the first assert admits a vector tier only as `isa()`,
+        // which selects one only when `avx2` and `fma` are detected; the
+        // kernel loads `b` and `bias` within the lengths asserted above.
+        Isa::Avx512Vl | Isa::Avx2Fma => unsafe { x86::row_dense_avx2(a, b, bias, act, out) },
+        Isa::Scalar => row_dense_scalar(a, b, out.len(), bias, act, out),
+    }
+}
+
+/// Single-row product `out = a · B`: [`row_dense`] without its epilogue.
+pub(crate) fn row_matmul(a: &[f64], b: &[f64], out: &mut [f64]) {
+    row_dense(isa(), a, b, None, Activation::Identity, out);
+}
+
+/// Single-row forward pass through `layers` on tier `isa` ([`isa()`] or
+/// [`Isa::Scalar`]). Each layer is one [`row_dense`] with `+ b` and `σ` in
+/// its epilogue; its row is stored once, into `ping` or `pong` (each as
+/// wide as the widest hidden layer), for the next layer to broadcast from,
+/// and the last layer writes `out`. Bit-identical to
+/// [`crate::Mlp::forward`].
+pub(crate) fn row_forward(
+    isa: Isa,
+    layers: &[Dense],
+    input: &[f64],
+    ping: &mut [f64],
+    pong: &mut [f64],
+    out: &mut [f64],
+) {
+    let (mut src, mut dst) = (ping, pong);
+    for (i, layer) in layers.iter().enumerate() {
+        let a = if i == 0 {
+            input
+        } else {
+            &src[..layer.in_dim()]
+        };
+        let o = if i + 1 == layers.len() {
+            &mut *out
+        } else {
+            &mut dst[..layer.out_dim()]
+        };
+        let (w, b, act) = (layer.weights().as_slice(), layer.bias(), layer.activation());
+        row_dense(isa, a, w, Some(b), act, o);
+        std::mem::swap(&mut src, &mut dst);
     }
 }
 
@@ -611,19 +707,105 @@ mod tests {
                     })
                     .collect();
                 let mut want = vec![f64::NAN; n];
-                row_matmul_scalar(&a, &b, n, &mut want);
+                row_dense_scalar(&a, &b, n, None, Activation::Identity, &mut want);
                 let mut got = vec![f64::NAN; n];
                 row_matmul(&a, &b, &mut got);
                 for (j, (g, w)) in got.iter().zip(&want).enumerate() {
                     assert_eq!(g.to_bits(), w.to_bits(), "{in_dim}x{n} col {j}");
                 }
                 #[cfg(target_arch = "x86_64")]
-                if is_x86_feature_detected!("avx2") {
+                if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
                     let mut got = vec![f64::NAN; n];
                     // SAFETY: feature checked above; `b` is `a.len() × n`.
-                    unsafe { x86::row_matmul_avx2(&a, &b, &mut got) };
+                    unsafe { x86::row_dense_avx2(&a, &b, None, Activation::Identity, &mut got) };
                     for (j, (g, w)) in got.iter().zip(&want).enumerate() {
                         assert_eq!(g.to_bits(), w.to_bits(), "avx2 {in_dim}x{n} col {j}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A copy of `layer` with its weights and biases rewritten to carry
+    /// exact zeros of both signs and subnormals. Output 1 is a dead neuron
+    /// (zero column, zero bias), and past the first layer `w[1][0]` is
+    /// infinite: output 0 stays finite only while the zero-skip passes
+    /// over the dead neuron's exact zero.
+    fn with_edge_weights(layer: &Dense, first: bool, rng: &mut SplitMix64) -> Dense {
+        let (rows, cols) = (layer.in_dim(), layer.out_dim());
+        let mut pick = |dead: bool| match rng.random_range(0..9u32) {
+            _ if dead => 0.0,
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::MIN_POSITIVE / 8.0,
+            _ => rng.random_range(-1.5..1.5),
+        };
+        let w = crate::Matrix::from_fn(rows, cols, |r, c| match (r, c) {
+            (1, 0) if !first => f64::INFINITY,
+            _ => pick(c == 1),
+        });
+        let bias = (0..cols).map(|c| pick(c == 1)).collect();
+        Dense::from_parts(w, bias, layer.activation()).unwrap()
+    }
+
+    /// The fused row forward, on the scalar tier and on the tier this host
+    /// dispatches to (both vector tiers run the one AVX2 row kernel), and
+    /// `predict_into` itself, against `Mlp::forward`
+    /// and a layer-by-layer `matmul_naive` oracle: every layer width around
+    /// the 4- and 32-column blocks, every activation pairing, and inputs
+    /// carrying signed zeros, subnormals, infinities and NaN.
+    #[test]
+    fn row_forward_is_bit_identical_to_forward_on_every_tier() {
+        use crate::{Matrix, Mlp, MlpScratch};
+        const ACTS: [Activation; 4] = [
+            Activation::Tanh,
+            Activation::Relu,
+            Activation::Sigmoid,
+            Activation::Identity,
+        ];
+        let widths = [1usize, 3, 4, 5, 31, 32, 33, 40, 64];
+        let tiers = [Isa::Scalar, isa()];
+        let mut rng = SplitMix64::seed_from_u64(0xF05E);
+        for (case, in_dim) in [1usize, 5, 32].into_iter().enumerate() {
+            for (i, &w) in widths.iter().enumerate() {
+                let sizes = [in_dim, w, widths[(i + 3) % 9], widths[(i + 5 + case) % 9]];
+                let (hidden, output) = (ACTS[(i + case) % 4], ACTS[(i / 4 + case + 1) % 4]);
+                let seeded = Mlp::new(&sizes, hidden, output, i as u64).unwrap();
+                let layers = seeded.layers().iter().enumerate();
+                let layers = layers.map(|(l, d)| with_edge_weights(d, l == 0, &mut rng));
+                let net = Mlp::from_layers(layers.collect()).unwrap();
+                let mut rows = vec![0.0; in_dim];
+                rows.extend(vec![-0.0; in_dim]);
+                for r in 0..12 {
+                    rows.extend((0..in_dim).map(|k| match (r + k) % 3 {
+                        0 => TANH_EDGES[(r * 7 + k) % TANH_EDGES.len()],
+                        _ => rng.random_range(-3.0..3.0),
+                    }));
+                }
+                let x = Matrix::from_vec(rows.len() / in_dim, in_dim, rows).unwrap();
+                let want = net.forward(&x).unwrap();
+                let naive = net.layers().iter().fold(x.clone(), |h, l| {
+                    let z = h.matmul_naive(l.weights()).unwrap();
+                    let z = z.add_row_broadcast(l.bias()).unwrap();
+                    z.map(|v| l.activation().apply(v))
+                });
+                for (g, w) in want.as_slice().iter().zip(naive.as_slice()) {
+                    assert!(same_bits(*g, *w), "forward {sizes:?}: {g} vs {w}");
+                }
+                let (mut ping, mut pong) = (vec![f64::NAN; 64], vec![f64::NAN; 64]);
+                let mut scratch = MlpScratch::new();
+                let mut got = vec![f64::NAN; net.output_dim()];
+                for r in 0..x.rows() {
+                    let ctx = format!("{sizes:?} {hidden}/{output} row {r}");
+                    for tier in tiers {
+                        row_forward(tier, net.layers(), x.row(r), &mut ping, &mut pong, &mut got);
+                        for (g, w) in got.iter().zip(want.row(r)) {
+                            assert!(same_bits(*g, *w), "{tier:?} {ctx}: {g} vs {w}");
+                        }
+                    }
+                    net.predict_into(x.row(r), &mut scratch, &mut got).unwrap();
+                    for (g, w) in got.iter().zip(want.row(r)) {
+                        assert!(same_bits(*g, *w), "predict_into {ctx}: {g} vs {w}");
                     }
                 }
             }

@@ -25,52 +25,66 @@
 //! control step, fastest on sparse platoon workloads; it takes precedence
 //! over `--lanes`.
 //!
+//! Flags are parsed strictly (`cv_server::cli`): an unknown flag or a value
+//! that does not parse prints the usage and exits with code 64.
+//!
 //! Listens for newline-delimited JSON requests (see `cv_server::protocol`),
 //! runs submitted batches through the sharded worker pool, and streams
 //! progress back to each submitter. Runs until a client sends
 //! `{"op":"shutdown"}`, then drains in-flight jobs and exits.
 
+use cv_server::cli::{Args, UsageError, EXIT_USAGE};
 use cv_server::{Server, ServerConfig};
 
-fn arg_string(flag: &str, default: &str) -> String {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| default.to_string())
-}
+const USAGE: &str = "usage: cv-serve [--addr 127.0.0.1:7878] [--queue-depth 8] [--workers 0] \
+[--lanes 1] [--event-driven] [--idle-timeout-secs 60] [--max-pending-episodes 0] \
+[--panic-budget 3] [--cache-bytes 67108864] [--no-cache] [--cache-dir PATH]";
 
-fn arg_usize(flag: &str, default: usize) -> usize {
-    arg_string(flag, &default.to_string())
-        .parse()
-        .unwrap_or(default)
-}
-
-fn has_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
+/// The daemon's configuration from its command line.
+fn config(args: &Args) -> Result<ServerConfig, UsageError> {
+    let cache_bytes = if args.has("--no-cache") {
+        0
+    } else {
+        args.value("--cache-bytes", cv_sim::DEFAULT_CACHE_BYTES)?
+    };
+    Ok(ServerConfig {
+        addr: args.value("--addr", "127.0.0.1:7878".to_string())?,
+        queue_capacity: args.value("--queue-depth", 8)?,
+        workers: args.value("--workers", 0)?,
+        idle_timeout: std::time::Duration::from_secs(args.value("--idle-timeout-secs", 60)?),
+        max_pending_episodes: args.value("--max-pending-episodes", 0)?,
+        panic_budget: args.value("--panic-budget", 3)?,
+        cache_bytes,
+        lanes: args.value("--lanes", 1)?,
+        event_driven: args.has("--event-driven"),
+        cache_dir: args.get("--cache-dir").map(std::path::PathBuf::from),
+        ..ServerConfig::default()
+    })
 }
 
 fn main() {
-    let cache_bytes = if has_flag("--no-cache") {
-        0
-    } else {
-        arg_usize("--cache-bytes", cv_sim::DEFAULT_CACHE_BYTES)
-    };
-    let config = ServerConfig {
-        addr: arg_string("--addr", "127.0.0.1:7878"),
-        queue_capacity: arg_usize("--queue-depth", 8),
-        workers: arg_usize("--workers", 0),
-        idle_timeout: std::time::Duration::from_secs(arg_usize("--idle-timeout-secs", 60) as u64),
-        max_pending_episodes: arg_usize("--max-pending-episodes", 0),
-        panic_budget: arg_usize("--panic-budget", 3) as u32,
-        cache_bytes,
-        lanes: arg_usize("--lanes", 1),
-        event_driven: has_flag("--event-driven"),
-        cache_dir: has_flag("--cache-dir")
-            .then(|| std::path::PathBuf::from(arg_string("--cache-dir", "cv-cache"))),
-        ..ServerConfig::default()
-    };
+    let valued = [
+        "--addr",
+        "--queue-depth",
+        "--workers",
+        "--lanes",
+        "--idle-timeout-secs",
+        "--max-pending-episodes",
+        "--panic-budget",
+        "--cache-bytes",
+        "--cache-dir",
+    ];
+    let switches = ["--event-driven", "--no-cache"];
+    let parsed = Args::parse(std::env::args().skip(1), &valued, &switches).and_then(|args| {
+        match args.positionals() {
+            [] => config(&args),
+            [extra, ..] => Err(UsageError(format!("unexpected argument '{extra}'"))),
+        }
+    });
+    let config = parsed.unwrap_or_else(|e| {
+        eprintln!("cv-serve: {e}\n{USAGE}");
+        std::process::exit(EXIT_USAGE);
+    });
     let server = match Server::start(config) {
         Ok(server) => server,
         Err(e) => {

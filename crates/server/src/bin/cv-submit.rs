@@ -21,38 +21,97 @@
 //! The batch uses the paper's defaults: template `EpisodeConfig::paper_default`,
 //! the 20-point `p_1(0)` start grid, per-episode seeds `base_seed + i`.
 //!
+//! Flags are parsed strictly (`cv_server::cli`): an unknown flag, a value
+//! that does not parse, or `--drop-prob` without `--comm delayed` prints
+//! the usage and exits with code 64 before any connection is made.
+//!
 //! `--platoon N` swaps the template for an `N`-vehicle platoon
 //! (`PlatoonSpec::paper_default`): the leader is the paper's conflicting
 //! vehicle, the `N − 2` followers hold 9 m gap-tracking formation behind
 //! it, and the comm flags still apply to every V2V channel. `N ≥ 2`;
 //! `--platoon 2` is the paper scenario itself.
 
+use cv_server::cli::{Args, UsageError, EXIT_USAGE};
 use cv_server::{Client, ClientError, Event, Request, StackSpecWire};
 use cv_sim::{BatchConfig, EpisodeConfig, PlatoonSpec};
 
-fn arg_string(flag: &str, default: &str) -> String {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| default.to_string())
+const USAGE: &str = "usage: cv-submit [--addr 127.0.0.1:7878] [--episodes 16] [--seed 1]
+                 [--stack teacher_conservative|teacher_aggressive]
+                 [--comm none|delayed|lost] [--drop-prob 0.0]
+                 [--platoon N] [--deadline-ms N] [--quiet]
+       cv-submit status   [--addr ...]
+       cv-submit cancel JOB [--addr ...]      (or: cv-submit --cancel JOB)
+       cv-submit shutdown [--addr ...]";
+
+/// What the command line asks for.
+enum Command {
+    Submit(Box<Submission>),
+    Status,
+    Cancel(u64),
+    Shutdown,
 }
 
-fn arg_usize(flag: &str, default: usize) -> usize {
-    arg_string(flag, &default.to_string())
-        .parse()
-        .unwrap_or(default)
+/// A batch submission, fully validated before any connection is made.
+struct Submission {
+    batch: BatchConfig,
+    stack: StackSpecWire,
+    deadline_ms: Option<u64>,
+    quiet: bool,
 }
 
-fn arg_f64(flag: &str, default: f64) -> f64 {
-    arg_string(flag, &default.to_string())
-        .parse()
-        .unwrap_or(default)
+fn command(args: &Args) -> Result<Command, UsageError> {
+    let job = |raw: &str| {
+        raw.parse()
+            .map_err(|_| UsageError(format!("cancel: invalid job id '{raw}'")))
+    };
+    match (args.get("--cancel"), args.positionals()) {
+        (Some(raw), []) => job(raw).map(Command::Cancel),
+        (None, []) => submission(args).map(|s| Command::Submit(Box::new(s))),
+        (None, [cmd]) if cmd == "status" => Ok(Command::Status),
+        (None, [cmd]) if cmd == "shutdown" => Ok(Command::Shutdown),
+        (None, [cmd, raw]) if cmd == "cancel" => job(raw).map(Command::Cancel),
+        (None, [cmd]) if cmd == "cancel" => Err(UsageError("cancel needs a JOB".into())),
+        (_, [.., last]) => Err(UsageError(format!("unexpected argument '{last}'"))),
+    }
 }
 
-fn has_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
+fn submission(args: &Args) -> Result<Submission, UsageError> {
+    let seed = args.value("--seed", 1u64)?;
+    let stack = StackSpecWire::from_name(args.get("--stack").unwrap_or("teacher_conservative"))
+        .map_err(|e| UsageError(format!("--stack: {e}")))?;
+    let comm = match args.get("--comm").unwrap_or("none") {
+        "delayed" => cv_comm::CommSetting::delayed_with_drop(args.value("--drop-prob", 0.0)?),
+        _ if args.has("--drop-prob") => {
+            return Err(UsageError("--drop-prob needs --comm delayed".into()))
+        }
+        "none" => cv_comm::CommSetting::NoDisturbance,
+        "lost" => cv_comm::CommSetting::Lost,
+        other => {
+            return Err(UsageError(format!(
+                "--comm: invalid value '{other}' (none|delayed|lost)"
+            )))
+        }
+    };
+    let mut template = match args.get("--platoon") {
+        Some(_) => {
+            let n = args.value("--platoon", 2usize)?;
+            PlatoonSpec::paper_default(n, seed)
+                .map_err(|e| UsageError(format!("--platoon {n}: {e}")))?
+                .episode()
+        }
+        None => EpisodeConfig::paper_default(seed),
+    };
+    template.comm = comm;
+    let deadline_ms = match args.get("--deadline-ms") {
+        Some(_) => Some(args.value("--deadline-ms", 0u64)?),
+        None => None,
+    };
+    Ok(Submission {
+        batch: BatchConfig::new(template, args.value("--episodes", 16usize)?),
+        stack,
+        deadline_ms,
+        quiet: args.has("--quiet"),
+    })
 }
 
 fn die(msg: String) -> ! {
@@ -70,43 +129,43 @@ fn die_err(e: ClientError) -> ! {
 }
 
 fn main() {
-    let addr = arg_string("--addr", "127.0.0.1:7878");
-    let mut client = Client::connect(&addr).unwrap_or_else(|e| {
+    let valued = [
+        "--addr",
+        "--episodes",
+        "--seed",
+        "--stack",
+        "--comm",
+        "--drop-prob",
+        "--platoon",
+        "--deadline-ms",
+        "--cancel",
+    ];
+    let parsed = Args::parse(std::env::args().skip(1), &valued, &["--quiet"])
+        .and_then(|args| command(&args).map(|command| (args, command)));
+    let (args, command) = parsed.unwrap_or_else(|e| {
+        eprintln!("cv-submit: {e}\n{USAGE}");
+        std::process::exit(EXIT_USAGE);
+    });
+    let addr = args.get("--addr").unwrap_or("127.0.0.1:7878");
+    let mut client = Client::connect(addr).unwrap_or_else(|e| {
         eprintln!("cv-submit: connect {addr}: {e}");
         std::process::exit(e.exit_code());
     });
 
-    // Accept the subcommand anywhere among the flags: "--addr X status" is
-    // as natural to type as "status --addr X", and a silent fall-through to
-    // submit would fire off a batch the user never asked for.
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let subcommand = args
-        .iter()
-        .find(|a| matches!(a.as_str(), "status" | "cancel" | "--cancel" | "shutdown"))
-        .cloned()
-        .unwrap_or_default();
-    match subcommand.as_str() {
-        "status" => {
+    match command {
+        Command::Status => {
             let reply = client
                 .round_trip(&Request::Status { job: None })
                 .unwrap_or_else(|e| die_err(e));
             print_status(&reply);
         }
-        "cancel" | "--cancel" => {
-            let pos = args
-                .iter()
-                .position(|a| a == "cancel" || a == "--cancel")
-                .unwrap();
-            let job = args
-                .get(pos + 1)
-                .and_then(|a| a.parse().ok())
-                .unwrap_or_else(|| die("usage: cv-submit cancel JOB (or --cancel JOB)".into()));
+        Command::Cancel(job) => {
             let reply = client
                 .round_trip(&Request::Cancel { job })
                 .unwrap_or_else(|e| die_err(e));
             print_status(&reply);
         }
-        "shutdown" => {
+        Command::Shutdown => {
             match client
                 .round_trip(&Request::Shutdown)
                 .unwrap_or_else(|e| die_err(e))
@@ -117,39 +176,17 @@ fn main() {
                 other => die(format!("unexpected reply: {other:?}")),
             }
         }
-        _ => submit(&mut client),
+        Command::Submit(submission) => submit(&mut client, *submission),
     }
 }
 
-fn submit(client: &mut Client) {
-    let episodes = arg_usize("--episodes", 16);
-    let seed = arg_usize("--seed", 1) as u64;
-    let quiet = has_flag("--quiet");
-    let deadline_ms = if has_flag("--deadline-ms") {
-        Some(arg_usize("--deadline-ms", 0) as u64)
-    } else {
-        None
-    };
-    let stack = StackSpecWire::from_name(&arg_string("--stack", "teacher_conservative"))
-        .unwrap_or_else(|e| die(e.to_string()));
-
-    let comm = match arg_string("--comm", "none").as_str() {
-        "none" => cv_comm::CommSetting::NoDisturbance,
-        "delayed" => cv_comm::CommSetting::delayed_with_drop(arg_f64("--drop-prob", 0.0)),
-        "lost" => cv_comm::CommSetting::Lost,
-        other => die(format!("unknown --comm '{other}' (none|delayed|lost)")),
-    };
-    let mut template = if has_flag("--platoon") {
-        let n = arg_usize("--platoon", 2);
-        PlatoonSpec::paper_default(n, seed)
-            .unwrap_or_else(|e| die(format!("--platoon {n}: {e}")))
-            .episode()
-    } else {
-        EpisodeConfig::paper_default(seed)
-    };
-    template.comm = comm;
-    let batch = BatchConfig::new(template, episodes);
-
+fn submit(client: &mut Client, submission: Submission) {
+    let Submission {
+        batch,
+        stack,
+        deadline_ms,
+        quiet,
+    } = submission;
     let summary = client
         .submit_batch_deadline(&batch, stack, deadline_ms, |event| match event {
             Event::Accepted { job, queued_ahead } => {

@@ -26,7 +26,8 @@
 //!   accepted job still reaches its terminal frame.
 //!
 //! Binaries: `cv-serve` (the daemon) and `cv-submit` (submit a batch and
-//! print streamed progress). In-process use:
+//! print streamed progress), both on the strict flag parser of [`cli`].
+//! In-process use:
 //!
 //! ```
 //! use cv_server::{Client, Server, StackSpecWire};
@@ -41,6 +42,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+pub mod cli;
 pub mod client;
 pub mod protocol;
 pub mod queue;
@@ -51,7 +53,7 @@ pub mod worker;
 pub use client::{Client, ClientConfig, ClientError, RetryPolicy};
 pub use protocol::{Event, JobStatus, Request, StackSpecWire};
 pub use queue::{JobQueue, PushError};
-pub use server::{Server, ServerConfig};
+pub use server::{RunnerHold, Server, ServerConfig};
 pub use wire::{FrameError, FrameReader, MAX_FRAME_BYTES};
 pub use worker::{
     run_sharded, run_sharded_cached, EpisodeProgress, FaultKind, JobLimits, JobOutcome, Progress,

@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -211,6 +211,10 @@ struct Shared {
     /// memory-only caches. The quarantined-segment count is stamped onto
     /// every summary this server serves.
     recovery: Option<RecoveryReport>,
+    /// Live [`RunnerHold`]s; the runner starts no job while any exists.
+    holds: Mutex<usize>,
+    /// Signalled when the last hold drops or shutdown begins.
+    unheld: Condvar,
 }
 
 impl Shared {
@@ -221,8 +225,22 @@ impl Shared {
             return;
         }
         self.queue.close();
+        // Release a held runner so it drains; notifying under the lock
+        // means a runner about to wait cannot miss the flag. This runs on
+        // `Server`'s drop, so a poisoned lock (a bare counter, valid after
+        // any update) is reused rather than panicked on.
+        let _holds = self.holds.lock().unwrap_or_else(PoisonError::into_inner);
+        self.unheld.notify_all();
         // Wake the accept loop so it observes the flag.
         let _ = TcpStream::connect(self.addr);
+    }
+
+    /// Blocks while a [`RunnerHold`] is live, unless shutting down.
+    fn wait_unheld(&self) {
+        let mut holds = self.holds.lock().expect("holds poisoned");
+        while *holds > 0 && !self.shutdown.load(Ordering::SeqCst) {
+            holds = self.unheld.wait(holds).expect("holds poisoned");
+        }
     }
 
     fn job_statuses(&self, filter: Option<u64>) -> Vec<JobStatus> {
@@ -271,6 +289,26 @@ impl Shared {
                 )
             })
             .count()
+    }
+}
+
+/// A hold on a server's job runner, from [`Server::hold_runner`]; the
+/// runner resumes once every hold has dropped.
+#[must_use = "the runner resumes as soon as the hold drops"]
+pub struct RunnerHold {
+    shared: Arc<Shared>,
+}
+
+impl Drop for RunnerHold {
+    fn drop(&mut self) {
+        // A bare counter is valid after any update, so a poisoned lock is
+        // safe to reuse, and a drop must not panic.
+        *self
+            .shared
+            .holds
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) -= 1;
+        self.shared.unheld.notify_all();
     }
 }
 
@@ -327,6 +365,8 @@ impl Server {
             // magnitude for a paper-default episode; replaced by real
             // measurements as soon as one job completes.
             ewma_episode_nanos: AtomicU64::new(2_000_000),
+            holds: Mutex::new(0),
+            unheld: Condvar::new(),
         });
 
         let accept = {
@@ -364,6 +404,19 @@ impl Server {
     /// stale. `None` when the cache is memory-only (no `cache_dir`).
     pub fn cache_recovery(&self) -> Option<&RecoveryReport> {
         self.shared.recovery.as_ref()
+    }
+
+    /// Holds the job runner until the returned guard drops: the next job
+    /// it takes off the queue waits, still reported `queued`, instead of
+    /// starting. Admission and the queue keep working, so a caller can
+    /// pin the running slot and fill the queue without racing the work
+    /// (the supervision tests saturate the server this way). Shutdown
+    /// overrides a hold so the queue still drains.
+    pub fn hold_runner(&self) -> RunnerHold {
+        *self.shared.holds.lock().expect("holds poisoned") += 1;
+        RunnerHold {
+            shared: Arc::clone(&self.shared),
+        }
     }
 
     /// Blocks until the service exits — i.e. until some client sends a
@@ -691,6 +744,7 @@ fn handle_submit(
 
 fn runner_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.queue.pop() {
+        shared.wait_unheld();
         let state = job.state;
         let id = state.id;
         let total = job.batch.episodes;

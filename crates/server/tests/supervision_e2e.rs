@@ -65,6 +65,28 @@ fn cancel_all_active(addr: std::net::SocketAddr) {
     }
 }
 
+/// Polls `status` until `active` jobs are queued or running and `queued`
+/// of them sit in the queue — how a test with a [`Server::hold_runner`]
+/// hold learns that its occupants are in place, without sleeping.
+fn wait_for_occupants(addr: std::net::SocketAddr, active: usize, queued: usize) {
+    let mut control = Client::connect(addr).unwrap();
+    loop {
+        let reply = control.round_trip(&Request::Status { job: None }).unwrap();
+        if let Event::Status {
+            jobs, queue_len, ..
+        } = reply
+        {
+            let live = jobs
+                .iter()
+                .filter(|j| j.state == "queued" || j.state == "running");
+            if live.count() == active && queue_len == queued {
+                return;
+            }
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
 /// A job whose deadline expires mid-run stops at episode-step granularity,
 /// flushes a typed `deadline_exceeded` frame with a partial summary over
 /// exactly the finished episodes, and leaves the server serving.
@@ -373,19 +395,21 @@ fn saturated_server_sheds_typed_overloaded_through_the_chaos_proxy() {
         let proxy = ChaosProxy::start(server.local_addr(), FaultSchedule::clean()).unwrap();
         let addr = proxy.local_addr();
 
-        // Saturate: one job running, one sitting in the capacity-1 queue.
+        // Saturate: the held runner pins one occupant, the other fills the
+        // capacity-1 queue.
+        let hold = server.hold_runner();
         let occupy = |seed: u64| {
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
-                let mut batch = paper_batch(20_000, seed);
+                let mut batch = paper_batch(50, seed);
                 batch.threads = 1;
                 client.submit_batch(&batch, StackSpecWire::TeacherConservative, |_| {})
             })
         };
         let running = occupy(51);
-        std::thread::sleep(Duration::from_millis(150));
+        wait_for_occupants(addr, 1, 0);
         let queued = occupy(52);
-        std::thread::sleep(Duration::from_millis(150));
+        wait_for_occupants(addr, 2, 1);
 
         for seed in [53u64, 54, 55, 56] {
             let config = ClientConfig {
@@ -414,6 +438,7 @@ fn saturated_server_sheds_typed_overloaded_through_the_chaos_proxy() {
         // The occupants were shed around, not reset: both report typed
         // cancellation (the cleanup) rather than I/O errors.
         cancel_all_active(addr);
+        drop(hold);
         for (label, handle) in [("running", running), ("queued", queued)] {
             match handle.join().unwrap() {
                 Ok(_) | Err(ClientError::Cancelled { .. }) => {}
@@ -428,7 +453,9 @@ fn saturated_server_sheds_typed_overloaded_through_the_chaos_proxy() {
 /// `submit_with_retry` treats the server's `retry_after_ms` hint as a
 /// floor on its next backoff sleep and converges once capacity frees up;
 /// with a tiny `retry_deadline` it instead surfaces the typed overload
-/// error quickly rather than sleeping out the hint schedule.
+/// error quickly rather than sleeping out the hint schedule. The server is
+/// saturated by occupants a runner hold keeps in place, so the test does
+/// not depend on how fast episodes run.
 #[test]
 fn retry_honours_the_overload_hint_and_the_retry_deadline() {
     with_deadline(Duration::from_secs(180), "overload retry", || {
@@ -441,20 +468,26 @@ fn retry_honours_the_overload_hint_and_the_retry_deadline() {
         .unwrap();
         let addr = server.local_addr();
 
-        // Phase 1 — convergence: occupants that drain while the shed
-        // client backs off.
-        let occupy = |seed: u64, episodes: usize| {
+        // Phase 1 — convergence: occupants held in place until the shed
+        // client has seen its first overload, then released to drain.
+        let occupy = |seed: u64| {
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
-                let mut batch = paper_batch(episodes, seed);
+                let mut batch = paper_batch(50, seed);
                 batch.threads = 1;
                 client.submit_batch(&batch, StackSpecWire::TeacherConservative, |_| {})
             })
         };
-        let first = occupy(61, 6_000);
-        std::thread::sleep(Duration::from_millis(100));
-        let second = occupy(62, 6_000);
-        std::thread::sleep(Duration::from_millis(100));
+        let saturate = |first: u64, second: u64| {
+            let hold = server.hold_runner();
+            let first = occupy(first);
+            wait_for_occupants(addr, 1, 0);
+            let second = occupy(second);
+            wait_for_occupants(addr, 2, 1);
+            (hold, first, second)
+        };
+        let (hold, first, second) = saturate(61, 62);
+        let mut hold = Some(hold);
 
         let config = ClientConfig {
             retry: RetryPolicy {
@@ -476,6 +509,7 @@ fn retry_honours_the_overload_hint_and_the_retry_deadline() {
             |_, e| {
                 if matches!(e, ClientError::Overloaded { .. }) {
                     overloads += 1;
+                    hold.take();
                 }
             },
         )
@@ -485,12 +519,9 @@ fn retry_honours_the_overload_hint_and_the_retry_deadline() {
         first.join().unwrap().expect("first occupant completes");
         second.join().unwrap().expect("second occupant completes");
 
-        // Phase 2 — the bound: occupants that will NOT drain in time, and
-        // a retry_deadline far below the 50 ms hint floor.
-        let first = occupy(65, 20_000);
-        std::thread::sleep(Duration::from_millis(100));
-        let second = occupy(66, 20_000);
-        std::thread::sleep(Duration::from_millis(100));
+        // Phase 2 — the bound: occupants held for the whole retry, and a
+        // retry_deadline far below the 50 ms hint floor.
+        let (hold, first, second) = saturate(65, 66);
         let bounded = ClientConfig {
             retry: RetryPolicy {
                 max_attempts: 40,
@@ -519,13 +550,9 @@ fn retry_honours_the_overload_hint_and_the_retry_deadline() {
             "retry_deadline must prevent sleeping out the full hint schedule"
         );
 
-        cancel_all_active(addr);
-        for handle in [first, second] {
-            match handle.join().unwrap() {
-                Ok(_) | Err(ClientError::Cancelled { .. }) => {}
-                Err(other) => panic!("occupant saw a non-typed end: {other}"),
-            }
-        }
+        drop(hold);
+        first.join().unwrap().expect("first occupant completes");
+        second.join().unwrap().expect("second occupant completes");
         server.shutdown();
     });
 }

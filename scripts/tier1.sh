@@ -193,3 +193,15 @@ if cargo run -q --release --offline -p cv-server --bin cv-submit -- \
   echo "tier1: cv-submit to a dead address must exit non-zero" >&2
   exit 1
 fi
+
+# Strict command lines (cv_server::cli): a value that does not parse or an
+# unknown flag is a usage error with exit code 64, raised before cv-submit
+# connects or cv-serve binds, so neither can silently run on a default.
+expect_usage_error() {
+  local code=0
+  timeout 60 cargo run -q --release --offline -p cv-server --bin "$@" >/dev/null 2>&1 || code=$?
+  [ "$code" = 64 ] \
+    || { echo "tier1: '$*' exited with $code, not the usage error 64" >&2; exit 1; }
+}
+expect_usage_error cv-submit -- --episodes ten
+expect_usage_error cv-serve -- --bogus

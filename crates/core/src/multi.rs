@@ -183,6 +183,12 @@ impl<S: Scenario, P: Planner> MultiCompoundPlanner<S, P> {
         &self.scenarios
     }
 
+    /// The embedded NN planner, for callers that answer a
+    /// [`PreparedPlan::Nominal`] step with it themselves.
+    pub fn nn_mut(&mut self) -> &mut P {
+        &mut self.nn
+    }
+
     /// Episode statistics so far.
     pub fn stats(&self) -> CompoundStats {
         self.stats

@@ -1,8 +1,8 @@
 //! The batch-simulation daemon.
 //!
 //! Usage: `cargo run --release -p cv-server --bin cv-serve --
-//! [--addr 127.0.0.1:7878] [--queue-depth 8] [--workers 0] [--lanes 1]
-//! [--event-driven] [--idle-timeout-secs 60] [--max-pending-episodes 0]
+//! [--addr 127.0.0.1:7878] [--queue-depth 8] [--workers 0]
+//! [--lanes 1 | --event-driven] [--idle-timeout-secs 60] [--max-pending-episodes 0]
 //! [--panic-budget 3] [--cache-bytes 67108864] [--no-cache]
 //! [--cache-dir PATH]`
 //!
@@ -18,15 +18,17 @@
 //! checksum-verified, torn tails truncated, corrupt segments quarantined
 //! to `.bad` — when a daemon restarts with the same directory.
 //! `--lanes` sets the lane-batched execution width (episodes each worker
-//! steps in lockstep with batched NN forward passes; 1 = per-episode) for
-//! jobs whose planner stack embeds a neural network. `--event-driven`
-//! runs every job on the event-driven episode engine (`cv_sim::events`,
+//! steps in lockstep with batched NN forward passes; 0 or 1 = per-episode,
+//! at most 8) for jobs whose planner stack embeds a neural network.
+//! `--event-driven` runs every job on the event wheel (`cv_sim::events`,
 //! DESIGN.md §18) — bit-identical whenever every cadence divides the
-//! control step, fastest on sparse platoon workloads; it takes precedence
-//! over `--lanes`.
+//! control step, fastest on sparse platoon workloads. The two flags select
+//! one batch mode, so `--event-driven` with `--lanes` above 1 is a usage
+//! error, as is a lane count above 8.
 //!
-//! Flags are parsed strictly (`cv_server::cli`): an unknown flag or a value
-//! that does not parse prints the usage and exits with code 64.
+//! Flags are parsed strictly (`cv_server::cli`): an unknown flag, a value
+//! that does not parse, or a flag combination that names no valid mode
+//! prints the usage and exits with code 64 before anything binds.
 //!
 //! Listens for newline-delimited JSON requests (see `cv_server::protocol`),
 //! runs submitted batches through the sharded worker pool, and streams
@@ -35,13 +37,26 @@
 
 use cv_server::cli::{Args, UsageError, EXIT_USAGE};
 use cv_server::{Server, ServerConfig};
+use cv_sim::BatchMode;
 
 const USAGE: &str = "usage: cv-serve [--addr 127.0.0.1:7878] [--queue-depth 8] [--workers 0] \
-[--lanes 1] [--event-driven] [--idle-timeout-secs 60] [--max-pending-episodes 0] \
+[--lanes 1 | --event-driven] [--idle-timeout-secs 60] [--max-pending-episodes 0] \
 [--panic-budget 3] [--cache-bytes 67108864] [--no-cache] [--cache-dir PATH]";
 
 /// The daemon's configuration from its command line.
 fn config(args: &Args) -> Result<ServerConfig, UsageError> {
+    let lanes: usize = args.value("--lanes", 1)?;
+    let mode = match (args.has("--event-driven"), lanes) {
+        (false, 0 | 1) => BatchMode::PerEpisode,
+        (false, k) => BatchMode::Lanes(k),
+        (true, 0 | 1) => BatchMode::EventDriven,
+        (true, _) => return Err(UsageError(
+            "--event-driven runs one episode per worker; it cannot combine with --lanes above 1"
+                .to_string(),
+        )),
+    };
+    mode.validate()
+        .map_err(|e| UsageError(format!("--lanes: {e}")))?;
     let cache_bytes = if args.has("--no-cache") {
         0
     } else {
@@ -55,8 +70,7 @@ fn config(args: &Args) -> Result<ServerConfig, UsageError> {
         max_pending_episodes: args.value("--max-pending-episodes", 0)?,
         panic_budget: args.value("--panic-budget", 3)?,
         cache_bytes,
-        lanes: args.value("--lanes", 1)?,
-        event_driven: args.has("--event-driven"),
+        mode,
         cache_dir: args.get("--cache-dir").map(std::path::PathBuf::from),
         ..ServerConfig::default()
     })

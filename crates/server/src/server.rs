@@ -26,8 +26,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cv_sim::{
-    store_salt, BatchConfig, EpisodeCache, Quarantine, RecoveryReport, SimError, StackSpec,
-    DEFAULT_CACHE_BYTES,
+    store_salt, BatchConfig, BatchMode, EpisodeCache, Quarantine, RecoveryReport, SimError,
+    StackSpec, DEFAULT_CACHE_BYTES,
 };
 
 use crate::protocol::{Event, JobStatus, Request};
@@ -82,18 +82,15 @@ pub struct ServerConfig {
     /// stack, and code version all match a previous run is answered from
     /// the cache without touching a worker. `0` disables caching.
     pub cache_bytes: usize,
-    /// Lane-batched execution width: episodes each worker shard steps in
-    /// lockstep with batched NN forward passes (`cv_sim::lanes`). `0` and
-    /// `1` both mean the per-episode reference path. Applies only to jobs
-    /// whose stack embeds an NN planner; the teacher stacks nameable on
-    /// the wire always run per-episode, so today this is forward-looking
-    /// configuration surfaced in each summary's `lanes` field.
-    pub lanes: usize,
-    /// Run every job's episodes on the event-driven engine
-    /// (`cv_sim::events`, DESIGN.md §18). Bit-identical to fixed-step
-    /// whenever every cadence divides the control step; takes precedence
-    /// over [`ServerConfig::lanes`].
-    pub event_driven: bool,
+    /// How every job's shards run their episodes: one at a time,
+    /// `Lanes(k)` in lockstep with batched NN forward passes
+    /// (`cv_sim::lanes`; applies only to stacks that embed an NN planner —
+    /// the teacher stacks nameable on the wire run one lane, so today this
+    /// is forward-looking configuration surfaced in each summary's `lanes`
+    /// field), or `EventDriven` on the event wheel (`cv_sim::events`,
+    /// DESIGN.md §18; bit-identical to per-episode whenever every cadence
+    /// divides the control step). Validated by [`Server::start`].
+    pub mode: BatchMode,
     /// Directory for the persistent cache tier (DESIGN.md §17). `None`
     /// keeps the cache memory-only; `Some(dir)` makes the cache survive
     /// daemon restarts: results are appended to checksummed segment files
@@ -117,8 +114,7 @@ impl Default for ServerConfig {
             max_pending_episodes: 0,
             panic_budget: 3,
             cache_bytes: DEFAULT_CACHE_BYTES,
-            lanes: 1,
-            event_driven: false,
+            mode: BatchMode::PerEpisode,
             cache_dir: None,
         }
     }
@@ -327,8 +323,14 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// I/O errors from binding the listener.
+    /// [`std::io::ErrorKind::InvalidInput`] for an invalid
+    /// [`ServerConfig::mode`] (checked before binding); I/O errors from
+    /// binding the listener.
     pub fn start(config: ServerConfig) -> std::io::Result<Server> {
+        config
+            .mode
+            .validate()
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         // Disk-backed when a cache dir is configured: recover whatever a
@@ -762,8 +764,7 @@ fn runner_loop(shared: &Arc<Shared>) {
         let t0 = Instant::now();
         let mut limits =
             JobLimits::new(effective_workers(shared.config.workers, job.batch.threads))
-                .with_lanes(shared.config.lanes.max(1))
-                .with_event_driven(shared.config.event_driven);
+                .with_mode(shared.config.mode);
         if let Some(deadline) = job.deadline {
             limits = limits.with_deadline(deadline);
         }

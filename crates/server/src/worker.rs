@@ -9,12 +9,12 @@
 //! `run_batch` of the same [`BatchConfig`], regardless of worker count,
 //! claim interleaving, or completion order.
 //!
-//! Episodes run under the supervised executor
-//! ([`cv_sim::supervised_episode`]): a panicking planner yields a typed
-//! [`EpisodeOutcome::Panicked`] for that episode only, a per-episode
-//! simulation error yields [`EpisodeOutcome::Failed`], and quarantined
-//! seeds are skipped — the batch keeps going and completes with fault
-//! counts in its summary instead of dying.
+//! Each shard is one call of the worker driver ([`cv_sim::drive_worker`]),
+//! the same one behind [`cv_sim::run_batch_lanes`]: a panicking planner
+//! yields a typed [`EpisodeOutcome::Panicked`] for that episode only, a
+//! per-episode simulation error yields [`EpisodeOutcome::Failed`], and
+//! quarantined seeds are skipped — the batch keeps going and completes
+//! with fault counts in its summary instead of dying.
 //!
 //! Workers report each resolved episode over an [`mpsc`] rendezvous channel
 //! to the coordinating thread (the job runner), which owns the progress
@@ -26,28 +26,26 @@
 //! the coordinator's rescue pass re-runs its claimed-but-unreported
 //! episodes inline, preserving bit-identical results.
 //!
-//! With [`JobLimits::with_lanes`] set above 1, each shard opts into the
-//! lane-batched execution mode ([`cv_sim::lanes`]): it steps K claimed
-//! episodes in lockstep and answers their NN evaluations with one batched
-//! forward pass per round. Only stacks with an embedded NN planner take
-//! the lane path (teacher stacks fall through to the per-episode loop);
-//! cache hits still bypass compute entirely, since shards claim from the
-//! post-prefill miss list either way. Lane-batched results follow the
-//! tolerance contract documented in `cv_sim::lanes`, and the rescue pass
-//! re-runs orphaned episodes through a lane group of the same width so
-//! rescued results obey the same numeric contract.
+//! [`JobLimits::mode`] selects the driver's [`BatchMode`]: with
+//! `Lanes(k > 1)` each shard steps K claimed episodes in lockstep and
+//! answers their NN evaluations with one batched forward pass per round
+//! (only stacks with an embedded NN planner; teacher stacks run one lane),
+//! and `EventDriven` runs them on the event wheel (`cv_sim::events`). Cache
+//! hits bypass compute entirely in every mode, since shards claim from the
+//! post-prefill miss list. The rescue pass re-runs orphaned episodes
+//! through a driver of the same mode, so rescued results obey the same
+//! numeric contract.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use cv_sim::lanes::{drive_lanes, BatchMode};
 use cv_sim::scheduler::WorkQueue;
 use cv_sim::{
-    episode_key, episode_weight, stack_digest, supervised_episode_with, BatchConfig, BatchReport,
-    BatchSummary, CacheKey, EngineKind, EpisodeCache, EpisodeOutcome, EpisodeWorkspace, Quarantine,
-    SimError, SkipReason, StackSpec,
+    drive_worker, episode_key, episode_weight, stack_digest, BatchConfig, BatchMode, BatchReport,
+    BatchSummary, CacheKey, EpisodeCache, EpisodeOutcome, Quarantine, SimError, SkipReason,
+    StackSpec,
 };
 
 /// How often the coordinator wakes to poll cancel/deadline while no episode
@@ -63,16 +61,11 @@ pub struct JobLimits {
     /// Absolute deadline; when it passes, the job stops at episode-step
     /// granularity and reports [`JobOutcome::DeadlineExceeded`].
     pub deadline: Option<Instant>,
-    /// Episodes each shard steps in lockstep with batched NN forwards
-    /// (`cv_sim::lanes`). `0` and `1` both mean the per-episode reference
-    /// path; values above the lane width are rejected as
-    /// [`SimError::InvalidBatch`]. Only applies to stacks with an embedded
-    /// NN planner — teacher stacks always run per-episode.
-    pub lanes: usize,
-    /// Run episodes on the event-driven engine
-    /// ([`cv_sim::events`]). Takes precedence over [`JobLimits::lanes`]:
-    /// an event-driven job always runs one episode at a time per shard.
-    pub event_driven: bool,
+    /// How each shard runs its episodes (`cv_sim::BatchMode`): one at a
+    /// time, `Lanes(k)` in lockstep with batched NN forwards (stacks with
+    /// an embedded NN planner only), or on the event wheel. An invalid lane
+    /// count fails the job as [`SimError::InvalidBatch`].
+    pub mode: BatchMode,
     /// Test hook: worker `w` dies right after its next claim, leaving a
     /// claimed-but-unreported episode for the supervisor's rescue pass.
     /// Feature-gated so it cannot ship in a default build.
@@ -86,8 +79,7 @@ impl JobLimits {
         JobLimits {
             workers,
             deadline: None,
-            lanes: 1,
-            event_driven: false,
+            mode: BatchMode::PerEpisode,
             #[cfg(feature = "fault-injection")]
             kill_worker: None,
         }
@@ -100,29 +92,11 @@ impl JobLimits {
         self
     }
 
-    /// Sets the lane count each shard steps in lockstep (see
-    /// [`JobLimits::lanes`]).
+    /// Sets the batch mode every shard runs (see [`JobLimits::mode`]).
     #[must_use]
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes;
+    pub fn with_mode(mut self, mode: BatchMode) -> Self {
+        self.mode = mode;
         self
-    }
-
-    /// Selects the event-driven episode engine (see
-    /// [`JobLimits::event_driven`]).
-    #[must_use]
-    pub fn with_event_driven(mut self, event_driven: bool) -> Self {
-        self.event_driven = event_driven;
-        self
-    }
-
-    /// The episode engine these limits select.
-    pub fn engine(&self) -> EngineKind {
-        if self.event_driven {
-            EngineKind::EventDriven
-        } else {
-            EngineKind::FixedStep
-        }
     }
 
     /// Arms the kill-a-shard test hook for worker `w`.
@@ -273,18 +247,9 @@ where
     if let Err(e) = batch.validate() {
         return JobOutcome::Failed(e);
     }
-    if let Err(e) = BatchMode::Lanes(limits.lanes.max(1)).validate() {
+    if let Err(e) = limits.mode.validate() {
         return JobOutcome::Failed(e);
     }
-    // Lane batching applies only to NN-planner stacks; everything else
-    // takes the per-episode reference path regardless of the knob. An
-    // event-driven job steps one episode at a time per shard, so the
-    // engine switch wins over the lane knob.
-    let lanes = if limits.lanes > 1 && spec.nn_planner().is_some() && !limits.event_driven {
-        limits.lanes
-    } else {
-        1
-    };
     let total = batch.episodes;
     // Flipped by the coordinator on cancel or deadline expiry; checked by
     // the claim loop *and* inside every episode's step loop.
@@ -402,7 +367,6 @@ where
             keys: &keys,
             pending: &pending,
             workers,
-            lanes,
             queue: &queue,
             stop: &stop,
             slots: &mut slots,
@@ -415,14 +379,12 @@ where
     // Shard supervisor: an unfilled slot means a shard died between
     // claiming the index and reporting it. Re-run those inline — the index
     // alone determines the episode, so rescued results are identical to
-    // what the dead shard would have produced. Lane-batched jobs rescue
-    // through a lane group of the same width (one-shot claim) so rescued
+    // what the dead shard would have produced. The rescue drives each
+    // orphan through a one-shot driver of the job's mode, so rescued
     // episodes obey the same numeric contract as the live pass.
     // Cancel/deadline are polled per rescued slot: a rescue can be most of
     // the batch, and it must stay as interruptible as the live pass was.
     if !interrupted {
-        let lane_planner = if lanes > 1 { spec.nn_planner() } else { None };
-        let mut rescue: Option<EpisodeWorkspace> = None;
         for (i, slot) in slots.iter_mut().enumerate() {
             if slot.is_some() {
                 continue;
@@ -436,33 +398,19 @@ where
                 deadline_hit = true;
                 break;
             }
-            let outcome = match lane_planner {
-                Some(planner) => {
-                    let mut got: Option<EpisodeOutcome> = None;
-                    let mut once = Some(i);
-                    drive_lanes(
-                        &mut || once.take(),
-                        batch,
-                        spec,
-                        planner,
-                        lanes,
-                        quarantine,
-                        None,
-                        &mut |_, o| got = Some(o),
-                    );
-                    got.expect("drive_lanes emits one outcome per claimed index")
-                }
-                None => {
-                    let ws = rescue.get_or_insert_with(|| EpisodeWorkspace::new(spec.clone()));
-                    supervised_episode_with(
-                        limits.engine(),
-                        ws,
-                        &batch.episode(i),
-                        quarantine,
-                        None,
-                    )
-                }
-            };
+            let mut got: Option<EpisodeOutcome> = None;
+            let mut once = Some(i);
+            let mut emit = |_, o| got = Some(o);
+            drive_worker(
+                &mut || once.take(),
+                batch,
+                spec,
+                limits.mode,
+                quarantine,
+                None,
+                &mut emit,
+            );
+            let outcome = got.expect("the driver emits one outcome per claimed index");
             if let (Some(c), EpisodeOutcome::Completed(r), Some(key)) = (cache, &outcome, keys[i]) {
                 c.insert(key, r.clone(), episode_weight(r));
             }
@@ -495,7 +443,7 @@ where
         })
         .collect();
     let mut summary = BatchReport { outcomes }.summary().with_timing(t0.elapsed());
-    summary.lanes = lanes;
+    summary.lanes = limits.mode.lanes_for(spec);
     if let Some(c) = cache {
         summary.cache_hits = cache_hits;
         summary.cache_misses = cache_misses;
@@ -531,7 +479,6 @@ struct RunShards<'a, 'f> {
     keys: &'a [Option<CacheKey>],
     pending: &'a [usize],
     workers: usize,
-    lanes: usize,
     queue: &'a WorkQueue,
     stop: &'a AtomicBool,
     slots: &'a mut Vec<Option<EpisodeOutcome>>,
@@ -553,7 +500,6 @@ fn run_shards(ctx: RunShards<'_, '_>) {
         keys,
         pending,
         workers,
-        lanes,
         queue,
         stop,
         slots,
@@ -578,76 +524,45 @@ fn run_shards(ctx: RunShards<'_, '_>) {
                     // Silence the unused-binding warning in default builds,
                     // where the kill hook below is compiled out.
                     let _ = w;
-                    // Lane-batched shard: claim episodes into a lockstep
-                    // group fed from the same miss queue, reporting each
-                    // retired lane over the same rendezvous channel. The
-                    // claim closure observes cancel/stop so the group
-                    // drains instead of refilling once the job is stopping,
-                    // and a dead coordinator (send error) stops claims too.
-                    if lanes > 1 {
-                        if let Some(planner) = spec.nn_planner() {
-                            let dead = Cell::new(false);
-                            let tx_lane = &tx;
-                            let mut emit = |i: usize, outcome: EpisodeOutcome| {
-                                if tx_lane.send((i, outcome)).is_err() {
-                                    dead.set(true);
-                                }
-                            };
-                            let mut claim = || {
-                                if dead.get()
-                                    || cancel.load(Ordering::Relaxed)
-                                    || stop.load(Ordering::Relaxed)
-                                {
-                                    return None;
-                                }
-                                queue.claim().map(|c| pending[c])
-                            };
-                            drive_lanes(
-                                &mut claim,
-                                batch,
-                                &spec,
-                                planner,
-                                lanes,
-                                quarantine,
-                                Some(*stop),
-                                &mut emit,
-                            );
-                            return;
+                    // The claim closure observes cancel/stop, so a stopping
+                    // job drains its lanes instead of refilling them, and a
+                    // dead coordinator (send error) stops claims too. A
+                    // shard can observe `cancel` before the coordinator's
+                    // own poll does; the rescue pass re-polls `cancel`
+                    // before touching any unfilled slot, so that ordering
+                    // cannot resurrect the job.
+                    let dead = Cell::new(false);
+                    let mut claim = || {
+                        if dead.get()
+                            || cancel.load(Ordering::Relaxed)
+                            || stop.load(Ordering::Relaxed)
+                        {
+                            return None;
                         }
-                    }
-                    // One workspace per worker: the planner is cloned once
-                    // and episode buffers are reused across every claimed
-                    // episode (and rebuilt from the spec after a panic).
-                    let mut ws = EpisodeWorkspace::new(spec);
-                    while let Some(claimed) = queue.claim() {
-                        let i = pending[claimed];
-                        // A worker can observe `cancel` before the
-                        // coordinator's own poll does; it then exits and the
-                        // coordinator sees only a channel disconnect, with
-                        // `interrupted` still false. The rescue pass below
-                        // re-polls `cancel` before touching any unfilled
-                        // slot, so that ordering cannot resurrect the job.
-                        if cancel.load(Ordering::Relaxed) || stop.load(Ordering::Relaxed) {
-                            return;
-                        }
+                        let i = pending[queue.claim()?];
                         #[cfg(feature = "fault-injection")]
                         if limits.kill_worker == Some(w) {
                             // Die holding claimed-but-unreported index `i`:
-                            // the rescue pass below must pick it up.
-                            return;
+                            // the rescue pass must pick it up.
+                            dead.set(true);
+                            return None;
                         }
-                        let cfg = batch.episode(i);
-                        let outcome = supervised_episode_with(
-                            limits.engine(),
-                            &mut ws,
-                            &cfg,
-                            quarantine,
-                            Some(stop),
-                        );
+                        Some(i)
+                    };
+                    let mut emit = |i: usize, outcome: EpisodeOutcome| {
                         if tx.send((i, outcome)).is_err() {
-                            return;
+                            dead.set(true);
                         }
-                    }
+                    };
+                    drive_worker(
+                        &mut claim,
+                        batch,
+                        &spec,
+                        limits.mode,
+                        quarantine,
+                        Some(stop),
+                        &mut emit,
+                    );
                 })
             })
             .collect();
@@ -760,7 +675,7 @@ mod tests {
             .summary();
         for workers in [1, 3] {
             let cancel = AtomicBool::new(false);
-            let limits = JobLimits::new(workers).with_lanes(4);
+            let limits = JobLimits::new(workers).with_mode(BatchMode::Lanes(4));
             let mut seen = Vec::new();
             let outcome = run_sharded(&batch, &spec, limits, &cancel, None, |p| {
                 if let Progress::Episode(p) = p {
@@ -793,7 +708,7 @@ mod tests {
         let (batch, spec) = paper_batch(6);
         let reference = BatchSummary::from_results(&run_batch(&batch, &spec).unwrap());
         let cancel = AtomicBool::new(false);
-        let limits = JobLimits::new(2).with_lanes(LANE_WIDTH);
+        let limits = JobLimits::new(2).with_mode(BatchMode::Lanes(LANE_WIDTH));
         let outcome = run_sharded(&batch, &spec, limits, &cancel, None, |_| {});
         let JobOutcome::Completed(summary) = outcome else {
             panic!("expected completion, got {outcome:?}");
@@ -806,7 +721,7 @@ mod tests {
     fn out_of_range_lane_count_fails_typed() {
         let (batch, spec) = nn_batch(4);
         let cancel = AtomicBool::new(false);
-        let limits = JobLimits::new(2).with_lanes(LANE_WIDTH + 1);
+        let limits = JobLimits::new(2).with_mode(BatchMode::Lanes(LANE_WIDTH + 1));
         let outcome = run_sharded(&batch, &spec, limits, &cancel, None, |_| {});
         assert!(matches!(
             outcome,
@@ -822,7 +737,7 @@ mod tests {
         let cache = EpisodeCache::new(1 << 20);
         let run = || {
             let cancel = AtomicBool::new(false);
-            let limits = JobLimits::new(2).with_lanes(4);
+            let limits = JobLimits::new(2).with_mode(BatchMode::Lanes(4));
             let outcome =
                 run_sharded_cached(&batch, &spec, limits, &cancel, None, Some(&cache), |_| {});
             let JobOutcome::Completed(summary) = outcome else {

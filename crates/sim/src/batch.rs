@@ -1,4 +1,4 @@
-use crate::{run_episode, BatchSummary, EpisodeConfig, EpisodeResult, SimError, StackSpec};
+use crate::{run_episode, BatchMode, EpisodeConfig, EpisodeResult, SimError, StackSpec};
 
 /// Configuration for a Monte-Carlo batch.
 ///
@@ -96,11 +96,11 @@ impl BatchConfig {
 /// Results are written back by index and are bit-identical to a serial run
 /// for any thread count.
 ///
-/// This is the strict all-or-nothing path: it runs on the supervised
-/// executor ([`crate::run_batch_supervised`]) and then collapses the report
-/// — the first per-episode error fails the batch, and a contained panic is
-/// re-raised. Callers that want partial results, panic isolation, or
-/// quarantine use the supervised entry point directly.
+/// This is the strict all-or-nothing wrapper of the supervised entry point
+/// [`crate::run_batch_lanes`] in [`BatchMode::PerEpisode`]: it collapses
+/// the report — the first per-episode error fails the batch, and a
+/// contained panic is re-raised. Callers that want partial results, panic
+/// isolation, or quarantine use the supervised entry point directly.
 ///
 /// # Errors
 ///
@@ -124,7 +124,7 @@ impl BatchConfig {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn run_batch(batch: &BatchConfig, spec: &StackSpec) -> Result<Vec<EpisodeResult>, SimError> {
-    crate::run_batch_supervised(batch, spec, None, None)?.into_results()
+    crate::run_batch_lanes(batch, spec, BatchMode::PerEpisode, None, None)?.into_results()
 }
 
 /// The pre-overhaul batch runner: static contiguous chunking, one fresh
@@ -177,21 +177,6 @@ pub fn run_batch_static(
         .into_iter()
         .map(|s| s.expect("worker filled every slot"))
         .collect()
-}
-
-/// Convenience wrapper: run a batch and summarise it in one call.
-///
-/// The summary carries the measured wall-clock duration and throughput of
-/// this run ([`BatchSummary::wall_time_secs`] /
-/// [`BatchSummary::episodes_per_sec`]).
-///
-/// # Errors
-///
-/// Propagates [`run_batch`] errors.
-pub fn run_batch_summary(batch: &BatchConfig, spec: &StackSpec) -> Result<BatchSummary, SimError> {
-    let t0 = std::time::Instant::now();
-    let results = run_batch(batch, spec)?;
-    Ok(BatchSummary::from_results(&results).with_timing(t0.elapsed()))
 }
 
 #[cfg(test)]
@@ -247,16 +232,6 @@ mod tests {
             run_batch(&batch, &spec),
             Err(SimError::InvalidBatch { .. })
         ));
-    }
-
-    #[test]
-    fn summary_wrapper_records_timing() {
-        let template = EpisodeConfig::paper_default(7);
-        let spec = StackSpec::pure_teacher_conservative(&template).unwrap();
-        let batch = BatchConfig::new(template, 2);
-        let summary = run_batch_summary(&batch, &spec).unwrap();
-        assert!(summary.wall_time_secs > 0.0);
-        assert!(summary.episodes_per_sec > 0.0);
     }
 
     #[test]

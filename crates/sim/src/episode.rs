@@ -1,11 +1,10 @@
-use cv_comm::{Channel, Message};
 use cv_dynamics::Trajectory;
 use cv_estimation::{Interval, VehicleEstimate};
 use cv_sensing::Measurement;
 use left_turn::ScenarioError;
-use safe_shield::{Outcome, PlannerSource, Scenario};
+use safe_shield::{Outcome, PlannerSource};
 
-use crate::cadence::Cadence;
+use crate::stepper::{NnAnswer, Pairs, StepAdvance};
 use crate::{EpisodeConfig, EpisodeWorkspace, StackSpec};
 
 /// Errors running an episode.
@@ -147,11 +146,12 @@ impl EpisodeResult {
 /// Simulates one episode of the unprotected left turn (with one or more
 /// oncoming vehicles; the paper evaluates one).
 ///
-/// Event order per control step `t = k·Δt_c`: every vehicle broadcasts
-/// (every `Δt_m`), due messages are delivered, the sensors fire (every
-/// `Δt_s`), ground truth is checked (collision → `η = −1`, target →
-/// `η = 1/t`), the stack plans, and all vehicles advance one step (each
-/// conflicting vehicle under its configured [`crate::DriverModel`]).
+/// Event order per control step `t = k·Δt_c` is the episode stepper's
+/// ([`crate::stepper`]): every vehicle broadcasts (every `Δt_m`), due
+/// messages are delivered, the sensors fire (every `Δt_s`), ground truth is
+/// checked (collision → `η = −1`, target → `η = 1/t`), the stack plans, and
+/// all vehicles advance one step (each conflicting vehicle under its
+/// configured [`crate::DriverModel`]).
 ///
 /// # Errors
 ///
@@ -171,8 +171,9 @@ pub fn run_episode(
 
 impl EpisodeWorkspace {
     /// Runs one episode, reusing every buffer this workspace retains from
-    /// earlier runs (see the [`crate::workspace`] module docs). Event order
-    /// and results are identical to [`run_episode`].
+    /// earlier runs (see the [`crate::workspace`] module docs): the episode
+    /// stepper on the poll schedule with the NN answered inline. Results
+    /// are identical to [`run_episode`].
     ///
     /// # Errors
     ///
@@ -182,162 +183,11 @@ impl EpisodeWorkspace {
         cfg: &EpisodeConfig,
         record_traces: bool,
     ) -> Result<EpisodeResult, SimError> {
-        match self.run_interruptible(cfg, record_traces, None) {
-            Ok(Some(result)) => Ok(result),
-            Ok(None) => unreachable!("no interrupt flag was supplied"),
-            Err(e) => Err(e),
+        self.start(cfg, Pairs::Poll, NnAnswer::Inline, record_traces)?;
+        match self.advance(cfg, None, None) {
+            StepAdvance::Finished(result) => Ok(result),
+            _ => unreachable!("an inline episode without an interrupt runs to its outcome"),
         }
-    }
-
-    /// Like [`EpisodeWorkspace::run`], but checks `interrupt` (with a
-    /// relaxed load) at the top of every control step and returns
-    /// `Ok(None)` — the episode abandoned mid-flight, no partial result —
-    /// as soon as the flag is observed set. This is the cooperative stop
-    /// used by job cancellation and deadline expiry: granularity is one
-    /// episode step, never a whole episode or batch.
-    pub fn run_interruptible(
-        &mut self,
-        cfg: &EpisodeConfig,
-        record_traces: bool,
-        interrupt: Option<&std::sync::atomic::AtomicBool>,
-    ) -> Result<Option<EpisodeResult>, SimError> {
-        #[cfg(feature = "fault-injection")]
-        if let StackSpec::PanicInjection { panic_seeds, .. } = self.spec() {
-            assert!(
-                !panic_seeds.contains(&cfg.seed),
-                "injected planner fault for seed {}",
-                cfg.seed
-            );
-        }
-        let slot = self.scenario_slot(cfg)?;
-        let ego_limits = self.cached_scenarios(slot)[0].ego_limits();
-        let other_limits = self.cached_scenarios(slot)[0].other_limits();
-        self.arm_vehicles(cfg, other_limits);
-
-        // Split the workspace into disjoint field borrows for the loop.
-        let EpisodeWorkspace {
-            spec,
-            exec,
-            scenario_cache,
-            channels,
-            sensors,
-            drivers,
-            others,
-            inbox,
-            ..
-        } = self;
-        let scenarios = scenario_cache[slot].1.as_slice();
-        match exec {
-            // Re-arm the retained executor: the planner (for an NN stack,
-            // its weight matrices) is NOT re-cloned.
-            Some(e) => spec.reinit(e, cfg, scenarios, others),
-            None => *exec = Some(spec.build(cfg, scenarios)),
-        }
-        let exec = exec.as_mut().expect("executor armed above");
-
-        let mut ego = cfg.ego_init;
-        let msg = Cadence::new(cfg.dt_m, cfg.dt_c);
-        let sense = Cadence::new(cfg.dt_s, cfg.dt_c);
-        let steps = (cfg.horizon / cfg.dt_c).ceil() as u64;
-
-        let mut traces = record_traces.then(|| EpisodeTraces {
-            others: vec![Trajectory::new(); others.len()],
-            ..EpisodeTraces::default()
-        });
-        let mut emergency_steps = 0u64;
-        let mut total_steps = 0u64;
-        let mut outcome = Outcome::Timeout;
-        let mut collided_pair = None;
-
-        for step in 0..=steps {
-            if let Some(flag) = interrupt {
-                if flag.load(std::sync::atomic::Ordering::Relaxed) {
-                    return Ok(None);
-                }
-            }
-            let t = step as f64 * cfg.dt_c;
-
-            // V2V broadcast and delivery, then sensing — per vehicle.
-            for (i, other) in others.iter().enumerate() {
-                if msg.fires_at(step) {
-                    channels[i]
-                        .chan
-                        .send(Message::from_state(1 + i, t, other), t);
-                }
-                inbox.clear();
-                channels[i].chan.receive_into(t, inbox);
-                for msg in inbox.iter() {
-                    exec.estimator_mut(i).on_message(msg);
-                }
-                if sense.fires_at(step) {
-                    // Dropout-free sensors keep the historical RNG stream.
-                    let maybe = if cfg.sensor_dropout > 0.0 {
-                        sensors[i].try_measure(1 + i, t, other)
-                    } else {
-                        Some(sensors[i].measure(1 + i, t, other))
-                    };
-                    if let Some(m) = maybe {
-                        if let Some(tr) = traces.as_mut() {
-                            tr.measurements.push(m);
-                        }
-                        exec.estimator_mut(i).on_measurement(&m);
-                    }
-                }
-            }
-
-            // Ground-truth evaluation, attributed to the colliding pair.
-            if let Some(hit) = scenarios
-                .iter()
-                .zip(others.iter())
-                .position(|(s, other)| s.collision(&ego, other))
-            {
-                outcome = Outcome::Collision { time: t };
-                collided_pair = Some(hit);
-                break;
-            }
-            if scenarios[0].target_reached(t, &ego) {
-                outcome = Outcome::Reached { time: t };
-                break;
-            }
-
-            // Plan and actuate.
-            let (decision, est) = exec.plan(t, &ego);
-            total_steps += 1;
-            if decision.source == PlannerSource::Emergency {
-                emergency_steps += 1;
-            }
-            if let Some(tr) = traces.as_mut() {
-                tr.ego.push(t, ego);
-                for (trajectory, other) in tr.others.iter_mut().zip(others.iter()) {
-                    trajectory.push(t, *other);
-                }
-                tr.estimates.push((t, est));
-                let truth_est = VehicleEstimate::exact(t, others[0]);
-                tr.windows.push(WindowTrace {
-                    time: t,
-                    conservative: scenarios[0].conservative_window(t, &est),
-                    aggressive: scenarios[0].aggressive_window(t, &est, &Default::default()),
-                    truth_nominal: scenarios[0].nominal_window(t, &truth_est),
-                });
-                tr.decisions.push(DecisionTrace {
-                    time: t,
-                    source: decision.source,
-                    accel: decision.accel,
-                });
-            }
-
-            ego = ego_limits.step(&ego, decision.accel, cfg.dt_c);
-            crate::driver::actuate_others(cfg, other_limits, drivers, others, t);
-        }
-
-        Ok(Some(EpisodeResult {
-            eta: outcome.eta(),
-            outcome,
-            emergency_steps,
-            total_steps,
-            collided_pair,
-            traces,
-        }))
     }
 }
 

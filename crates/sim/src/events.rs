@@ -1,26 +1,24 @@
-//! Event-driven episode engine ([`crate::BatchMode::EventDriven`]).
+//! The event wheel: the stepper's *wheel* pair schedule
+//! ([`crate::BatchMode::EventDriven`]).
 //!
-//! The fixed-step loop in [`crate::EpisodeWorkspace::run`] pays for every
-//! vehicle pair on every control tick — broadcast, channel poll, sensor
-//! read, estimator query — even after a conflicting vehicle has permanently
-//! cleared the conflict zone and can no longer influence a single planner
-//! decision. On long-horizon platoon workloads most pairs are quiescent
-//! most of the time, so that cost dominates.
+//! Under the *poll* schedule the stepper ([`crate::stepper`]) pays for
+//! every vehicle pair on every control tick — broadcast, channel poll,
+//! sensor read, estimator query — even after a conflicting vehicle has
+//! permanently cleared the conflict zone and can no longer influence a
+//! single planner decision. On long-horizon platoon workloads most pairs
+//! are quiescent most of the time, so that cost dominates.
 //!
-//! This engine keeps the same outer tick clock (the ego must plan every
+//! The wheel keeps the same outer tick clock (the ego must plan every
 //! `Δt_c`; the paper's teacher policies pace on the per-tick window
-//! estimates) but turns all *per-pair* work into scheduled events on a
-//! time-ordered wheel:
+//! estimates) but schedules the *per-pair* work:
 //!
 //! * **Message arrivals** are resolved at *send* time via
 //!   [`cv_comm::Channel::send_scheduled`] and pushed onto a binary heap
 //!   keyed by integer arrival tick — channels are never polled. A channel
 //!   that cannot resolve its schedule ([`cv_comm::Arrival::Unknown`])
 //!   demotes its pair to per-tick polling, preserving correctness for
-//!   custom channel implementations.
-//! * **Sensor reads** and **broadcasts** fire on their [`Cadence`], asked
-//!   in the scheduling form ([`Cadence::next_at_or_after`]) rather than a
-//!   per-tick modulo.
+//!   custom channel implementations. The poll schedule is exactly this
+//!   wheel with every pair demoted from the start and retirement off.
 //! * **Retirement**: once a pair provably can no longer produce a non-empty
 //!   turning window — its true position is past the scenario exit by a
 //!   margin covering all sensor noise, no message is in flight, and its
@@ -42,41 +40,34 @@
 //! 2. pairs are visited in index order (pair 0 = the primary `C_1`);
 //! 3. within one pair and tick, message arrivals apply in send order
 //!    (monotone `seq`, which equals stamp order for the constant-delay
-//!    channels — exactly the per-drain stamp sort of the polled path).
+//!    channels — exactly the per-drain stamp sort of a polled channel).
 //!
-//! This is the same order the fixed-step loop produces implicitly, which is
-//! what makes bit-identity possible at all.
+//! This is the order the poll schedule produces implicitly, which is what
+//! makes bit-identity possible at all.
 //!
-//! # When fixed-step remains the oracle
+//! # Bit-identity with the poll schedule
 //!
-//! The fixed-step engine is retained untouched as the reference: whenever
-//! every cadence divides the integration step (the repo default:
-//! `Δt_m = Δt_s = 2·Δt_c`), this engine must reproduce its
-//! [`EpisodeResult`]s bit for bit — same outcome, same `η` bits, same
-//! emergency counts. `tests/event_core.rs` enforces the matrix across
-//! seeds, thread counts, and stacks; `scripts/tier1.sh` runs a smoke of it.
-//! Traces are the one deliberate non-goal: this engine never records them
-//! (retired pairs have no per-tick estimates to trace), so trace-consuming
-//! experiments (Fig. 6) stay on fixed-step.
+//! Whenever every cadence divides the integration step (the repo default:
+//! `Δt_m = Δt_s = 2·Δt_c`), the wheel must reproduce the poll schedule's
+//! [`crate::EpisodeResult`]s bit for bit — same outcome, same `η` bits,
+//! same emergency counts. `tests/event_core.rs` enforces the matrix across
+//! seeds, thread counts, and stacks, and `tests/engine_golden.rs` pins both
+//! schedules' fingerprints across commits. Traces are the one deliberate
+//! non-goal: the wheel never records them (retired pairs have no per-tick
+//! estimates to trace), so trace-consuming experiments (Fig. 6) run on the
+//! poll schedule.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::AtomicBool;
 
-use cv_comm::{Arrival, Message};
-use safe_shield::{Outcome, PlannerSource, Scenario};
-
-use crate::cadence::Cadence;
-use crate::scheduler::for_each_dynamic;
-use crate::supervise::{supervised_episode_with, BatchReport, EngineKind, Quarantine};
-use crate::{BatchConfig, EpisodeConfig, EpisodeResult, EpisodeWorkspace, SimError, StackSpec};
+use cv_comm::Message;
 
 /// One message scheduled on the wheel, ordered by `(tick, pair, seq)` —
 /// the tie-break contract in the module docs. The payload does not
 /// participate in the ordering (its floats are not `Ord`).
 struct ScheduledArrival {
     /// Control tick at which the message becomes deliverable — the first
-    /// tick whose poll the fixed-step loop would have drained it on.
+    /// tick whose poll the poll schedule would have drained it on.
     tick: u64,
     /// Receiving pair index.
     pair: usize,
@@ -113,7 +104,7 @@ impl Ord for ScheduledArrival {
     }
 }
 
-/// Reusable event-engine state held by [`EpisodeWorkspace`], so the
+/// Reusable wheel state held by [`crate::EpisodeWorkspace`], so the
 /// per-step loop stays allocation-free in the steady state (the heap and
 /// flag vectors keep their capacity across episodes).
 #[derive(Default)]
@@ -123,17 +114,19 @@ pub(crate) struct EventScratch {
     /// Monotone send counter feeding [`ScheduledArrival::seq`].
     seq: u64,
     /// Pairs permanently retired from event processing.
-    retired: Vec<bool>,
+    pub(crate) retired: Vec<bool>,
     /// Scheduled arrivals currently on the wheel, per pair — a pair with
     /// messages in flight must not retire (the arrival could still move
     /// its estimate).
-    inflight: Vec<u32>,
-    /// Pairs demoted to per-tick channel polling ([`Arrival::Unknown`]).
-    polled: Vec<bool>,
+    pub(crate) inflight: Vec<u32>,
+    /// Pairs polled every tick: all of them under the poll schedule, and
+    /// under the wheel those demoted by [`cv_comm::Arrival::Unknown`].
+    pub(crate) polled: Vec<bool>,
 }
 
 impl EventScratch {
-    fn reset(&mut self, n: usize) {
+    /// Re-arms the wheel for `n` pairs, all of them polled when `poll`.
+    pub(crate) fn reset(&mut self, n: usize, poll: bool) {
         self.heap.clear();
         self.seq = 0;
         self.retired.clear();
@@ -141,17 +134,42 @@ impl EventScratch {
         self.inflight.clear();
         self.inflight.resize(n, 0);
         self.polled.clear();
-        self.polled.resize(n, false);
+        self.polled.resize(n, poll);
+    }
+
+    /// Schedules `msg` for `pair` at control tick `tick`.
+    pub(crate) fn schedule(&mut self, pair: usize, msg: Message, tick: u64) {
+        self.seq += 1;
+        self.inflight[pair] += 1;
+        self.heap.push(Reverse(ScheduledArrival {
+            tick,
+            pair,
+            seq: self.seq,
+            msg,
+        }));
+    }
+
+    /// Pops the next arrival due for `pair` at `tick`. Pairs are visited in
+    /// index order, so everything at the top of the heap with
+    /// `(tick, pair)` is due now.
+    pub(crate) fn pop_due(&mut self, tick: u64, pair: usize) -> Option<Message> {
+        let Reverse(top) = self.heap.peek()?;
+        if top.tick != tick || top.pair != pair {
+            return None;
+        }
+        let Reverse(due) = self.heap.pop()?;
+        self.inflight[pair] -= 1;
+        Some(due.msg)
     }
 }
 
 /// The first control tick at or after `send_tick` whose poll would drain a
 /// message delivered at `deliver_at` — the exact integerisation of the
-/// fixed-step predicate `deliver_at <= tick·Δt_c + 1e-12`
+/// polling predicate `deliver_at <= tick·Δt_c + 1e-12`
 /// (`cv_comm`'s `drain_due_into`). A closed-form `ceil` gives the guess;
 /// the two correction loops absorb any one-ULP rounding slack so the two
-/// engines can never disagree on a delivery tick.
-fn arrival_tick(deliver_at: f64, send_tick: u64, dt_c: f64) -> u64 {
+/// schedules can never disagree on a delivery tick.
+pub(crate) fn arrival_tick(deliver_at: f64, send_tick: u64, dt_c: f64) -> u64 {
     let guess = ((deliver_at - 1e-12) / dt_c).ceil();
     let mut k = if guess > send_tick as f64 {
         guess as u64
@@ -167,272 +185,32 @@ fn arrival_tick(deliver_at: f64, send_tick: u64, dt_c: f64) -> u64 {
     k
 }
 
-impl EpisodeWorkspace {
-    /// Runs one episode on the event-driven engine. Bit-identical to
-    /// [`EpisodeWorkspace::run`] whenever every cadence divides the control
-    /// step (see the module docs); never records traces.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Scenario`] if the configuration is invalid.
-    pub fn run_event(&mut self, cfg: &EpisodeConfig) -> Result<EpisodeResult, SimError> {
-        match self.run_event_interruptible(cfg, None) {
-            Ok(Some(result)) => Ok(result),
-            Ok(None) => unreachable!("no interrupt flag was supplied"),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Like [`EpisodeWorkspace::run_event`], but checks `interrupt` at the
-    /// top of every control step — the same step-granular cooperative stop
-    /// as [`EpisodeWorkspace::run_interruptible`].
-    pub fn run_event_interruptible(
-        &mut self,
-        cfg: &EpisodeConfig,
-        interrupt: Option<&AtomicBool>,
-    ) -> Result<Option<EpisodeResult>, SimError> {
-        #[cfg(feature = "fault-injection")]
-        if let StackSpec::PanicInjection { panic_seeds, .. } = self.spec() {
-            assert!(
-                !panic_seeds.contains(&cfg.seed),
-                "injected planner fault for seed {}",
-                cfg.seed
-            );
-        }
-        let slot = self.scenario_slot(cfg)?;
-        let ego_limits = self.cached_scenarios(slot)[0].ego_limits();
-        let other_limits = self.cached_scenarios(slot)[0].other_limits();
-        self.arm_vehicles(cfg, other_limits);
-
-        let EpisodeWorkspace {
-            spec,
-            exec,
-            scenario_cache,
-            channels,
-            sensors,
-            drivers,
-            others,
-            inbox,
-            events,
-            ..
-        } = self;
-        let scenarios = scenario_cache[slot].1.as_slice();
-        match exec {
-            Some(e) => spec.reinit(e, cfg, scenarios, others),
-            None => *exec = Some(spec.build(cfg, scenarios)),
-        }
-        let exec = exec.as_mut().expect("executor armed above");
-
-        let n = others.len();
-        events.reset(n);
-        exec.arm_frozen(n);
-
-        // Retirement soundness rests on position monotonicity: with
-        // `v_min > 0` a vehicle past the exit can never re-enter the zone,
-        // and a constant-speed-projected window can only move further past
-        // it. Without that floor, pairs simply never retire (the engine
-        // degrades to fixed-step cost, not to wrong answers).
-        let retire_enabled = other_limits.v_min() > 0.0;
-        // Truth margin before probing the estimate: past the exit by the
-        // full sensor noise band (plus slack), every measurement and
-        // message also lands past the exit, so the live estimate the
-        // fixed-step engine keeps refining stays exit-side forever — which
-        // is what makes the frozen pin bit-invisible.
-        let truth_margin = 2.0 * cfg.noise.delta_p + 0.5;
-
-        let mut ego = cfg.ego_init;
-        let msg = Cadence::new(cfg.dt_m, cfg.dt_c);
-        let sense = Cadence::new(cfg.dt_s, cfg.dt_c);
-        let steps = (cfg.horizon / cfg.dt_c).ceil() as u64;
-        // Next firing steps, maintained in the scheduling form.
-        let mut next_msg = msg.next_at_or_after(0);
-        let mut next_sense = sense.next_at_or_after(0);
-
-        let mut emergency_steps = 0u64;
-        let mut total_steps = 0u64;
-        let mut outcome = Outcome::Timeout;
-        let mut collided_pair = None;
-        let mut active = n;
-
-        for step in 0..=steps {
-            if let Some(flag) = interrupt {
-                if flag.load(std::sync::atomic::Ordering::Relaxed) {
-                    return Ok(None);
-                }
-            }
-            let t = step as f64 * cfg.dt_c;
-            let msg_now = step == next_msg;
-            if msg_now {
-                next_msg = msg.next_at_or_after(step + 1);
-            }
-            let sense_now = step == next_sense;
-            if sense_now {
-                next_sense = sense.next_at_or_after(step + 1);
-            }
-
-            if active > 0 {
-                for i in 0..n {
-                    if events.retired[i] {
-                        continue;
-                    }
-                    let other = &others[i];
-                    if msg_now {
-                        let m = Message::from_state(1 + i, t, other);
-                        match channels[i].chan.send_scheduled(m, t) {
-                            Arrival::Delivered(at) => {
-                                let tick = arrival_tick(at, step, cfg.dt_c);
-                                // Past-horizon arrivals would never be
-                                // drained by the fixed-step loop either.
-                                if tick <= steps {
-                                    events.seq += 1;
-                                    events.inflight[i] += 1;
-                                    events.heap.push(Reverse(ScheduledArrival {
-                                        tick,
-                                        pair: i,
-                                        seq: events.seq,
-                                        msg: m,
-                                    }));
-                                }
-                            }
-                            Arrival::Dropped | Arrival::Never => {}
-                            Arrival::Unknown => events.polled[i] = true,
-                        }
-                    }
-                    // Deliveries due this tick for this pair: pairs are
-                    // visited in index order, so everything at the top of
-                    // the heap with (tick, pair) == (step, i) is due now.
-                    while let Some(Reverse(top)) = events.heap.peek() {
-                        if top.tick != step || top.pair != i {
-                            break;
-                        }
-                        let Reverse(due) = events.heap.pop().expect("peeked above");
-                        events.inflight[i] -= 1;
-                        exec.estimator_mut(i).on_message(&due.msg);
-                    }
-                    if events.polled[i] {
-                        inbox.clear();
-                        channels[i].chan.receive_into(t, inbox);
-                        for m in inbox.iter() {
-                            exec.estimator_mut(i).on_message(m);
-                        }
-                    }
-                    if sense_now {
-                        // Dropout-free sensors keep the historical RNG
-                        // stream (same rule as the fixed-step loop).
-                        let maybe = if cfg.sensor_dropout > 0.0 {
-                            sensors[i].try_measure(1 + i, t, other)
-                        } else {
-                            Some(sensors[i].measure(1 + i, t, other))
-                        };
-                        if let Some(m) = maybe {
-                            exec.estimator_mut(i).on_measurement(&m);
-                        }
-                    }
-                    // Retirement probe (module docs): truth past the exit
-                    // beyond the noise band, nothing in flight, nothing
-                    // polled, and the live estimate already exit-side in
-                    // both the interval and nominal forms.
-                    if retire_enabled
-                        && !events.polled[i]
-                        && events.inflight[i] == 0
-                        && other.position >= scenarios[i].other_exit() + truth_margin
-                    {
-                        let est = exec.estimator_mut(i).estimate(t);
-                        if est.position.lo() >= scenarios[i].other_exit()
-                            && est.nominal.position >= scenarios[i].other_exit()
-                        {
-                            exec.set_frozen(i, est);
-                            events.retired[i] = true;
-                            active -= 1;
-                        }
-                    }
-                }
-
-                // Ground truth: a retired pair sits past the exit with
-                // `v_min > 0`, so it can never satisfy `collision` again —
-                // the scan covers exactly the still-active pairs, and the
-                // fixed-step engine's full-width scan finds the same first
-                // hit (a retired pair's check is always false).
-                let mut hit = None;
-                for (i, (s, other)) in scenarios.iter().zip(others.iter()).enumerate() {
-                    if !events.retired[i] && s.collision(&ego, other) {
-                        hit = Some(i);
-                        break;
-                    }
-                }
-                if let Some(hit) = hit {
-                    outcome = Outcome::Collision { time: t };
-                    collided_pair = Some(hit);
-                    break;
-                }
-            }
-            if scenarios[0].target_reached(t, &ego) {
-                outcome = Outcome::Reached { time: t };
-                break;
-            }
-
-            // The ego plans and steps every tick regardless of activity:
-            // the teacher policies pace on the per-tick windows, so the
-            // control decision itself is never a skippable event.
-            let (decision, _est) = exec.plan(t, &ego);
-            total_steps += 1;
-            if decision.source == PlannerSource::Emergency {
-                emergency_steps += 1;
-            }
-            ego = ego_limits.step(&ego, decision.accel, cfg.dt_c);
-            if active > 0 {
-                // Still-active followers gap-track their (possibly
-                // retired) predecessors, so all vehicles advance together
-                // until the last pair retires; after that nothing reads
-                // their states again.
-                crate::driver::actuate_others(cfg, other_limits, drivers, others, t);
-            }
-        }
-
-        Ok(Some(EpisodeResult {
-            eta: outcome.eta(),
-            outcome,
-            emergency_steps,
-            total_steps,
-            collided_pair,
-            traces: None,
-        }))
-    }
-}
-
-/// Runs every episode of `batch` on the event-driven engine with the same
-/// fault semantics as [`crate::run_batch_supervised`] (typed outcomes,
-/// panic isolation, quarantine, step-granular interruption). This is the
-/// [`crate::BatchMode::EventDriven`] entry point behind
-/// [`crate::run_batch_lanes`].
-///
-/// # Errors
-///
-/// [`SimError::InvalidBatch`] when the batch configuration itself cannot be
-/// run; per-episode faults are reported in the [`BatchReport`].
-pub fn run_batch_event_driven(
-    batch: &BatchConfig,
-    spec: &StackSpec,
-    quarantine: Option<&Quarantine>,
-    interrupt: Option<&AtomicBool>,
-) -> Result<BatchReport, SimError> {
-    batch.validate()?;
-    let outcomes = for_each_dynamic(
-        batch.episodes,
-        batch.worker_count(),
-        || EpisodeWorkspace::new(spec.clone()),
-        |ws, i| {
-            let cfg = batch.episode(i);
-            supervised_episode_with(EngineKind::EventDriven, ws, &cfg, quarantine, interrupt)
-        },
-    );
-    Ok(BatchReport { outcomes })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_episode;
+    use crate::stepper::{NnAnswer, Pairs, StepAdvance};
+    use crate::{
+        run_batch_lanes, run_episode, BatchConfig, BatchMode, EpisodeConfig, EpisodeResult,
+        EpisodeWorkspace, StackSpec,
+    };
+
+    /// `cfg` as a one-episode batch on the event wheel.
+    fn run_event(cfg: &EpisodeConfig, spec: &StackSpec) -> EpisodeResult {
+        let mut batch = BatchConfig::new(cfg.clone(), 1);
+        batch.starts = vec![cfg.other_start_shared];
+        let report = run_batch_lanes(&batch, spec, BatchMode::EventDriven, None, None).unwrap();
+        report.into_results().unwrap().remove(0)
+    }
+
+    /// `cfg` on the event wheel of the caller's (reused) workspace.
+    fn run_event_on(ws: &mut EpisodeWorkspace, cfg: &EpisodeConfig) -> EpisodeResult {
+        ws.start(cfg, Pairs::Wheel, NnAnswer::Inline, false)
+            .unwrap();
+        match ws.advance(cfg, None, None) {
+            StepAdvance::Finished(result) => result,
+            _ => unreachable!("an inline episode without an interrupt finishes"),
+        }
+    }
 
     fn bits(r: &EpisodeResult) -> (u64, String, u64, u64, Option<usize>) {
         (
@@ -472,7 +250,7 @@ mod tests {
             let cfg = EpisodeConfig::paper_default(seed);
             let spec = StackSpec::pure_teacher_conservative(&cfg).unwrap();
             let fixed = run_episode(&cfg, &spec, false).unwrap();
-            let event = EpisodeWorkspace::new(spec).run_event(&cfg).unwrap();
+            let event = run_event(&cfg, &spec);
             assert_eq!(bits(&fixed), bits(&event), "seed {seed}");
         }
     }
@@ -482,12 +260,13 @@ mod tests {
         let cfg = EpisodeConfig::paper_default(11);
         let spec = StackSpec::pure_teacher_conservative(&cfg).unwrap();
         let mut ws = EpisodeWorkspace::new(spec);
-        let first = ws.run_event(&cfg).unwrap();
-        let again = ws.run_event(&cfg).unwrap();
+        let first = run_event_on(&mut ws, &cfg);
+        let again = run_event_on(&mut ws, &cfg);
         assert_eq!(bits(&first), bits(&again));
-        // Interleaving a fixed-step run must not perturb a later event run.
+        // Interleaving a poll-schedule run must not perturb a later wheel
+        // run.
         let _ = ws.run(&cfg, false).unwrap();
-        let third = ws.run_event(&cfg).unwrap();
+        let third = run_event_on(&mut ws, &cfg);
         assert_eq!(bits(&first), bits(&third));
     }
 
@@ -501,7 +280,7 @@ mod tests {
             };
             let spec = StackSpec::pure_teacher_conservative(&cfg).unwrap();
             let fixed = run_episode(&cfg, &spec, false).unwrap();
-            let event = EpisodeWorkspace::new(spec).run_event(&cfg).unwrap();
+            let event = run_event(&cfg, &spec);
             assert_eq!(bits(&fixed), bits(&event), "seed {seed}");
         }
     }

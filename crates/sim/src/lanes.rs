@@ -1,23 +1,22 @@
-//! Lane-batched episode execution: K episodes stepped in lockstep per
-//! worker, with every deferred NN evaluation of the group answered by one
-//! batched forward pass ([`cv_nn::Mlp::forward_batch_into`]).
+//! Batch modes and the worker driver: every batch path runs its episodes
+//! through [`drive_worker`], which steps them on the episode stepper
+//! ([`crate::stepper`]) with the two policies its [`BatchMode`] selects.
 //!
-//! The per-episode path evaluates the planner network once per control
-//! step on a 1-row input — far below the arithmetic intensity the dense
-//! kernels want. Here each worker owns a [`LaneGroup`] of `K ≤ 8` episode
-//! *lanes*; every lane runs its own episode through a resumable
-//! [`EpisodeStepper`] that executes communication, sensing, estimation,
-//! window fusion, and (for compound stacks) the monitor/emergency logic
-//! per episode, but **defers** NN evaluations. The group gathers the
-//! deferred observations into the columns of a structure-of-arrays input
-//! slab and answers all of them with one `(out×in)·(in×8)` matmul chain.
+//! A worker owns a [`LaneGroup`] of `K` episode *lanes* (`K =`
+//! [`BatchMode::lanes_for`] the stack). With one lane, the stepper answers
+//! NN steps inline and runs each episode to its outcome in one call. With
+//! `K > 1` (`Lanes(k)` on a stack with an embedded NN planner — the only
+//! kind with anything to batch), every lane runs its own episode but
+//! **defers** NN evaluations: the group gathers the parked observations
+//! into the columns of a structure-of-arrays input slab and answers all of
+//! them with one `(out×in)·(in×8)` matmul chain
+//! ([`cv_nn::Mlp::forward_batch_into`]).
 //!
 //! **Refill policy:** lanes are independent. When an episode finishes
 //! early (collision / reached target), its lane immediately claims the
-//! next unclaimed episode index from the shared [`WorkQueue`] — an
-//! early-exit episode never stalls the rest of the group. A lane whose
-//! stepper is between NN steps (emergency planner in control) simply
-//! skips rounds of the batched forward.
+//! next unclaimed episode index — an early-exit episode never stalls the
+//! rest of the group. A lane whose episode is between NN steps (emergency
+//! planner in control) simply skips rounds of the batched forward.
 //!
 //! **Determinism and tolerance contract (DESIGN.md §15):** which lane —
 //! and which group — an episode lands in is racy by design, so per-episode
@@ -26,10 +25,10 @@
 //! dead lanes carry zeros. Results therefore depend only on the episode
 //! configuration and the configured [`BatchMode`]:
 //!
-//! * `Lanes(1)` routes every NN evaluation through the exact per-episode
-//!   `predict_into` path and is **bit-identical** to
-//!   [`crate::run_batch_supervised`];
-//! * `Lanes(k)` for `k > 1` uses the padded 8-wide kernel. Both paths
+//! * `PerEpisode`, `Lanes(1)` and `EventDriven` answer every NN step inline
+//!   with the executor's own planner and are **bit-identical** to each
+//!   other (`tests/engine_golden.rs` pins them across commits);
+//! * `Lanes(k)` for `k > 1` uses the padded 8-wide kernel. Both kernels
 //!   share cv-nn's one vectorised `tanh`; the lane kernel's FMA
 //!   contraction and missing zero-skip differ from the per-episode path
 //!   at the last few ulps, so trajectories can diverge at decision
@@ -39,36 +38,34 @@ use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use cv_comm::Message;
-use cv_dynamics::{VehicleLimits, VehicleState};
-use cv_nn::{BatchScratch, LanePlan, Matrix, Mlp, MlpScratch, LANE_WIDTH};
+use cv_dynamics::VehicleLimits;
+use cv_nn::{BatchScratch, LanePlan, Matrix, Mlp, LANE_WIDTH};
 use cv_planner::NnPlanner;
-use safe_shield::{Observation, Outcome, PlannerSource, Scenario};
+use safe_shield::{Observation, Outcome};
 
-use crate::cadence::Cadence;
-use crate::events::run_batch_event_driven;
-use crate::scheduler::WorkQueue;
-use crate::stack::StepPlan;
+use crate::scheduler::fan_out;
+use crate::stepper::{NnAnswer, Pairs, StepAdvance};
 use crate::supervise::payload_string;
 use crate::{
-    run_batch_supervised, BatchConfig, BatchReport, EpisodeConfig, EpisodeOutcome, EpisodeResult,
-    EpisodeWorkspace, Quarantine, SimError, SkipReason, StackSpec,
+    BatchConfig, BatchReport, EpisodeConfig, EpisodeOutcome, EpisodeResult, EpisodeWorkspace,
+    Quarantine, SimError, SkipReason, StackSpec,
 };
 
 /// How a batch distributes episodes over each worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum BatchMode {
-    /// The reference path: one episode at a time per worker, bit-identical
-    /// to [`crate::run_batch_supervised`].
+    /// The reference path: one episode at a time per worker, every pair
+    /// polled every tick.
+    #[default]
     PerEpisode,
     /// K episodes stepped in lockstep per worker (`1 ≤ K ≤` [`LANE_WIDTH`]).
     /// `Lanes(1)` is bit-identical to [`BatchMode::PerEpisode`]; larger K
     /// is covered by the tolerance contract (module docs).
     Lanes(usize),
-    /// The event-driven engine ([`crate::events`]): one episode at a time
-    /// per worker, with V2V deliveries scheduled on an event wheel and
-    /// cleared vehicle pairs retired from the per-tick loop. Bit-identical
-    /// to [`BatchMode::PerEpisode`] (DESIGN.md §18); fastest on sparse
+    /// One episode at a time per worker on the event wheel
+    /// ([`crate::events`]): V2V deliveries scheduled at send time and
+    /// cleared vehicle pairs retired. Bit-identical to
+    /// [`BatchMode::PerEpisode`] (DESIGN.md §18); fastest on sparse
     /// platoon workloads where most pairs are quiescent most of the time.
     EventDriven,
 }
@@ -80,6 +77,17 @@ impl BatchMode {
         match self {
             BatchMode::PerEpisode | BatchMode::EventDriven => 1,
             BatchMode::Lanes(k) => *k,
+        }
+    }
+
+    /// The lanes a worker steps for `spec`: [`BatchMode::lanes`] when the
+    /// stack embeds an NN planner, `1` otherwise (lockstep has nothing to
+    /// batch).
+    pub fn lanes_for(&self, spec: &StackSpec) -> usize {
+        if spec.nn_planner().is_some() {
+            self.lanes()
+        } else {
+            1
         }
     }
 
@@ -162,261 +170,6 @@ pub fn lane_tolerance_check(
     Ok(())
 }
 
-/// What [`EpisodeStepper::advance`] came back with.
-enum StepAdvance {
-    /// The episode reached its ground-truth outcome.
-    Finished(EpisodeResult),
-    /// The stepper is parked mid-step: the NN must be evaluated on `obs`
-    /// and the lane resumed with the mapped acceleration.
-    NeedsNn { obs: Observation },
-    /// The interrupt flag was observed set at a step boundary.
-    Interrupted,
-}
-
-/// Mutable per-episode state of a parked [`EpisodeStepper`].
-struct RunState {
-    cfg: EpisodeConfig,
-    slot: usize,
-    ego: VehicleState,
-    ego_limits: VehicleLimits,
-    other_limits: VehicleLimits,
-    /// Broadcast cadence, in countdown form (broadcast when due).
-    msg: Cadence,
-    /// Sensing cadence, in countdown form (sense when due).
-    sense: Cadence,
-    steps: u64,
-    step: u64,
-    emergency_steps: u64,
-    total_steps: u64,
-    /// Step time of the outstanding NN evaluation, when parked.
-    pending_time: Option<f64>,
-}
-
-impl RunState {
-    /// Advances the step counter and the cadence countdowns together; the
-    /// two actuation sites (the inline `Ready` path and
-    /// [`EpisodeStepper::resume`]) must stay in lockstep on all three.
-    fn advance_step(&mut self) {
-        self.step += 1;
-        self.msg.advance();
-        self.sense.advance();
-    }
-}
-
-/// A resumable episode: the exact event loop of
-/// [`EpisodeWorkspace::run_interruptible`] (communication, sensing,
-/// ground-truth checks, planning, dynamics — in that order, same RNG
-/// streams), restructured as a state machine that parks whenever the stack
-/// defers an NN evaluation ([`StepAdvance::NeedsNn`]). Lane mode never
-/// records traces.
-struct EpisodeStepper {
-    ws: EpisodeWorkspace,
-    run: Option<RunState>,
-}
-
-impl EpisodeStepper {
-    fn new(spec: StackSpec) -> Self {
-        Self {
-            ws: EpisodeWorkspace::new(spec),
-            run: None,
-        }
-    }
-
-    /// Arms the stepper for one episode (scenario lookup, vehicle/channel
-    /// re-arm, executor reinit) without running any step.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Scenario`] for an invalid geometry, exactly as
-    /// [`EpisodeWorkspace::run`] would.
-    fn start(&mut self, cfg: &EpisodeConfig) -> Result<(), SimError> {
-        #[cfg(feature = "fault-injection")]
-        if let StackSpec::PanicInjection { panic_seeds, .. } = self.ws.spec() {
-            assert!(
-                !panic_seeds.contains(&cfg.seed),
-                "injected planner fault for seed {}",
-                cfg.seed
-            );
-        }
-        let slot = self.ws.scenario_slot(cfg)?;
-        let ego_limits = self.ws.cached_scenarios(slot)[0].ego_limits();
-        let other_limits = self.ws.cached_scenarios(slot)[0].other_limits();
-        self.ws.arm_vehicles(cfg, other_limits);
-
-        let EpisodeWorkspace {
-            spec,
-            exec,
-            scenario_cache,
-            others,
-            ..
-        } = &mut self.ws;
-        let scenarios = scenario_cache[slot].1.as_slice();
-        match exec {
-            Some(e) => spec.reinit(e, cfg, scenarios, others),
-            None => *exec = Some(spec.build(cfg, scenarios)),
-        }
-
-        self.run = Some(RunState {
-            ego: cfg.ego_init,
-            msg: Cadence::new(cfg.dt_m, cfg.dt_c),
-            sense: Cadence::new(cfg.dt_s, cfg.dt_c),
-            steps: (cfg.horizon / cfg.dt_c).ceil() as u64,
-            step: 0,
-            emergency_steps: 0,
-            total_steps: 0,
-            pending_time: None,
-            cfg: cfg.clone(),
-            slot,
-            ego_limits,
-            other_limits,
-        });
-        Ok(())
-    }
-
-    /// Runs the episode forward until it finishes, defers an NN step, or
-    /// observes the interrupt flag at a step boundary.
-    ///
-    /// When the stepper is parked on a deferred evaluation, `resume` must
-    /// carry the mapped acceleration: the call first completes the parked
-    /// step (decision source [`PlannerSource::NeuralNetwork`], the exact
-    /// actuation tail of the per-episode loop) and then keeps stepping.
-    /// Folding the resume into the advance this way costs one prologue
-    /// (workspace destructure, scenario lookup) per lane per round instead
-    /// of two.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called without a successful [`EpisodeStepper::start`], if
-    /// an evaluation is outstanding and `resume` is `None`, or if `resume`
-    /// is `Some` with no evaluation outstanding.
-    fn advance(&mut self, resume: Option<f64>, interrupt: Option<&AtomicBool>) -> StepAdvance {
-        let EpisodeStepper { ws, run } = self;
-        let state = run.as_mut().expect("advance() before start()");
-        let EpisodeWorkspace {
-            exec,
-            scenario_cache,
-            channels,
-            sensors,
-            drivers,
-            others,
-            inbox,
-            ..
-        } = ws;
-        let exec = exec.as_mut().expect("executor armed by start()");
-        let scenarios = scenario_cache[state.slot].1.as_slice();
-        // Copied out so `state` stays free for whole-struct method calls
-        // (`advance_step`) inside the loop.
-        let dt_c = state.cfg.dt_c;
-        let sensor_dropout = state.cfg.sensor_dropout;
-
-        match (state.pending_time.take(), resume) {
-            (Some(t), Some(accel)) => {
-                state.ego = state.ego_limits.step(&state.ego, accel, dt_c);
-                crate::driver::actuate_others(&state.cfg, state.other_limits, drivers, others, t);
-                state.advance_step();
-            }
-            (None, None) => {}
-            (Some(_), None) => panic!("advance() with an NN evaluation outstanding"),
-            (None, Some(_)) => panic!("resume without an outstanding NN evaluation"),
-        }
-
-        let (outcome, collided_pair) = loop {
-            if state.step > state.steps {
-                break (Outcome::Timeout, None);
-            }
-            if let Some(flag) = interrupt {
-                if flag.load(Ordering::Relaxed) {
-                    return StepAdvance::Interrupted;
-                }
-            }
-            let t = state.step as f64 * dt_c;
-            let msg_now = state.msg.due();
-            let sense_now = state.sense.due();
-
-            // V2V broadcast and delivery, then sensing — per vehicle.
-            for (i, other) in others.iter().enumerate() {
-                if msg_now {
-                    channels[i]
-                        .chan
-                        .send(Message::from_state(1 + i, t, other), t);
-                }
-                inbox.clear();
-                channels[i].chan.receive_into(t, inbox);
-                for msg in inbox.iter() {
-                    exec.estimator_mut(i).on_message(msg);
-                }
-                if sense_now {
-                    // Dropout-free sensors keep the historical RNG stream.
-                    let maybe = if sensor_dropout > 0.0 {
-                        sensors[i].try_measure(1 + i, t, other)
-                    } else {
-                        Some(sensors[i].measure(1 + i, t, other))
-                    };
-                    if let Some(m) = maybe {
-                        exec.estimator_mut(i).on_measurement(&m);
-                    }
-                }
-            }
-
-            // Ground-truth evaluation, attributed to the colliding pair.
-            if let Some(hit) = scenarios
-                .iter()
-                .zip(others.iter())
-                .position(|(s, other)| s.collision(&state.ego, other))
-            {
-                break (Outcome::Collision { time: t }, Some(hit));
-            }
-            if scenarios[0].target_reached(t, &state.ego) {
-                break (Outcome::Reached { time: t }, None);
-            }
-
-            // Plan; either complete the step inline or park for the group.
-            match exec.plan_prepare(t, &state.ego) {
-                StepPlan::Ready(decision) => {
-                    state.total_steps += 1;
-                    if decision.source == PlannerSource::Emergency {
-                        state.emergency_steps += 1;
-                    }
-                    state.ego = state.ego_limits.step(&state.ego, decision.accel, dt_c);
-                    crate::driver::actuate_others(
-                        &state.cfg,
-                        state.other_limits,
-                        drivers,
-                        others,
-                        t,
-                    );
-                    state.advance_step();
-                }
-                StepPlan::Nn { obs } => {
-                    state.total_steps += 1;
-                    state.pending_time = Some(t);
-                    return StepAdvance::NeedsNn { obs };
-                }
-            }
-        };
-
-        let result = EpisodeResult {
-            eta: outcome.eta(),
-            outcome,
-            emergency_steps: state.emergency_steps,
-            total_steps: state.total_steps,
-            collided_pair,
-            traces: None,
-        };
-        *run = None;
-        StepAdvance::Finished(result)
-    }
-
-    /// Discards the (possibly torn) workspace after a contained panic and
-    /// rebuilds it from the spec — the same recovery as
-    /// [`EpisodeWorkspace::run_supervised`].
-    fn rebuild(&mut self) {
-        let spec = self.ws.spec().clone();
-        self.ws = EpisodeWorkspace::new(spec);
-        self.run = None;
-    }
-}
-
 /// The group's shared batched NN evaluator: the lane plan (pre-transposed
 /// weights), the SoA activation slabs, and the gather/scatter buffers.
 struct GroupNn {
@@ -429,8 +182,6 @@ struct GroupNn {
     scaling: cv_planner::FeatureScaling,
     limits: VehicleLimits,
     net: Mlp,
-    /// Per-sample scratch for the `Lanes(1)` exact path.
-    solo: MlpScratch,
 }
 
 impl GroupNn {
@@ -443,7 +194,6 @@ impl GroupNn {
             out: Matrix::zeros(net.output_dim(), LANE_WIDTH),
             scaling: planner.scaling(),
             limits: planner.limits(),
-            solo: MlpScratch::for_net(&net),
             net,
         }
     }
@@ -481,59 +231,76 @@ impl GroupNn {
     fn accel(&self, slot: usize) -> f64 {
         NnPlanner::map_output(&self.limits, self.out.get(0, slot))
     }
-
-    /// The `Lanes(1)` exact path: per-sample `predict_into`, bit-identical
-    /// to [`NnPlanner`]'s own `plan`.
-    fn solo_accel(&mut self, obs: &Observation) -> f64 {
-        let features = NnPlanner::scaled_features(&self.scaling, obs);
-        let mut out = [0.0f64];
-        self.net
-            .predict_into(&features, &mut self.solo, &mut out)
-            .expect("network arity checked at planner construction");
-        NnPlanner::map_output(&self.limits, out[0])
-    }
 }
 
 /// One lane slot of a [`LaneGroup`].
 struct Lane {
-    stepper: EpisodeStepper,
-    /// Episode index this lane is running; meaningless when inactive.
-    index: usize,
-    /// Seed of that episode (kept so fault reporting never rebuilds the
-    /// episode config mid-round).
-    seed: u64,
-    active: bool,
-    /// Gathered an NN evaluation this round; resumed after the forward.
+    ws: EpisodeWorkspace,
+    /// Index and configuration of the episode this lane runs; `None` when
+    /// idle.
+    episode: Option<(usize, EpisodeConfig)>,
+    /// Parked on an NN evaluation gathered this round; resumed after the
+    /// forward.
     waiting: bool,
 }
 
-/// K episode lanes driven in lockstep by one worker (module docs).
+impl Lane {
+    /// Discards the (possibly torn) workspace after a contained panic and
+    /// rebuilds it from the spec.
+    fn rebuild(&mut self) {
+        self.ws = EpisodeWorkspace::new(self.ws.spec().clone());
+        self.episode = None;
+        self.waiting = false;
+    }
+}
+
+/// Records a contained panic of episode `seed` and types it.
+fn panicked(
+    quarantine: Option<&Quarantine>,
+    seed: u64,
+    payload: &(dyn std::any::Any + Send),
+) -> EpisodeOutcome {
+    if let Some(q) = quarantine {
+        q.record_panic(seed);
+    }
+    EpisodeOutcome::Panicked {
+        seed,
+        payload: payload_string(payload),
+    }
+}
+
+/// The episode lanes of one worker (module docs).
 struct LaneGroup {
     lanes: Vec<Lane>,
-    nn: GroupNn,
-    k: usize,
+    /// The batched evaluator answering deferred NN steps; `None` when the
+    /// stepper answers inline (one lane).
+    nn: Option<GroupNn>,
+    pairs: Pairs,
 }
 
 impl LaneGroup {
-    fn new(spec: &StackSpec, planner: &NnPlanner, k: usize) -> Self {
+    fn new(spec: &StackSpec, mode: BatchMode) -> Self {
+        let k = mode.lanes_for(spec);
         Self {
             lanes: (0..k)
                 .map(|_| Lane {
-                    stepper: EpisodeStepper::new(spec.clone()),
-                    index: usize::MAX,
-                    seed: 0,
-                    active: false,
+                    ws: EpisodeWorkspace::new(spec.clone()),
+                    episode: None,
                     waiting: false,
                 })
                 .collect(),
-            nn: GroupNn::new(planner),
-            k,
+            nn: spec.nn_planner().filter(|_| k > 1).map(GroupNn::new),
+            pairs: if mode == BatchMode::EventDriven {
+                Pairs::Wheel
+            } else {
+                Pairs::Poll
+            },
         }
     }
 
-    /// Claims episodes for every inactive lane; episodes that are skipped,
-    /// invalid, or panic during arming are emitted without occupying a
-    /// lane. Returns whether any lane is active afterwards.
+    /// Claims episodes for every idle lane; episodes that are skipped,
+    /// invalid, or panic while arming are emitted without occupying a
+    /// lane. Returns whether any lane is busy afterwards.
     fn refill(
         &mut self,
         claim: &mut dyn FnMut() -> Option<usize>,
@@ -542,75 +309,51 @@ impl LaneGroup {
         interrupt: Option<&AtomicBool>,
         emit: &mut dyn FnMut(usize, EpisodeOutcome),
     ) -> bool {
-        for lane in self.lanes.iter_mut() {
-            if lane.active {
-                continue;
-            }
+        let pairs = self.pairs;
+        let answer = if self.nn.is_some() {
+            NnAnswer::Deferred
+        } else {
+            NnAnswer::Inline
+        };
+        for lane in self.lanes.iter_mut().filter(|l| l.episode.is_none()) {
             while let Some(i) = claim() {
                 let cfg = batch.episode(i);
+                let seed = cfg.seed;
                 if interrupt.is_some_and(|f| f.load(Ordering::Relaxed)) {
-                    emit(
-                        i,
-                        EpisodeOutcome::Skipped {
-                            seed: cfg.seed,
-                            reason: SkipReason::Interrupted,
-                        },
-                    );
+                    let reason = SkipReason::Interrupted;
+                    emit(i, EpisodeOutcome::Skipped { seed, reason });
                     continue;
                 }
-                if let Some(panics) = quarantine.and_then(|q| q.is_quarantined(cfg.seed)) {
-                    emit(
-                        i,
-                        EpisodeOutcome::Skipped {
-                            seed: cfg.seed,
-                            reason: SkipReason::Quarantined { panics },
-                        },
-                    );
+                if let Some(panics) = quarantine.and_then(|q| q.is_quarantined(seed)) {
+                    let reason = SkipReason::Quarantined { panics };
+                    emit(i, EpisodeOutcome::Skipped { seed, reason });
                     continue;
                 }
-                // AssertUnwindSafe: the stepper is rebuilt wholesale on the
+                // AssertUnwindSafe: the lane is rebuilt wholesale on the
                 // panic path, so no torn state survives the catch.
-                match catch_unwind(AssertUnwindSafe(|| lane.stepper.start(&cfg))) {
+                match catch_unwind(AssertUnwindSafe(|| {
+                    lane.ws.start(&cfg, pairs, answer, false)
+                })) {
                     Ok(Ok(())) => {
-                        lane.index = i;
-                        lane.seed = cfg.seed;
-                        lane.active = true;
-                        lane.waiting = false;
+                        lane.episode = Some((i, cfg));
                         break;
                     }
-                    Ok(Err(error)) => {
-                        emit(
-                            i,
-                            EpisodeOutcome::Failed {
-                                seed: cfg.seed,
-                                error,
-                            },
-                        );
-                    }
+                    Ok(Err(error)) => emit(i, EpisodeOutcome::Failed { seed, error }),
                     Err(payload) => {
-                        if let Some(q) = quarantine {
-                            q.record_panic(cfg.seed);
-                        }
-                        emit(
-                            i,
-                            EpisodeOutcome::Panicked {
-                                seed: cfg.seed,
-                                payload: payload_string(payload.as_ref()),
-                            },
-                        );
-                        lane.stepper.rebuild();
+                        emit(i, panicked(quarantine, seed, payload.as_ref()));
+                        lane.rebuild();
                     }
                 }
             }
         }
-        self.lanes.iter().any(|l| l.active)
+        self.lanes.iter().any(|l| l.episode.is_some())
     }
 
     /// One lockstep round: resume every lane parked on the previous
-    /// round's forward results, advance each active lane to its next
-    /// deferred NN step (or to completion), then answer the newly deferred
-    /// evaluations with one batched forward — consumed at the start of the
-    /// next round.
+    /// round's forward results, advance each busy lane to its next deferred
+    /// NN step (or, answering inline, to its outcome), then answer the newly
+    /// deferred evaluations with one batched forward — consumed at the
+    /// start of the next round.
     ///
     /// Panic isolation is per *sweep*, not per lane-advance: one
     /// `catch_unwind` wraps the whole advance loop, with the lane currently
@@ -629,75 +372,36 @@ impl LaneGroup {
             let in_flight = Cell::new(start);
             let lanes = &mut self.lanes;
             let nn = &mut self.nn;
-            let k = self.k;
-            // AssertUnwindSafe: the panicking lane's stepper is rebuilt
-            // wholesale below; no other lane is mid-mutation when one
-            // lane's advance unwinds.
+            // AssertUnwindSafe: the panicking lane is rebuilt wholesale
+            // below; no other lane is mid-mutation when one lane's advance
+            // unwinds.
             let caught = catch_unwind(AssertUnwindSafe(|| {
                 for (slot, lane) in lanes.iter_mut().enumerate().skip(start) {
-                    if !lane.active {
+                    let Some((index, cfg)) = &lane.episode else {
                         continue;
-                    }
+                    };
+                    let (index, seed) = (*index, cfg.seed);
                     in_flight.set(slot);
-                    if k == 1 {
-                        // Exact path: answer each deferred step inline
-                        // through the per-sample kernel; a Lanes(1) batch
-                        // is bit-identical to the per-episode path by
-                        // construction.
-                        let mut resume = None;
-                        loop {
-                            match lane.stepper.advance(resume, interrupt) {
-                                StepAdvance::NeedsNn { obs } => {
-                                    resume = Some(nn.solo_accel(&obs));
-                                }
-                                StepAdvance::Finished(result) => {
-                                    lane.active = false;
-                                    emit(lane.index, EpisodeOutcome::Completed(result));
-                                    break;
-                                }
-                                StepAdvance::Interrupted => {
-                                    lane.active = false;
-                                    emit(
-                                        lane.index,
-                                        EpisodeOutcome::Skipped {
-                                            seed: lane.seed,
-                                            reason: SkipReason::Interrupted,
-                                        },
-                                    );
-                                    break;
-                                }
-                            }
-                        }
-                        continue;
-                    }
                     // A lane parked last round consumes its column of the
                     // forward results computed at the end of that round.
-                    let resume = if lane.waiting {
-                        lane.waiting = false;
-                        Some(nn.accel(slot))
-                    } else {
-                        None
-                    };
-                    match lane.stepper.advance(resume, interrupt) {
+                    let resume = std::mem::take(&mut lane.waiting)
+                        .then(|| nn.as_ref().expect("parked lanes are deferred").accel(slot));
+                    let outcome = match lane.ws.advance(cfg, resume, interrupt) {
                         StepAdvance::NeedsNn { obs } => {
-                            nn.gather(slot, &obs);
+                            nn.as_mut()
+                                .expect("parked lanes are deferred")
+                                .gather(slot, &obs);
                             lane.waiting = true;
+                            continue;
                         }
-                        StepAdvance::Finished(result) => {
-                            lane.active = false;
-                            emit(lane.index, EpisodeOutcome::Completed(result));
-                        }
-                        StepAdvance::Interrupted => {
-                            lane.active = false;
-                            emit(
-                                lane.index,
-                                EpisodeOutcome::Skipped {
-                                    seed: lane.seed,
-                                    reason: SkipReason::Interrupted,
-                                },
-                            );
-                        }
-                    }
+                        StepAdvance::Finished(result) => EpisodeOutcome::Completed(result),
+                        StepAdvance::Interrupted => EpisodeOutcome::Skipped {
+                            seed,
+                            reason: SkipReason::Interrupted,
+                        },
+                    };
+                    lane.episode = None;
+                    emit(index, outcome);
                 }
             }));
             match caught {
@@ -705,23 +409,16 @@ impl LaneGroup {
                 Err(payload) => {
                     let slot = in_flight.get();
                     let lane = &mut self.lanes[slot];
-                    lane.active = false;
-                    lane.waiting = false;
-                    if let Some(q) = quarantine {
-                        q.record_panic(lane.seed);
-                    }
-                    emit(
-                        lane.index,
-                        EpisodeOutcome::Panicked {
-                            seed: lane.seed,
-                            payload: payload_string(payload.as_ref()),
-                        },
-                    );
-                    lane.stepper.rebuild();
+                    let (index, cfg) = lane.episode.take().expect("in-flight lane is busy");
+                    emit(index, panicked(quarantine, cfg.seed, payload.as_ref()));
+                    lane.rebuild();
                     start = slot + 1;
                 }
             }
         }
+        let Some(nn) = self.nn.as_mut() else {
+            return;
+        };
         if !self.lanes.iter().any(|l| l.waiting) {
             return;
         }
@@ -729,65 +426,59 @@ impl LaneGroup {
         // diagnostic dump of it — are a pure function of the waiting set.
         // Columns `k..LANE_WIDTH` are never gathered into, so they hold
         // their construction-time zeros for the life of the group.
-        for slot in 0..self.k {
-            if !self.lanes[slot].waiting {
-                self.nn.clear_lane(slot);
+        for (slot, lane) in self.lanes.iter().enumerate() {
+            if !lane.waiting {
+                nn.clear_lane(slot);
             }
         }
-        debug_assert!(
-            (self.k..LANE_WIDTH).all(|s| (0..Observation::FEATURES).all(|r| self
-                .nn
-                .input
-                .get(r, s)
-                == 0.0))
-        );
-        // The results stay in the output slab; each waiting lane consumes
-        // its column at the start of the next round's sweep, folding the
-        // resume into that round's advance call.
-        self.nn.forward();
+        debug_assert!((self.lanes.len()..LANE_WIDTH)
+            .all(|s| (0..Observation::FEATURES).all(|r| nn.input.get(r, s) == 0.0)));
+        nn.forward();
     }
 }
 
-/// Drives one worker's [`LaneGroup`] until `claim` runs dry and every lane
-/// retires. `emit` receives exactly one outcome per claimed index.
+/// The worker driver: runs episodes claimed from `claim` on one worker's
+/// [`LaneGroup`] until `claim` runs dry and every lane retires, emitting
+/// exactly one typed outcome per claimed index. `mode` selects the
+/// stepper's policies (module docs); `interrupt` is honoured at step
+/// granularity; `quarantine` is consulted before each episode and updated
+/// on each contained panic.
 ///
-/// This is the building block [`run_batch_lanes`] fans out across workers;
-/// it is public so external schedulers (e.g. the server's sharded worker
-/// pool) can feed a lane group from their own claim queue while keeping
-/// the same numeric contract. `claim` yields episode indices into `batch`;
-/// `interrupt` is honoured at step granularity.
-#[allow(clippy::too_many_arguments)] // the full fault-semantics surface of one worker
-pub fn drive_lanes(
+/// Every batch path calls this: [`run_batch_lanes`] fans it out across
+/// workers, and external schedulers (the cv-server shards) feed it from
+/// their own claim queues with the same fault and numeric contract.
+pub fn drive_worker(
     claim: &mut dyn FnMut() -> Option<usize>,
     batch: &BatchConfig,
     spec: &StackSpec,
-    planner: &NnPlanner,
-    k: usize,
+    mode: BatchMode,
     quarantine: Option<&Quarantine>,
     interrupt: Option<&AtomicBool>,
     emit: &mut dyn FnMut(usize, EpisodeOutcome),
 ) {
-    let mut group = LaneGroup::new(spec, planner, k);
+    let mut group = LaneGroup::new(spec, mode);
     while group.refill(claim, batch, quarantine, interrupt, emit) {
         group.round(quarantine, interrupt, emit);
     }
 }
 
-/// Runs every episode of `batch` under supervision with lane batching:
-/// each worker steps [`BatchMode::lanes`] episodes in lockstep and answers
-/// their NN evaluations with one batched forward pass per round.
+/// Runs every episode of `batch` under supervision in `mode`: the one
+/// supervised batch entry point. Workers claim episode indices from one
+/// shared queue and run them through [`drive_worker`]; indices a dead
+/// worker never reported are re-run by the coordinator through a fresh
+/// driver of the same mode, so rescued episodes obey the same numeric
+/// contract.
 ///
-/// Fault semantics are identical to [`crate::run_batch_supervised`]
-/// (typed per-episode outcomes, panic isolation, quarantine, step-granular
-/// interruption). [`BatchMode::PerEpisode`] — and any stack without an
-/// embedded NN planner, where lockstep has nothing to batch — delegates to
-/// the per-episode path outright. Numerics follow the module-level
-/// determinism/tolerance contract.
+/// Every episode yields a typed [`EpisodeOutcome`] (completed / failed /
+/// panicked / skipped); `quarantine` skips seeds that keep panicking and
+/// `interrupt` stops the batch at episode-step granularity. Numerics follow
+/// the module-level determinism/tolerance contract.
 ///
 /// # Errors
 ///
 /// [`SimError::InvalidBatch`] for an unrunnable batch configuration or a
-/// lane count outside `1..=`[`LANE_WIDTH`].
+/// lane count outside `1..=`[`LANE_WIDTH`]; per-episode faults are reported
+/// in the [`BatchReport`], never as an error.
 pub fn run_batch_lanes(
     batch: &BatchConfig,
     spec: &StackSpec,
@@ -797,94 +488,10 @@ pub fn run_batch_lanes(
 ) -> Result<BatchReport, SimError> {
     batch.validate()?;
     mode.validate()?;
-    let k = match mode {
-        BatchMode::PerEpisode => return run_batch_supervised(batch, spec, quarantine, interrupt),
-        BatchMode::EventDriven => {
-            return run_batch_event_driven(batch, spec, quarantine, interrupt)
-        }
-        BatchMode::Lanes(k) => k,
-    };
-    let Some(planner) = spec.nn_planner() else {
-        return run_batch_supervised(batch, spec, quarantine, interrupt);
-    };
-
-    let workers = batch.worker_count().max(1).min(batch.episodes);
-    let mut slots: Vec<Option<EpisodeOutcome>> = Vec::new();
-    slots.resize_with(batch.episodes, || None);
-
-    if workers == 1 {
-        let queue = WorkQueue::new(batch.episodes);
-        drive_lanes(
-            &mut || queue.claim(),
-            batch,
-            spec,
-            planner,
-            k,
-            quarantine,
-            interrupt,
-            &mut |i, outcome| slots[i] = Some(outcome),
-        );
-    } else {
-        let queue = WorkQueue::new(batch.episodes);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let queue = &queue;
-                    scope.spawn(move || {
-                        let mut local: Vec<(usize, EpisodeOutcome)> = Vec::new();
-                        drive_lanes(
-                            &mut || queue.claim(),
-                            batch,
-                            spec,
-                            planner,
-                            k,
-                            quarantine,
-                            interrupt,
-                            &mut |i, outcome| local.push((i, outcome)),
-                        );
-                        local
-                    })
-                })
-                .collect();
-            for handle in handles {
-                // As in the scheduler: a worker that dies between claiming
-                // and reporting loses its buffer; the rescue below re-runs
-                // those indices.
-                if let Ok(local) = handle.join() {
-                    for (i, outcome) in local {
-                        slots[i] = Some(outcome);
-                    }
-                }
-            }
-        });
-    }
-
-    // Rescue pass: any index a dead worker never reported is re-run inline
-    // through a fresh single-lane-at-a-time group of the same width, so
-    // rescued episodes obey the same numeric contract as the rest.
-    for i in 0..slots.len() {
-        if slots[i].is_some() {
-            continue;
-        }
-        let mut once = Some(i);
-        drive_lanes(
-            &mut || once.take(),
-            batch,
-            spec,
-            planner,
-            k,
-            quarantine,
-            interrupt,
-            &mut |j, outcome| slots[j] = Some(outcome),
-        );
-    }
-
-    Ok(BatchReport {
-        outcomes: slots
-            .into_iter()
-            .map(|s| s.expect("every episode emitted exactly once"))
-            .collect(),
-    })
+    let outcomes = fan_out(batch.episodes, batch.worker_count(), |claim, emit| {
+        drive_worker(claim, batch, spec, mode, quarantine, interrupt, emit);
+    });
+    Ok(BatchReport { outcomes })
 }
 
 #[cfg(test)]
@@ -921,7 +528,7 @@ mod tests {
     #[test]
     fn lanes_of_one_is_bit_identical_to_per_episode() {
         let (batch, spec) = nn_batch(10, 1);
-        let reference = run_batch_supervised(&batch, &spec, None, None).unwrap();
+        let reference = run_batch_lanes(&batch, &spec, BatchMode::PerEpisode, None, None).unwrap();
         let lanes = run_batch_lanes(&batch, &spec, BatchMode::Lanes(1), None, None).unwrap();
         assert_eq!(reference, lanes, "Lanes(1) must be bit-identical");
         for (a, b) in reference.outcomes.iter().zip(&lanes.outcomes) {
@@ -947,7 +554,7 @@ mod tests {
     #[test]
     fn batched_lanes_pass_the_tolerance_gate() {
         let (batch, spec) = nn_batch(10, 2);
-        let reference = run_batch_supervised(&batch, &spec, None, None).unwrap();
+        let reference = run_batch_lanes(&batch, &spec, BatchMode::PerEpisode, None, None).unwrap();
         for k in [2, 4, 8] {
             let lanes = run_batch_lanes(&batch, &spec, BatchMode::Lanes(k), None, None).unwrap();
             for (i, (a, b)) in reference.outcomes.iter().zip(&lanes.outcomes).enumerate() {
@@ -962,7 +569,7 @@ mod tests {
         let template = EpisodeConfig::paper_default(5);
         let spec = StackSpec::pure_teacher_conservative(&template).unwrap();
         let batch = BatchConfig::new(template, 6);
-        let reference = run_batch_supervised(&batch, &spec, None, None).unwrap();
+        let reference = run_batch_lanes(&batch, &spec, BatchMode::PerEpisode, None, None).unwrap();
         let lanes = run_batch_lanes(&batch, &spec, BatchMode::Lanes(8), None, None).unwrap();
         assert_eq!(reference, lanes);
     }
@@ -973,7 +580,7 @@ mod tests {
         // episodes still complete and match the per-episode reference gate.
         let (mut batch, spec) = nn_batch(8, 1);
         batch.starts = vec![batch.starts[0], 10.0];
-        let reference = run_batch_supervised(&batch, &spec, None, None).unwrap();
+        let reference = run_batch_lanes(&batch, &spec, BatchMode::PerEpisode, None, None).unwrap();
         let lanes = run_batch_lanes(&batch, &spec, BatchMode::Lanes(4), None, None).unwrap();
         let summary = lanes.summary();
         assert_eq!((summary.requested, summary.failed), (8, 4));

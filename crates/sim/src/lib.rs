@@ -14,24 +14,22 @@
 //!   unsafe set).
 //! * [`run_episode`] — simulates one episode and scores it with the paper's
 //!   `η` ([`safe_shield::Outcome`]).
-//! * [`run_batch`] — multi-threaded Monte-Carlo over seeds and initial
-//!   positions, summarised as the columns of the paper's Tables I/II
-//!   ([`BatchSummary`]): reaching time, safe rate, mean `η`, emergency
-//!   frequency — plus paired per-episode `η`s for winning percentages.
-//!   Episodes are distributed over workers by a dynamic claim-by-index
-//!   [`scheduler`], and every worker reuses an [`EpisodeWorkspace`] so the
-//!   per-step loop allocates nothing in the steady state; results stay
-//!   bit-identical to a serial run.
-//! * [`run_batch_supervised`] — the fault-isolated batch path: every
-//!   episode is wrapped in `catch_unwind` and mapped to a typed
-//!   [`EpisodeOutcome`] (completed / failed / panicked / skipped), with
-//!   optional seed [`Quarantine`] and step-granular interruption; episodes
-//!   that complete are bit-identical to a clean run.
-//! * [`run_batch_lanes`] — the lane-batched execution mode
-//!   ([`BatchMode::Lanes`]): each worker steps K ≤ 8 episodes in lockstep
-//!   and answers their deferred NN evaluations with one batched forward
-//!   pass per round (same fault semantics as the supervised path; see the
-//!   [`lanes`] module for the determinism/tolerance contract).
+//! * [`run_batch_lanes`] — the one supervised batch entry point: episodes
+//!   are distributed over workers by a dynamic claim-by-index
+//!   [`scheduler`], and each worker runs them through [`drive_worker`] on
+//!   the [`stepper`], the simulator's one per-step loop, in the
+//!   [`BatchMode`] the caller picks (per-episode, lane-batched NN inference
+//!   — see [`lanes`] — or the event wheel — see [`events`]). Every episode
+//!   is wrapped in `catch_unwind` and mapped to a typed [`EpisodeOutcome`]
+//!   (completed / failed / panicked / skipped), with optional seed
+//!   [`Quarantine`] and step-granular interruption. Every worker reuses an
+//!   [`EpisodeWorkspace`], so the per-step loop allocates nothing in the
+//!   steady state, and results stay bit-identical to a serial run.
+//! * [`run_batch`] — its strict per-episode wrapper: the paper's
+//!   Monte-Carlo over seeds and initial positions, summarised as the
+//!   columns of Tables I/II ([`BatchSummary`]): reaching time, safe rate,
+//!   mean `η`, emergency frequency — plus paired per-episode `η`s for
+//!   winning percentages.
 //! * [`training`] — closed-loop teacher rollouts + behaviour cloning to
 //!   produce the conservative/aggressive NN planners (`κ_n,cons`,
 //!   `κ_n,aggr`).
@@ -59,11 +57,12 @@ pub mod lanes;
 mod metrics;
 pub mod scheduler;
 mod stack;
+pub mod stepper;
 pub mod supervise;
 pub mod training;
 pub mod workspace;
 
-pub use batch::{run_batch, run_batch_static, run_batch_summary, BatchConfig};
+pub use batch::{run_batch, run_batch_static, BatchConfig};
 pub use cache::{
     episode_key, episode_weight, stack_digest, store_salt, EpisodeCache, DEFAULT_CACHE_BYTES,
 };
@@ -73,13 +72,9 @@ pub use driver::{Driver, DriverModel, LeadInfo};
 pub use episode::{
     run_episode, DecisionTrace, EpisodeResult, EpisodeTraces, SimError, WindowTrace,
 };
-pub use events::run_batch_event_driven;
-pub use lanes::{lane_tolerance_check, run_batch_lanes, BatchMode};
+pub use lanes::{drive_worker, lane_tolerance_check, run_batch_lanes, BatchMode};
 pub use metrics::{rmse, winning_percentage, BatchSummary};
-pub use scheduler::{for_each_dynamic, WorkQueue};
+pub use scheduler::WorkQueue;
 pub use stack::{StackSpec, WindowKind};
-pub use supervise::{
-    run_batch_supervised, supervised_episode, supervised_episode_with, BatchReport, EngineKind,
-    EpisodeOutcome, Quarantine, SkipReason,
-};
+pub use supervise::{BatchReport, EpisodeOutcome, Quarantine, SkipReason};
 pub use workspace::EpisodeWorkspace;

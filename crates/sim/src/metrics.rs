@@ -11,7 +11,7 @@ pub struct BatchSummary {
     /// Number of episodes that completed and contribute to the statistics.
     pub episodes: usize,
     /// Episodes the batch was asked to run. Equal to `episodes` for a clean
-    /// run; under supervision ([`crate::run_batch_supervised`]) it also
+    /// run; under supervision ([`crate::run_batch_lanes`]) it also
     /// covers the failed / panicked / skipped episodes below.
     pub requested: usize,
     /// Episodes that ended in a typed simulation error.

@@ -1,5 +1,5 @@
-//! Work-stealing batch scheduler shared by [`crate::run_batch`] and the
-//! cv-server worker pool.
+//! Work-stealing batch scheduler shared by [`crate::run_batch_lanes`] and
+//! the cv-server worker pool.
 //!
 //! Episode lengths vary wildly — a collision or a reached target ends an
 //! episode after a fraction of the horizon — so splitting a batch into
@@ -51,74 +51,76 @@ impl WorkQueue {
     }
 }
 
-/// Runs `job(state, index)` for every `index ∈ 0..total` across `workers`
-/// threads with dynamic load balancing, returning the results in index
-/// order.
+/// The one batch fan-out: runs `work` on `workers` threads (the calling
+/// thread alone when `workers <= 1`), each handed a `claim` closure over
+/// one shared [`WorkQueue`] on `0..total` and an `emit` sink that takes
+/// exactly one value per claimed index; returns the values in index order.
 ///
-/// `init` builds one worker-local state (e.g. an episode workspace) per
-/// thread; with `workers <= 1` everything runs on the calling thread with a
-/// single state and no thread is spawned.
-pub fn for_each_dynamic<T, S, I, F>(total: usize, workers: usize, init: I, job: F) -> Vec<T>
+/// A worker that dies between claiming an index and reporting it loses its
+/// whole buffer. The coordinator then re-runs every unreported index
+/// inline, one `work` call per index with a one-shot claim — the index
+/// alone determines the work, so rescued values are what the dead worker
+/// would have produced.
+pub(crate) fn fan_out<T, W>(total: usize, workers: usize, work: W) -> Vec<T>
 where
     T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
+    W: Fn(&mut dyn FnMut() -> Option<usize>, &mut dyn FnMut(usize, T)) + Sync,
 {
-    if total == 0 {
-        return Vec::new();
-    }
-    let workers = workers.max(1).min(total);
-    if workers == 1 {
-        let mut state = init();
-        return (0..total).map(|i| job(&mut state, i)).collect();
-    }
-
-    let queue = WorkQueue::new(total);
     let mut slots: Vec<Option<T>> = Vec::new();
     slots.resize_with(total, || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let queue = &queue;
-                let init = &init;
-                let job = &job;
-                scope.spawn(move || {
-                    let mut state = init();
-                    let mut local: Vec<(usize, T)> = Vec::new();
-                    while let Some(i) = queue.claim() {
-                        local.push((i, job(&mut state, i)));
-                    }
-                    local
+    let queue = WorkQueue::new(total);
+    if workers <= 1 || total <= 1 {
+        work(&mut || queue.claim(), &mut |i, value| {
+            slots[i] = Some(value)
+        });
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers.min(total))
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut local: Vec<(usize, T)> = Vec::new();
+                        work(&mut || queue.claim(), &mut |i, value| {
+                            local.push((i, value))
+                        });
+                        local
+                    })
                 })
-            })
-            .collect();
-        for handle in handles {
-            // A worker that died between claiming indices and reporting its
-            // buffer loses the whole buffer; those indices stay `None` and
-            // the rescue pass below re-runs them. Swallowing the join error
-            // here is what keeps one dead shard from poisoning the scope.
-            if let Ok(local) = handle.join() {
-                for (i, value) in local {
-                    slots[i] = Some(value);
+                .collect();
+            for handle in handles {
+                // Swallowing the join error is what keeps one dead worker
+                // from poisoning the scope; the rescue below covers it.
+                if let Ok(local) = handle.join() {
+                    for (i, value) in local {
+                        slots[i] = Some(value);
+                    }
                 }
             }
+        });
+    }
+    for i in 0..total {
+        if slots[i].is_none() {
+            let mut once = Some(i);
+            work(&mut || once.take(), &mut |j, value| slots[j] = Some(value));
         }
-    });
-    // Supervisor rescue: every unfilled slot belonged to a dead worker.
-    // Re-run them inline on one fresh state — the index alone determines
-    // the work, so the rescued results are identical to what the dead
-    // worker would have produced.
-    let mut rescue: Option<S> = None;
+    }
     slots
         .into_iter()
-        .enumerate()
-        .map(|(i, s)| s.unwrap_or_else(|| job(rescue.get_or_insert_with(&init), i)))
+        .map(|s| s.expect("work emits one value per claimed index"))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `fan_out` with a per-index job, the shape of one episode per claim.
+    fn per_index<T: Send>(total: usize, workers: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        fan_out(total, workers, |claim, emit| {
+            while let Some(i) = claim() {
+                emit(i, job(i));
+            }
+        })
+    }
 
     #[test]
     fn queue_hands_out_each_index_once() {
@@ -132,7 +134,7 @@ mod tests {
     #[test]
     fn results_are_in_index_order_for_any_worker_count() {
         for workers in [1, 2, 3, 8, 64] {
-            let out = for_each_dynamic(33, workers, || (), |(), i| i * i);
+            let out = per_index(33, workers, |i| i * i);
             assert_eq!(
                 out,
                 (0..33).map(|i| i * i).collect::<Vec<_>>(),
@@ -143,22 +145,20 @@ mod tests {
 
     #[test]
     fn worker_state_is_reused_within_a_worker() {
-        // Serial path: a single state sees every index.
-        let out = for_each_dynamic(
-            4,
-            1,
-            || 0usize,
-            |calls, _| {
-                *calls += 1;
-                *calls
-            },
-        );
+        // Serial path: a single worker call sees every index.
+        let out = fan_out(4, 1, |claim, emit| {
+            let mut calls = 0usize;
+            while let Some(i) = claim() {
+                calls += 1;
+                emit(i, calls);
+            }
+        });
         assert_eq!(out, vec![1, 2, 3, 4]);
     }
 
     #[test]
     fn empty_queue_spawns_nothing() {
-        let out: Vec<usize> = for_each_dynamic(0, 8, || (), |(), i| i);
+        let out: Vec<usize> = per_index(0, 8, |i| i);
         assert!(out.is_empty());
     }
 
@@ -170,33 +170,23 @@ mod tests {
         // everything that worker never reported — including index 3 itself,
         // which succeeds on the second attempt.
         let armed = AtomicBool::new(true);
-        let out = for_each_dynamic(
-            16,
-            4,
-            || (),
-            |(), i| {
-                if i == 3 && armed.swap(false, Ordering::Relaxed) {
-                    panic!("injected worker death");
-                }
-                i * 10
-            },
-        );
+        let out = per_index(16, 4, |i| {
+            if i == 3 && armed.swap(false, Ordering::Relaxed) {
+                panic!("injected worker death");
+            }
+            i * 10
+        });
         assert_eq!(out, (0..16).map(|i| i * 10).collect::<Vec<_>>());
     }
 
     #[test]
     fn uneven_loads_still_cover_everything() {
         // Simulated early exits: some "episodes" cost 100x others.
-        let out = for_each_dynamic(
-            64,
-            4,
-            || (),
-            |(), i| {
-                let spins = if i % 7 == 0 { 10_000 } else { 100 };
-                (0..spins).map(std::hint::black_box).sum::<usize>();
-                i
-            },
-        );
+        let out = per_index(64, 4, |i| {
+            let spins = if i % 7 == 0 { 10_000 } else { 100 };
+            (0..spins).map(std::hint::black_box).sum::<usize>();
+            i
+        });
         assert_eq!(out, (0..64).collect::<Vec<_>>());
     }
 }

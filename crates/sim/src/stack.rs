@@ -312,18 +312,18 @@ pub(crate) struct StackExec {
     est_scratch: Vec<VehicleEstimate>,
     /// Window cluster buffer for the unshielded merge, refilled each step.
     win_scratch: Vec<Interval>,
-    /// Event-engine pins: a `Some(est)` here overrides estimator `i`'s live
-    /// estimate with a snapshot taken when the engine retired its vehicle
-    /// (see `crate::events`). Empty in fixed-step operation, where every
-    /// estimate is always recomputed.
+    /// Wheel-schedule pins: a `Some(est)` here overrides estimator `i`'s
+    /// live estimate with a snapshot taken when the stepper retired its
+    /// vehicle (see `crate::events`). Empty under the poll schedule, where
+    /// every estimate is always recomputed.
     frozen: Vec<Option<VehicleEstimate>>,
 }
 
 /// Fills `out` with one estimate per vehicle, honouring frozen pins.
 ///
-/// The single estimate-gathering path for both engines: with no pins armed
-/// (`frozen` empty) this is exactly the fixed-step refill; with pins, a
-/// retired vehicle's snapshot substitutes for its estimator query.
+/// The single estimate-gathering path for both pair schedules: with no pins
+/// armed (`frozen` empty) this is the plain refill; with pins, a retired
+/// vehicle's snapshot substitutes for its estimator query.
 fn fill_estimates(
     out: &mut Vec<VehicleEstimate>,
     frozen: &[Option<VehicleEstimate>],
@@ -351,7 +351,7 @@ fn fill_estimates(
 /// retirement probe), and `v_min > 0` keeps any forward projection there —
 /// so the pinned estimate's window is `None` on every later step, in both
 /// window kinds. Skipping the computation therefore yields exactly the set
-/// the fixed-step engine's live estimates produce; it just stops paying
+/// the poll schedule's live estimates produce; it just stops paying
 /// for windows that are known-`None`.
 fn fill_windows(
     out: &mut Vec<Interval>,
@@ -395,8 +395,7 @@ enum ExecKind {
     },
 }
 
-/// Decision phase of one control step with the NN evaluation deferred —
-/// the per-episode half of the lane-batched execution split.
+/// Decision phase of one control step with the NN evaluation left open.
 pub(crate) enum StepPlan {
     /// The step is fully decided (teacher stacks, or a compound stack whose
     /// monitor escalated to the emergency planner).
@@ -410,9 +409,9 @@ pub(crate) enum StepPlan {
 }
 
 impl StackExec {
-    /// Arms the frozen-pin slots for `n` conflicting vehicles (event engine
-    /// only); all slots start live. Fixed-step engines never call this, so
-    /// their estimate path stays the plain refill.
+    /// Arms the frozen-pin slots for `n` conflicting vehicles (wheel
+    /// schedule only); all slots start live. The poll schedule never calls
+    /// this, so its estimate path stays the plain refill.
     pub(crate) fn arm_frozen(&mut self, n: usize) {
         self.frozen.clear();
         self.frozen.resize(n, None);
@@ -431,61 +430,46 @@ impl StackExec {
         }
     }
 
-    /// Plans one step; returns the decision and the primary vehicle's
-    /// estimate (for tracing).
+    /// Plans one step with the NN answered inline; returns the decision and
+    /// the primary vehicle's estimate.
+    #[cfg(test)]
     pub(crate) fn plan(
         &mut self,
         time: f64,
         ego: &VehicleState,
     ) -> (PlanDecision, VehicleEstimate) {
+        let decision = match self.plan_prepare(time, ego) {
+            StepPlan::Ready(decision) => decision,
+            StepPlan::Nn { obs } => PlanDecision {
+                accel: self.answer(&obs),
+                source: PlannerSource::NeuralNetwork,
+            },
+        };
+        (decision, self.primary_estimate())
+    }
+
+    /// Answers a [`StepPlan::Nn`] step with the executor's own planner: the
+    /// embedded NN's mapped acceleration on `obs`.
+    pub(crate) fn answer(&mut self, obs: &Observation) -> f64 {
         match &mut self.kind {
-            ExecKind::Pure {
-                planner,
-                estimators,
-                window,
-                scenarios,
-                ..
-            } => {
-                fill_estimates(&mut self.est_scratch, &self.frozen, estimators, time);
-                fill_windows(
-                    &mut self.win_scratch,
-                    &self.frozen,
-                    scenarios,
-                    &self.est_scratch,
-                    *window,
-                    time,
-                );
-                let fused = merge_windows_in_place(&mut self.win_scratch, DEFAULT_MERGE_GAP);
-                let obs = Observation::new(time, *ego, fused);
-                (
-                    PlanDecision {
-                        accel: planner.plan(&obs),
-                        source: PlannerSource::NeuralNetwork,
-                    },
-                    self.est_scratch[0],
-                )
-            }
-            ExecKind::Compound {
-                compound,
-                estimators,
-            } => {
-                fill_estimates(&mut self.est_scratch, &self.frozen, estimators, time);
-                let decision = compound.plan(time, ego, &self.est_scratch);
-                (decision, self.est_scratch[0])
-            }
+            ExecKind::Pure { planner, .. } => planner.plan(obs),
+            ExecKind::Compound { compound, .. } => compound.nn_mut().plan(obs),
         }
     }
 
-    /// Like [`StackExec::plan`], but with any NN evaluation deferred: runs
+    /// The primary vehicle's estimate as of the last
+    /// [`StackExec::plan_prepare`] (for tracing).
+    pub(crate) fn primary_estimate(&self) -> VehicleEstimate {
+        self.est_scratch[0]
+    }
+
+    /// Decision phase of one step with the NN evaluation left open: runs
     /// estimation, window fusion, and (for a compound stack) the monitor /
     /// emergency logic, then either returns the finished decision or the
-    /// observation the NN must be evaluated on.
-    ///
-    /// Completing a [`StepPlan::Nn`] with the embedded planner's own
-    /// evaluation reproduces [`StackExec::plan`] bit for bit — the
-    /// observation is built by the same fusion code, and (for compound
-    /// stacks) [`MultiCompoundPlanner::plan`] is itself implemented as
-    /// prepare + inline evaluation.
+    /// observation the NN must be evaluated on — by [`StackExec::answer`]
+    /// inline, or by a batched forward over many episodes. Both build the
+    /// observation with the same fusion code, and (for compound stacks)
+    /// [`MultiCompoundPlanner::plan`] is itself prepare + inline answer.
     pub(crate) fn plan_prepare(&mut self, time: f64, ego: &VehicleState) -> StepPlan {
         match &mut self.kind {
             ExecKind::Pure {

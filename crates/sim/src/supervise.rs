@@ -1,13 +1,16 @@
-//! Supervised (fault-isolated) batch execution.
+//! Supervised (fault-isolated) batch execution: the typed outcomes.
 //!
-//! The plain batch path ([`crate::run_batch`]) is all-or-nothing: one
-//! panicking planner or one invalid episode poisons the whole batch. This
-//! module wraps every episode in [`std::panic::catch_unwind`] and maps each
-//! one to a typed [`EpisodeOutcome`], so a batch degrades the way the
-//! paper's planner does under disturbance — bounded, typed, partial:
+//! The strict batch path ([`crate::run_batch`]) is all-or-nothing: one
+//! panicking planner or one invalid episode poisons the whole batch. The
+//! worker driver ([`crate::drive_worker`], behind [`crate::run_batch_lanes`]
+//! and the cv-server shards) instead wraps every episode in
+//! [`std::panic::catch_unwind`] and maps each one to a typed
+//! [`EpisodeOutcome`], so a batch degrades the way the paper's planner does
+//! under disturbance — bounded, typed, partial:
 //!
 //! * a panic is contained to its episode ([`EpisodeOutcome::Panicked`]); the
-//!   worker rebuilds its [`EpisodeWorkspace`] from the spec and continues,
+//!   worker rebuilds that episode's [`crate::EpisodeWorkspace`] from the
+//!   spec and continues,
 //! * a typed simulation error is contained to its episode
 //!   ([`EpisodeOutcome::Failed`]),
 //! * seeds that keep panicking are quarantined after a configurable budget
@@ -22,15 +25,10 @@
 //! happens to the batch around it when an episode dies.
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use crate::metrics::summarise;
-use crate::scheduler::for_each_dynamic;
-use crate::{
-    BatchConfig, BatchSummary, EpisodeConfig, EpisodeResult, EpisodeWorkspace, SimError, StackSpec,
-};
+use crate::{BatchSummary, EpisodeResult, SimError};
 
 /// Why an episode was skipped without producing a result.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -212,75 +210,6 @@ impl BatchReport {
     }
 }
 
-/// Which episode engine a supervised run drives.
-///
-/// Both engines produce bit-identical [`EpisodeResult`]s whenever every
-/// cadence divides the control step (see `DESIGN.md` §18 and
-/// [`crate::events`]); the choice is purely about throughput.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum EngineKind {
-    /// The reference fixed-step loop ([`EpisodeWorkspace::run`]) — the
-    /// bit-identity oracle every other engine is checked against.
-    #[default]
-    FixedStep,
-    /// The event-driven engine ([`EpisodeWorkspace::run_event`]): skips
-    /// quiescent per-pair work once a conflicting vehicle has permanently
-    /// cleared the conflict zone. Never records traces.
-    EventDriven,
-}
-
-impl EpisodeWorkspace {
-    /// Runs one episode with panic isolation: a panic anywhere inside the
-    /// episode is caught, the workspace is rebuilt from its spec (the only
-    /// state a panic can corrupt), and the caller gets a typed
-    /// [`EpisodeOutcome`] instead of an unwind.
-    pub fn run_supervised(
-        &mut self,
-        cfg: &EpisodeConfig,
-        record_traces: bool,
-        interrupt: Option<&AtomicBool>,
-    ) -> EpisodeOutcome {
-        self.run_supervised_with(EngineKind::FixedStep, cfg, record_traces, interrupt)
-    }
-
-    /// [`EpisodeWorkspace::run_supervised`] on a caller-chosen engine.
-    /// `record_traces` only applies to [`EngineKind::FixedStep`]; the
-    /// event-driven engine never records traces.
-    pub fn run_supervised_with(
-        &mut self,
-        engine: EngineKind,
-        cfg: &EpisodeConfig,
-        record_traces: bool,
-        interrupt: Option<&AtomicBool>,
-    ) -> EpisodeOutcome {
-        // AssertUnwindSafe: on the panic path the workspace is replaced
-        // wholesale below, so no torn state can leak out of the catch.
-        let run = catch_unwind(AssertUnwindSafe(|| match engine {
-            EngineKind::FixedStep => self.run_interruptible(cfg, record_traces, interrupt),
-            EngineKind::EventDriven => self.run_event_interruptible(cfg, interrupt),
-        }));
-        match run {
-            Ok(Ok(Some(result))) => EpisodeOutcome::Completed(result),
-            Ok(Ok(None)) => EpisodeOutcome::Skipped {
-                seed: cfg.seed,
-                reason: SkipReason::Interrupted,
-            },
-            Ok(Err(error)) => EpisodeOutcome::Failed {
-                seed: cfg.seed,
-                error,
-            },
-            Err(payload) => {
-                let spec = self.spec().clone();
-                *self = EpisodeWorkspace::new(spec);
-                EpisodeOutcome::Panicked {
-                    seed: cfg.seed,
-                    payload: payload_string(payload.as_ref()),
-                }
-            }
-        }
-    }
-}
-
 pub(crate) fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -291,81 +220,11 @@ pub(crate) fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs every episode of `batch` under supervision (see the module docs),
-/// over the batch's configured worker count.
-///
-/// `quarantine` (when given) is consulted before each episode and updated
-/// on each contained panic; `interrupt` (when given) stops the batch at
-/// episode-step granularity.
-///
-/// # Errors
-///
-/// [`SimError::InvalidBatch`] when the batch configuration itself cannot be
-/// run; per-episode faults are reported in the [`BatchReport`], never as an
-/// error.
-pub fn run_batch_supervised(
-    batch: &BatchConfig,
-    spec: &StackSpec,
-    quarantine: Option<&Quarantine>,
-    interrupt: Option<&AtomicBool>,
-) -> Result<BatchReport, SimError> {
-    batch.validate()?;
-    let outcomes = for_each_dynamic(
-        batch.episodes,
-        batch.worker_count(),
-        || EpisodeWorkspace::new(spec.clone()),
-        |ws, i| {
-            let cfg = batch.episode(i);
-            supervised_episode(ws, &cfg, quarantine, interrupt)
-        },
-    );
-    Ok(BatchReport { outcomes })
-}
-
-/// One supervised episode: quarantine check, interrupt check, isolated run,
-/// quarantine bookkeeping. Shared by [`run_batch_supervised`] and the
-/// cv-server sharded worker so both layers have identical fault semantics.
-pub fn supervised_episode(
-    ws: &mut EpisodeWorkspace,
-    cfg: &EpisodeConfig,
-    quarantine: Option<&Quarantine>,
-    interrupt: Option<&AtomicBool>,
-) -> EpisodeOutcome {
-    supervised_episode_with(EngineKind::FixedStep, ws, cfg, quarantine, interrupt)
-}
-
-/// [`supervised_episode`] on a caller-chosen engine — the shared primitive
-/// behind both the fixed-step and event-driven batch paths.
-pub fn supervised_episode_with(
-    engine: EngineKind,
-    ws: &mut EpisodeWorkspace,
-    cfg: &EpisodeConfig,
-    quarantine: Option<&Quarantine>,
-    interrupt: Option<&AtomicBool>,
-) -> EpisodeOutcome {
-    if interrupt.is_some_and(|f| f.load(Ordering::Relaxed)) {
-        return EpisodeOutcome::Skipped {
-            seed: cfg.seed,
-            reason: SkipReason::Interrupted,
-        };
-    }
-    if let Some(panics) = quarantine.and_then(|q| q.is_quarantined(cfg.seed)) {
-        return EpisodeOutcome::Skipped {
-            seed: cfg.seed,
-            reason: SkipReason::Quarantined { panics },
-        };
-    }
-    let outcome = ws.run_supervised_with(engine, cfg, false, interrupt);
-    if let (EpisodeOutcome::Panicked { seed, .. }, Some(q)) = (&outcome, quarantine) {
-        q.record_panic(*seed);
-    }
-    outcome
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EpisodeConfig;
+    use crate::{run_batch_lanes, BatchConfig, BatchMode, EpisodeConfig, StackSpec};
+    use std::sync::atomic::AtomicBool;
 
     fn small_batch(seed: u64, episodes: usize) -> BatchConfig {
         BatchConfig::new(EpisodeConfig::paper_default(seed), episodes)
@@ -376,7 +235,7 @@ mod tests {
         let batch = small_batch(5, 6);
         let spec = StackSpec::pure_teacher_conservative(&batch.template).unwrap();
         let strict = crate::run_batch(&batch, &spec).unwrap();
-        let report = run_batch_supervised(&batch, &spec, None, None).unwrap();
+        let report = run_batch_lanes(&batch, &spec, BatchMode::PerEpisode, None, None).unwrap();
         assert_eq!(report.completed(), 6);
         let supervised = report.into_results().unwrap();
         assert_eq!(strict, supervised, "supervision changed episode results");
@@ -418,7 +277,7 @@ mod tests {
         let mut batch = small_batch(3, 4);
         batch.starts = vec![batch.starts[0], 10.0];
         let spec = StackSpec::pure_teacher_conservative(&batch.template).unwrap();
-        let report = run_batch_supervised(&batch, &spec, None, None).unwrap();
+        let report = run_batch_lanes(&batch, &spec, BatchMode::PerEpisode, None, None).unwrap();
         let s = report.summary();
         assert_eq!((s.requested, s.episodes, s.failed), (4, 2, 2));
         assert!(matches!(
@@ -448,7 +307,8 @@ mod tests {
         let batch = small_batch(1, 4);
         let spec = StackSpec::pure_teacher_conservative(&batch.template).unwrap();
         let stop = AtomicBool::new(true);
-        let report = run_batch_supervised(&batch, &spec, None, Some(&stop)).unwrap();
+        let report =
+            run_batch_lanes(&batch, &spec, BatchMode::PerEpisode, None, Some(&stop)).unwrap();
         assert_eq!(report.completed(), 0);
         assert!(report.outcomes.iter().all(|o| matches!(
             o,
@@ -474,7 +334,8 @@ mod tests {
             // Panic on episodes 2 and 5 (seed = base_seed + index).
             let seeds = vec![batch.base_seed + 2, batch.base_seed + 5];
             let faulty = StackSpec::panic_injection(&batch.template, seeds).unwrap();
-            let report = run_batch_supervised(&batch, &faulty, None, None).unwrap();
+            let report =
+                run_batch_lanes(&batch, &faulty, BatchMode::PerEpisode, None, None).unwrap();
             let s = report.summary();
             assert_eq!((s.requested, s.episodes, s.panicked), (8, 6, 2));
             for (i, outcome) in report.outcomes.iter().enumerate() {
@@ -495,7 +356,8 @@ mod tests {
             }
 
             // Same-seed rerun is byte-identical, including the faults.
-            let rerun = run_batch_supervised(&batch, &faulty, None, None).unwrap();
+            let rerun =
+                run_batch_lanes(&batch, &faulty, BatchMode::PerEpisode, None, None).unwrap();
             assert_eq!(report, rerun);
         }
 
@@ -506,12 +368,15 @@ mod tests {
             let faulty = StackSpec::panic_injection(&batch.template, seeds).unwrap();
             let q = Quarantine::new(2);
             for run in 0..2 {
-                let report = run_batch_supervised(&batch, &faulty, Some(&q), None).unwrap();
+                let report =
+                    run_batch_lanes(&batch, &faulty, BatchMode::PerEpisode, Some(&q), None)
+                        .unwrap();
                 let s = report.summary();
                 assert_eq!((s.panicked, s.skipped), (1, 0), "run {run}");
             }
             // Budget exhausted: the seed is now skipped, not retried.
-            let report = run_batch_supervised(&batch, &faulty, Some(&q), None).unwrap();
+            let report =
+                run_batch_lanes(&batch, &faulty, BatchMode::PerEpisode, Some(&q), None).unwrap();
             assert!(matches!(
                 &report.outcomes[0],
                 EpisodeOutcome::Skipped {

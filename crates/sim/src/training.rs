@@ -2,20 +2,18 @@
 //!
 //! The paper trains `κ_n,cons` and `κ_n,aggr` with the learning method of
 //! its ref. [6]; per the substitution in `DESIGN.md`, we clone two analytic
-//! [`TeacherPolicy`] presets instead. Rollouts run closed-loop under a mix
+//! [`cv_planner::TeacherPolicy`] presets instead. Rollouts run closed-loop under a mix
 //! of communication settings so the NN sees the windows it will face at
 //! deployment time.
 
 use std::path::Path;
 
-use cv_comm::{Channel, CommSetting, Message};
-use cv_estimation::{Estimator, NaiveEstimator};
-use cv_planner::{clone_behaviour, CloneConfig, Dataset, FeatureScaling, NnPlanner, TeacherPolicy};
+use cv_comm::CommSetting;
+use cv_planner::{clone_behaviour, CloneConfig, Dataset, FeatureScaling, NnPlanner};
 use cv_rng::{Rng, SplitMix64};
-use cv_sensing::UniformNoiseSensor;
-use safe_shield::{Observation, Planner, Scenario};
+use safe_shield::{Observation, Scenario};
 
-use crate::{EpisodeConfig, SimError, WindowKind};
+use crate::{run_episode, EpisodeConfig, SimError, StackSpec, WindowKind};
 
 /// Training-pipeline errors.
 #[derive(Debug)]
@@ -106,9 +104,9 @@ impl TrainSetup {
 /// Which planner personality to produce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Personality {
-    /// Clone of [`TeacherPolicy::conservative`] on Eq. 7 windows.
+    /// Clone of [`cv_planner::TeacherPolicy::conservative`] on Eq. 7 windows.
     Conservative,
-    /// Clone of [`TeacherPolicy::aggressive`] on optimistic windows.
+    /// Clone of [`cv_planner::TeacherPolicy::aggressive`] on optimistic windows.
     Aggressive,
 }
 
@@ -170,57 +168,34 @@ pub fn collect_teacher_dataset(
     Ok(data)
 }
 
-/// Rolls out one teacher episode, appending samples to `data`.
+/// Rolls out one teacher episode on the episode stepper with traces,
+/// appending one `(observation, teacher acceleration)` sample per planned
+/// step to `data`.
 fn rollout_into(
     cfg: &EpisodeConfig,
     personality: Personality,
     data: &mut Dataset,
 ) -> Result<(), TrainError> {
-    let scenario = cfg.scenario()?;
-    let mut teacher = match personality {
-        Personality::Conservative => TeacherPolicy::conservative(&scenario),
-        Personality::Aggressive => TeacherPolicy::aggressive(&scenario),
+    let spec = match personality {
+        Personality::Conservative => StackSpec::pure_teacher_conservative(cfg)?,
+        Personality::Aggressive => StackSpec::pure_teacher_aggressive(cfg)?,
     };
-    let window_kind = personality.window_kind();
-    let ego_limits = scenario.ego_limits();
-    let other_limits = scenario.other_limits();
-
-    let mut ego = cfg.ego_init;
-    let mut other = cfg.other_init();
-    let mut estimator = NaiveEstimator::new(other_limits, 0.0, other);
-    let mut channel = cfg.comm.channel(cfg.seed_channel());
-    let mut sensor = UniformNoiseSensor::new(cfg.noise, cfg.seed_sensor());
-    let mut driving_rng = SplitMix64::seed_from_u64(cfg.seed_driving());
-
-    let msg_every = (cfg.dt_m / cfg.dt_c).round().max(1.0) as u64;
-    let sense_every = (cfg.dt_s / cfg.dt_c).round().max(1.0) as u64;
-    let steps = (cfg.horizon / cfg.dt_c).ceil() as u64;
-
-    for step in 0..=steps {
-        let t = step as f64 * cfg.dt_c;
-        if step % msg_every == 0 {
-            channel.send(Message::from_state(1, t, &other), t);
-        }
-        for msg in channel.receive(t) {
-            estimator.on_message(&msg);
-        }
-        if step % sense_every == 0 {
-            estimator.on_measurement(&sensor.measure(1, t, &other));
-        }
-        if scenario.collision(&ego, &other) || scenario.target_reached(t, &ego) {
-            break;
-        }
-        let est = estimator.estimate(t);
-        let window = match window_kind {
-            WindowKind::Conservative => scenario.conservative_window(t, &est),
-            WindowKind::Nominal => scenario.nominal_window(t, &est),
+    let scenario = cfg.scenario()?;
+    let traces = run_episode(cfg, &spec, true)?
+        .traces
+        .expect("traces were requested");
+    let steps = traces
+        .ego
+        .iter()
+        .zip(&traces.estimates)
+        .zip(&traces.decisions);
+    for ((ego, (t, est)), decision) in steps {
+        // The window the teacher planned on, from the estimate it saw.
+        let window = match personality.window_kind() {
+            WindowKind::Conservative => scenario.conservative_window(*t, est),
+            WindowKind::Nominal => scenario.nominal_window(*t, est),
         };
-        let obs = Observation::new(t, ego, window);
-        let accel = teacher.plan(&obs);
-        data.push(obs, accel);
-        ego = ego_limits.step(&ego, accel, cfg.dt_c);
-        let a1 = driving_rng.random_range(other_limits.a_min()..=other_limits.a_max());
-        other = other_limits.step(&other, a1, cfg.dt_c);
+        data.push(Observation::new(*t, ego.state, window), decision.accel);
     }
     Ok(())
 }

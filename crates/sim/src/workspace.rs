@@ -33,6 +33,7 @@ use left_turn::LeftTurnScenario;
 use crate::driver::Driver;
 use crate::events::EventScratch;
 use crate::stack::StackExec;
+use crate::stepper::Run;
 use crate::{DriverModel, EpisodeConfig, SimError, StackSpec};
 
 /// A communication channel kept for reuse, remembering which setting built
@@ -79,9 +80,11 @@ pub struct EpisodeWorkspace {
     pub(crate) drivers: Vec<Driver>,
     pub(crate) others: Vec<VehicleState>,
     pub(crate) inbox: Vec<Message>,
-    /// Event-engine scratch (heap, retirement flags), reused across
-    /// episodes; inert for the fixed-step engines.
+    /// Pair-schedule scratch (event heap, polled and retired flags),
+    /// reused across episodes.
     pub(crate) events: EventScratch,
+    /// The episode the stepper is running, between `start` and its finish.
+    pub(crate) run: Option<Run>,
 }
 
 /// `(start_shared, init_speed, driver)` of conflicting vehicle `i` without
@@ -97,7 +100,7 @@ pub(crate) fn vehicle(cfg: &EpisodeConfig, i: usize) -> (f64, f64, DriverModel) 
 
 impl EpisodeWorkspace {
     /// A workspace bound to `spec`. No heavy state is built until the first
-    /// [`EpisodeWorkspace::run`].
+    /// episode starts.
     pub fn new(spec: StackSpec) -> Self {
         Self {
             spec,
@@ -110,6 +113,7 @@ impl EpisodeWorkspace {
             others: Vec::new(),
             inbox: Vec::new(),
             events: EventScratch::default(),
+            run: None,
         }
     }
 

@@ -125,6 +125,31 @@ cargo run -q --release --offline -p cv-server --bin cv-submit -- --addr "$ADDR" 
 wait "$SERVE_PID"
 trap - EXIT
 
+# Event-wheel daemon smoke (DESIGN.md §18): a second daemon running every
+# job with --event-driven (and no cache, so the batch is computed) must
+# answer the same n=4 platoon batch with deterministic summary lines equal,
+# byte for byte, to the fixed-step daemon's above.
+EVENT_LOG=target/tier1-event-serve.log
+cargo run -q --release --offline -p cv-server --bin cv-serve -- \
+  --addr 127.0.0.1:0 --no-cache --event-driven > "$EVENT_LOG" &
+SERVE_PID=$!
+trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
+ADDR=""
+for _ in $(seq 1 100); do
+  ADDR=$(sed -n 's/^cv-serve listening on //p' "$EVENT_LOG")
+  [ -n "$ADDR" ] && break
+  sleep 0.1
+done
+test -n "$ADDR" || { echo "tier1: event-driven cv-serve never reported its address" >&2; exit 1; }
+plat_event=$(submit_platoon)
+det_plat_event=$(echo "$plat_event" | grep -v -e "^wall time" -e "^cache")
+[ "$det_plat_cold" = "$det_plat_event" ] \
+  || { echo "tier1: event-driven platoon summary diverged from the fixed-step one:"; \
+       diff <(echo "$det_plat_cold") <(echo "$det_plat_event"); exit 1; } >&2
+cargo run -q --release --offline -p cv-server --bin cv-submit -- --addr "$ADDR" shutdown
+wait "$SERVE_PID"
+trap - EXIT
+
 # Persistent-cache smoke (DESIGN.md §17): a daemon with --cache-dir is
 # cold-filled, then SIGKILLed mid-batch — the harshest crash the segment
 # format must survive. A fresh daemon on the same directory must report
@@ -205,3 +230,7 @@ expect_usage_error() {
 }
 expect_usage_error cv-submit -- --episodes ten
 expect_usage_error cv-serve -- --bogus
+# The daemon's batch mode is one validated value: a lane count above the
+# lane width, or lanes combined with the event wheel, names no mode.
+expect_usage_error cv-serve -- --lanes 9
+expect_usage_error cv-serve -- --lanes 4 --event-driven

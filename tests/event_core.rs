@@ -26,8 +26,8 @@ use safe_cv::comm::CommSetting;
 use safe_cv::nn::{Activation, Mlp};
 use safe_cv::planner::{FeatureScaling, NnPlanner};
 use safe_cv::sim::{
-    run_batch_lanes, run_batch_supervised, BatchConfig, BatchMode, EpisodeConfig, EpisodeResult,
-    PlatoonFollower, PlatoonSpec, StackSpec, WindowKind,
+    run_batch_lanes, BatchConfig, BatchMode, EpisodeConfig, EpisodeResult, PlatoonFollower,
+    PlatoonSpec, StackSpec, WindowKind,
 };
 
 /// Strict per-episode fingerprint: `to_bits` on η so `-0.0`/NaN sloppiness
@@ -43,7 +43,7 @@ fn bits(r: &EpisodeResult) -> (u64, String, u64, u64, Option<usize>) {
 }
 
 fn fixed_results(batch: &BatchConfig, spec: &StackSpec) -> Vec<EpisodeResult> {
-    run_batch_supervised(batch, spec, None, None)
+    run_batch_lanes(batch, spec, BatchMode::PerEpisode, None, None)
         .expect("fixed-step batch must run")
         .into_results()
         .expect("fixed-step episodes must complete")

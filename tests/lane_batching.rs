@@ -13,8 +13,8 @@ mod common;
 
 use safe_cv::shield::AggressiveConfig;
 use safe_cv::sim::{
-    lane_tolerance_check, run_batch_lanes, run_batch_supervised, BatchConfig, BatchMode,
-    EpisodeConfig, EpisodeResult, StackSpec, WindowKind,
+    lane_tolerance_check, run_batch_lanes, BatchConfig, BatchMode, EpisodeConfig, EpisodeResult,
+    StackSpec, WindowKind,
 };
 
 /// The three NN-embedding stacks of the paper's case study.
@@ -36,7 +36,7 @@ fn stacks() -> Vec<(&'static str, StackSpec)> {
 }
 
 fn reference_results(batch: &BatchConfig, spec: &StackSpec) -> Vec<EpisodeResult> {
-    run_batch_supervised(batch, spec, None, None)
+    run_batch_lanes(batch, spec, BatchMode::PerEpisode, None, None)
         .expect("reference batch must run")
         .into_results()
         .expect("reference episodes must complete")

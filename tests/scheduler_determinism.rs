@@ -11,14 +11,16 @@
 //!    `run_batch_static` (the pre-overhaul chunked baseline) for every
 //!    thread count in {1, 2, 4, 8};
 //! 3. the server's sharded execution reports the same summary statistics as
-//!    the library batch runner, for 1 and 4 workers.
+//!    the library batch runner, for 1 and 4 workers, per-episode and (for an
+//!    n = 4 platoon) on the event wheel.
 
 use std::sync::atomic::AtomicBool;
 
 use cv_server::{run_sharded, JobLimits, JobOutcome};
 use safe_cv::prelude::*;
 use safe_cv::sim::{
-    run_batch, run_batch_static, run_episode, BatchConfig, BatchSummary, EpisodeWorkspace,
+    run_batch, run_batch_static, run_episode, BatchConfig, BatchMode, BatchSummary,
+    EpisodeWorkspace, PlatoonSpec,
 };
 
 fn disturbed_template(seed: u64) -> EpisodeConfig {
@@ -78,29 +80,38 @@ fn batch_results_identical_across_schedulers_and_thread_counts() {
 }
 
 /// The server's sharded worker pool sits on the same scheduler; its summary
-/// must agree with the library runner for any worker count.
+/// must agree with the library runner for any worker count — per-episode,
+/// and on the event wheel for an n = 4 platoon.
 #[test]
 fn sharded_server_summary_matches_run_batch() {
     let template = disturbed_template(19);
     let spec = StackSpec::pure_teacher_aggressive(&template).expect("paper geometry");
-    let batch = BatchConfig::new(template, 12);
-    let expected = BatchSummary::from_results(&run_batch(&batch, &spec).expect("valid batch"));
-    for workers in [1usize, 4] {
-        let cancel = AtomicBool::new(false);
-        let outcome = run_sharded(
-            &batch,
-            &spec,
-            JobLimits::new(workers),
-            &cancel,
-            None,
-            |_| {},
-        );
-        match outcome {
-            JobOutcome::Completed(summary) => assert!(
-                summary.stats_eq(&expected),
-                "sharded summary diverged at {workers} workers"
-            ),
-            other => panic!("sharded run did not complete: {other:?}"),
+    let platoon = PlatoonSpec::paper_default(4, 19).expect("n >= 2").episode();
+    let platoon_spec = StackSpec::pure_teacher_conservative(&platoon).expect("paper geometry");
+    let inputs = [
+        (template, spec, BatchMode::PerEpisode),
+        (platoon, platoon_spec, BatchMode::EventDriven),
+    ];
+    for (template, spec, mode) in inputs {
+        let batch = BatchConfig::new(template, 12);
+        let expected = BatchSummary::from_results(&run_batch(&batch, &spec).expect("valid batch"));
+        for workers in [1usize, 4] {
+            let cancel = AtomicBool::new(false);
+            let outcome = run_sharded(
+                &batch,
+                &spec,
+                JobLimits::new(workers).with_mode(mode),
+                &cancel,
+                None,
+                |_| {},
+            );
+            match outcome {
+                JobOutcome::Completed(summary) => assert!(
+                    summary.stats_eq(&expected),
+                    "sharded {mode:?} summary diverged at {workers} workers"
+                ),
+                other => panic!("sharded {mode:?} run did not complete: {other:?}"),
+            }
         }
     }
 }

@@ -71,7 +71,7 @@ use cv_nn::{Activation, Matrix, Mlp, MlpScratch, Optimizer, TrainConfig, Trainer
 use cv_planner::{FeatureScaling, NnPlanner};
 use cv_rng::{Rng, SplitMix64};
 use cv_server::wire::Json;
-use cv_server::{run_sharded_cached, JobLimits, JobOutcome};
+use cv_server::{run_sharded, JobLimits, JobOutcome};
 use cv_sim::{
     lane_tolerance_check, run_batch, run_batch_lanes, run_batch_static, BatchConfig, BatchMode,
     BatchSummary, EpisodeCache, EpisodeConfig, EpisodeResult, PlatoonFollower, PlatoonSpec,
@@ -421,7 +421,7 @@ fn cache_rates(seed: u64, episodes: usize, threads: usize) -> CacheSection {
     let cancel = AtomicBool::new(false);
     let run = || {
         let t0 = Instant::now();
-        let outcome = run_sharded_cached(
+        let outcome = run_sharded(
             &batch,
             &spec,
             JobLimits::new(threads),

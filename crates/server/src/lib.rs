@@ -11,13 +11,13 @@
 //!   surfaced as typed backpressure ([`queue`]): a saturated server answers
 //!   a submission with a terminal `overloaded` frame carrying a
 //!   `retry_after_ms` hint instead of queueing or resetting;
-//! * a supervised sharded worker pool ([`worker`]): episodes run under
-//!   `catch_unwind` with per-seed panic quarantine, jobs carry optional
-//!   deadlines and honour cancellation at episode-step granularity, and a
-//!   job that stops early still flushes a typed partial
-//!   [`cv_sim::BatchSummary`] over exactly the episodes that finished —
-//!   results stay **bit-identical** to an in-process `run_batch` of the
-//!   same [`cv_sim::BatchConfig`];
+//! * a job runner ([`worker`]) on cv-sim's own supervised entry point,
+//!   [`cv_sim::run_batch_with`]: episodes run under `catch_unwind` with
+//!   per-seed panic quarantine, jobs carry optional deadlines and honour
+//!   cancellation at episode-step granularity, and a job that stops early
+//!   still flushes a typed partial [`cv_sim::BatchSummary`] over exactly
+//!   the episodes that finished — results stay **bit-identical** to an
+//!   in-process `run_batch` of the same [`cv_sim::BatchConfig`];
 //! * streamed progress (`episode_done` frames with the episode's `η` and a
 //!   remaining-time estimate, `episode_fault` frames for contained
 //!   failures) followed by one terminal frame: `batch_done`, `cancelled`,
@@ -55,6 +55,4 @@ pub use protocol::{Event, JobStatus, Request, StackSpecWire};
 pub use queue::{JobQueue, PushError};
 pub use server::{RunnerHold, Server, ServerConfig};
 pub use wire::{FrameError, FrameReader, MAX_FRAME_BYTES};
-pub use worker::{
-    run_sharded, run_sharded_cached, EpisodeProgress, FaultKind, JobLimits, JobOutcome, Progress,
-};
+pub use worker::{run_sharded, EpisodeProgress, FaultKind, JobLimits, JobOutcome, Progress};

@@ -8,8 +8,8 @@
 //!   answer control requests inline, and for `submit_batch` stay on the
 //!   connection streaming the job's progress events until a terminal frame;
 //! * **job runner** — single consumer of the bounded [`JobQueue`], runs one
-//!   job at a time sharded across [`run_sharded`] workers, pushing events
-//!   into the submitting connection's channel.
+//!   job at a time through [`run_sharded`] (cv-sim's batch fan-out), pushing
+//!   events into the submitting connection's channel.
 //!
 //! A malformed line gets an `error` frame and the connection keeps reading;
 //! a client that disconnects mid-batch flips its job's cancel flag and the
@@ -33,7 +33,7 @@ use cv_sim::{
 use crate::protocol::{Event, JobStatus, Request};
 use crate::queue::{JobQueue, PushError};
 use crate::wire::{FrameError, FrameReader, Json, MAX_FRAME_BYTES};
-use crate::worker::{run_sharded_cached, JobLimits, JobOutcome, Progress};
+use crate::worker::{run_sharded, JobLimits, JobOutcome, Progress};
 
 /// How often an idle connection rechecks the shutdown flag and its idle
 /// deadline.
@@ -47,7 +47,8 @@ pub struct ServerConfig {
     /// Maximum queued (not yet running) jobs before submissions are
     /// refused with a terminal `overloaded` event carrying a retry hint.
     pub queue_capacity: usize,
-    /// Worker threads per job (`0` = all available parallelism).
+    /// Worker threads per job (`0` = all available parallelism); also the
+    /// most a submission's `threads` may ask for (`invalid_batch` above).
     pub workers: usize,
     /// Per-connection idle deadline: a connection that produces no
     /// complete frame for this long — including one stalled mid-frame
@@ -651,6 +652,16 @@ fn handle_submit(
     if let Err(e) = batch.validate() {
         return reject(writer, "invalid_batch", e.to_string());
     }
+    // A job runs on at most the daemon's per-job worker count: a client
+    // cannot make the runner spawn more threads than the operator allowed.
+    let cap = effective_workers(shared.config.workers, 0);
+    if batch.threads > cap {
+        let message = format!(
+            "threads {} exceeds the {cap} workers per job",
+            batch.threads
+        );
+        return reject(writer, "invalid_batch", message);
+    }
     let spec = match stack.resolve(&batch.template) {
         Ok(spec) => spec,
         Err(message) => return reject(writer, "invalid_batch", message),
@@ -770,8 +781,8 @@ fn runner_loop(shared: &Arc<Shared>) {
         }
         // Episodes this job resolved (completed or faulted); whatever it
         // never resolved is released from the pending budget at the end.
-        let resolved = std::cell::Cell::new(0usize);
-        let outcome = run_sharded_cached(
+        let mut resolved = 0usize;
+        let outcome = run_sharded(
             &job.batch,
             &job.spec,
             limits,
@@ -780,7 +791,7 @@ fn runner_loop(shared: &Arc<Shared>) {
             shared.cache.as_ref(),
             |progress| match progress {
                 Progress::Episode(p) => {
-                    resolved.set(resolved.get() + 1);
+                    resolved += 1;
                     shared.pending_episodes.fetch_sub(1, Ordering::Relaxed);
                     state.done.store(p.done, Ordering::Relaxed);
                     let _ = job.events.send(Event::EpisodeDone {
@@ -798,7 +809,7 @@ fn runner_loop(shared: &Arc<Shared>) {
                     kind,
                     detail,
                 } => {
-                    resolved.set(resolved.get() + 1);
+                    resolved += 1;
                     shared.pending_episodes.fetch_sub(1, Ordering::Relaxed);
                     let _ = job.events.send(Event::EpisodeFault {
                         job: id,
@@ -812,7 +823,7 @@ fn runner_loop(shared: &Arc<Shared>) {
         );
         shared
             .pending_episodes
-            .fetch_sub(total - resolved.get().min(total), Ordering::Relaxed);
+            .fetch_sub(total - resolved.min(total), Ordering::Relaxed);
         // Quarantined-segment count from the persistent tier's startup
         // scan: operational metadata (excluded from stats_eq) stamped onto
         // every summary so clients can alert on a daemon that lost

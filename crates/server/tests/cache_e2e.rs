@@ -7,7 +7,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use cv_server::{run_sharded_cached, Client, JobLimits, JobOutcome, Server, StackSpecWire};
+use cv_server::{run_sharded, Client, JobLimits, JobOutcome, Server, StackSpecWire};
 use cv_sim::{BatchConfig, BatchSummary, EpisodeCache, EpisodeConfig, StackSpec};
 
 fn paper_batch(seed: u64, episodes: usize) -> (BatchConfig, StackSpec) {
@@ -73,7 +73,7 @@ fn run_with_cache(
     cache: &EpisodeCache,
 ) -> JobOutcome {
     let cancel = AtomicBool::new(false);
-    run_sharded_cached(
+    run_sharded(
         batch,
         spec,
         JobLimits::new(workers),
@@ -162,7 +162,7 @@ fn cache_hits_survive_cancellation_and_resubmission_completes() {
     // Cancel is set before submission: no worker may run, but the 6 cached
     // episodes are served anyway and land in the partial summary.
     let cancel = AtomicBool::new(true);
-    let outcome = run_sharded_cached(
+    let outcome = run_sharded(
         &big,
         &spec,
         JobLimits::new(2),

@@ -16,7 +16,7 @@
 use std::sync::atomic::AtomicBool;
 
 use cv_cache::{DiskFault, FaultIo, MemIo, RecoveryReport};
-use cv_server::{run_sharded, run_sharded_cached, JobLimits, JobOutcome};
+use cv_server::{run_sharded, JobLimits, JobOutcome};
 use cv_sim::{store_salt, BatchConfig, BatchSummary, EpisodeCache, EpisodeConfig, StackSpec};
 
 const FAULTS: [DiskFault; 5] = [
@@ -45,7 +45,7 @@ fn paper_batch(seed: u64, episodes: usize) -> (BatchConfig, StackSpec) {
 
 fn run_cached(batch: &BatchConfig, spec: &StackSpec, cache: &EpisodeCache) -> BatchSummary {
     let cancel = AtomicBool::new(false);
-    match run_sharded_cached(
+    match run_sharded(
         batch,
         spec,
         JobLimits::new(2),
@@ -61,7 +61,7 @@ fn run_cached(batch: &BatchConfig, spec: &StackSpec, cache: &EpisodeCache) -> Ba
 
 fn run_uncached(batch: &BatchConfig, spec: &StackSpec) -> BatchSummary {
     let cancel = AtomicBool::new(false);
-    match run_sharded(batch, spec, JobLimits::new(2), &cancel, None, |_| {}) {
+    match run_sharded(batch, spec, JobLimits::new(2), &cancel, None, None, |_| {}) {
         JobOutcome::Completed(summary) => summary,
         other => panic!("expected completion, got {other:?}"),
     }

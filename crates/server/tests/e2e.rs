@@ -9,6 +9,9 @@ use std::net::TcpStream;
 use cv_server::{Client, ClientError, Event, Request, Server, ServerConfig, StackSpecWire};
 use cv_sim::{run_batch, BatchConfig, BatchMode, BatchSummary, EpisodeConfig, StackSpec};
 
+mod common;
+use common::wait_for_occupants;
+
 fn paper_batch(episodes: usize, seed: u64) -> BatchConfig {
     BatchConfig::new(EpisodeConfig::paper_default(seed), episodes)
 }
@@ -88,6 +91,22 @@ fn empty_start_grid_is_rejected_with_invalid_batch() {
         Err(ClientError::Server { code, .. }) => assert_eq!(code, "invalid_batch"),
         other => panic!("expected invalid_batch rejection, got {other:?}"),
     }
+
+    // A batch may not ask for more threads than the daemon's per-job
+    // worker count (its `workers: 0` default is all available
+    // parallelism); the rejection leaves the connection serving.
+    let cap = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut batch = paper_batch(4, 0);
+    batch.threads = cap + 1;
+    match client.submit_batch(&batch, StackSpecWire::TeacherConservative, |_| {}) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, "invalid_batch"),
+        other => panic!("expected invalid_batch rejection, got {other:?}"),
+    }
+    batch.threads = cap;
+    let summary = client
+        .submit_batch(&batch, StackSpecWire::TeacherConservative, |_| {})
+        .unwrap();
+    assert_eq!(summary.episodes, 4);
     server.shutdown();
 }
 
@@ -177,11 +196,13 @@ fn full_queue_pushes_back_with_a_typed_overloaded_frame() {
         assert!(line.contains("\"event\":\"accepted\""), "got {line:?}");
         stream
     };
-    // First job: popped by the runner and running. Second: sits in the queue.
+    // First job: popped by the runner and held there. Second: sits in the
+    // queue. The hold keeps both in place however fast episodes run.
+    let hold = server.hold_runner();
     let _running = occupy(10);
-    std::thread::sleep(std::time::Duration::from_millis(100));
+    wait_for_occupants(addr, 1, 0);
     let _queued = occupy(11);
-    std::thread::sleep(std::time::Duration::from_millis(100));
+    wait_for_occupants(addr, 2, 1);
 
     let mut client = Client::connect(addr).unwrap();
     match client.submit_batch(
@@ -199,6 +220,7 @@ fn full_queue_pushes_back_with_a_typed_overloaded_frame() {
     // Cancel both occupants so the drop below drains quickly.
     client.round_trip(&Request::Cancel { job: 1 }).unwrap();
     client.round_trip(&Request::Cancel { job: 2 }).unwrap();
+    drop(hold);
     drop(server);
 }
 

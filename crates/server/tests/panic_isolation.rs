@@ -170,7 +170,7 @@ fn repeat_offender_seed_is_quarantined_after_the_budget() {
 }
 
 /// Soak cycle (`scripts/soak.sh`): kill a different shard thread mid-batch
-/// every round via the fault-injection kill switch; the coordinator's
+/// every round via the fault-injection kill switch; the fan-out's
 /// rescue pass must recover the dead shard's claimed episodes and keep the
 /// summary bit-identical to the clean run, round after round.
 ///
@@ -195,6 +195,7 @@ fn killing_a_shard_every_round_never_changes_the_summary() {
             &spec,
             JobLimits::new(WORKERS).with_kill_worker(killed),
             &cancel,
+            None,
             None,
             |_| {},
         );

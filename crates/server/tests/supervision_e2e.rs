@@ -17,6 +17,9 @@ use cv_server::{
 };
 use cv_sim::{run_batch, BatchConfig, EpisodeConfig, StackSpec};
 
+mod common;
+use common::wait_for_occupants;
+
 fn paper_batch(episodes: usize, seed: u64) -> BatchConfig {
     BatchConfig::new(EpisodeConfig::paper_default(seed), episodes)
 }
@@ -62,28 +65,6 @@ fn cancel_all_active(addr: std::net::SocketAddr) {
                 let _ = control.round_trip(&Request::Cancel { job: j.job });
             }
         }
-    }
-}
-
-/// Polls `status` until `active` jobs are queued or running and `queued`
-/// of them sit in the queue — how a test with a [`Server::hold_runner`]
-/// hold learns that its occupants are in place, without sleeping.
-fn wait_for_occupants(addr: std::net::SocketAddr, active: usize, queued: usize) {
-    let mut control = Client::connect(addr).unwrap();
-    loop {
-        let reply = control.round_trip(&Request::Status { job: None }).unwrap();
-        if let Event::Status {
-            jobs, queue_len, ..
-        } = reply
-        {
-            let live = jobs
-                .iter()
-                .filter(|j| j.state == "queued" || j.state == "running");
-            if live.count() == active && queue_len == queued {
-                return;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(2));
     }
 }
 
@@ -244,7 +225,15 @@ fn externally_stored_cancel_is_never_lost_to_the_rescue_pass() {
                     std::thread::sleep(Duration::from_millis(30));
                     cancel.store(true, Ordering::Relaxed);
                 });
-                let outcome = run_sharded(&batch, &spec, JobLimits::new(1), &cancel, None, |_| {});
+                let outcome = run_sharded(
+                    &batch,
+                    &spec,
+                    JobLimits::new(1),
+                    &cancel,
+                    None,
+                    None,
+                    |_| {},
+                );
                 canceller.join().unwrap();
                 outcome
             });
@@ -281,6 +270,7 @@ fn cancelled_then_resubmitted_episodes_are_bit_identical_to_a_clean_run() {
                     &spec,
                     JobLimits::new(workers),
                     &cancel,
+                    None,
                     None,
                     |progress| {
                         if let Progress::Episode(p) = progress {

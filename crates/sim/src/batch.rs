@@ -89,7 +89,7 @@ impl BatchConfig {
 /// per-episode results in seed order.
 ///
 /// Episodes are distributed dynamically: every worker claims the next
-/// unclaimed index from a shared [`crate::scheduler::WorkQueue`], which keeps
+/// unclaimed index from one shared work queue, which keeps
 /// all workers busy when episode costs vary (early exits from collisions or
 /// reached targets), and runs it on a per-worker [`crate::EpisodeWorkspace`] so
 /// setup allocations are paid once per worker instead of once per episode.
@@ -97,7 +97,8 @@ impl BatchConfig {
 /// for any thread count.
 ///
 /// This is the strict all-or-nothing wrapper of the supervised entry point
-/// [`crate::run_batch_lanes`] in [`BatchMode::PerEpisode`]: it collapses
+/// [`crate::run_batch_with`] in [`BatchMode::PerEpisode`] with an empty
+/// control: it collapses
 /// the report — the first per-episode error fails the batch, and a
 /// contained panic is re-raised. Callers that want partial results, panic
 /// isolation, or quarantine use the supervised entry point directly.
@@ -124,7 +125,8 @@ impl BatchConfig {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn run_batch(batch: &BatchConfig, spec: &StackSpec) -> Result<Vec<EpisodeResult>, SimError> {
-    crate::run_batch_lanes(batch, spec, BatchMode::PerEpisode, None, None)?.into_results()
+    let control = crate::BatchControl::default();
+    crate::run_batch_with(batch, spec, BatchMode::PerEpisode, control)?.into_results()
 }
 
 /// The pre-overhaul batch runner: static contiguous chunking, one fresh

@@ -1,6 +1,8 @@
 //! Batch modes and the worker driver: every batch path runs its episodes
-//! through [`drive_worker`], which steps them on the episode stepper
+//! through `drive_worker`, which steps them on the episode stepper
 //! ([`crate::stepper`]) with the two policies its [`BatchMode`] selects.
+//! Each worker of the fan-out behind [`crate::run_batch_with`] is one
+//! `drive_worker` call.
 //!
 //! A worker owns a [`LaneGroup`] of `K` episode *lanes* (`K =`
 //! [`BatchMode::lanes_for`] the stack). With one lane, the stepper answers
@@ -43,12 +45,11 @@ use cv_nn::{BatchScratch, LanePlan, Matrix, Mlp, LANE_WIDTH};
 use cv_planner::NnPlanner;
 use safe_shield::{Observation, Outcome};
 
-use crate::scheduler::fan_out;
 use crate::stepper::{NnAnswer, Pairs, StepAdvance};
 use crate::supervise::payload_string;
 use crate::{
-    BatchConfig, BatchReport, EpisodeConfig, EpisodeOutcome, EpisodeResult, EpisodeWorkspace,
-    Quarantine, SimError, SkipReason, StackSpec,
+    BatchConfig, BatchControl, BatchReport, EpisodeConfig, EpisodeOutcome, EpisodeResult,
+    EpisodeWorkspace, Quarantine, SimError, SkipReason, StackSpec,
 };
 
 /// How a batch distributes episodes over each worker.
@@ -440,14 +441,12 @@ impl LaneGroup {
 /// The worker driver: runs episodes claimed from `claim` on one worker's
 /// [`LaneGroup`] until `claim` runs dry and every lane retires, emitting
 /// exactly one typed outcome per claimed index. `mode` selects the
-/// stepper's policies (module docs); `interrupt` is honoured at step
-/// granularity; `quarantine` is consulted before each episode and updated
-/// on each contained panic.
-///
-/// Every batch path calls this: [`run_batch_lanes`] fans it out across
-/// workers, and external schedulers (the cv-server shards) feed it from
-/// their own claim queues with the same fault and numeric contract.
-pub fn drive_worker(
+/// stepper's policies (module docs); `interrupt` is honoured before each
+/// episode and at step granularity; `quarantine` is consulted before each
+/// episode and updated on each contained panic. The fan-out of
+/// [`crate::run_batch_with`] calls it once per worker and once per rescued
+/// index.
+pub(crate) fn drive_worker(
     claim: &mut dyn FnMut() -> Option<usize>,
     batch: &BatchConfig,
     spec: &StackSpec,
@@ -462,17 +461,8 @@ pub fn drive_worker(
     }
 }
 
-/// Runs every episode of `batch` under supervision in `mode`: the one
-/// supervised batch entry point. Workers claim episode indices from one
-/// shared queue and run them through [`drive_worker`]; indices a dead
-/// worker never reported are re-run by the coordinator through a fresh
-/// driver of the same mode, so rescued episodes obey the same numeric
-/// contract.
-///
-/// Every episode yields a typed [`EpisodeOutcome`] (completed / failed /
-/// panicked / skipped); `quarantine` skips seeds that keep panicking and
-/// `interrupt` stops the batch at episode-step granularity. Numerics follow
-/// the module-level determinism/tolerance contract.
+/// [`crate::run_batch_with`] with only a quarantine and an interrupt
+/// attached: no deadline, cache or observer.
 ///
 /// # Errors
 ///
@@ -486,12 +476,12 @@ pub fn run_batch_lanes(
     quarantine: Option<&Quarantine>,
     interrupt: Option<&AtomicBool>,
 ) -> Result<BatchReport, SimError> {
-    batch.validate()?;
-    mode.validate()?;
-    let outcomes = fan_out(batch.episodes, batch.worker_count(), |claim, emit| {
-        drive_worker(claim, batch, spec, mode, quarantine, interrupt, emit);
-    });
-    Ok(BatchReport { outcomes })
+    let control = BatchControl {
+        quarantine,
+        interrupt,
+        ..BatchControl::default()
+    };
+    crate::run_batch_with(batch, spec, mode, control)
 }
 
 #[cfg(test)]

@@ -14,17 +14,20 @@
 //!   unsafe set).
 //! * [`run_episode`] — simulates one episode and scores it with the paper's
 //!   `η` ([`safe_shield::Outcome`]).
-//! * [`run_batch_lanes`] — the one supervised batch entry point: episodes
-//!   are distributed over workers by a dynamic claim-by-index
-//!   [`scheduler`], and each worker runs them through [`drive_worker`] on
-//!   the [`stepper`], the simulator's one per-step loop, in the
-//!   [`BatchMode`] the caller picks (per-episode, lane-batched NN inference
-//!   — see [`lanes`] — or the event wheel — see [`events`]). Every episode
-//!   is wrapped in `catch_unwind` and mapped to a typed [`EpisodeOutcome`]
-//!   (completed / failed / panicked / skipped), with optional seed
-//!   [`Quarantine`] and step-granular interruption. Every worker reuses an
-//!   [`EpisodeWorkspace`], so the per-step loop allocates nothing in the
-//!   steady state, and results stay bit-identical to a serial run.
+//! * [`run_batch_with`] — the one supervised batch entry point: episodes
+//!   are distributed over workers by one claim-by-index fan-out (the only
+//!   code that spawns, stops and rescues batch workers), and each worker
+//!   runs them on the [`stepper`], the simulator's one per-step loop, in
+//!   the [`BatchMode`] the caller picks (per-episode, lane-batched NN
+//!   inference — see [`lanes`] — or the event wheel — see [`events`]).
+//!   Every episode is wrapped in `catch_unwind` and mapped to a typed
+//!   [`EpisodeOutcome`] (completed / failed / panicked / skipped). A
+//!   [`BatchControl`] attaches a seed [`Quarantine`], an interrupt and a
+//!   deadline (both step-granular), an [`EpisodeCache`] and a per-episode
+//!   observer; the cv-server daemon runs its jobs through it. Every worker
+//!   reuses an [`EpisodeWorkspace`], so the per-step loop allocates nothing
+//!   in the steady state, and results stay bit-identical to a serial run.
+//!   [`run_batch_lanes`] is its wrapper with a quarantine and an interrupt.
 //! * [`run_batch`] — its strict per-episode wrapper: the paper's
 //!   Monte-Carlo over seeds and initial positions, summarised as the
 //!   columns of Tables I/II ([`BatchSummary`]): reaching time, safe rate,
@@ -55,7 +58,7 @@ mod episode;
 pub mod events;
 pub mod lanes;
 mod metrics;
-pub mod scheduler;
+mod scheduler;
 mod stack;
 pub mod stepper;
 pub mod supervise;
@@ -72,9 +75,10 @@ pub use driver::{Driver, DriverModel, LeadInfo};
 pub use episode::{
     run_episode, DecisionTrace, EpisodeResult, EpisodeTraces, SimError, WindowTrace,
 };
-pub use lanes::{drive_worker, lane_tolerance_check, run_batch_lanes, BatchMode};
+pub use lanes::{lane_tolerance_check, run_batch_lanes, BatchMode};
 pub use metrics::{rmse, winning_percentage, BatchSummary};
-pub use scheduler::WorkQueue;
 pub use stack::{StackSpec, WindowKind};
-pub use supervise::{BatchReport, EpisodeOutcome, Quarantine, SkipReason};
+pub use supervise::{
+    run_batch_with, BatchControl, BatchReport, EpisodeOutcome, Quarantine, SkipReason,
+};
 pub use workspace::EpisodeWorkspace;

@@ -1,12 +1,13 @@
-//! Supervised (fault-isolated) batch execution: the typed outcomes.
+//! Supervised (fault-isolated) batch execution: the one supervised entry
+//! point [`run_batch_with`], its [`BatchControl`], and the typed outcomes.
 //!
 //! The strict batch path ([`crate::run_batch`]) is all-or-nothing: one
 //! panicking planner or one invalid episode poisons the whole batch. The
-//! worker driver ([`crate::drive_worker`], behind [`crate::run_batch_lanes`]
-//! and the cv-server shards) instead wraps every episode in
-//! [`std::panic::catch_unwind`] and maps each one to a typed
-//! [`EpisodeOutcome`], so a batch degrades the way the paper's planner does
-//! under disturbance — bounded, typed, partial:
+//! worker driver behind [`run_batch_with`] (and so behind
+//! [`crate::run_batch_lanes`] and the cv-server job runner) instead wraps
+//! every episode in [`std::panic::catch_unwind`] and maps each one to a
+//! typed [`EpisodeOutcome`], so a batch degrades the way the paper's
+//! planner does under disturbance — bounded, typed, partial:
 //!
 //! * a panic is contained to its episode ([`EpisodeOutcome::Panicked`]); the
 //!   worker rebuilds that episode's [`crate::EpisodeWorkspace`] from the
@@ -15,9 +16,11 @@
 //!   ([`EpisodeOutcome::Failed`]),
 //! * seeds that keep panicking are quarantined after a configurable budget
 //!   ([`Quarantine`]) instead of being retried forever,
-//! * an interrupt flag (cancellation, deadline expiry) stops the batch at
+//! * an interrupt flag (cancellation) or a deadline stops the batch at
 //!   episode-*step* granularity; episodes not yet resolved come back as
-//!   [`EpisodeOutcome::Skipped`].
+//!   [`EpisodeOutcome::Skipped`],
+//! * an optional [`EpisodeCache`] answers hits before any worker spawns
+//!   and stores every completed miss.
 //!
 //! The invariant that makes partial results trustworthy: **episodes that
 //! complete under supervision are bit-identical to a clean run** of the same
@@ -25,10 +28,17 @@
 //! happens to the batch around it when an episode dies.
 
 use std::collections::HashMap;
+use std::sync::atomic::AtomicBool;
 use std::sync::Mutex;
+use std::time::Instant;
 
+use crate::lanes::drive_worker;
 use crate::metrics::summarise;
-use crate::{BatchSummary, EpisodeResult, SimError};
+use crate::scheduler::fan_out;
+use crate::{
+    episode_key, episode_weight, stack_digest, BatchConfig, BatchMode, BatchSummary, EpisodeCache,
+    EpisodeResult, SimError, StackSpec,
+};
 
 /// Why an episode was skipped without producing a result.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,18 +89,6 @@ impl EpisodeOutcome {
         match self {
             EpisodeOutcome::Completed(r) => Some(r),
             _ => None,
-        }
-    }
-
-    /// The seed of the episode this outcome describes (the completed
-    /// variant carries the result, not the seed, so it is not recoverable
-    /// here).
-    pub fn seed(&self) -> Option<u64> {
-        match self {
-            EpisodeOutcome::Completed(_) => None,
-            EpisodeOutcome::Failed { seed, .. }
-            | EpisodeOutcome::Panicked { seed, .. }
-            | EpisodeOutcome::Skipped { seed, .. } => Some(*seed),
         }
     }
 }
@@ -146,11 +144,48 @@ impl Quarantine {
     }
 }
 
+/// A per-index callback that may be called from any worker thread, one call
+/// at a time.
+pub type Observer<'a, T> = &'a mut (dyn FnMut(usize, &T) + Send);
+
+/// Everything a caller attaches to a supervised batch besides the batch
+/// itself ([`run_batch_with`]). The default is the empty control of
+/// [`crate::run_batch`].
+#[derive(Default)]
+pub struct BatchControl<'a> {
+    /// Skips seeds that keep panicking; updated on each contained panic.
+    pub quarantine: Option<&'a Quarantine>,
+    /// Stops the batch at episode-step granularity when set.
+    pub interrupt: Option<&'a AtomicBool>,
+    /// Stops the batch at episode-step granularity when it passes.
+    pub deadline: Option<Instant>,
+    /// Looked up for every episode before any worker claims one; every
+    /// completed miss is inserted once the workers have joined.
+    pub cache: Option<&'a EpisodeCache>,
+    /// Hears every episode's outcome where it resolves (cache hits first),
+    /// one call at a time.
+    pub observer: Option<Observer<'a, EpisodeOutcome>>,
+    /// Test hook: worker `w` stops right after its next claim, leaving a
+    /// claimed-but-unreported episode for the rescue pass.
+    #[cfg(feature = "fault-injection")]
+    pub kill_worker: Option<usize>,
+}
+
 /// Everything a supervised batch run observed, in episode-index order.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BatchReport {
     /// One outcome per requested episode, index-aligned with the batch.
     pub outcomes: Vec<EpisodeOutcome>,
+    /// Whether the deadline stopped the batch before it resolved.
+    pub deadline_hit: bool,
+    /// Episodes answered from the cache.
+    pub cache_hits: usize,
+    /// Episodes looked up in the cache and missed (`0` when uncached).
+    pub cache_misses: usize,
+    /// Of `cache_hits`, those served by entries reloaded from disk.
+    pub cache_persisted_hits: usize,
+    /// Entries the cache evicted while the batch ran.
+    pub cache_evictions: usize,
 }
 
 impl BatchReport {
@@ -168,6 +203,10 @@ impl BatchReport {
     pub fn summary(&self) -> BatchSummary {
         let mut summary = summarise(self.outcomes.iter().filter_map(|o| o.completed()));
         summary.requested = self.outcomes.len();
+        summary.cache_hits = self.cache_hits;
+        summary.cache_misses = self.cache_misses;
+        summary.cache_persisted_hits = self.cache_persisted_hits;
+        summary.cache_evictions = self.cache_evictions;
         for outcome in &self.outcomes {
             match outcome {
                 EpisodeOutcome::Completed(_) => {}
@@ -208,6 +247,88 @@ impl BatchReport {
         }
         Ok(results)
     }
+}
+
+/// Runs every episode of `batch` under supervision in `mode`: the one
+/// supervised batch entry point, with `control` attaching the quarantine,
+/// the interrupt, the deadline, the cache and the observer. Every episode
+/// yields a typed [`EpisodeOutcome`], and episodes rescued from a dead
+/// worker obey the same numeric contract as the rest. If any cache key
+/// cannot be derived (a NaN in the stack or a config, a typed `KeyError`),
+/// the whole batch bypasses the cache instead of storing under a poisoned
+/// key; only completed episodes are inserted.
+///
+/// # Errors
+///
+/// [`SimError::InvalidBatch`] for an unrunnable batch configuration or a
+/// lane count outside `1..=`[`cv_nn::LANE_WIDTH`]; per-episode faults are
+/// reported in the [`BatchReport`], never as an error.
+pub fn run_batch_with(
+    batch: &BatchConfig,
+    spec: &StackSpec,
+    mode: BatchMode,
+    mut control: BatchControl<'_>,
+) -> Result<BatchReport, SimError> {
+    batch.validate()?;
+    mode.validate()?;
+    let mut observer = control.observer.take();
+    let mut report = BatchReport::default();
+    let mut slots: Vec<Option<EpisodeOutcome>> = vec![None; batch.episodes];
+
+    let cache = control.cache.and_then(|c| {
+        let digest = stack_digest(spec).ok()?;
+        let keys = (0..batch.episodes)
+            .map(|i| episode_key(digest, &batch.episode(i)))
+            .collect::<Result<Vec<_>, _>>()
+            .ok()?;
+        Some((c, keys))
+    });
+    let evictions_before = cache.as_ref().map_or(0, |(c, _)| c.evictions());
+    // Hits stream before any worker spawns, and before the interrupt or the
+    // deadline is consulted, so they survive a cancel.
+    let mut misses = Vec::new();
+    if let Some((c, keys)) = &cache {
+        for (i, slot) in slots.iter_mut().enumerate() {
+            let Some((result, persisted)) = c.get_entry(&keys[i]) else {
+                misses.push(i);
+                continue;
+            };
+            report.cache_hits += 1;
+            report.cache_persisted_hits += usize::from(persisted);
+            let outcome = EpisodeOutcome::Completed(result);
+            if let Some(f) = observer.as_mut() {
+                f(i, &outcome);
+            }
+            *slot = Some(outcome);
+        }
+        report.cache_misses = misses.len();
+    }
+
+    let workers = batch.worker_count();
+    report.deadline_hit = fan_out(
+        &mut slots,
+        workers,
+        &control,
+        observer,
+        |claim, emit, stop| {
+            drive_worker(claim, batch, spec, mode, control.quarantine, stop, emit);
+        },
+    );
+    // Completed misses are inserted once the workers have joined: workers
+    // never contend on the cache, and one thread allocates its entries.
+    if let Some((c, keys)) = &cache {
+        for &i in &misses {
+            if let Some(EpisodeOutcome::Completed(r)) = &slots[i] {
+                c.insert(keys[i], r.clone(), episode_weight(r));
+            }
+        }
+        report.cache_evictions = usize::try_from(c.evictions() - evictions_before).unwrap_or(0);
+    }
+    report.outcomes = slots
+        .into_iter()
+        .map(|s| s.expect("the fan-out fills every slot"))
+        .collect();
+    Ok(report)
 }
 
 pub(crate) fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
@@ -260,6 +381,7 @@ mod tests {
                     payload: "boom".into(),
                 },
             ],
+            ..BatchReport::default()
         };
         let s = report.summary();
         assert_eq!(

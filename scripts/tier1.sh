@@ -68,6 +68,12 @@ timeout 300 cargo test -q --release --offline -p cv-server --test supervision_e2
 timeout 300 cargo test -q --release --offline -p cv-server \
   --features fault-injection --test panic_isolation
 
+# The fault-injection unit tests of cv-sim and cv-server: the fan-out's
+# dead-worker rescue through the kill switch, panic containment and
+# quarantine at the library and the daemon layer. Same feature, same cap.
+timeout 300 cargo test -q --release --offline -p cv-sim -p cv-server \
+  --features cv-server/fault-injection --lib
+
 # Cache smoke: a daemon with a small content-addressed result cache must
 # answer a repeated batch entirely from the cache (hits == episodes) with
 # summary lines identical to the first run, byte for byte (the wall-time

@@ -103,6 +103,7 @@ fn sharded_server_summary_matches_run_batch() {
                 JobLimits::new(workers).with_mode(mode),
                 &cancel,
                 None,
+                None,
                 |_| {},
             );
             match outcome {

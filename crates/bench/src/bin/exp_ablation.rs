@@ -21,10 +21,17 @@ fn summarise(spec: &StackSpec, scenario: CommScenario, sims: usize, seed: u64) -
     BatchSummary::from_results(&run_batch(&batch, spec).expect("valid batch"))
 }
 
+const USAGE: &str = "usage: exp_ablation [--sims 500] [--seed 1] [--buffers]";
+
 fn main() {
-    let sims = bench::arg_usize("--sims", 500);
-    let seed = bench::arg_usize("--seed", 1) as u64;
-    let buffers = std::env::args().any(|a| a == "--buffers");
+    let (sims, seed, buffers): (usize, u64, bool) =
+        bench::parse_args(USAGE, &["--sims", "--seed"], &["--buffers"], |a| {
+            Ok((
+                a.value("--sims", 500)?,
+                a.value("--seed", 1)?,
+                a.has("--buffers"),
+            ))
+        });
     eprintln!("training/loading planners...");
     let (cons, _) = planners();
 

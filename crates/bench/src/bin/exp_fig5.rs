@@ -75,10 +75,14 @@ fn print_sweep(title: &str, x_name: &str, points: &[SweepPoint]) {
     }
 }
 
+const USAGE: &str = "usage: exp_fig5 [--panel a|b|c|d|e|f|all] [--sims 300] [--seed 1]";
+
 fn main() {
-    let sims = bench::arg_usize("--sims", 300);
-    let seed = bench::arg_usize("--seed", 1) as u64;
-    let panel = bench::arg_string("--panel", "all");
+    let (sims, seed, panel): (usize, u64, String) =
+        bench::parse_args(USAGE, &["--sims", "--seed", "--panel"], &[], |a| {
+            let panel = bench::panel(a, &["a", "b", "c", "d", "e", "f"])?;
+            Ok((a.value("--sims", 300)?, a.value("--seed", 1)?, panel))
+        });
     eprintln!("training/loading planners...");
     let (cons, _) = planners();
     let stacks = stacks_for(&cons, Family::Conservative);

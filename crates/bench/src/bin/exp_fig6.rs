@@ -146,8 +146,10 @@ fn panel_b() {
     println!("(outcome: {})", result.outcome);
 }
 
+const USAGE: &str = "usage: exp_fig6 [--panel a|b|all]";
+
 fn main() {
-    let panel = bench::arg_string("--panel", "all");
+    let panel = bench::parse_args(USAGE, &["--panel"], &[], |a| bench::panel(a, &["a", "b"]));
     if panel == "a" || panel == "all" {
         panel_a();
     }

@@ -6,9 +6,12 @@
 
 use bench::{evaluate_block, planners, table_header, CommScenario, Family};
 
+const USAGE: &str = "usage: exp_table1 [--sims 2000] [--seed 1]";
+
 fn main() {
-    let sims = bench::arg_usize("--sims", 2000);
-    let seed = bench::arg_usize("--seed", 1) as u64;
+    let (sims, seed): (usize, u64) = bench::parse_args(USAGE, &["--sims", "--seed"], &[], |a| {
+        Ok((a.value("--sims", 2000)?, a.value("--seed", 1)?))
+    });
     eprintln!("training/loading planners...");
     let (cons, _aggr) = planners();
 

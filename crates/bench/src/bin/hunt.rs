@@ -48,8 +48,10 @@ fn dump_trace(cfg: &EpisodeConfig, spec: &StackSpec) {
     }
 }
 
+const USAGE: &str = "usage: hunt [--sims 2000]";
+
 fn main() {
-    let sims = bench::arg_usize("--sims", 2000);
+    let sims: usize = bench::parse_args(USAGE, &["--sims"], &[], |a| a.value("--sims", 2000));
     let (cons, aggr) = bench::planners();
     let settings: [(&str, CommSetting, f64); 4] = [
         ("no-dist", CommSetting::NoDisturbance, 1.0),

@@ -7,7 +7,10 @@
 use left_turn::verify::{check_invariants, VerifyGrid};
 use left_turn::LeftTurnScenario;
 
+const USAGE: &str = "usage: verify_shield";
+
 fn main() {
+    bench::parse_args(USAGE, &[], &[], |_| Ok(()));
     let grid = VerifyGrid::default();
     let mut total_states = 0u64;
     let mut total_violations = 0usize;

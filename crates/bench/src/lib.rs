@@ -13,13 +13,16 @@
 //!
 //! Binaries accept `--sims N` to scale the Monte-Carlo size (the paper used
 //! 80,000 per setting; the default here is 2,000, which already stabilises
-//! every qualitative ordering).
+//! every qualitative ordering). [`parse_args`] reads every binary's command
+//! line strictly: an unknown flag or a bad value is a usage error (exit code
+//! 64), never a silent default.
 
 pub mod timing;
 
 use cv_comm::CommSetting;
 use cv_planner::NnPlanner;
 use cv_sensing::SensorNoise;
+use cv_server::cli::{Args, UsageError, EXIT_USAGE};
 use cv_sim::training::{load_or_train_planners, TrainSetup};
 use cv_sim::{
     run_batch, winning_percentage, BatchConfig, BatchSummary, EpisodeConfig, KeyHasher, StackSpec,
@@ -249,24 +252,42 @@ pub fn evaluate_block(
         .collect()
 }
 
-/// Parses a `--sims N` style flag from `std::env::args`, with a default.
-pub fn arg_usize(flag: &str, default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Parses this process's command line strictly with [`Args`]: `valued`
+/// flags take a value, `switches` take none, and `read` turns the parsed
+/// line into the binary's settings. An unknown or repeated flag, a
+/// positional argument, a value that does not parse, or a setting `read`
+/// rejects prints the error beside `usage` and exits with [`EXIT_USAGE`]
+/// before any planner is trained, so no experiment silently runs on a
+/// default.
+pub fn parse_args<T>(
+    usage: &str,
+    valued: &[&str],
+    switches: &[&str],
+    read: impl FnOnce(&Args) -> Result<T, UsageError>,
+) -> T {
+    Args::parse(std::env::args().skip(1), valued, switches)
+        .and_then(|args| match args.positionals() {
+            [] => read(&args),
+            [extra, ..] => Err(UsageError(format!("unexpected argument '{extra}'"))),
+        })
+        .unwrap_or_else(|e| {
+            eprintln!("{e}\n{usage}");
+            std::process::exit(EXIT_USAGE);
+        })
 }
 
-/// Parses a `--panel X` style string flag.
-pub fn arg_string(flag: &str, default: &str) -> String {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| default.to_string())
+/// The `--panel` value: `all` when absent, otherwise one of `panels`.
+///
+/// # Errors
+///
+/// [`UsageError`] for any other panel name.
+pub fn panel(args: &Args, panels: &[&str]) -> Result<String, UsageError> {
+    let panel = args.get("--panel").unwrap_or("all");
+    if panel == "all" || panels.contains(&panel) {
+        Ok(panel.to_string())
+    } else {
+        Err(UsageError(format!("--panel: unknown panel '{panel}'")))
+    }
 }
 
 #[cfg(test)]
@@ -295,6 +316,19 @@ mod tests {
         };
         assert_ne!(key, planner_cache_key(cv_nn::NUMERICS, &reseeded));
         assert!(planner_cache_dir().ends_with(&key));
+    }
+
+    #[test]
+    fn panel_is_all_or_a_known_name() {
+        let args = |line: &str| {
+            Args::parse(line.split_whitespace().map(String::from), &["--panel"], &[]).unwrap()
+        };
+        assert_eq!(panel(&args(""), &["a", "b"]), Ok("all".to_string()));
+        assert_eq!(panel(&args("--panel b"), &["a", "b"]), Ok("b".to_string()));
+        assert_eq!(
+            panel(&args("--panel g"), &["a", "b"]).unwrap_err().0,
+            "--panel: unknown panel 'g'"
+        );
     }
 
     #[test]

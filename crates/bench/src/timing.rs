@@ -166,19 +166,6 @@ impl Bencher {
     }
 }
 
-/// Machine-readable entry point: times `routine` with the same auto-sizing
-/// and sampling as [`Bencher::iter`] and returns the mean ns per iteration
-/// (instead of printing a report line). Used by `exp_throughput` to emit
-/// kernel rates into its JSON artifact.
-pub fn measure_ns<R, F: FnMut() -> R>(samples: usize, routine: F) -> f64 {
-    let mut b = Bencher {
-        samples: samples.max(2),
-        stats: None,
-    };
-    b.iter(routine);
-    b.stats.map_or(f64::NAN, |s| s.mean_ns)
-}
-
 fn summarise(per_iter_ns: &[f64], iters: u64) -> Stats {
     let n = per_iter_ns.len() as f64;
     let mean = per_iter_ns.iter().sum::<f64>() / n;

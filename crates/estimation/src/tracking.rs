@@ -291,7 +291,7 @@ mod tests {
 
         let (x, p) = tf.predicted(0.2);
         assert!((x.x - 2.104_493_963_620_591).abs() < 1e-9, "x.x = {}", x.x);
-        assert!((x.y - 10.070_328_392_211_479).abs() < 1e-9, "x.y = {}", x.y);
+        assert!((x.y - 10.070_328_392_211_48).abs() < 1e-9, "x.y = {}", x.y);
         assert!(
             (p.a - 2.110_444_163_483_168_5e-5).abs() < 1e-9,
             "p.a = {}",
@@ -304,7 +304,7 @@ mod tests {
         );
         assert!((p.c - p.b).abs() < 1e-15, "P must stay symmetric");
         assert!(
-            (p.d - 4.112_984_659_349_492_6e-3).abs() < 1e-9,
+            (p.d - 4.112_984_659_349_493e-3).abs() < 1e-9,
             "p.d = {}",
             p.d
         );
@@ -313,7 +313,7 @@ mod tests {
         // (−0.3): one more hand-computed prediction step to t = 0.25.
         let (xe, _) = tf.predicted(0.25);
         assert!(
-            (xe.x - 2.607_635_383_231_165_2).abs() < 1e-9,
+            (xe.x - 2.607_635_383_231_165).abs() < 1e-9,
             "xe.x = {}",
             xe.x
         );

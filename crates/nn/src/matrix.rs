@@ -180,7 +180,7 @@ impl Matrix {
     /// Matrix product `self · other`.
     ///
     /// Runs the single-row kernel on every row (see
-    /// [`Matrix::matmul_into`]); bit-identical to [`Matrix::matmul_naive`].
+    /// [`Matrix::matmul_into`]); bit-identical to the naive i-k-j kernel.
     ///
     /// # Errors
     ///
@@ -192,14 +192,14 @@ impl Matrix {
     }
 
     /// Reference kernel for `self · other` (i-k-j loop order, exact-zero
-    /// skip). Kept — like `run_batch_static` in `cv-sim` — as the A/B
-    /// baseline the row kernel is `to_bits`-tested against and benchmarked
-    /// over; not dead code.
+    /// skip): the oracle the row kernel is `to_bits`-tested against here
+    /// and in `simd`'s tests.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] if `self.cols != other.rows`.
-    pub fn matmul_naive(&self, other: &Matrix) -> Result<Matrix, NnError> {
+    #[cfg(test)]
+    pub(crate) fn matmul_naive(&self, other: &Matrix) -> Result<Matrix, NnError> {
         if self.cols != other.rows {
             return Err(NnError::ShapeMismatch {
                 context: format!(
@@ -230,8 +230,8 @@ impl Matrix {
     /// Every output row is one call of the single-row kernel
     /// (`simd::row_matmul`): each element is accumulated along one
     /// ascending-`k` chain from `+0.0` with the exact-zero skip, `mul` and
-    /// `add` kept separate, so results are bit-identical to
-    /// [`Matrix::matmul_naive`].
+    /// `add` kept separate, so results are bit-identical to the naive
+    /// i-k-j kernel (the test suite's `matmul_naive` oracle).
     ///
     /// # Errors
     ///
@@ -827,9 +827,9 @@ mod tests {
             let mut out = Matrix::zeros(0, 0);
             wt.matmul_lanes_into(&act, &bias, &mut out).unwrap();
             assert_eq!((out.rows(), out.cols()), (out_dim, crate::LANE_WIDTH));
-            for o in 0..out_dim {
+            for (o, &b) in bias.iter().enumerate() {
                 for lane in 0..crate::LANE_WIDTH {
-                    let mut acc = bias[o];
+                    let mut acc = b;
                     for k in 0..in_dim {
                         acc = wt.get(o, k).mul_add(act.get(k, lane), acc);
                     }

@@ -95,9 +95,9 @@ impl Trainer {
 
     /// Allocating reference trainer: identical schedule and arithmetic to
     /// [`Trainer::fit`], but every mini-batch allocates its caches and
-    /// deltas afresh. Kept as the A/B baseline (like `run_batch_static` in
-    /// the sim crate) and used by the equivalence tests and the throughput
-    /// benchmark's before/after comparison.
+    /// deltas afresh. A test reference: the equivalence tests here and in
+    /// `cv-planner`'s cloning tests check [`Trainer::fit`] against it bit
+    /// for bit.
     ///
     /// # Errors
     ///

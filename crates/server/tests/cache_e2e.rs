@@ -191,6 +191,26 @@ fn cache_hits_survive_cancellation_and_resubmission_completes() {
     let full = completed(run_with_cache(&big, &spec, 2, &cache));
     assert_eq!((full.cache_hits, full.cache_misses), (12, 0));
     assert_bit_identical(&resumed, &full, "resubmitted batch");
+
+    // A fully warm batch computes nothing: with cancel already set, no
+    // worker may run, yet every episode is served from the cache.
+    cancel.store(true, Ordering::Relaxed);
+    let warm = completed(run_sharded(
+        &big,
+        &spec,
+        JobLimits::new(2),
+        &cancel,
+        None,
+        Some(&cache),
+        |_| {},
+    ));
+    assert_eq!((warm.episodes, warm.skipped), (12, 0));
+    assert_eq!((warm.cache_hits, warm.cache_misses), (12, 0));
+    assert_eq!(
+        warm.etas.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+        full.etas.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+        "a fully warm batch must carry the cached etas bit-identically"
+    );
 }
 
 #[test]

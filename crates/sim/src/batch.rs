@@ -1,4 +1,4 @@
-use crate::{run_episode, BatchMode, EpisodeConfig, EpisodeResult, SimError, StackSpec};
+use crate::{BatchMode, EpisodeConfig, EpisodeResult, SimError, StackSpec};
 
 /// Configuration for a Monte-Carlo batch.
 ///
@@ -129,61 +129,10 @@ pub fn run_batch(batch: &BatchConfig, spec: &StackSpec) -> Result<Vec<EpisodeRes
     crate::run_batch_with(batch, spec, BatchMode::PerEpisode, control)?.into_results()
 }
 
-/// The pre-overhaul batch runner: static contiguous chunking, one fresh
-/// episode build per run. Kept as the baseline side of the
-/// `exp_throughput` A/B benchmark and as a cross-check in the determinism
-/// tests — [`run_batch`] must produce bit-identical results.
-///
-/// # Errors
-///
-/// Same contract as [`run_batch`].
-pub fn run_batch_static(
-    batch: &BatchConfig,
-    spec: &StackSpec,
-) -> Result<Vec<EpisodeResult>, SimError> {
-    batch.validate()?;
-    let workers = batch.worker_count().min(batch.episodes);
-    if workers <= 1 {
-        return (0..batch.episodes)
-            .map(|i| run_episode(&batch.episode(i), spec, false))
-            .collect();
-    }
-
-    let mut slots: Vec<Option<Result<EpisodeResult, SimError>>> = Vec::new();
-    slots.resize_with(batch.episodes, || None);
-    let mut chunks: Vec<&mut [Option<Result<EpisodeResult, SimError>>]> = Vec::new();
-    let per = batch.episodes.div_ceil(workers);
-    let mut rest = slots.as_mut_slice();
-    while !rest.is_empty() {
-        let take = per.min(rest.len());
-        let (head, tail) = rest.split_at_mut(take);
-        chunks.push(head);
-        rest = tail;
-    }
-
-    std::thread::scope(|scope| {
-        let mut offset = 0usize;
-        for chunk in chunks {
-            let start = offset;
-            offset += chunk.len();
-            let spec = spec.clone();
-            scope.spawn(move || {
-                for (k, slot) in chunk.iter_mut().enumerate() {
-                    *slot = Some(run_episode(&batch.episode(start + k), &spec, false));
-                }
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|s| s.expect("worker filled every slot"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_episode;
 
     #[test]
     fn batch_is_deterministic_and_parallel_matches_serial() {
@@ -209,7 +158,9 @@ mod tests {
         let mut batch = BatchConfig::new(template, 10);
         batch.threads = 3;
         let dynamic = run_batch(&batch, &spec).unwrap();
-        let static_ = run_batch_static(&batch, &spec).unwrap();
+        let static_: Vec<_> = (0..batch.episodes)
+            .map(|i| run_episode(&batch.episode(i), &spec, false).unwrap())
+            .collect();
         assert_eq!(dynamic, static_);
     }
 

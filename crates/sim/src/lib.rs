@@ -65,7 +65,7 @@ pub mod supervise;
 pub mod training;
 pub mod workspace;
 
-pub use batch::{run_batch, run_batch_static, BatchConfig};
+pub use batch::{run_batch, BatchConfig};
 pub use cache::{
     episode_key, episode_weight, stack_digest, store_salt, EpisodeCache, DEFAULT_CACHE_BYTES,
 };

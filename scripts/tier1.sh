@@ -11,17 +11,22 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo fmt --check
-cargo clippy --offline --workspace -- -D warnings -W clippy::perf
+cargo clippy --offline --workspace --all-targets -- -D warnings -W clippy::perf
 
-# Perf-harness smoke run: tiny matrix, output parked under target/ so it
-# never clobbers the committed results/BENCH_throughput.json artifact.
-# This also exercises lane batching K ∈ {1,2,4,8} inline: the binary
-# asserts the per-episode tolerance gate on every lane cell and K=1
-# bit-identity on every run (no --baseline/--nn-baseline here, so the
-# 10% regression gates stay inert at smoke scale).
-cargo run -q --release --offline -p bench --bin exp_throughput -- \
-  --sims 8 --threads 2 --reps 2 --out target/tier1-throughput-smoke.json
-test -s target/tier1-throughput-smoke.json
+# Benchmark smoke: perfbench is a cargo workspace of its own, so the
+# workspace build above never compiles it. Build it, then run every
+# workload for one second: each run must exit 0 and its last line must
+# report a correct run with no failed operation. The runs check their
+# outputs against the per-episode reference (bit for bit, or within the
+# lane tolerance gate on tables-lanes) and the service's summaries against
+# an in-process run. Planners are cached under perfbench/target/.
+PERFBENCH=(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml --)
+cargo build -q --release --offline --manifest-path perfbench/Cargo.toml
+for workload in tables tables-lanes platoon service; do
+  last=$(timeout 300 "${PERFBENCH[@]}" --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+  { echo "$last" | grep -q '"correct": true' && echo "$last" | grep -q '"failed": 0,'; } \
+    || { echo "tier1: perfbench $workload did not run correctly:"; echo "$last"; exit 1; } >&2
+done
 
 # Lane-batching smoke: the integration-level numeric contract (DESIGN.md
 # §15) — K=4 batches compared per episode against the per-episode
@@ -225,18 +230,22 @@ if cargo run -q --release --offline -p cv-server --bin cv-submit -- \
   exit 1
 fi
 
-# Strict command lines (cv_server::cli): a value that does not parse or an
-# unknown flag is a usage error with exit code 64, raised before cv-submit
-# connects or cv-serve binds, so neither can silently run on a default.
+# Strict command lines (cv_server::cli): a value that does not parse, an
+# unknown flag or an unknown panel is a usage error with exit code 64,
+# raised before cv-submit connects, cv-serve binds or an experiment trains
+# its planners, so none can silently run on a default.
 expect_usage_error() {
-  local code=0
-  timeout 60 cargo run -q --release --offline -p cv-server --bin "$@" >/dev/null 2>&1 || code=$?
+  local package=$1 code=0
+  shift
+  timeout 60 cargo run -q --release --offline -p "$package" --bin "$@" >/dev/null 2>&1 || code=$?
   [ "$code" = 64 ] \
     || { echo "tier1: '$*' exited with $code, not the usage error 64" >&2; exit 1; }
 }
-expect_usage_error cv-submit -- --episodes ten
-expect_usage_error cv-serve -- --bogus
+expect_usage_error cv-server cv-submit -- --episodes ten
+expect_usage_error cv-server cv-serve -- --bogus
 # The daemon's batch mode is one validated value: a lane count above the
 # lane width, or lanes combined with the event wheel, names no mode.
-expect_usage_error cv-serve -- --lanes 9
-expect_usage_error cv-serve -- --lanes 4 --event-driven
+expect_usage_error cv-server cv-serve -- --lanes 9
+expect_usage_error cv-server cv-serve -- --lanes 4 --event-driven
+expect_usage_error bench exp_table1 -- --sims ten
+expect_usage_error bench exp_fig5 -- --panel g

@@ -8,7 +8,7 @@
 //!
 //! 1. a reused workspace reproduces `run_episode` exactly, traces included;
 //! 2. `run_batch` (dynamic) over the full paper start grid matches
-//!    `run_batch_static` (the pre-overhaul chunked baseline) for every
+//!    `run_episode` called on each episode in index order, for every
 //!    thread count in {1, 2, 4, 8};
 //! 3. the server's sharded execution reports the same summary statistics as
 //!    the library batch runner, for 1 and 4 workers, per-episode and (for an
@@ -19,8 +19,7 @@ use std::sync::atomic::AtomicBool;
 use cv_server::{run_sharded, JobLimits, JobOutcome};
 use safe_cv::prelude::*;
 use safe_cv::sim::{
-    run_batch, run_batch_static, run_episode, BatchConfig, BatchMode, BatchSummary,
-    EpisodeWorkspace, PlatoonSpec,
+    run_batch, run_episode, BatchConfig, BatchMode, BatchSummary, EpisodeWorkspace, PlatoonSpec,
 };
 
 fn disturbed_template(seed: u64) -> EpisodeConfig {
@@ -57,7 +56,7 @@ fn reused_workspace_matches_fresh_episodes_with_traces() {
 
 /// Dynamic claim-by-index scheduling must be invisible in the results: the
 /// full paper start grid, every thread count, both teacher stacks, compared
-/// against the static-chunking baseline and against single-threaded runs.
+/// against one `run_episode` per index and against single-threaded runs.
 #[test]
 fn batch_results_identical_across_schedulers_and_thread_counts() {
     let template = disturbed_template(7);
@@ -69,10 +68,12 @@ fn batch_results_identical_across_schedulers_and_thread_counts() {
         let mut batch = BatchConfig::new(template.clone(), 2 * grid.len());
         batch.threads = 1;
         let reference = run_batch(&batch, &spec).expect("valid batch");
+        let static_: Vec<_> = (0..batch.episodes)
+            .map(|i| run_episode(&batch.episode(i), &spec, false).expect("valid episode"))
+            .collect();
         for threads in [1usize, 2, 4, 8] {
             batch.threads = threads;
             let dynamic = run_batch(&batch, &spec).expect("valid batch");
-            let static_ = run_batch_static(&batch, &spec).expect("valid batch");
             assert_eq!(reference, dynamic, "dynamic @ {threads} threads");
             assert_eq!(reference, static_, "static @ {threads} threads");
         }

@@ -241,6 +241,8 @@ impl ClientError {
 pub struct Client {
     reader: FrameReader<BufReader<TcpStream>>,
     writer: TcpStream,
+    /// Encode buffer for outgoing frames, reused across sends.
+    out: String,
     config: ClientConfig,
 }
 
@@ -303,6 +305,7 @@ impl Client {
         Ok(Client {
             reader,
             writer: stream,
+            out: String::new(),
             config,
         })
     }
@@ -319,10 +322,11 @@ impl Client {
     /// Socket errors; [`ClientError::Timeout`] if the write deadline
     /// expires.
     pub fn send(&mut self, request: &Request) -> Result<(), ClientError> {
-        let mut line = request.to_json().encode();
-        line.push('\n');
+        self.out.clear();
+        request.to_json().encode_into(&mut self.out);
+        self.out.push('\n');
         self.writer
-            .write_all(line.as_bytes())
+            .write_all(self.out.as_bytes())
             .map_err(|e| self.classify_io("write", e))
     }
 
@@ -332,7 +336,8 @@ impl Client {
     ///
     /// [`ClientError::Timeout`] if no frame arrives within the read
     /// deadline, [`ClientError::Io`] on EOF/reset/disconnect-mid-frame,
-    /// [`ClientError::Protocol`] on undecodable or oversize frames.
+    /// [`ClientError::Protocol`] on undecodable (including non-UTF-8) or
+    /// oversize frames.
     pub fn recv(&mut self) -> Result<Event, ClientError> {
         let line = match self.reader.read_frame() {
             Ok(line) => line,
@@ -352,6 +357,9 @@ impl Client {
                 return Err(ClientError::Protocol(format!(
                     "server frame exceeds the {limit}-byte limit"
                 )))
+            }
+            Err(e @ FrameError::InvalidUtf8 { .. }) => {
+                return Err(ClientError::Protocol(format!("server {e}")))
             }
             Err(e @ FrameError::Io(_)) if e.is_timeout() => {
                 return Err(ClientError::Timeout {

@@ -965,9 +965,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn summary_with_nan_reaching_time_roundtrips_stats_eq() {
-        let summary = BatchSummary {
+    /// A summary with a NaN reaching time and every counter set.
+    fn sample_summary() -> BatchSummary {
+        BatchSummary {
             episodes: 2,
             requested: 4,
             failed: 1,
@@ -987,7 +987,12 @@ mod tests {
             cache_persisted_hits: 1,
             cache_quarantined: 2,
             lanes: 4,
-        };
+        }
+    }
+
+    #[test]
+    fn summary_with_nan_reaching_time_roundtrips_stats_eq() {
+        let summary = sample_summary();
         let reparsed = Json::parse(&summary_to_json(&summary).encode()).unwrap();
         let back = summary_from_json(&reparsed).unwrap();
         assert!(back.stats_eq(&summary));
@@ -1135,6 +1140,47 @@ mod tests {
             let reparsed = Json::parse(&ev.to_json().encode()).unwrap();
             assert_eq!(Event::from_json(&reparsed).unwrap(), ev);
         }
+    }
+
+    /// Nesting depth of a value: 0 for a scalar, 1 for a flat container.
+    fn depth(v: &Json) -> usize {
+        match v {
+            Json::Arr(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+            Json::Obj(pairs) => 1 + pairs.iter().map(|(_, v)| depth(v)).max().unwrap_or(0),
+            _ => 0,
+        }
+    }
+
+    #[test]
+    fn the_deepest_protocol_frame_stays_far_below_the_parser_cap() {
+        let submit = Request::SubmitBatch {
+            batch: sample_batch(),
+            stack: StackSpecWire::TeacherConservative,
+            deadline_ms: None,
+        };
+        let status = Event::Status {
+            jobs: vec![JobStatus {
+                job: 1,
+                state: "running".into(),
+                done: 4,
+                total: 16,
+            }],
+            queue_capacity: 4,
+            queue_len: 1,
+        };
+        let done = Event::BatchDone {
+            job: 1,
+            summary: sample_summary(),
+        };
+        let depths = [
+            depth(&submit.to_json()),
+            depth(&status.to_json()),
+            depth(&done.to_json()),
+        ];
+        // A platoon submission is the deepest frame: request, batch,
+        // template, the extra-vehicle list, one vehicle, its driver model.
+        assert_eq!(depths, [6, 3, 3]);
+        assert!(depths.iter().all(|&d| d * 10 < crate::wire::MAX_DEPTH));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! shutdown stops the accept loop and closes the queue, which the runner
 //! then drains: every accepted job still reaches a terminal frame.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -38,6 +38,18 @@ use crate::worker::{run_sharded, JobLimits, JobOutcome, Progress};
 /// How often an idle connection rechecks the shutdown flag and its idle
 /// deadline.
 const READ_POLL: Duration = Duration::from_millis(200);
+
+/// Bytes of queued frames after which a burst is written without waiting
+/// for the queue to empty: a long burst (a fully cached batch streams every
+/// hit at once) is split rather than buffered whole. Splitting only ever
+/// sends frames earlier.
+const MAX_WRITE_BYTES: usize = 64 * 1024;
+
+/// How many finished jobs `status` and `cancel` still answer for. Older
+/// ones are forgotten, oldest first, and from then on answer like an id
+/// the server never issued, so the job table stays bounded however long
+/// the daemon runs.
+const JOB_HISTORY: usize = 1024;
 
 /// Tunables for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -174,6 +186,34 @@ impl JobState {
     }
 }
 
+/// Every queued or running job, plus the last [`JOB_HISTORY`] finished
+/// ones.
+#[derive(Default)]
+struct JobTable {
+    jobs: HashMap<u64, Arc<JobState>>,
+    /// Ids of the finished jobs still in `jobs`, oldest first.
+    finished: VecDeque<u64>,
+}
+
+impl JobTable {
+    /// Jobs queued or running.
+    fn live(&self) -> usize {
+        self.jobs.len() - self.finished.len()
+    }
+
+    /// Moves a job to its terminal phase and into the finished history,
+    /// forgetting the oldest finished job once the history is full.
+    fn finish(&mut self, state: &JobState, phase: Phase) {
+        state.set_phase(phase);
+        self.finished.push_back(state.id);
+        if self.finished.len() > JOB_HISTORY {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.jobs.remove(&oldest);
+            }
+        }
+    }
+}
+
 /// A queued unit of work.
 struct Job {
     state: Arc<JobState>,
@@ -186,7 +226,7 @@ struct Job {
 
 struct Shared {
     queue: JobQueue<Job>,
-    jobs: Mutex<HashMap<u64, Arc<JobState>>>,
+    jobs: Mutex<JobTable>,
     next_id: AtomicU64,
     shutdown: AtomicBool,
     config: ServerConfig,
@@ -241,8 +281,9 @@ impl Shared {
     }
 
     fn job_statuses(&self, filter: Option<u64>) -> Vec<JobStatus> {
-        let jobs = self.jobs.lock().expect("jobs poisoned");
-        let mut out: Vec<JobStatus> = jobs
+        let table = self.jobs.lock().expect("jobs poisoned");
+        let mut out: Vec<JobStatus> = table
+            .jobs
             .values()
             .filter(|j| filter.is_none_or(|id| j.id == id))
             .map(|j| j.status())
@@ -277,15 +318,15 @@ impl Shared {
     }
 
     fn draining(&self) -> usize {
-        let jobs = self.jobs.lock().expect("jobs poisoned");
-        jobs.values()
-            .filter(|j| {
-                matches!(
-                    *j.phase.lock().expect("phase poisoned"),
-                    Phase::Queued | Phase::Running
-                )
-            })
-            .count()
+        self.jobs.lock().expect("jobs poisoned").live()
+    }
+
+    /// Ends a job in its terminal `phase` (see [`JobTable::finish`]).
+    fn finish(&self, state: &JobState, phase: Phase) {
+        self.jobs
+            .lock()
+            .expect("jobs poisoned")
+            .finish(state, phase);
     }
 }
 
@@ -354,7 +395,7 @@ impl Server {
         };
         let shared = Arc::new(Shared {
             queue: JobQueue::new(config.queue_capacity),
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(JobTable::default()),
             next_id: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             quarantine: Quarantine::new(config.panic_budget),
@@ -476,11 +517,36 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Writes one frame (`json` + `\n`); an error means the client went away.
-fn write_frame(stream: &mut TcpStream, event: &Event) -> std::io::Result<()> {
-    let mut line = event.to_json().encode();
-    line.push('\n');
-    stream.write_all(line.as_bytes())
+/// The write half of a connection and the buffer its frames are encoded
+/// into, reused for the connection's lifetime.
+struct FrameWriter {
+    stream: TcpStream,
+    buf: String,
+}
+
+impl FrameWriter {
+    /// Appends one frame (`json` + `\n`) to the buffer.
+    fn push(&mut self, event: &Event) {
+        event.to_json().encode_into(&mut self.buf);
+        self.buf.push('\n');
+    }
+
+    /// Sends every buffered frame in one write; an error means the client
+    /// went away.
+    fn flush(&mut self) -> std::io::Result<()> {
+        let sent = self.stream.write_all(self.buf.as_bytes());
+        self.buf.clear();
+        // A rare huge frame (a large batch's summary) is not kept for the
+        // connection's lifetime.
+        self.buf.shrink_to(MAX_WRITE_BYTES);
+        sent
+    }
+
+    /// Writes one frame.
+    fn write_frame(&mut self, event: &Event) -> std::io::Result<()> {
+        self.push(event);
+        self.flush()
+    }
 }
 
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
@@ -491,7 +557,10 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
         return;
     };
     let mut reader = FrameReader::new(BufReader::new(read_half), shared.config.max_frame_bytes);
-    let mut writer = stream;
+    let mut writer = FrameWriter {
+        stream,
+        buf: String::new(),
+    };
     let mut bad_frames = 0u32;
     let mut last_frame = Instant::now();
 
@@ -504,7 +573,13 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
             match reader.read_frame() {
                 Ok(line) => {
                     last_frame = Instant::now();
-                    break line;
+                    break Ok(line);
+                }
+                // The line was consumed whole, so the stream is still
+                // frame-aligned: answer it like any other bad frame.
+                Err(e @ FrameError::InvalidUtf8 { .. }) => {
+                    last_frame = Instant::now();
+                    break Err(e.to_string());
                 }
                 Err(e) if e.is_timeout() => {
                     if shared.shutdown.load(Ordering::SeqCst) {
@@ -518,7 +593,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
                                 shared.config.idle_timeout
                             ),
                         };
-                        let _ = write_frame(&mut writer, &err);
+                        let _ = writer.write_frame(&err);
                         return;
                     }
                 }
@@ -529,21 +604,20 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
                         code: "frame_too_long".into(),
                         message: format!("request frame exceeds the {limit}-byte limit"),
                     };
-                    let _ = write_frame(&mut writer, &err);
+                    let _ = writer.write_frame(&err);
                     return;
                 }
                 // Clean EOF, EOF mid-frame, or a hard socket error.
                 Err(_) => return,
             }
         };
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-
-        let request = Json::parse(trimmed)
-            .map_err(|e| format!("not JSON: {e}"))
-            .and_then(|frame| Request::from_json(&frame).map_err(|e| e.to_string()));
+        let request = match line {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => Json::parse(line.trim())
+                .map_err(|e| format!("not JSON: {e}"))
+                .and_then(|frame| Request::from_json(&frame).map_err(|e| e.to_string())),
+            Err(message) => Err(message),
+        };
         let request = match request {
             Ok(r) => r,
             Err(message) => {
@@ -557,14 +631,14 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
                             "{bad_frames} malformed frames on one connection; closing"
                         ),
                     };
-                    let _ = write_frame(&mut writer, &err);
+                    let _ = writer.write_frame(&err);
                     return;
                 }
                 let err = Event::Error {
                     code: "bad_request".into(),
                     message,
                 };
-                if write_frame(&mut writer, &err).is_err() {
+                if writer.write_frame(&err).is_err() {
                     return;
                 }
                 continue;
@@ -583,6 +657,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
                     .jobs
                     .lock()
                     .expect("jobs poisoned")
+                    .jobs
                     .get(&job)
                     .cloned();
                 match found {
@@ -616,7 +691,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 }
             }
         };
-        if write_frame(&mut writer, &reply).is_err() {
+        if writer.write_frame(&reply).is_err() {
             return;
         }
         if matches!(reply, Event::ShutdownAck { .. }) {
@@ -628,18 +703,18 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
 /// Validates, enqueues, and streams one batch submission. `Err(())` means
 /// the client disconnected and the connection should be dropped.
 fn handle_submit(
-    writer: &mut TcpStream,
+    writer: &mut FrameWriter,
     shared: &Arc<Shared>,
     batch: BatchConfig,
     stack: crate::protocol::StackSpecWire,
     deadline_ms: Option<u64>,
 ) -> Result<(), ()> {
-    let reject = |writer: &mut TcpStream, code: &str, message: String| {
+    let reject = |writer: &mut FrameWriter, code: &str, message: String| {
         let err = Event::Error {
             code: code.into(),
             message,
         };
-        write_frame(writer, &err).map_err(|_| ())
+        writer.write_frame(&err).map_err(|_| ())
     };
 
     if shared.shutdown.load(Ordering::SeqCst) {
@@ -677,7 +752,7 @@ fn handle_submit(
             let overloaded = Event::Overloaded {
                 retry_after_ms: shared.retry_after_ms(),
             };
-            return write_frame(writer, &overloaded).map_err(|_| ());
+            return writer.write_frame(&overloaded).map_err(|_| ());
         }
     }
 
@@ -698,8 +773,20 @@ fn handle_submit(
         deadline: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
         events: tx,
     };
+    // Listed before the push: once queued, the runner may finish the job
+    // (and move it into the finished history) before this thread resumes.
+    shared
+        .jobs
+        .lock()
+        .expect("jobs poisoned")
+        .jobs
+        .insert(id, Arc::clone(&state));
     let queued_ahead = shared.queue.len();
-    match shared.queue.try_push(job) {
+    let pushed = shared.queue.try_push(job);
+    if pushed.is_err() {
+        shared.jobs.lock().expect("jobs poisoned").jobs.remove(&id);
+    }
+    match pushed {
         Ok(()) => {
             shared
                 .pending_episodes
@@ -709,7 +796,7 @@ fn handle_submit(
             let overloaded = Event::Overloaded {
                 retry_after_ms: shared.retry_after_ms(),
             };
-            return write_frame(writer, &overloaded).map_err(|_| ());
+            return writer.write_frame(&overloaded).map_err(|_| ());
         }
         Err(PushError::Closed) => {
             return reject(
@@ -719,24 +806,24 @@ fn handle_submit(
             );
         }
     }
-    shared
-        .jobs
-        .lock()
-        .expect("jobs poisoned")
-        .insert(id, Arc::clone(&state));
 
     let accepted = Event::Accepted {
         job: id,
         queued_ahead,
     };
-    if write_frame(writer, &accepted).is_err() {
+    if writer.write_frame(&accepted).is_err() {
         state.cancel.store(true, Ordering::Relaxed);
         return Err(());
     }
 
     // Stream the job's events; a write failure = client disconnect, which
-    // cancels the job so the runner stops burning CPU on it.
-    while let Ok(event) = rx.recv() {
+    // cancels the job so the runner stops burning CPU on it. Events already
+    // queued behind the one just encoded ride in the same write; nothing
+    // ever waits for more, so a frame never leaves later than it would on
+    // its own.
+    let mut next = rx.recv().ok();
+    while let Some(event) = next {
+        writer.push(&event);
         let terminal = matches!(
             event,
             Event::BatchDone { .. }
@@ -744,12 +831,16 @@ fn handle_submit(
                 | Event::DeadlineExceeded { .. }
                 | Event::Error { .. }
         );
-        if write_frame(writer, &event).is_err() {
+        next = if terminal { None } else { rx.try_recv().ok() };
+        if (next.is_none() || writer.buf.len() >= MAX_WRITE_BYTES) && writer.flush().is_err() {
             state.cancel.store(true, Ordering::Relaxed);
             return Err(());
         }
         if terminal {
             break;
+        }
+        if next.is_none() {
+            next = rx.recv().ok();
         }
     }
     Ok(())
@@ -762,7 +853,7 @@ fn runner_loop(shared: &Arc<Shared>) {
         let id = state.id;
         let total = job.batch.episodes;
         if state.cancel.load(Ordering::Relaxed) {
-            state.set_phase(Phase::Cancelled);
+            shared.finish(&state, Phase::Cancelled);
             shared.pending_episodes.fetch_sub(total, Ordering::Relaxed);
             let _ = job.events.send(Event::Cancelled {
                 job: id,
@@ -835,7 +926,7 @@ fn runner_loop(shared: &Arc<Shared>) {
         };
         let terminal = match outcome {
             JobOutcome::Completed(summary) => {
-                state.set_phase(Phase::Done);
+                shared.finish(&state, Phase::Done);
                 shared.observe_episode_time(t0.elapsed(), summary.episodes);
                 Event::BatchDone {
                     job: id,
@@ -843,7 +934,7 @@ fn runner_loop(shared: &Arc<Shared>) {
                 }
             }
             JobOutcome::Cancelled { done, partial } => {
-                state.set_phase(Phase::Cancelled);
+                shared.finish(&state, Phase::Cancelled);
                 Event::Cancelled {
                     job: id,
                     done,
@@ -851,7 +942,7 @@ fn runner_loop(shared: &Arc<Shared>) {
                 }
             }
             JobOutcome::DeadlineExceeded { done, partial } => {
-                state.set_phase(Phase::DeadlineExceeded);
+                shared.finish(&state, Phase::DeadlineExceeded);
                 Event::DeadlineExceeded {
                     job: id,
                     done,
@@ -859,7 +950,7 @@ fn runner_loop(shared: &Arc<Shared>) {
                 }
             }
             JobOutcome::Failed(error) => {
-                state.set_phase(Phase::Failed);
+                shared.finish(&state, Phase::Failed);
                 Event::Error {
                     code: match error {
                         SimError::InvalidBatch { .. } => "invalid_batch".into(),
@@ -887,5 +978,60 @@ fn effective_workers(server_default: usize, batch_threads: usize) -> usize {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use crate::protocol::StackSpecWire;
+    use cv_sim::EpisodeConfig;
+
+    fn status(client: &mut Client, job: Option<u64>) -> Vec<JobStatus> {
+        match client.round_trip(&Request::Status { job }).unwrap() {
+            Event::Status { jobs, .. } => jobs,
+            other => panic!("expected status, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn finished_jobs_are_forgotten_oldest_first_past_the_history_bound() {
+        let server = Server::spawn_ephemeral().unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        // One episode, served from the cache after the first job.
+        let batch = BatchConfig::new(EpisodeConfig::paper_default(3), 1);
+        let served = JOB_HISTORY as u64 + 20;
+        for _ in 0..served {
+            client
+                .submit_batch(&batch, StackSpecWire::TeacherConservative, |_| {})
+                .unwrap();
+        }
+        let kept = server.shared.jobs.lock().unwrap().jobs.len();
+        assert_eq!(kept, JOB_HISTORY, "the table is bounded");
+        assert_eq!(server.shared.draining(), 0);
+
+        // The newest finished job is still reported, and still answers
+        // `cancel` with its status.
+        let newest = status(&mut client, Some(served));
+        assert_eq!(newest.len(), 1);
+        assert_eq!((newest[0].state.as_str(), newest[0].done), ("done", 1));
+        match client.round_trip(&Request::Cancel { job: served }).unwrap() {
+            Event::Status { jobs, .. } => assert_eq!(jobs[0].state, "done"),
+            other => panic!("expected status, got {other:?}"),
+        }
+
+        // The unfiltered reply lists exactly the newest JOB_HISTORY jobs;
+        // an evicted one answers like an id never issued.
+        let all = status(&mut client, None);
+        let first_kept = served - JOB_HISTORY as u64 + 1;
+        let ids: Vec<u64> = all.iter().map(|j| j.job).collect();
+        assert_eq!(ids, (first_kept..=served).collect::<Vec<_>>());
+        assert!(status(&mut client, Some(first_kept - 1)).is_empty());
+        match client.round_trip(&Request::Cancel { job: 1 }).unwrap() {
+            Event::Error { code, .. } => assert_eq!(code, "unknown_job"),
+            other => panic!("expected unknown_job, got {other:?}"),
+        }
+        server.shutdown();
     }
 }

@@ -24,6 +24,16 @@ use std::io::{BufRead, ErrorKind};
 /// peer can make either end buffer for a single line.
 pub const MAX_FRAME_BYTES: usize = 8 * 1024 * 1024;
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts.
+///
+/// The parser recurses once per level, so without a cap one frame of
+/// nested `[` could overflow a connection thread's stack and abort the
+/// whole daemon. The deepest frame the protocol itself produces nests 6
+/// levels (a `submit_batch` with a platoon template: request, batch,
+/// template, vehicle list, vehicle, driver model), so the cap leaves ample
+/// room while keeping the recursion small.
+pub const MAX_DEPTH: usize = 64;
+
 /// A failure while reading one newline-delimited frame.
 #[derive(Debug)]
 pub enum FrameError {
@@ -42,6 +52,13 @@ pub enum FrameError {
         /// The configured limit that was exceeded.
         limit: usize,
     },
+    /// The line is not valid UTF-8. The whole line, terminator included,
+    /// was consumed, so the stream is still frame-aligned and the next
+    /// frame reads normally.
+    InvalidUtf8 {
+        /// Byte offset of the first invalid sequence within the line.
+        at: usize,
+    },
     /// An I/O error, including `WouldBlock`/`TimedOut` from read timeouts
     /// (any partial line is retained, so the read can be resumed).
     Io(std::io::Error),
@@ -56,6 +73,9 @@ impl std::fmt::Display for FrameError {
             }
             FrameError::TooLong { limit } => {
                 write!(f, "frame exceeds the {limit}-byte limit")
+            }
+            FrameError::InvalidUtf8 { at } => {
+                write!(f, "frame is not valid UTF-8 (invalid byte at offset {at})")
             }
             FrameError::Io(e) => write!(f, "I/O error: {e}"),
         }
@@ -87,10 +107,11 @@ impl FrameError {
 /// Both the client and the server read through this: it is what turns a
 /// half-delivered line (connection cut mid-frame) into the typed
 /// [`FrameError::Truncated`] instead of a silently mis-parsed partial JSON
-/// document, and a runaway line into [`FrameError::TooLong`] instead of
-/// unbounded buffering. Read timeouts surface as [`FrameError::Io`] with
-/// the partial line retained, so a polling caller resumes where it left
-/// off.
+/// document, a runaway line into [`FrameError::TooLong`] instead of
+/// unbounded buffering, and a line that is not UTF-8 into
+/// [`FrameError::InvalidUtf8`] instead of a silently repaired string. Read
+/// timeouts surface as [`FrameError::Io`] with the partial line retained,
+/// so a polling caller resumes where it left off.
 pub struct FrameReader<R> {
     inner: R,
     line: Vec<u8>,
@@ -117,7 +138,9 @@ impl<R: BufRead> FrameReader<R> {
     /// # Errors
     ///
     /// [`FrameError::Closed`] on clean EOF, [`FrameError::Truncated`] on
-    /// EOF mid-line, [`FrameError::TooLong`] when the cap is exceeded, and
+    /// EOF mid-line, [`FrameError::TooLong`] when the cap is exceeded,
+    /// [`FrameError::InvalidUtf8`] for a complete line that is not UTF-8
+    /// (consumed; the next call reads the next frame), and
     /// [`FrameError::Io`] for socket errors (including read timeouts,
     /// which are resumable).
     pub fn read_frame(&mut self) -> Result<String, FrameError> {
@@ -141,9 +164,13 @@ impl<R: BufRead> FrameReader<R> {
                 if self.line.len() > self.max {
                     return Err(FrameError::TooLong { limit: self.max });
                 }
-                let frame = String::from_utf8_lossy(&self.line).into_owned();
+                let frame = std::str::from_utf8(&self.line)
+                    .map(str::to_owned)
+                    .map_err(|e| FrameError::InvalidUtf8 {
+                        at: e.valid_up_to(),
+                    });
                 self.line.clear();
-                return Ok(frame);
+                return frame;
             }
             let n = buf.len();
             self.line.extend_from_slice(buf);
@@ -284,7 +311,9 @@ impl Json {
         out
     }
 
-    fn encode_into(&self, out: &mut String) {
+    /// Appends the compact encoding to `out`, so a caller that frames many
+    /// values can reuse one buffer instead of allocating per value.
+    pub fn encode_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
@@ -331,11 +360,14 @@ impl Json {
         }
     }
 
-    /// Parses one JSON value; trailing non-whitespace is an error.
+    /// Parses one JSON value; trailing non-whitespace is an error, and so
+    /// is nesting deeper than [`MAX_DEPTH`]. Linear in the input length.
     pub fn parse(input: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
+            src: input,
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -368,8 +400,11 @@ fn encode_str(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -414,12 +449,27 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`] (the error points at the opening bracket).
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -473,10 +523,20 @@ impl Parser<'_> {
         }
     }
 
+    /// Parses a string literal. Each run of bytes between escapes is
+    /// copied as one slice: the run stops only at `"`, `\` or a control
+    /// byte, all ASCII, so on `&str` input every run is whole code points.
     fn string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let run = self.pos;
+            let len = self.bytes[run..]
+                .iter()
+                .position(|&b| matches!(b, b'"' | b'\\' | 0..=0x1F))
+                .unwrap_or(self.bytes.len() - run);
+            self.pos += len;
+            out.push_str(&self.src[run..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -522,18 +582,7 @@ impl Parser<'_> {
                         c => return Err(self.err(format!("bad escape '\\{}'", c as char))),
                     }
                 }
-                Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().expect("nonempty");
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("unescaped control character")),
             }
         }
     }
@@ -680,6 +729,81 @@ mod tests {
         }
     }
 
+    #[test]
+    fn multibyte_characters_next_to_escapes_survive_the_run_scan() {
+        // 2-, 3- and 4-byte characters directly before and after escapes.
+        for c in ['é', '→', '🚗'] {
+            let text = format!(r#""{c}\n{c}\"{c}\u00e9{c}\\{c}""#);
+            let expected = format!("{c}\n{c}\"{c}é{c}\\{c}");
+            assert_eq!(Json::parse(&text).unwrap(), Json::str(expected), "{text}");
+        }
+        assert_eq!(Json::parse(r#""\t🚗""#).unwrap(), Json::str("\t🚗"));
+        assert_eq!(Json::parse(r#""🚗\t""#).unwrap(), Json::str("🚗\t"));
+    }
+
+    #[test]
+    fn control_characters_are_rejected_at_their_own_offset() {
+        // The raw tab sits at byte 1 (quote) + 2 (é) + 2 (the `\n`
+        // escape) + 2 (ab) = 7.
+        let text = "\"é\\nab\tcd\"";
+        let err = Json::parse(text).unwrap_err();
+        assert_eq!(err.at, 7, "{err}");
+        assert_eq!(&text[err.at..err.at + 1], "\t");
+        assert!(err.msg.contains("control"), "{err}");
+        let err = Json::parse("[\"ok\",\"x\u{1F}\"]").unwrap_err();
+        assert_eq!(err.at, 8, "{err}");
+    }
+
+    #[test]
+    fn unterminated_strings_are_rejected_at_the_end() {
+        for text in ["\"abc", "\"é→🚗", "\"ab\\n", "{\"k\":\"v"] {
+            let err = Json::parse(text).unwrap_err();
+            assert_eq!(err.at, text.len(), "{text:?}: {err}");
+            assert!(err.msg.contains("unterminated"), "{text:?}: {err}");
+        }
+        // A trailing backslash has no escape to decode.
+        assert!(Json::parse("\"ab\\").is_err());
+    }
+
+    #[test]
+    fn string_parsing_is_linear_in_its_length() {
+        // 4 MiB of mixed runs and escapes; a parser that revisits the rest
+        // of the input per character would take minutes here.
+        let unit = "abcé→🚗\\n\\\"x";
+        let body = unit.repeat((4 << 20) / unit.len());
+        let text = format!("{{\"k\":\"{body}\"}}");
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&text).unwrap();
+        let elapsed = start.elapsed();
+        let expected = "abcé→🚗\n\"x".repeat((4 << 20) / unit.len());
+        assert_eq!(
+            parsed.get("k").and_then(Json::as_str),
+            Some(expected.as_str())
+        );
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "4 MiB string took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |depth: usize, open: &str, close: &str| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let at_cap = nest(MAX_DEPTH, open, close).replace(":}", ":0}");
+            assert!(Json::parse(&at_cap).is_ok(), "depth {MAX_DEPTH} must parse");
+            let over = nest(MAX_DEPTH + 1, open, close).replace(":}", ":0}");
+            let err = Json::parse(&over).unwrap_err();
+            assert_eq!(err.at, MAX_DEPTH * open.len(), "{err}");
+            assert!(err.msg.contains("nesting"), "{err}");
+        }
+        // Far past the cap is the same typed error, not a stack overflow.
+        let deep = "[".repeat(100_000);
+        assert!(Json::parse(&deep).unwrap_err().msg.contains("nesting"));
+    }
+
     fn random_json(rng: &mut SplitMix64, depth: usize) -> Json {
         let pick = if depth == 0 {
             rng.random_range(0..5usize)
@@ -776,6 +900,24 @@ mod tests {
             line.push(b'\n');
             let mut r = reader(&line, 64);
             assert_eq!(r.read_frame().unwrap().len(), 64);
+        }
+
+        #[test]
+        fn invalid_utf8_is_a_typed_error_and_the_next_frame_reads() {
+            let mut bytes = b"{\"x\":\"\xff\"}\nok\n".to_vec();
+            bytes.extend_from_slice(b"ab\xe2\x82\nnext\n");
+            let mut r = reader(&bytes, 64);
+            assert!(matches!(
+                r.read_frame(),
+                Err(FrameError::InvalidUtf8 { at: 6 })
+            ));
+            assert_eq!(r.read_frame().unwrap(), "ok");
+            assert!(matches!(
+                r.read_frame(),
+                Err(FrameError::InvalidUtf8 { at: 2 })
+            ));
+            assert_eq!(r.read_frame().unwrap(), "next");
+            assert!(matches!(r.read_frame(), Err(FrameError::Closed)));
         }
 
         /// A reader that yields `WouldBlock` between two halves of a line,

@@ -231,3 +231,72 @@ fn server_round_trip_serves_warm_batches_from_cache() {
     assert_bit_identical(&cold, &warm, "server round trip");
     server.shutdown();
 }
+
+#[test]
+fn a_fully_warm_stream_is_exactly_its_frames_in_order() {
+    // Every hit of a fully warm batch is resolved before any worker
+    // spawns, so its events reach the connection all at once: the
+    // burstiest stream the daemon sends. Read raw, the bytes must still
+    // split into exactly `accepted`, one `episode_done` per episode with
+    // `done` = 1..N, and `batch_done` — each line exactly what its event
+    // encodes to, none merged or split.
+    use std::io::{Read, Write};
+
+    use cv_server::wire::Json;
+    use cv_server::{Event, Request};
+
+    const N: usize = 48;
+    let server = Server::spawn_ephemeral().expect("spawn server");
+    let batch = BatchConfig::new(EpisodeConfig::paper_default(58), N);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    client
+        .submit_batch(&batch, StackSpecWire::TeacherConservative, |_| {})
+        .expect("cold submit");
+
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect raw");
+    let submit = Request::SubmitBatch {
+        batch,
+        stack: StackSpecWire::TeacherConservative,
+        deadline_ms: None,
+    };
+    stream
+        .write_all(format!("{}\n", submit.to_json().encode()).as_bytes())
+        .unwrap();
+    let mut bytes = Vec::new();
+    let mut chunk = [0u8; 4096];
+    while !bytes.ends_with(b"\n") || !bytes.windows(12).any(|w| w == b"\"batch_done\"") {
+        let n = stream.read(&mut chunk).expect("read stream");
+        assert!(n > 0, "stream closed before batch_done");
+        bytes.extend_from_slice(&chunk[..n]);
+    }
+
+    let text = std::str::from_utf8(&bytes).expect("frames are UTF-8");
+    let lines: Vec<&str> = text.strip_suffix('\n').unwrap().split('\n').collect();
+    assert_eq!(lines.len(), N + 2, "one line per frame");
+    let events: Vec<Event> = lines
+        .iter()
+        .map(|line| {
+            let event = Event::from_json(&Json::parse(line).expect("frame parses")).unwrap();
+            assert_eq!(event.to_json().encode(), *line, "frame bytes");
+            event
+        })
+        .collect();
+    assert!(
+        matches!(events[0], Event::Accepted { .. }),
+        "{:?}",
+        events[0]
+    );
+    for (k, event) in events[1..=N].iter().enumerate() {
+        match event {
+            Event::EpisodeDone { done, total, .. } => assert_eq!((*done, *total), (k + 1, N)),
+            other => panic!("frame {} is {other:?}", k + 1),
+        }
+    }
+    match &events[N + 1] {
+        Event::BatchDone { summary, .. } => {
+            assert_eq!((summary.cache_hits, summary.cache_misses), (N, 0));
+        }
+        other => panic!("last frame is {other:?}"),
+    }
+    server.shutdown();
+}

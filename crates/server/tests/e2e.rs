@@ -72,6 +72,21 @@ fn malformed_requests_get_error_frames_and_the_connection_survives() {
         );
     }
 
+    // Input that used to kill or fool the daemon: nesting deep enough to
+    // overflow a recursive parser's stack, and a ping carrying a byte that
+    // is not UTF-8 (once silently repaired and answered `pong`).
+    let mut deep = vec![b'['; 100_000];
+    deep.push(b'\n');
+    for bad in [deep, b"{\"op\":\"ping\",\"x\":\"\xff\"}\n".to_vec()] {
+        stream.write_all(&bad).unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(
+            line.contains("\"code\":\"bad_request\""),
+            "expected bad_request, got {line:?}"
+        );
+    }
+
     // The same connection still answers a well-formed request.
     stream.write_all(b"{\"op\":\"ping\"}\n").unwrap();
     let mut line = String::new();
@@ -79,6 +94,29 @@ fn malformed_requests_get_error_frames_and_the_connection_survives() {
     assert!(line.contains("\"event\":\"pong\""));
 
     server.shutdown();
+}
+
+#[test]
+fn a_reply_that_is_not_utf8_is_a_protocol_error_for_the_client() {
+    // A stand-in server answering a ping with a `pong` frame that carries
+    // a byte that is not UTF-8: the client must not repair it into a pong.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let fake = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        let mut request = String::new();
+        BufReader::new(conn.try_clone().unwrap())
+            .read_line(&mut request)
+            .unwrap();
+        conn.write_all(b"{\"event\":\"pong\",\"x\":\"\xff\"}\n")
+            .unwrap();
+    });
+    let mut client = Client::connect(addr).unwrap();
+    match client.round_trip(&Request::Ping) {
+        Err(ClientError::Protocol(message)) => assert!(message.contains("UTF-8"), "{message}"),
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    fake.join().unwrap();
 }
 
 #[test]

@@ -217,6 +217,28 @@ fn oversize_and_truncated_frames_yield_typed_errors() {
     }
 }
 
+/// A line that is not UTF-8 — a stray `0xFF`, or a 3-byte sequence cut
+/// after its second byte — is a typed `InvalidUtf8` at the offending
+/// offset, never a silently repaired string, and the reader stays
+/// frame-aligned: the next frame reads intact.
+#[test]
+fn invalid_utf8_frames_yield_typed_errors_and_the_next_frame_reads() {
+    for (line, at) in [
+        (&b"{\"op\":\"ping\",\"x\":\"\xff\"}"[..], 18),
+        (&b"{\"op\":\"\xe2\x82\"}"[..], 7),
+    ] {
+        let mut wire = line.to_vec();
+        wire.extend_from_slice(b"\n{\"op\":\"ping\"}\n");
+        let mut reader = FrameReader::new(BufReader::new(&wire[..]), 256);
+        match reader.read_frame() {
+            Err(FrameError::InvalidUtf8 { at: got }) => assert_eq!(got, at),
+            other => panic!("expected InvalidUtf8, got {other:?}"),
+        }
+        assert_eq!(reader.read_frame().unwrap(), "{\"op\":\"ping\"}");
+        assert!(matches!(reader.read_frame(), Err(FrameError::Closed)));
+    }
+}
+
 /// Truncating a valid encoding at every seeded random byte offset must
 /// produce a parse error or (for a prefix that happens to be complete —
 /// impossible here since the value is an object) a value; never a panic.

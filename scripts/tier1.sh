@@ -66,6 +66,13 @@ timeout 300 cargo test -q --release --offline -p cv-server --test chaos_e2e
 # chaos smoke above.
 timeout 300 cargo test -q --release --offline -p cv-server --test supervision_e2e
 
+# Service smoke in release mode: the daemon's end-to-end contract
+# (bit-identical streamed summaries, malformed-input survival, cancel,
+# drain) and the wire codec's properties. Bursts of frames only form when
+# the runner and a connection thread race, and they race differently in
+# release than in debug.
+timeout 300 cargo test -q --release --offline -p cv-server --test e2e --test wire_props
+
 # Panic isolation behind the fault-injection feature: the deliberately
 # panicking planner stack is not nameable in default builds, so this is
 # the only place the containment/quarantine path gets release coverage.

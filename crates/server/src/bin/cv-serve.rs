@@ -2,7 +2,7 @@
 //!
 //! Usage: `cargo run --release -p cv-server --bin cv-serve --
 //! [--addr 127.0.0.1:7878] [--queue-depth 8] [--workers 0]
-//! [--lanes 1 | --event-driven] [--idle-timeout-secs 60] [--max-pending-episodes 0]
+//! [--event-driven] [--idle-timeout-secs 60] [--max-pending-episodes 0]
 //! [--panic-budget 3] [--cache-bytes 67108864] [--no-cache]
 //! [--cache-dir PATH]`
 //!
@@ -17,46 +17,28 @@
 //! are appended to checksummed segment files in PATH and recovered —
 //! checksum-verified, torn tails truncated, corrupt segments quarantined
 //! to `.bad` — when a daemon restarts with the same directory.
-//! `--lanes` sets the lane-batched execution width (episodes each worker
-//! steps in lockstep with batched NN forward passes; 0 or 1 = per-episode,
-//! at most 8) for jobs whose planner stack embeds a neural network.
 //! `--event-driven` runs every job on the event wheel (`cv_sim::events`,
 //! DESIGN.md §18) — bit-identical whenever every cadence divides the
-//! control step, fastest on sparse platoon workloads. The two flags select
-//! one batch mode, so `--event-driven` with `--lanes` above 1 is a usage
-//! error, as is a lane count above 8.
+//! control step, fastest on sparse platoon workloads.
 //!
-//! Flags are parsed strictly (`cv_server::cli`): an unknown flag, a value
-//! that does not parse, or a flag combination that names no valid mode
-//! prints the usage and exits with code 64 before anything binds.
+//! Flags are parsed strictly (`cv_server::cli`): an unknown flag or a value
+//! that does not parse prints the usage and exits with code 64 before
+//! anything binds.
 //!
 //! Listens for newline-delimited JSON requests (see `cv_server::protocol`),
-//! runs submitted batches through the sharded worker pool, and streams
+//! runs submitted batches on cv-sim's batch fan-out, and streams
 //! progress back to each submitter. Runs until a client sends
 //! `{"op":"shutdown"}`, then drains in-flight jobs and exits.
 
 use cv_server::cli::{Args, UsageError, EXIT_USAGE};
 use cv_server::{Server, ServerConfig};
-use cv_sim::BatchMode;
 
 const USAGE: &str = "usage: cv-serve [--addr 127.0.0.1:7878] [--queue-depth 8] [--workers 0] \
-[--lanes 1 | --event-driven] [--idle-timeout-secs 60] [--max-pending-episodes 0] \
+[--event-driven] [--idle-timeout-secs 60] [--max-pending-episodes 0] \
 [--panic-budget 3] [--cache-bytes 67108864] [--no-cache] [--cache-dir PATH]";
 
 /// The daemon's configuration from its command line.
 fn config(args: &Args) -> Result<ServerConfig, UsageError> {
-    let lanes: usize = args.value("--lanes", 1)?;
-    let mode = match (args.has("--event-driven"), lanes) {
-        (false, 0 | 1) => BatchMode::PerEpisode,
-        (false, k) => BatchMode::Lanes(k),
-        (true, 0 | 1) => BatchMode::EventDriven,
-        (true, _) => return Err(UsageError(
-            "--event-driven runs one episode per worker; it cannot combine with --lanes above 1"
-                .to_string(),
-        )),
-    };
-    mode.validate()
-        .map_err(|e| UsageError(format!("--lanes: {e}")))?;
     let cache_bytes = if args.has("--no-cache") {
         0
     } else {
@@ -70,7 +52,7 @@ fn config(args: &Args) -> Result<ServerConfig, UsageError> {
         max_pending_episodes: args.value("--max-pending-episodes", 0)?,
         panic_budget: args.value("--panic-budget", 3)?,
         cache_bytes,
-        mode,
+        event_driven: args.has("--event-driven"),
         cache_dir: args.get("--cache-dir").map(std::path::PathBuf::from),
         ..ServerConfig::default()
     })
@@ -81,7 +63,6 @@ fn main() {
         "--addr",
         "--queue-depth",
         "--workers",
-        "--lanes",
         "--idle-timeout-secs",
         "--max-pending-episodes",
         "--panic-budget",

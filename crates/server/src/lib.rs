@@ -11,7 +11,7 @@
 //!   surfaced as typed backpressure ([`queue`]): a saturated server answers
 //!   a submission with a terminal `overloaded` frame carrying a
 //!   `retry_after_ms` hint instead of queueing or resetting;
-//! * a job runner ([`worker`]) on cv-sim's own supervised entry point,
+//! * a job runner ([`server`]) on cv-sim's own supervised entry point,
 //!   [`cv_sim::run_batch_with`]: episodes run under `catch_unwind` with
 //!   per-seed panic quarantine, jobs carry optional deadlines and honour
 //!   cancellation at episode-step granularity, and a job that stops early
@@ -48,11 +48,9 @@ pub mod protocol;
 pub mod queue;
 pub mod server;
 pub mod wire;
-pub mod worker;
 
 pub use client::{Client, ClientConfig, ClientError, RetryPolicy};
 pub use protocol::{Event, JobStatus, Request, StackSpecWire};
 pub use queue::{JobQueue, PushError};
 pub use server::{RunnerHold, Server, ServerConfig};
 pub use wire::{FrameError, FrameReader, MAX_FRAME_BYTES};
-pub use worker::{run_sharded, EpisodeProgress, FaultKind, JobLimits, JobOutcome, Progress};

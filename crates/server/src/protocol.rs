@@ -74,18 +74,6 @@ fn compat_usize_field(v: &Json, key: &str) -> Result<usize, DecodeError> {
     }
 }
 
-/// The lane-width field added after the wire format shipped: absent in
-/// frames from older peers, decoded as 1 (every pre-lanes run was the
-/// per-episode path) rather than a frame error.
-fn compat_lanes_field(v: &Json) -> Result<usize, DecodeError> {
-    match v.get("lanes") {
-        None => Ok(1),
-        Some(x) => x
-            .as_usize()
-            .ok_or_else(|| bad("field 'lanes' must be a non-negative integer".to_string())),
-    }
-}
-
 fn str_field<'a>(v: &'a Json, key: &str) -> Result<&'a str, DecodeError> {
     field(v, key)?
         .as_str()
@@ -416,7 +404,6 @@ pub fn summary_to_json(s: &BatchSummary) -> Json {
             Json::Int(s.cache_persisted_hits as i128),
         ),
         ("cache_quarantined", Json::Int(s.cache_quarantined as i128)),
-        ("lanes", Json::Int(s.lanes as i128)),
     ])
 }
 
@@ -456,7 +443,6 @@ pub fn summary_from_json(v: &Json) -> Result<BatchSummary, DecodeError> {
         cache_evictions: compat_usize_field(v, "cache_evictions")?,
         cache_persisted_hits: compat_usize_field(v, "cache_persisted_hits")?,
         cache_quarantined: compat_usize_field(v, "cache_quarantined")?,
-        lanes: compat_lanes_field(v)?,
     })
 }
 
@@ -986,7 +972,6 @@ mod tests {
             cache_evictions: 2,
             cache_persisted_hits: 1,
             cache_quarantined: 2,
-            lanes: 4,
         }
     }
 
@@ -1006,7 +991,6 @@ mod tests {
             (1, 2),
             "persistent-tier counters ride the wire"
         );
-        assert_eq!(back.lanes, 4, "lane width rides the wire");
     }
 
     #[test]
@@ -1032,7 +1016,6 @@ mod tests {
             cache_evictions: 4,
             cache_persisted_hits: 5,
             cache_quarantined: 2,
-            lanes: 1,
         };
         let Json::Obj(pairs) = summary_to_json(&summary) else {
             panic!("summary must encode as an object");
@@ -1056,38 +1039,16 @@ mod tests {
     }
 
     #[test]
-    fn summary_without_lanes_decodes_as_one() {
-        // Frames from peers that predate lane batching must still decode —
-        // every pre-lanes run was the per-episode path, so the field
-        // defaults to 1, not 0 and not a frame error.
-        let summary = BatchSummary {
-            episodes: 1,
-            requested: 1,
-            failed: 0,
-            panicked: 0,
-            skipped: 0,
-            reaching_time: 8.0,
-            safe_rate: 1.0,
-            eta_mean: 0.5,
-            emergency_frequency: 0.0,
-            etas: vec![0.5],
-            reaching_times: vec![8.0],
-            wall_time_secs: 0.1,
-            episodes_per_sec: 10.0,
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_evictions: 0,
-            cache_persisted_hits: 0,
-            cache_quarantined: 0,
-            lanes: 8,
-        };
-        let Json::Obj(pairs) = summary_to_json(&summary) else {
+    fn summary_from_a_peer_that_sends_lanes_still_decodes() {
+        // Daemons before the lane key was dropped sent `"lanes":1` in
+        // every summary; the extra key is ignored, not a frame error.
+        let summary = sample_summary();
+        let Json::Obj(mut pairs) = summary_to_json(&summary) else {
             panic!("summary must encode as an object");
         };
-        let legacy = Json::Obj(pairs.into_iter().filter(|(k, _)| k != "lanes").collect());
-        let back = summary_from_json(&Json::parse(&legacy.encode()).unwrap()).unwrap();
-        assert_eq!(back.lanes, 1);
-        assert!(back.stats_eq(&summary), "lanes is operational metadata");
+        pairs.push(("lanes".to_string(), Json::Int(1)));
+        let back = summary_from_json(&Json::parse(&Json::Obj(pairs).encode()).unwrap()).unwrap();
+        assert!(back.stats_eq(&summary));
     }
 
     #[test]

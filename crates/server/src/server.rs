@@ -8,8 +8,8 @@
 //!   answer control requests inline, and for `submit_batch` stay on the
 //!   connection streaming the job's progress events until a terminal frame;
 //! * **job runner** — single consumer of the bounded [`JobQueue`], runs one
-//!   job at a time through [`run_sharded`] (cv-sim's batch fan-out), pushing
-//!   events into the submitting connection's channel.
+//!   job at a time through [`run_batch_with`] (cv-sim's batch fan-out),
+//!   pushing events into the submitting connection's channel.
 //!
 //! A malformed line gets an `error` frame and the connection keeps reading;
 //! a client that disconnects mid-batch flips its job's cancel flag and the
@@ -26,14 +26,13 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cv_sim::{
-    store_salt, BatchConfig, BatchMode, EpisodeCache, Quarantine, RecoveryReport, SimError,
-    StackSpec, DEFAULT_CACHE_BYTES,
+    run_batch_with, store_salt, BatchConfig, BatchControl, BatchMode, EpisodeCache, EpisodeOutcome,
+    Quarantine, RecoveryReport, SimError, SkipReason, StackSpec, DEFAULT_CACHE_BYTES,
 };
 
 use crate::protocol::{Event, JobStatus, Request};
 use crate::queue::{JobQueue, PushError};
 use crate::wire::{FrameError, FrameReader, Json, MAX_FRAME_BYTES};
-use crate::worker::{run_sharded, JobLimits, JobOutcome, Progress};
 
 /// How often an idle connection rechecks the shutdown flag and its idle
 /// deadline.
@@ -50,6 +49,11 @@ const MAX_WRITE_BYTES: usize = 64 * 1024;
 /// the server never issued, so the job table stays bounded however long
 /// the daemon runs.
 const JOB_HISTORY: usize = 1024;
+
+/// The most episodes one submission may ask for (`invalid_batch` above).
+/// A job holds one outcome slot (about 200 bytes) per episode, so this
+/// bounds a job's slots at about 200 MiB.
+const MAX_JOB_EPISODES: usize = 1 << 20;
 
 /// Tunables for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -91,19 +95,15 @@ pub struct ServerConfig {
     /// (typed, counted in summaries) rather than re-run. Floor 1.
     pub panic_budget: u32,
     /// Byte budget for the content-addressed episode-result cache that
-    /// fronts the shard scheduler: a resubmitted episode whose config,
+    /// fronts the batch fan-out: a resubmitted episode whose config,
     /// stack, and code version all match a previous run is answered from
     /// the cache without touching a worker. `0` disables caching.
     pub cache_bytes: usize,
-    /// How every job's shards run their episodes: one at a time,
-    /// `Lanes(k)` in lockstep with batched NN forward passes
-    /// (`cv_sim::lanes`; applies only to stacks that embed an NN planner —
-    /// the teacher stacks nameable on the wire run one lane, so today this
-    /// is forward-looking configuration surfaced in each summary's `lanes`
-    /// field), or `EventDriven` on the event wheel (`cv_sim::events`,
-    /// DESIGN.md §18; bit-identical to per-episode whenever every cadence
-    /// divides the control step). Validated by [`Server::start`].
-    pub mode: BatchMode,
+    /// Runs every job on the event wheel (`cv_sim::events`, DESIGN.md
+    /// §18) instead of polling every vehicle pair every tick: bit-identical
+    /// whenever every cadence divides the control step, fastest on sparse
+    /// platoon workloads.
+    pub event_driven: bool,
     /// Directory for the persistent cache tier (DESIGN.md §17). `None`
     /// keeps the cache memory-only; `Some(dir)` makes the cache survive
     /// daemon restarts: results are appended to checksummed segment files
@@ -127,7 +127,7 @@ impl Default for ServerConfig {
             max_pending_episodes: 0,
             panic_budget: 3,
             cache_bytes: DEFAULT_CACHE_BYTES,
-            mode: BatchMode::PerEpisode,
+            event_driven: false,
             cache_dir: None,
         }
     }
@@ -365,14 +365,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// [`std::io::ErrorKind::InvalidInput`] for an invalid
-    /// [`ServerConfig::mode`] (checked before binding); I/O errors from
-    /// binding the listener.
+    /// I/O errors from binding the listener.
     pub fn start(config: ServerConfig) -> std::io::Result<Server> {
-        config
-            .mode
-            .validate()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         // Disk-backed when a cache dir is configured: recover whatever a
@@ -513,7 +507,13 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             let shared = Arc::clone(shared);
             std::thread::spawn(move || handle_connection(stream, &shared))
         };
-        shared.conns.lock().expect("conns poisoned").push(handle);
+        let mut conns = shared.conns.lock().expect("conns poisoned");
+        // Join the connections that have ended, so the list holds about the
+        // live ones rather than every connection ever accepted.
+        for ended in conns.extract_if(.., |h| h.is_finished()) {
+            let _ = ended.join();
+        }
+        conns.push(handle);
     }
 }
 
@@ -737,6 +737,13 @@ fn handle_submit(
         );
         return reject(writer, "invalid_batch", message);
     }
+    if batch.episodes > MAX_JOB_EPISODES {
+        let message = format!(
+            "episodes {} exceeds the {MAX_JOB_EPISODES} episodes per job",
+            batch.episodes
+        );
+        return reject(writer, "invalid_batch", message);
+    }
     let spec = match stack.resolve(&batch.template) {
         Ok(spec) => spec,
         Err(message) => return reject(writer, "invalid_batch", message),
@@ -847,6 +854,11 @@ fn handle_submit(
 }
 
 fn runner_loop(shared: &Arc<Shared>) {
+    let mode = if shared.config.event_driven {
+        BatchMode::EventDriven
+    } else {
+        BatchMode::PerEpisode
+    };
     while let Some(job) = shared.queue.pop() {
         shared.wait_unheld();
         let state = job.state;
@@ -864,102 +876,114 @@ fn runner_loop(shared: &Arc<Shared>) {
         }
         state.set_phase(Phase::Running);
         let t0 = Instant::now();
-        let mut limits =
-            JobLimits::new(effective_workers(shared.config.workers, job.batch.threads))
-                .with_mode(shared.config.mode);
-        if let Some(deadline) = job.deadline {
-            limits = limits.with_deadline(deadline);
-        }
         // Episodes this job resolved (completed or faulted); whatever it
         // never resolved is released from the pending budget at the end.
         let mut resolved = 0usize;
-        let outcome = run_sharded(
-            &job.batch,
-            &job.spec,
-            limits,
-            &state.cancel,
-            Some(&shared.quarantine),
-            shared.cache.as_ref(),
-            |progress| match progress {
-                Progress::Episode(p) => {
-                    resolved += 1;
-                    shared.pending_episodes.fetch_sub(1, Ordering::Relaxed);
-                    state.done.store(p.done, Ordering::Relaxed);
-                    let _ = job.events.send(Event::EpisodeDone {
-                        job: id,
-                        index: p.index,
-                        eta: p.eta,
-                        done: p.done,
-                        total: p.total,
-                        eta_secs: p.eta_secs,
-                    });
-                }
-                Progress::Fault {
-                    index,
-                    seed,
-                    kind,
-                    detail,
-                } => {
-                    resolved += 1;
-                    shared.pending_episodes.fetch_sub(1, Ordering::Relaxed);
-                    let _ = job.events.send(Event::EpisodeFault {
+        let mut done = 0usize;
+        let mut observer = |index: usize, outcome: &EpisodeOutcome| {
+            let fault = |seed: u64, kind: &str, detail: String| Event::EpisodeFault {
+                job: id,
+                index,
+                seed,
+                kind: kind.to_string(),
+                detail,
+            };
+            let event = match outcome {
+                EpisodeOutcome::Completed(r) => {
+                    done += 1;
+                    state.done.store(done, Ordering::Relaxed);
+                    let elapsed = t0.elapsed().as_secs_f64();
+                    Event::EpisodeDone {
                         job: id,
                         index,
-                        seed,
-                        kind: kind.name().to_string(),
-                        detail,
-                    });
+                        eta: r.eta,
+                        done,
+                        total,
+                        eta_secs: elapsed / done as f64 * (total - done) as f64,
+                    }
                 }
-            },
-        );
+                EpisodeOutcome::Failed { seed, error } => fault(*seed, "failed", error.to_string()),
+                EpisodeOutcome::Panicked { seed, payload } => {
+                    fault(*seed, "panicked", payload.clone())
+                }
+                EpisodeOutcome::Skipped {
+                    seed,
+                    reason: SkipReason::Quarantined { panics },
+                } => fault(*seed, "quarantined", format!("{panics} prior panics")),
+                // An episode abandoned by a stop is not a fault: the partial
+                // summary counts it as skipped.
+                EpisodeOutcome::Skipped {
+                    reason: SkipReason::Interrupted,
+                    ..
+                } => return,
+            };
+            resolved += 1;
+            shared.pending_episodes.fetch_sub(1, Ordering::Relaxed);
+            let _ = job.events.send(event);
+        };
+        let control = BatchControl {
+            quarantine: Some(&shared.quarantine),
+            interrupt: Some(&state.cancel),
+            deadline: job.deadline,
+            cache: shared.cache.as_ref(),
+            observer: Some(&mut observer),
+            #[cfg(feature = "fault-injection")]
+            kill_worker: None,
+        };
+        let batch = BatchConfig {
+            threads: effective_workers(shared.config.workers, job.batch.threads),
+            ..job.batch
+        };
+        let report = run_batch_with(&batch, &job.spec, mode, control);
         shared
             .pending_episodes
             .fetch_sub(total - resolved.min(total), Ordering::Relaxed);
-        // Quarantined-segment count from the persistent tier's startup
-        // scan: operational metadata (excluded from stats_eq) stamped onto
-        // every summary so clients can alert on a daemon that lost
-        // segments to corruption.
-        let quarantined = shared.recovery.as_ref().map_or(0, |r| r.quarantined.len());
-        let stamp = |mut s: cv_sim::BatchSummary| {
-            s.cache_quarantined = quarantined;
-            s
-        };
-        let terminal = match outcome {
-            JobOutcome::Completed(summary) => {
-                shared.finish(&state, Phase::Done);
-                shared.observe_episode_time(t0.elapsed(), summary.episodes);
-                Event::BatchDone {
-                    job: id,
-                    summary: stamp(summary),
+        let (phase, terminal) = match report {
+            Ok(report) => {
+                let wall = t0.elapsed();
+                let mut summary = report.summary().with_timing(wall);
+                // Quarantined-segment count from the persistent tier's
+                // startup scan: operational metadata (excluded from
+                // stats_eq) stamped onto every summary so clients can alert
+                // on a daemon that lost segments to corruption.
+                summary.cache_quarantined =
+                    shared.recovery.as_ref().map_or(0, |r| r.quarantined.len());
+                let done = summary.episodes;
+                match (report.interrupted(), report.deadline_hit) {
+                    (false, _) => {
+                        shared.observe_episode_time(wall, done);
+                        (Phase::Done, Event::BatchDone { job: id, summary })
+                    }
+                    (true, true) => (
+                        Phase::DeadlineExceeded,
+                        Event::DeadlineExceeded {
+                            job: id,
+                            done,
+                            partial: Some(summary),
+                        },
+                    ),
+                    (true, false) => (
+                        Phase::Cancelled,
+                        Event::Cancelled {
+                            job: id,
+                            done,
+                            partial: Some(summary),
+                        },
+                    ),
                 }
             }
-            JobOutcome::Cancelled { done, partial } => {
-                shared.finish(&state, Phase::Cancelled);
-                Event::Cancelled {
-                    job: id,
-                    done,
-                    partial: Some(stamp(partial)),
-                }
-            }
-            JobOutcome::DeadlineExceeded { done, partial } => {
-                shared.finish(&state, Phase::DeadlineExceeded);
-                Event::DeadlineExceeded {
-                    job: id,
-                    done,
-                    partial: Some(stamp(partial)),
-                }
-            }
-            JobOutcome::Failed(error) => {
-                shared.finish(&state, Phase::Failed);
+            Err(error) => (
+                Phase::Failed,
                 Event::Error {
                     code: match error {
                         SimError::InvalidBatch { .. } => "invalid_batch".into(),
                         SimError::Scenario(_) => "episode_failed".into(),
                     },
                     message: error.to_string(),
-                }
-            }
+                },
+            ),
         };
+        shared.finish(&state, phase);
         let _ = job.events.send(terminal);
     }
 }
@@ -993,6 +1017,21 @@ mod tests {
             Event::Status { jobs, .. } => jobs,
             other => panic!("expected status, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn ended_connections_are_forgotten_as_new_ones_arrive() {
+        let server = Server::spawn_ephemeral().unwrap();
+        for _ in 0..200 {
+            let mut client = Client::connect(server.local_addr()).unwrap();
+            assert!(matches!(client.round_trip(&Request::Ping), Ok(Event::Pong)));
+        }
+        let kept = server.shared.conns.lock().unwrap().len();
+        assert!(
+            kept < 50,
+            "{kept} connection handles kept after 200 connections"
+        );
+        server.shutdown();
     }
 
     #[test]

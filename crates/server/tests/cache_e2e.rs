@@ -1,20 +1,14 @@
-//! Bit-identity of cached episode results (ISSUE 6, satellite 1).
+//! Bit-identity of cached episode results through the daemon.
 //!
 //! A cache is only correct here if a hit is *indistinguishable* from a
-//! recompute: every f64 in the summary must match to the bit, across
-//! seeds, worker counts, mixed hit/miss batches, and a cancelled batch
-//! whose hits survive into the partial summary.
+//! recompute: every f64 in a served summary must match to the bit after
+//! the JSON round trip, and a fully warm batch must stream exactly its
+//! frames. The cache's own semantics under cv-sim's batch entry point
+//! (seeds, worker counts, mixed hit/miss batches, hits surviving a cancel)
+//! are pinned by the tests of `cv_sim::supervise`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
-use cv_server::{run_sharded, Client, JobLimits, JobOutcome, Server, StackSpecWire};
-use cv_sim::{BatchConfig, BatchSummary, EpisodeCache, EpisodeConfig, StackSpec};
-
-fn paper_batch(seed: u64, episodes: usize) -> (BatchConfig, StackSpec) {
-    let template = EpisodeConfig::paper_default(seed);
-    let spec = StackSpec::pure_teacher_conservative(&template).unwrap();
-    (BatchConfig::new(template, episodes), spec)
-}
+use cv_server::{Client, Server, StackSpecWire};
+use cv_sim::{BatchConfig, BatchSummary, EpisodeConfig};
 
 /// Every floating-point field compared by `to_bits` — `assert_eq!` on the
 /// f64s would let `-0.0 == 0.0` and NaN mismatches slip through.
@@ -63,153 +57,6 @@ fn assert_bit_identical(cold: &BatchSummary, warm: &BatchSummary, context: &str)
             .map(|x| x.to_bits())
             .collect::<Vec<_>>(),
         "{context}: per-episode reaching times diverged"
-    );
-}
-
-fn run_with_cache(
-    batch: &BatchConfig,
-    spec: &StackSpec,
-    workers: usize,
-    cache: &EpisodeCache,
-) -> JobOutcome {
-    let cancel = AtomicBool::new(false);
-    run_sharded(
-        batch,
-        spec,
-        JobLimits::new(workers),
-        &cancel,
-        None,
-        Some(cache),
-        |_| {},
-    )
-}
-
-fn completed(outcome: JobOutcome) -> BatchSummary {
-    match outcome {
-        JobOutcome::Completed(summary) => summary,
-        other => panic!("expected completion, got {other:?}"),
-    }
-}
-
-#[test]
-fn cached_equals_recomputed_across_seeds_and_thread_counts() {
-    for seed in [1, 7, 23, 101] {
-        for workers in [1, 3] {
-            let (batch, spec) = paper_batch(seed, 10);
-            let cache = EpisodeCache::new(1 << 20);
-            let cold = completed(run_with_cache(&batch, &spec, workers, &cache));
-            assert_eq!(
-                (cold.cache_hits, cold.cache_misses),
-                (0, 10),
-                "seed {seed}, {workers} workers: cold run"
-            );
-            let warm = completed(run_with_cache(&batch, &spec, workers, &cache));
-            assert_eq!(
-                (warm.cache_hits, warm.cache_misses),
-                (10, 0),
-                "seed {seed}, {workers} workers: warm run"
-            );
-            assert_bit_identical(&cold, &warm, &format!("seed {seed}, {workers} workers"));
-        }
-    }
-}
-
-#[test]
-fn warm_run_is_bit_identical_regardless_of_who_warmed_it() {
-    // Warmed single-threaded, served back to a 3-worker run (and vice
-    // versa): the key is content-addressed, not execution-shaped.
-    let (batch, spec) = paper_batch(5, 8);
-    for (warm_workers, read_workers) in [(1, 3), (3, 1)] {
-        let cache = EpisodeCache::new(1 << 20);
-        let cold = completed(run_with_cache(&batch, &spec, warm_workers, &cache));
-        let warm = completed(run_with_cache(&batch, &spec, read_workers, &cache));
-        assert_eq!(warm.cache_hits, 8);
-        assert_bit_identical(&cold, &warm, "cross-thread-count warm read");
-    }
-}
-
-#[test]
-fn mixed_hit_miss_batch_is_bit_identical_to_a_cold_superset() {
-    // `BatchConfig::episode(i)` derives episode i from (base_seed + i,
-    // starts[i % n]) alone, so a 12-episode batch shares its first 6
-    // episodes with the 6-episode prefix batch: warming the prefix makes
-    // the superset run exactly 6 hits + 6 misses.
-    let (small, spec) = paper_batch(9, 6);
-    let (big, _) = paper_batch(9, 12);
-
-    let reference_cache = EpisodeCache::new(1 << 20);
-    let reference = completed(run_with_cache(&big, &spec, 2, &reference_cache));
-
-    let cache = EpisodeCache::new(1 << 20);
-    let prefix = completed(run_with_cache(&small, &spec, 2, &cache));
-    assert_eq!(prefix.cache_misses, 6);
-    let mixed = completed(run_with_cache(&big, &spec, 2, &cache));
-    assert_eq!(
-        (mixed.cache_hits, mixed.cache_misses),
-        (6, 6),
-        "superset must hit exactly the warmed prefix"
-    );
-    assert_bit_identical(&reference, &mixed, "mixed hit/miss batch");
-}
-
-#[test]
-fn cache_hits_survive_cancellation_and_resubmission_completes() {
-    let (small, spec) = paper_batch(31, 6);
-    let (big, _) = paper_batch(31, 12);
-    let cache = EpisodeCache::new(1 << 20);
-    let warmed = completed(run_with_cache(&small, &spec, 2, &cache));
-
-    // Cancel is set before submission: no worker may run, but the 6 cached
-    // episodes are served anyway and land in the partial summary.
-    let cancel = AtomicBool::new(true);
-    let outcome = run_sharded(
-        &big,
-        &spec,
-        JobLimits::new(2),
-        &cancel,
-        None,
-        Some(&cache),
-        |_| {},
-    );
-    let JobOutcome::Cancelled { done, partial } = outcome else {
-        panic!("expected cancellation, got {outcome:?}");
-    };
-    assert_eq!(done, 6, "exactly the cached episodes resolve under cancel");
-    assert_eq!((partial.episodes, partial.skipped), (6, 6));
-    assert_eq!((partial.cache_hits, partial.cache_misses), (6, 6));
-    assert_eq!(
-        partial.etas.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-        warmed.etas.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-        "partial summary must carry the cached episodes bit-identically"
-    );
-
-    // Resubmit without the cancel flag: the 6 hits return instantly, the 6
-    // cancelled episodes are computed, and the batch completes.
-    cancel.store(false, Ordering::Relaxed);
-    let resumed = completed(run_with_cache(&big, &spec, 2, &cache));
-    assert_eq!((resumed.cache_hits, resumed.cache_misses), (6, 6));
-    let full = completed(run_with_cache(&big, &spec, 2, &cache));
-    assert_eq!((full.cache_hits, full.cache_misses), (12, 0));
-    assert_bit_identical(&resumed, &full, "resubmitted batch");
-
-    // A fully warm batch computes nothing: with cancel already set, no
-    // worker may run, yet every episode is served from the cache.
-    cancel.store(true, Ordering::Relaxed);
-    let warm = completed(run_sharded(
-        &big,
-        &spec,
-        JobLimits::new(2),
-        &cancel,
-        None,
-        Some(&cache),
-        |_| {},
-    ));
-    assert_eq!((warm.episodes, warm.skipped), (12, 0));
-    assert_eq!((warm.cache_hits, warm.cache_misses), (12, 0));
-    assert_eq!(
-        warm.etas.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-        full.etas.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-        "a fully warm batch must carry the cached etas bit-identically"
     );
 }
 

@@ -7,7 +7,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
 use cv_server::{Client, ClientError, Event, Request, Server, ServerConfig, StackSpecWire};
-use cv_sim::{run_batch, BatchConfig, BatchMode, BatchSummary, EpisodeConfig, StackSpec};
+use cv_sim::{run_batch, BatchConfig, BatchSummary, EpisodeConfig, StackSpec};
 
 mod common;
 use common::wait_for_occupants;
@@ -23,13 +23,28 @@ fn streamed_summary_is_bit_identical_to_in_process_run_batch() {
 
     let batch = paper_batch(16, 1);
     let mut episode_events = Vec::new();
+    let mut last_done = 0;
     let streamed = client
         .submit_batch(&batch, StackSpecWire::TeacherConservative, |event| {
-            if let Event::EpisodeDone { index, eta, .. } = event {
+            if let Event::EpisodeDone {
+                index,
+                eta,
+                done,
+                total,
+                eta_secs,
+                ..
+            } = event
+            {
                 episode_events.push((*index, *eta));
+                // Progress counts up by one per episode, with a remaining-
+                // time estimate that is never negative.
+                assert_eq!((*done, *total), (last_done + 1, 16));
+                assert!(*eta_secs >= 0.0, "eta_secs {eta_secs}");
+                last_done = *done;
             }
         })
         .unwrap();
+    assert_eq!(last_done, 16);
 
     let spec = StackSpec::pure_teacher_conservative(&batch.template).unwrap();
     let reference = BatchSummary::from_results(&run_batch(&batch, &spec).unwrap());
@@ -87,11 +102,41 @@ fn malformed_requests_get_error_frames_and_the_connection_survives() {
         );
     }
 
-    // The same connection still answers a well-formed request.
+    // A batch too large to hold in memory is refused before it is queued.
+    let submit = |stream: &mut TcpStream, episodes: usize| {
+        let frame = Request::SubmitBatch {
+            batch: paper_batch(episodes, 6),
+            stack: StackSpecWire::TeacherConservative,
+            deadline_ms: None,
+        };
+        stream
+            .write_all(format!("{}\n", frame.to_json().encode()).as_bytes())
+            .unwrap();
+    };
+    submit(&mut stream, 1_000_000_000_000_000);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        line.contains("\"code\":\"invalid_batch\""),
+        "expected invalid_batch, got {line:?}"
+    );
+
+    // The same connection still answers a well-formed request, and still
+    // runs a batch.
     stream.write_all(b"{\"op\":\"ping\"}\n").unwrap();
     let mut line = String::new();
     reader.read_line(&mut line).unwrap();
     assert!(line.contains("\"event\":\"pong\""));
+    submit(&mut stream, 2);
+    loop {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(!line.contains("\"event\":\"error\""), "{line:?}");
+        if line.contains("\"event\":\"batch_done\"") {
+            assert!(line.contains("\"episodes\":2"), "{line:?}");
+            break;
+        }
+    }
 
     server.shutdown();
 }
@@ -145,6 +190,33 @@ fn empty_start_grid_is_rejected_with_invalid_batch() {
         .submit_batch(&batch, StackSpecWire::TeacherConservative, |_| {})
         .unwrap();
     assert_eq!(summary.episodes, 4);
+    server.shutdown();
+}
+
+#[test]
+fn episodes_that_fail_stream_typed_fault_frames_and_the_batch_completes() {
+    // C1 starting inside the conflict zone is geometrically invalid: every
+    // episode fails, and each failure is a typed `failed` fault frame.
+    let server = Server::spawn_ephemeral().unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut batch = paper_batch(4, 11);
+    batch.starts = vec![10.0];
+    let mut faults = Vec::new();
+    let summary = client
+        .submit_batch(&batch, StackSpecWire::TeacherConservative, |event| {
+            if let Event::EpisodeFault { index, kind, .. } = event {
+                faults.push((*index, kind.clone()));
+            }
+        })
+        .unwrap();
+    assert_eq!((summary.episodes, summary.failed), (0, 4));
+    faults.sort_unstable();
+    assert_eq!(
+        faults,
+        (0..4)
+            .map(|i| (i, "failed".to_string()))
+            .collect::<Vec<_>>()
+    );
     server.shutdown();
 }
 
@@ -349,19 +421,4 @@ fn server_closes_idle_connections_on_shutdown() {
     server.shutdown(); // must not hang on the idle connection
     let mut buf = [0u8; 16];
     assert_eq!(idle.read(&mut buf).unwrap(), 0, "idle connection closed");
-}
-
-#[test]
-fn invalid_batch_mode_is_rejected_at_startup() {
-    // A lane count outside 1..=8 is a typed startup error, not a daemon
-    // that binds and then fails every job.
-    let err = Server::start(ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        mode: BatchMode::Lanes(9),
-        ..ServerConfig::default()
-    })
-    .err()
-    .expect("Lanes(9) must not start");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-    assert!(err.to_string().contains("lane count 9"), "{err}");
 }

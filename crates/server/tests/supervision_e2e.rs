@@ -1,21 +1,22 @@
 //! End-to-end tests for the supervised execution layer: job deadlines,
-//! cancellation with partial results, cancellation determinism, and typed
-//! overload shedding (including through the cv-chaos proxy).
+//! cancellation with partial results, and typed overload shedding
+//! (including through the cv-chaos proxy). Cancellation determinism and
+//! the lost-cancel race belong to cv-sim's batch entry point and are tested
+//! there (`cv_sim::supervise`).
 //!
 //! The fault-injection (panic isolation / quarantine) counterpart lives in
 //! `panic_isolation.rs` behind the `fault-injection` feature; everything
 //! here runs in default builds and is part of the tier-1 gate.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use cv_chaos::{ChaosProxy, FaultSchedule};
 use cv_server::{
-    run_sharded, Client, ClientConfig, ClientError, Event, JobLimits, JobOutcome, Progress,
-    Request, RetryPolicy, Server, ServerConfig, StackSpecWire,
+    Client, ClientConfig, ClientError, Event, Request, RetryPolicy, Server, ServerConfig,
+    StackSpecWire,
 };
-use cv_sim::{run_batch, BatchConfig, EpisodeConfig, StackSpec};
+use cv_sim::{BatchConfig, EpisodeConfig};
 
 mod common;
 use common::wait_for_occupants;
@@ -200,133 +201,6 @@ fn cancel_flushes_a_typed_partial_summary() {
             other => panic!("expected cancellation, got {other:?}"),
         }
         server.shutdown();
-    });
-}
-
-/// Regression test for a lost-cancel race: a cancel stored from *another
-/// thread* (as the server's cancel handler does) races the worker's own
-/// flag check — a worker that sees the flag before the coordinator's poll
-/// exits silently, and the coordinator breaks on channel disconnect with
-/// `interrupted` still false. The dead-shard rescue pass used to then
-/// "rescue" the cancelled job all the way to completion; it now re-polls
-/// cancel/deadline before touching any unfilled slot, so an external
-/// cancel must always yield a `Cancelled` outcome. The race was
-/// timing-dependent (roughly 1 in 6 live), hence the rounds.
-#[test]
-fn externally_stored_cancel_is_never_lost_to_the_rescue_pass() {
-    with_deadline(Duration::from_secs(120), "lost-cancel race", || {
-        const EPISODES: usize = 50_000;
-        for round in 0..10u64 {
-            let batch = paper_batch(EPISODES, 90 + round);
-            let spec = StackSpec::pure_teacher_conservative(&batch.template).unwrap();
-            let cancel = AtomicBool::new(false);
-            let outcome = std::thread::scope(|scope| {
-                let canceller = scope.spawn(|| {
-                    std::thread::sleep(Duration::from_millis(30));
-                    cancel.store(true, Ordering::Relaxed);
-                });
-                let outcome = run_sharded(
-                    &batch,
-                    &spec,
-                    JobLimits::new(1),
-                    &cancel,
-                    None,
-                    None,
-                    |_| {},
-                );
-                canceller.join().unwrap();
-                outcome
-            });
-            match outcome {
-                JobOutcome::Cancelled { done, partial } => {
-                    assert!(done < EPISODES, "round {round}: cancel landed mid-batch");
-                    assert_eq!(partial.episodes + partial.skipped, EPISODES);
-                }
-                other => panic!("round {round}: cancel was lost, got {other:?}"),
-            }
-        }
-    });
-}
-
-/// **Cancellation determinism** (ISSUE S4): cancel a batch mid-run, then
-/// resubmit exactly the unfinished episodes as single-episode batches; the
-/// union of partial and resumed results must be bit-identical to the
-/// uncancelled run. 4 seeds × 2 thread counts.
-#[test]
-fn cancelled_then_resubmitted_episodes_are_bit_identical_to_a_clean_run() {
-    with_deadline(Duration::from_secs(240), "cancel determinism", || {
-        const EPISODES: usize = 12;
-        for seed in [41u64, 42, 43, 44] {
-            let batch = paper_batch(EPISODES, seed);
-            let spec = StackSpec::pure_teacher_conservative(&batch.template).unwrap();
-            let reference = run_batch(&batch, &spec).unwrap();
-            for workers in [1usize, 4] {
-                // Drive the sharded runner in-process with a cancel flag
-                // that trips after 3 completions — the deterministic
-                // equivalent of an operator cancelling mid-batch.
-                let cancel = AtomicBool::new(false);
-                let outcome = run_sharded(
-                    &batch,
-                    &spec,
-                    JobLimits::new(workers),
-                    &cancel,
-                    None,
-                    None,
-                    |progress| {
-                        if let Progress::Episode(p) = progress {
-                            if p.done >= 3 {
-                                cancel.store(true, Ordering::Relaxed);
-                            }
-                        }
-                    },
-                );
-                let partial = match outcome {
-                    JobOutcome::Cancelled { partial, .. } => partial,
-                    JobOutcome::Completed(s) => {
-                        panic!("seed {seed}/{workers}w: cancel never landed ({s:?})")
-                    }
-                    other => panic!("seed {seed}/{workers}w: unexpected outcome {other:?}"),
-                };
-                assert!(
-                    partial.episodes >= 3 && partial.episodes < EPISODES,
-                    "seed {seed}/{workers}w: partial covered {} episodes",
-                    partial.episodes
-                );
-
-                // Completed episodes already match the clean run bit for
-                // bit; identify them by η (every partial η must appear in
-                // the reference).
-                let mut matched = [false; EPISODES];
-                for eta in &partial.etas {
-                    let i = reference
-                        .iter()
-                        .enumerate()
-                        .position(|(i, r)| !matched[i] && r.eta.to_bits() == eta.to_bits())
-                        .unwrap_or_else(|| {
-                            panic!("seed {seed}/{workers}w: partial η {eta} not in the clean run")
-                        });
-                    matched[i] = true;
-                }
-
-                // Resubmit exactly the unfinished episodes, one batch each
-                // (episode i of the original = a 1-episode batch with
-                // base_seed + i and start grid [starts[i % len]]).
-                for (i, reference_result) in reference.iter().enumerate() {
-                    if matched[i] {
-                        continue;
-                    }
-                    let mut single = batch.clone();
-                    single.episodes = 1;
-                    single.base_seed = batch.base_seed.wrapping_add(i as u64);
-                    single.starts = vec![batch.starts[i % batch.starts.len()]];
-                    let resumed = run_batch(&single, &spec).unwrap();
-                    assert_eq!(
-                        resumed[0], *reference_result,
-                        "seed {seed}/{workers}w: resumed episode {i} diverged"
-                    );
-                }
-            }
-        }
     });
 }
 

@@ -5,13 +5,13 @@
 //! `drive_worker` call.
 //!
 //! A worker owns a [`LaneGroup`] of `K` episode *lanes* (`K =`
-//! [`BatchMode::lanes_for`] the stack). With one lane, the stepper answers
-//! NN steps inline and runs each episode to its outcome in one call. With
-//! `K > 1` (`Lanes(k)` on a stack with an embedded NN planner — the only
-//! kind with anything to batch), every lane runs its own episode but
-//! **defers** NN evaluations: the group gathers the parked observations
-//! into the columns of a structure-of-arrays input slab and answers all of
-//! them with one `(out×in)·(in×8)` matmul chain
+//! [`BatchMode::lanes`] for a stack with an NN planner, else 1). With one
+//! lane, the stepper answers NN steps inline and runs each episode to its
+//! outcome in one call. With `K > 1` (`Lanes(k)` on a stack with an
+//! embedded NN planner — the only kind with anything to batch), every lane
+//! runs its own episode but **defers** NN evaluations: the group gathers
+//! the parked observations into the columns of a structure-of-arrays input
+//! slab and answers all of them with one `(out×in)·(in×8)` matmul chain
 //! ([`cv_nn::Mlp::forward_batch_into`]).
 //!
 //! **Refill policy:** lanes are independent. When an episode finishes
@@ -78,17 +78,6 @@ impl BatchMode {
         match self {
             BatchMode::PerEpisode | BatchMode::EventDriven => 1,
             BatchMode::Lanes(k) => *k,
-        }
-    }
-
-    /// The lanes a worker steps for `spec`: [`BatchMode::lanes`] when the
-    /// stack embeds an NN planner, `1` otherwise (lockstep has nothing to
-    /// batch).
-    pub fn lanes_for(&self, spec: &StackSpec) -> usize {
-        if spec.nn_planner().is_some() {
-            self.lanes()
-        } else {
-            1
         }
     }
 
@@ -281,7 +270,8 @@ struct LaneGroup {
 
 impl LaneGroup {
     fn new(spec: &StackSpec, mode: BatchMode) -> Self {
-        let k = mode.lanes_for(spec);
+        // Lockstep has nothing to batch without an NN planner.
+        let k = spec.nn_planner().map_or(1, |_| mode.lanes());
         Self {
             lanes: (0..k)
                 .map(|_| Lane {

@@ -11,7 +11,7 @@ pub struct BatchSummary {
     /// Number of episodes that completed and contribute to the statistics.
     pub episodes: usize,
     /// Episodes the batch was asked to run. Equal to `episodes` for a clean
-    /// run; under supervision ([`crate::run_batch_lanes`]) it also
+    /// run; under supervision ([`crate::run_batch_with`]) it also
     /// covers the failed / panicked / skipped episodes below.
     pub requested: usize,
     /// Episodes that ended in a typed simulation error.
@@ -55,11 +55,6 @@ pub struct BatchSummary {
     /// daemon-lifetime count stamped onto every summary it serves). `0`
     /// when clean, memory-only, or decoded from an older peer.
     pub cache_quarantined: usize,
-    /// Lane count the batch ran with (`1` for the per-episode path).
-    /// Operational metadata like the timing fields and cache counters:
-    /// excluded from [`BatchSummary::stats_eq`], and decoded as `1` from
-    /// peers that predate lane batching.
-    pub lanes: usize,
 }
 
 impl BatchSummary {
@@ -189,7 +184,6 @@ where
         cache_evictions: 0,
         cache_persisted_hits: 0,
         cache_quarantined: 0,
-        lanes: 1,
     }
 }
 
@@ -292,11 +286,7 @@ mod tests {
         warm.cache_evictions = 3;
         warm.cache_persisted_hits = 1;
         warm.cache_quarantined = 2;
-        warm.lanes = 8;
-        assert!(
-            cold.stats_eq(&warm),
-            "cache counters and lanes are operational"
-        );
+        assert!(cold.stats_eq(&warm), "cache counters are operational");
         assert_ne!(cold, warm);
     }
 
@@ -393,7 +383,6 @@ mod tests {
             cache_evictions: 0,
             cache_persisted_hits: 0,
             cache_quarantined: 0,
-            lanes: 1,
         };
         let zero = base.clone().with_timing(std::time::Duration::ZERO);
         assert_eq!(zero.wall_time_secs, 0.0);

@@ -197,6 +197,21 @@ impl BatchReport {
             .count()
     }
 
+    /// Whether a cancel or the deadline left an episode unresolved. A stop
+    /// that landed after the last episode resolved interrupted nothing: the
+    /// batch is complete.
+    pub fn interrupted(&self) -> bool {
+        self.outcomes.iter().any(|o| {
+            matches!(
+                o,
+                EpisodeOutcome::Skipped {
+                    reason: SkipReason::Interrupted,
+                    ..
+                }
+            )
+        })
+    }
+
     /// Aggregate statistics over the *completed* episodes, with the fault
     /// counts filled in. Empty-safe: a report with zero completed episodes
     /// yields `NaN` means, never a panic.
@@ -344,11 +359,90 @@ pub(crate) fn payload_string(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_batch_lanes, BatchConfig, BatchMode, EpisodeConfig, StackSpec};
-    use std::sync::atomic::AtomicBool;
+    use crate::{
+        run_batch, run_batch_lanes, BatchConfig, BatchMode, EpisodeConfig, PlatoonSpec, StackSpec,
+    };
+    use cv_comm::CommSetting;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
 
     fn small_batch(seed: u64, episodes: usize) -> BatchConfig {
         BatchConfig::new(EpisodeConfig::paper_default(seed), episodes)
+    }
+
+    fn teacher_batch(seed: u64, episodes: usize) -> (BatchConfig, StackSpec) {
+        let batch = small_batch(seed, episodes);
+        let spec = StackSpec::pure_teacher_conservative(&batch.template).unwrap();
+        (batch, spec)
+    }
+
+    fn nn_batch(episodes: usize) -> (BatchConfig, StackSpec) {
+        use cv_nn::{Activation, Mlp};
+        use cv_planner::{FeatureScaling, NnPlanner};
+        let net = Mlp::new(&[5, 16, 1], Activation::Tanh, Activation::Tanh, 3).unwrap();
+        let limits = cv_dynamics::VehicleLimits::new(0.0, 12.0, -6.0, 3.0).unwrap();
+        let planner = NnPlanner::new(net, limits, FeatureScaling::left_turn(), "supervise-test");
+        (small_batch(11, episodes), StackSpec::basic(planner))
+    }
+
+    /// `batch` on `workers` workers in `mode` under `control`.
+    fn run_on(
+        batch: &BatchConfig,
+        spec: &StackSpec,
+        workers: usize,
+        mode: BatchMode,
+        control: BatchControl<'_>,
+    ) -> BatchReport {
+        let batch = BatchConfig {
+            threads: workers,
+            ..batch.clone()
+        };
+        run_batch_with(&batch, spec, mode, control).unwrap()
+    }
+
+    /// The summary of an uninterrupted per-episode run through `cache`.
+    fn cached(
+        batch: &BatchConfig,
+        spec: &StackSpec,
+        workers: usize,
+        cache: &EpisodeCache,
+    ) -> BatchSummary {
+        let control = BatchControl {
+            cache: Some(cache),
+            ..BatchControl::default()
+        };
+        let report = run_on(batch, spec, workers, BatchMode::PerEpisode, control);
+        assert!(!report.interrupted(), "nothing stops an uncontrolled run");
+        report.summary()
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every floating-point field compared by `to_bits`: `assert_eq!` on
+    /// the f64s would let `-0.0 == 0.0` and NaN mismatches slip through.
+    fn assert_bit_identical(cold: &BatchSummary, warm: &BatchSummary, context: &str) {
+        let counts = |s: &BatchSummary| (s.episodes, s.requested, s.failed, s.panicked, s.skipped);
+        assert_eq!(counts(cold), counts(warm), "{context}: episode counts");
+        for (name, a, b) in [
+            ("reaching_time", cold.reaching_time, warm.reaching_time),
+            ("safe_rate", cold.safe_rate, warm.safe_rate),
+            ("eta_mean", cold.eta_mean, warm.eta_mean),
+            (
+                "emergency_frequency",
+                cold.emergency_frequency,
+                warm.emergency_frequency,
+            ),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits(), "{context}: {name} diverged");
+        }
+        assert_eq!(bits(&cold.etas), bits(&warm.etas), "{context}: etas");
+        assert_eq!(
+            bits(&cold.reaching_times),
+            bits(&warm.reaching_times),
+            "{context}: reaching times"
+        );
     }
 
     #[test]
@@ -432,6 +526,7 @@ mod tests {
         let report =
             run_batch_lanes(&batch, &spec, BatchMode::PerEpisode, None, Some(&stop)).unwrap();
         assert_eq!(report.completed(), 0);
+        assert!(report.interrupted() && !report.deadline_hit);
         assert!(report.outcomes.iter().all(|o| matches!(
             o,
             EpisodeOutcome::Skipped {
@@ -443,9 +538,466 @@ mod tests {
         assert_eq!((s.requested, s.skipped), (4, 4));
     }
 
+    #[test]
+    fn any_worker_count_and_pair_schedule_matches_run_batch() {
+        let mut template = EpisodeConfig::paper_default(19);
+        template.comm = CommSetting::Delayed {
+            delay: 0.25,
+            drop_prob: 0.5,
+        };
+        let spec = StackSpec::pure_teacher_aggressive(&template).unwrap();
+        let platoon = PlatoonSpec::paper_default(4, 19).unwrap().episode();
+        let platoon_spec = StackSpec::pure_teacher_conservative(&platoon).unwrap();
+        for (template, spec, mode) in [
+            (template, spec, BatchMode::PerEpisode),
+            (platoon, platoon_spec, BatchMode::EventDriven),
+        ] {
+            let batch = BatchConfig::new(template, 10);
+            let reference = BatchSummary::from_results(&run_batch(&batch, &spec).unwrap());
+            for workers in [1, 3, 10] {
+                let mut seen = Vec::new();
+                let mut observer = |i: usize, o: &EpisodeOutcome| {
+                    assert!(o.completed().is_some(), "{o:?}");
+                    seen.push(i);
+                };
+                let control = BatchControl {
+                    observer: Some(&mut observer),
+                    ..BatchControl::default()
+                };
+                let report = run_on(&batch, &spec, workers, mode, control);
+                assert!(!report.interrupted());
+                let summary = report.summary();
+                assert!(summary.stats_eq(&reference), "{mode:?}, {workers} workers");
+                assert_eq!((summary.requested, summary.episodes), (10, 10));
+                seen.sort_unstable();
+                assert_eq!(seen, (0..10).collect::<Vec<_>>());
+            }
+        }
+    }
+
+    #[test]
+    fn lane_batches_are_bit_identical_at_any_worker_count() {
+        // Lanes claim from the cache-miss list, not the batch index order;
+        // same K must still mean bit-identical results on any worker count.
+        let (batch, spec) = nn_batch(12);
+        let reference = run_batch_lanes(&batch, &spec, BatchMode::Lanes(4), None, None)
+            .unwrap()
+            .summary();
+        for workers in [1, 3] {
+            let mut seen = Vec::new();
+            let mut observer = |i: usize, _: &EpisodeOutcome| seen.push(i);
+            let control = BatchControl {
+                observer: Some(&mut observer),
+                ..BatchControl::default()
+            };
+            let summary = run_on(&batch, &spec, workers, BatchMode::Lanes(4), control).summary();
+            assert!(summary.stats_eq(&reference), "{workers} workers diverged");
+            assert_eq!(bits(&summary.etas), bits(&reference.etas));
+            seen.sort_unstable();
+            assert_eq!(seen, (0..12).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn invalid_batches_and_lane_counts_fail_typed() {
+        let (batch, spec) = nn_batch(4);
+        let lanes = BatchMode::Lanes(cv_nn::LANE_WIDTH + 1);
+        let err = run_batch_with(&batch, &spec, lanes, BatchControl::default());
+        assert!(matches!(err, Err(SimError::InvalidBatch { .. })));
+        let (mut batch, spec) = teacher_batch(11, 4);
+        batch.starts.clear();
+        let err = run_batch_with(
+            &batch,
+            &spec,
+            BatchMode::PerEpisode,
+            BatchControl::default(),
+        );
+        assert!(matches!(err, Err(SimError::InvalidBatch { .. })));
+    }
+
+    #[test]
+    fn warm_cache_serves_lane_batched_episodes() {
+        // Hits bypass lane compute entirely: the second run resolves every
+        // episode before any worker spawns.
+        let (batch, spec) = nn_batch(8);
+        let cache = EpisodeCache::new(1 << 20);
+        let run = || {
+            let control = BatchControl {
+                cache: Some(&cache),
+                ..BatchControl::default()
+            };
+            run_on(&batch, &spec, 2, BatchMode::Lanes(4), control).summary()
+        };
+        let cold = run();
+        assert_eq!((cold.cache_hits, cold.cache_misses), (0, 8));
+        let warm = run();
+        assert_eq!((warm.cache_hits, warm.cache_misses), (8, 0));
+        assert!(cold.stats_eq(&warm));
+        assert_eq!(bits(&cold.etas), bits(&warm.etas));
+    }
+
+    #[test]
+    fn warm_cache_serves_every_episode_bit_identically() {
+        let (batch, spec) = teacher_batch(11, 8);
+        let cache = EpisodeCache::new(1 << 20);
+        let cold = cached(&batch, &spec, 3, &cache);
+        assert_eq!((cold.cache_hits, cold.cache_misses), (0, 8));
+        let mut warm_seen = Vec::new();
+        let mut observer = |i: usize, o: &EpisodeOutcome| {
+            assert!(o.completed().is_some(), "{o:?}");
+            warm_seen.push(i);
+        };
+        let control = BatchControl {
+            cache: Some(&cache),
+            observer: Some(&mut observer),
+            ..BatchControl::default()
+        };
+        let warm = run_on(&batch, &spec, 3, BatchMode::PerEpisode, control).summary();
+        assert_eq!((warm.cache_hits, warm.cache_misses), (8, 0));
+        assert_eq!(warm.cache_evictions, 0);
+        assert!(cold.stats_eq(&warm));
+        assert_eq!(bits(&cold.etas), bits(&warm.etas));
+        warm_seen.sort_unstable();
+        assert_eq!(warm_seen, (0..8).collect::<Vec<_>>(), "hits are observed");
+    }
+
+    #[test]
+    fn uncached_run_reports_zero_cache_counters() {
+        let (batch, spec) = teacher_batch(11, 4);
+        let s = run_on(
+            &batch,
+            &spec,
+            2,
+            BatchMode::PerEpisode,
+            BatchControl::default(),
+        )
+        .summary();
+        assert_eq!(
+            (s.cache_hits, s.cache_misses, s.cache_evictions),
+            (0, 0, 0),
+            "no cache means no lookups, not 'all misses'"
+        );
+    }
+
+    #[test]
+    fn nan_config_bypasses_the_cache_but_still_runs() {
+        let (mut batch, spec) = teacher_batch(11, 3);
+        batch.template.sensor_dropout = f64::NAN;
+        let cache = EpisodeCache::new(1 << 20);
+        let summary = cached(&batch, &spec, 2, &cache);
+        assert_eq!((summary.cache_hits, summary.cache_misses), (0, 0));
+        assert!(cache.is_empty(), "a NaN config must never be stored");
+    }
+
+    #[test]
+    fn cached_equals_recomputed_across_seeds_and_worker_counts() {
+        for seed in [1, 7, 23, 101] {
+            for workers in [1, 3] {
+                let context = format!("seed {seed}, {workers} workers");
+                let (batch, spec) = teacher_batch(seed, 10);
+                let cache = EpisodeCache::new(1 << 20);
+                let cold = cached(&batch, &spec, workers, &cache);
+                assert_eq!((cold.cache_hits, cold.cache_misses), (0, 10), "{context}");
+                let warm = cached(&batch, &spec, workers, &cache);
+                assert_eq!((warm.cache_hits, warm.cache_misses), (10, 0), "{context}");
+                assert_bit_identical(&cold, &warm, &context);
+            }
+        }
+    }
+
+    #[test]
+    fn warm_run_is_bit_identical_regardless_of_who_warmed_it() {
+        // Warmed single-threaded, read by 3 workers (and vice versa): the
+        // key is content-addressed, not execution-shaped.
+        let (batch, spec) = teacher_batch(5, 8);
+        for (warm_workers, read_workers) in [(1, 3), (3, 1)] {
+            let cache = EpisodeCache::new(1 << 20);
+            let cold = cached(&batch, &spec, warm_workers, &cache);
+            let warm = cached(&batch, &spec, read_workers, &cache);
+            assert_eq!(warm.cache_hits, 8);
+            assert_bit_identical(&cold, &warm, "cross-worker-count warm read");
+        }
+    }
+
+    #[test]
+    fn mixed_hit_miss_batch_is_bit_identical_to_a_cold_superset() {
+        // `BatchConfig::episode(i)` derives episode i from (base_seed + i,
+        // starts[i % n]) alone, so a 12-episode batch shares its first 6
+        // episodes with the 6-episode prefix batch: warming the prefix
+        // makes the superset run exactly 6 hits + 6 misses.
+        let (small, spec) = teacher_batch(9, 6);
+        let (big, _) = teacher_batch(9, 12);
+        let reference = cached(&big, &spec, 2, &EpisodeCache::new(1 << 20));
+        let cache = EpisodeCache::new(1 << 20);
+        assert_eq!(cached(&small, &spec, 2, &cache).cache_misses, 6);
+        let mixed = cached(&big, &spec, 2, &cache);
+        assert_eq!(
+            (mixed.cache_hits, mixed.cache_misses),
+            (6, 6),
+            "superset must hit exactly the warmed prefix"
+        );
+        assert_bit_identical(&reference, &mixed, "mixed hit/miss batch");
+    }
+
+    #[test]
+    fn cache_hits_survive_cancellation_and_resubmission_completes() {
+        let (small, spec) = teacher_batch(31, 6);
+        let (big, _) = teacher_batch(31, 12);
+        let cache = EpisodeCache::new(1 << 20);
+        let warmed = cached(&small, &spec, 2, &cache);
+
+        // Cancel is set before the run: no worker may run, but the 6 cached
+        // episodes are served anyway and land in the partial summary.
+        let cancel = AtomicBool::new(true);
+        let stopped = |cancel| BatchControl {
+            interrupt: Some(cancel),
+            cache: Some(&cache),
+            ..BatchControl::default()
+        };
+        let report = run_on(&big, &spec, 2, BatchMode::PerEpisode, stopped(&cancel));
+        assert!(report.interrupted() && !report.deadline_hit);
+        let partial = report.summary();
+        assert_eq!(partial.episodes, 6, "exactly the cached episodes resolve");
+        assert_eq!(partial.skipped, 6);
+        assert_eq!((partial.cache_hits, partial.cache_misses), (6, 6));
+        assert_eq!(
+            bits(&partial.etas),
+            bits(&warmed.etas),
+            "partial summary must carry the cached episodes bit-identically"
+        );
+
+        // Run again without the cancel: the 6 hits return at once, the 6
+        // cancelled episodes are computed, and the batch completes.
+        let resumed = cached(&big, &spec, 2, &cache);
+        assert_eq!((resumed.cache_hits, resumed.cache_misses), (6, 6));
+        let full = cached(&big, &spec, 2, &cache);
+        assert_eq!((full.cache_hits, full.cache_misses), (12, 0));
+        assert_bit_identical(&resumed, &full, "resubmitted batch");
+
+        // A fully warm batch computes nothing: with cancel still set, no
+        // worker may run, yet every episode is served and the batch is
+        // complete.
+        let report = run_on(&big, &spec, 2, BatchMode::PerEpisode, stopped(&cancel));
+        assert!(!report.interrupted());
+        let warm = report.summary();
+        assert_eq!((warm.episodes, warm.skipped), (12, 0));
+        assert_eq!((warm.cache_hits, warm.cache_misses), (12, 0));
+        assert_eq!(bits(&warm.etas), bits(&full.etas));
+    }
+
+    #[test]
+    fn cancel_mid_batch_leaves_a_partial_summary() {
+        let (batch, spec) = teacher_batch(11, 12);
+        let cancel = AtomicBool::new(false);
+        let mut done = 0;
+        let mut observer = |_: usize, o: &EpisodeOutcome| {
+            done += usize::from(o.completed().is_some());
+            if done == 2 {
+                cancel.store(true, Ordering::Relaxed);
+            }
+        };
+        let control = BatchControl {
+            interrupt: Some(&cancel),
+            observer: Some(&mut observer),
+            ..BatchControl::default()
+        };
+        let report = run_on(&batch, &spec, 1, BatchMode::PerEpisode, control);
+        assert!(report.interrupted() && !report.deadline_hit);
+        let partial = report.summary();
+        let done = partial.episodes;
+        assert!((2..12).contains(&done), "{done} episodes done");
+        assert_eq!(partial.requested, 12);
+        assert_eq!(partial.skipped, 12 - done);
+        assert_eq!(partial.etas.len(), done);
+    }
+
+    #[test]
+    fn expired_deadline_stops_the_batch_typed() {
+        let (batch, spec) = teacher_batch(11, 20);
+        let control = BatchControl {
+            deadline: Some(Instant::now()),
+            ..BatchControl::default()
+        };
+        let report = run_on(&batch, &spec, 2, BatchMode::PerEpisode, control);
+        assert!(report.interrupted() && report.deadline_hit);
+        let partial = report.summary();
+        assert!(
+            partial.episodes < 20,
+            "an expired deadline cannot run it all"
+        );
+        assert_eq!(partial.requested, 20);
+        assert_eq!(partial.episodes + partial.skipped, 20);
+    }
+
+    /// Regression test for a lost-cancel race: a cancel stored from another
+    /// thread (as the daemon's cancel handler does) races a worker's own
+    /// flag check. A worker that saw the flag first used to exit silently,
+    /// and the dead-worker rescue then ran the cancelled batch to
+    /// completion; the rescue now re-polls the cancel and the deadline
+    /// before touching an unfilled slot. The race was timing-dependent
+    /// (roughly 1 in 6), hence the rounds.
+    #[test]
+    fn externally_stored_cancel_is_never_lost_to_the_rescue_pass() {
+        const EPISODES: usize = 50_000;
+        for round in 0..10u64 {
+            let (batch, spec) = teacher_batch(90 + round, EPISODES);
+            let cancel = AtomicBool::new(false);
+            let report = std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    std::thread::sleep(Duration::from_millis(30));
+                    cancel.store(true, Ordering::Relaxed);
+                });
+                let control = BatchControl {
+                    interrupt: Some(&cancel),
+                    ..BatchControl::default()
+                };
+                run_on(&batch, &spec, 1, BatchMode::PerEpisode, control)
+            });
+            assert!(report.interrupted(), "round {round}: cancel was lost");
+            let partial = report.summary();
+            assert!(partial.episodes < EPISODES, "round {round}");
+            assert_eq!(partial.episodes + partial.skipped, EPISODES);
+        }
+    }
+
+    /// Cancellation determinism: cancel a batch mid-run, then rerun exactly
+    /// the unfinished episodes as single-episode batches; partial and
+    /// resumed results together are bit-identical to the uncancelled run.
+    #[test]
+    fn cancelled_then_resubmitted_episodes_are_bit_identical_to_a_clean_run() {
+        const EPISODES: usize = 12;
+        for seed in [41u64, 42, 43, 44] {
+            let (batch, spec) = teacher_batch(seed, EPISODES);
+            let reference = run_batch(&batch, &spec).unwrap();
+            for workers in [1usize, 4] {
+                // The flag trips after 3 completions: the deterministic
+                // equivalent of an operator cancelling mid-batch.
+                let cancel = AtomicBool::new(false);
+                let mut done = 0;
+                let mut observer = |_: usize, o: &EpisodeOutcome| {
+                    done += usize::from(o.completed().is_some());
+                    if done >= 3 {
+                        cancel.store(true, Ordering::Relaxed);
+                    }
+                };
+                let control = BatchControl {
+                    interrupt: Some(&cancel),
+                    observer: Some(&mut observer),
+                    ..BatchControl::default()
+                };
+                let report = run_on(&batch, &spec, workers, BatchMode::PerEpisode, control);
+                assert!(
+                    report.interrupted(),
+                    "seed {seed}/{workers}w: never cancelled"
+                );
+                let partial = report.summary();
+                assert!(
+                    partial.episodes >= 3 && partial.episodes < EPISODES,
+                    "seed {seed}/{workers}w: partial covered {} episodes",
+                    partial.episodes
+                );
+
+                // Completed episodes already match the clean run bit for
+                // bit; identify them by η (every partial η must appear in
+                // the reference).
+                let mut matched = [false; EPISODES];
+                for eta in &partial.etas {
+                    let i = (0..EPISODES)
+                        .position(|i| !matched[i] && reference[i].eta.to_bits() == eta.to_bits())
+                        .unwrap_or_else(|| {
+                            panic!("seed {seed}/{workers}w: partial η {eta} not in the clean run")
+                        });
+                    matched[i] = true;
+                }
+
+                // Rerun exactly the unfinished episodes, one batch each
+                // (episode i of the original = a 1-episode batch with
+                // base_seed + i and start grid [starts[i % len]]).
+                for (i, reference_result) in reference.iter().enumerate() {
+                    if matched[i] {
+                        continue;
+                    }
+                    let mut single = batch.clone();
+                    single.episodes = 1;
+                    single.base_seed = batch.base_seed.wrapping_add(i as u64);
+                    single.starts = vec![batch.starts[i % batch.starts.len()]];
+                    let resumed = run_batch(&single, &spec).unwrap();
+                    assert_eq!(
+                        resumed[0], *reference_result,
+                        "seed {seed}/{workers}w: resumed episode {i} diverged"
+                    );
+                }
+            }
+        }
+    }
+
     #[cfg(feature = "fault-injection")]
     mod fault_injection {
         use super::*;
+
+        /// `batch` on `workers` workers with worker `killed` dying right
+        /// after its next claim, and the indices the observer heard.
+        fn run_killing(
+            batch: &BatchConfig,
+            spec: &StackSpec,
+            workers: usize,
+            killed: usize,
+        ) -> (BatchReport, Vec<usize>) {
+            let mut seen = Vec::new();
+            let mut observer = |i: usize, _: &EpisodeOutcome| seen.push(i);
+            let control = BatchControl {
+                observer: Some(&mut observer),
+                kill_worker: Some(killed),
+                ..BatchControl::default()
+            };
+            let report = run_on(batch, spec, workers, BatchMode::PerEpisode, control);
+            seen.sort_unstable();
+            (report, seen)
+        }
+
+        #[test]
+        fn dead_worker_episodes_are_rescued_bit_identically() {
+            let (batch, spec) = teacher_batch(11, 16);
+            let reference = BatchSummary::from_results(&run_batch(&batch, &spec).unwrap());
+            for killed in [0, 2] {
+                let (report, seen) = run_killing(&batch, &spec, 4, killed);
+                assert!(!report.interrupted(), "worker {killed}: rescue stopped");
+                let summary = report.summary();
+                assert!(summary.stats_eq(&reference), "worker {killed} diverged");
+                assert_eq!(seen, (0..16).collect::<Vec<_>>(), "episodes lost");
+            }
+        }
+
+        /// Soak cycle (`scripts/soak.sh`): kill a different worker every
+        /// round; the rescue pass must keep the summary bit-identical to
+        /// the clean run, round after round. `CV_SOAK_ROUNDS` scales the
+        /// cycle (default 6).
+        #[test]
+        #[ignore = "soak cycle; run via scripts/soak.sh"]
+        fn killing_a_worker_every_round_never_changes_the_summary() {
+            let rounds: u64 = std::env::var("CV_SOAK_ROUNDS")
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(6);
+            const WORKERS: usize = 4;
+            let (batch, spec) = teacher_batch(81, 64);
+            let reference = BatchSummary::from_results(&run_batch(&batch, &spec).unwrap());
+            for round in 0..rounds {
+                let killed = (round as usize) % WORKERS;
+                let (report, _) = run_killing(&batch, &spec, WORKERS, killed);
+                assert!(
+                    !report.interrupted(),
+                    "round {round}: rescue did not complete"
+                );
+                let summary = report.summary();
+                assert!(
+                    summary.stats_eq(&reference),
+                    "round {round}: worker {killed}"
+                );
+                assert_eq!(summary.etas, reference.etas, "round {round}: η bits");
+                println!("round {round}: worker {killed} killed, summary bit-identical");
+            }
+        }
 
         #[test]
         fn panicking_seed_is_isolated_and_survivors_are_bit_identical() {

@@ -9,7 +9,7 @@
 # against one shared server. Tunables:
 #
 #   CV_SOAK_SEEDS         seeds per fault kind   (default 16)
-#   CV_SOAK_ROUNDS        kill-a-shard rounds    (default 16)
+#   CV_SOAK_ROUNDS        kill-a-worker rounds   (default 16)
 #   CV_SOAK_TIMEOUT_SECS  hard wall-clock cap    (default 1800, per phase)
 #
 # Examples:
@@ -28,23 +28,23 @@ timeout "${CV_SOAK_TIMEOUT_SECS}" \
   cargo test --release --offline -p cv-server --test chaos_e2e -- \
   --ignored --nocapture
 
-# Kill-a-shard cycle (crates/server/tests/panic_isolation.rs): murder a
-# different shard thread mid-batch every round and require the rescue pass
-# to keep the batch summary bit-identical to the clean run. Needs the
+# Kill-a-worker cycle (crates/sim/src/supervise.rs): murder a different
+# batch worker mid-batch every round and require the rescue pass to keep
+# the batch summary bit-identical to the clean run. Needs the
 # fault-injection feature for the kill switch.
-echo "soak: kill-a-shard, ${CV_SOAK_ROUNDS} rounds"
+echo "soak: kill-a-worker, ${CV_SOAK_ROUNDS} rounds"
 timeout "${CV_SOAK_TIMEOUT_SECS}" \
-  cargo test --release --offline -p cv-server --features fault-injection \
-  --test panic_isolation -- --ignored --nocapture
+  cargo test --release --offline -p cv-sim --features fault-injection --lib \
+  killing_a_worker_every_round -- --ignored --nocapture
 
-# Disk-fault cycle (crates/server/tests/disk_fault_e2e.rs): the 5-kind
+# Disk-fault cycle (crates/sim/tests/disk_fault.rs): the 5-kind
 # storage-fault matrix — short writes, ENOSPC, fsync failure, read
 # corruption, torn tails — over the same CV_SOAK_SEEDS sweep. Every cell
 # must end in typed degradation or clean recovery with served summaries
 # bit-identical to an uncached run (DESIGN.md §17).
 echo "soak: disk-fault matrix, ${CV_SOAK_SEEDS} seeds/fault-kind"
 timeout "${CV_SOAK_TIMEOUT_SECS}" \
-  cargo test --release --offline -p cv-server --test disk_fault_e2e -- \
+  cargo test --release --offline -p cv-sim --test disk_fault -- \
   --ignored --nocapture
 
 # Event-engine sparse-disturbance soak (tests/event_core.rs): thousands

@@ -118,6 +118,21 @@ det_warm=$(echo "$run_warm" | grep -v -e "^wall time" -e "^cache")
   || { echo "tier1: cached summary diverged from the computed one:"; \
        diff <(echo "$det_cold") <(echo "$det_warm"); exit 1; } >&2
 
+# A batch of 10^15 episodes, too large to hold in memory, is refused with
+# invalid_batch before it is queued, and the daemon keeps serving: the
+# next submission is still answered from the cache.
+if huge=$(cargo run -q --release --offline -p cv-server --bin cv-submit -- \
+    --addr "$ADDR" --episodes 1000000000000000 --quiet 2>&1); then
+  echo "tier1: a 10^15-episode batch was not refused" >&2
+  exit 1
+fi
+echo "$huge" | grep -q "server error \[invalid_batch\]" \
+  || { echo "tier1: a 10^15-episode batch did not get invalid_batch:"; echo "$huge"; exit 1; } >&2
+run_after=$(submit)
+echo "$run_after" | grep -q "cache               8 hits, 0 misses" \
+  || { echo "tier1: the daemon stopped serving after the huge batch:"; \
+       echo "$run_after"; exit 1; } >&2
+
 # Platoon smoke: an n=4 platoon batch (leader + two gap-tracking
 # followers, per-pair V2V channels — DESIGN.md §16) through the same live
 # daemon. Submitted twice: the repeat must be answered from the cache and
@@ -250,9 +265,5 @@ expect_usage_error() {
 }
 expect_usage_error cv-server cv-submit -- --episodes ten
 expect_usage_error cv-server cv-serve -- --bogus
-# The daemon's batch mode is one validated value: a lane count above the
-# lane width, or lanes combined with the event wheel, names no mode.
-expect_usage_error cv-server cv-serve -- --lanes 9
-expect_usage_error cv-server cv-serve -- --lanes 4 --event-driven
 expect_usage_error bench exp_table1 -- --sims ten
 expect_usage_error bench exp_fig5 -- --panel g

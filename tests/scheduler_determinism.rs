@@ -10,16 +10,14 @@
 //! 2. `run_batch` (dynamic) over the full paper start grid matches
 //!    `run_episode` called on each episode in index order, for every
 //!    thread count in {1, 2, 4, 8};
-//! 3. the server's sharded execution reports the same summary statistics as
-//!    the library batch runner, for 1 and 4 workers, per-episode and (for an
-//!    n = 4 platoon) on the event wheel.
+//! 3. the daemon serves the same summary statistics as the library batch
+//!    runner, for 1 and 4 workers, per-episode and (for an n = 4 platoon)
+//!    on the event wheel.
 
-use std::sync::atomic::AtomicBool;
-
-use cv_server::{run_sharded, JobLimits, JobOutcome};
+use cv_server::{Client, Server, ServerConfig, StackSpecWire};
 use safe_cv::prelude::*;
 use safe_cv::sim::{
-    run_batch, run_episode, BatchConfig, BatchMode, BatchSummary, EpisodeWorkspace, PlatoonSpec,
+    run_batch, run_episode, BatchConfig, BatchSummary, EpisodeWorkspace, PlatoonSpec,
 };
 
 fn disturbed_template(seed: u64) -> EpisodeConfig {
@@ -80,40 +78,46 @@ fn batch_results_identical_across_schedulers_and_thread_counts() {
     }
 }
 
-/// The server's sharded worker pool sits on the same scheduler; its summary
-/// must agree with the library runner for any worker count — per-episode,
-/// and on the event wheel for an n = 4 platoon.
+/// The daemon runs its jobs on the same scheduler; the summary it serves
+/// must agree with the library runner for any worker count — on a
+/// per-episode daemon, and on an event-driven one for an n = 4 platoon.
 #[test]
-fn sharded_server_summary_matches_run_batch() {
+fn served_summary_matches_run_batch() {
     let template = disturbed_template(19);
     let spec = StackSpec::pure_teacher_aggressive(&template).expect("paper geometry");
     let platoon = PlatoonSpec::paper_default(4, 19).expect("n >= 2").episode();
     let platoon_spec = StackSpec::pure_teacher_conservative(&platoon).expect("paper geometry");
     let inputs = [
-        (template, spec, BatchMode::PerEpisode),
-        (platoon, platoon_spec, BatchMode::EventDriven),
+        (template, spec, StackSpecWire::TeacherAggressive, false),
+        (
+            platoon,
+            platoon_spec,
+            StackSpecWire::TeacherConservative,
+            true,
+        ),
     ];
-    for (template, spec, mode) in inputs {
-        let batch = BatchConfig::new(template, 12);
+    for (template, spec, wire, event_driven) in inputs {
+        let mut batch = BatchConfig::new(template, 12);
         let expected = BatchSummary::from_results(&run_batch(&batch, &spec).expect("valid batch"));
+        // No cache: every job is computed, never replayed.
+        let server = Server::start(ServerConfig {
+            workers: 4,
+            cache_bytes: 0,
+            event_driven,
+            ..ServerConfig::default()
+        })
+        .expect("bind");
+        let mut client = Client::connect(server.local_addr()).expect("connect");
         for workers in [1usize, 4] {
-            let cancel = AtomicBool::new(false);
-            let outcome = run_sharded(
-                &batch,
-                &spec,
-                JobLimits::new(workers).with_mode(mode),
-                &cancel,
-                None,
-                None,
-                |_| {},
+            batch.threads = workers;
+            let summary = client
+                .submit_batch(&batch, wire, |_| {})
+                .expect("served batch completes");
+            assert!(
+                summary.stats_eq(&expected),
+                "event_driven={event_driven} summary diverged at {workers} workers"
             );
-            match outcome {
-                JobOutcome::Completed(summary) => assert!(
-                    summary.stats_eq(&expected),
-                    "sharded {mode:?} summary diverged at {workers} workers"
-                ),
-                other => panic!("sharded {mode:?} run did not complete: {other:?}"),
-            }
         }
+        server.shutdown();
     }
 }

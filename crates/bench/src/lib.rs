@@ -1,7 +1,7 @@
 //! Shared experiment harness for regenerating the paper's tables & figures.
 //!
-//! Every binary in `src/bin/` (one per paper artifact) and every micro-
-//! bench builds on these helpers:
+//! Every binary in `src/bin/` (one per paper artifact) builds on these
+//! helpers:
 //!
 //! * [`planners`] — loads (or trains once, cached under
 //!   `target/planner-cache/<key>/`, keyed by the NN numerics and the
@@ -16,8 +16,6 @@
 //! every qualitative ordering). [`parse_args`] reads every binary's command
 //! line strictly: an unknown flag or a bad value is a usage error (exit code
 //! 64), never a silent default.
-
-pub mod timing;
 
 use cv_comm::CommSetting;
 use cv_planner::NnPlanner;

@@ -14,8 +14,8 @@
 //! *computationally* over a dense grid of ego states and window
 //! configurations — the offline counterpart of the paper's claim that *"it
 //! does not require extra resources for safety verification during
-//! runtime"*. Run it once per scenario parameterisation (it is also wired
-//! into the test suite and a criterion bench).
+//! runtime"*. Run it once per scenario parameterisation (the `verify_shield`
+//! binary does; it is also wired into the test suite).
 
 use cv_dynamics::VehicleState;
 use cv_estimation::Interval;
@@ -54,7 +54,7 @@ impl Default for VerifyGrid {
 }
 
 impl VerifyGrid {
-    /// A coarse grid for quick smoke checks (tests, benches).
+    /// A coarse grid for quick smoke checks (tests).
     pub fn coarse() -> Self {
         Self {
             p_step: 1.0,

@@ -3,8 +3,7 @@
 //! Usage: `cargo run --release -p cv-server --bin cv-serve --
 //! [--addr 127.0.0.1:7878] [--queue-depth 8] [--workers 0]
 //! [--event-driven] [--idle-timeout-secs 60] [--max-pending-episodes 0]
-//! [--panic-budget 3] [--cache-bytes 67108864] [--no-cache]
-//! [--cache-dir PATH]`
+//! [--panic-budget 3] [--cache-bytes 67108864] [--cache-dir PATH]`
 //!
 //! `--max-pending-episodes` caps episodes admitted but not yet resolved
 //! across all jobs (0 = unlimited); a submission over the cap gets a
@@ -12,11 +11,12 @@
 //! many contained panics one episode seed may cause before it is
 //! quarantined (skipped, typed) on later encounters. `--cache-bytes` sets
 //! the byte budget of the content-addressed episode-result cache (default
-//! 64 MiB); `--no-cache` (equivalent to `--cache-bytes 0`) disables it.
-//! `--cache-dir PATH` makes the cache persistent (DESIGN.md §17): results
-//! are appended to checksummed segment files in PATH and recovered —
-//! checksum-verified, torn tails truncated, corrupt segments quarantined
-//! to `.bad` — when a daemon restarts with the same directory.
+//! 64 MiB); `--cache-bytes 0` disables it. `--cache-dir PATH` makes the
+//! cache persistent (DESIGN.md §17): results are appended to checksummed
+//! segment files in PATH and recovered — checksum-verified, torn tails
+//! truncated, corrupt segments quarantined to `.bad` — when a daemon
+//! restarts with the same directory. A cache directory for a disabled
+//! cache is a usage error, not a directory silently left unused.
 //! `--event-driven` runs every job on the event wheel (`cv_sim::events`,
 //! DESIGN.md §18) — bit-identical whenever every cadence divides the
 //! control step, fastest on sparse platoon workloads.
@@ -35,15 +35,17 @@ use cv_server::{Server, ServerConfig};
 
 const USAGE: &str = "usage: cv-serve [--addr 127.0.0.1:7878] [--queue-depth 8] [--workers 0] \
 [--event-driven] [--idle-timeout-secs 60] [--max-pending-episodes 0] \
-[--panic-budget 3] [--cache-bytes 67108864] [--no-cache] [--cache-dir PATH]";
+[--panic-budget 3] [--cache-bytes 67108864] [--cache-dir PATH]";
 
 /// The daemon's configuration from its command line.
 fn config(args: &Args) -> Result<ServerConfig, UsageError> {
-    let cache_bytes = if args.has("--no-cache") {
-        0
-    } else {
-        args.value("--cache-bytes", cv_sim::DEFAULT_CACHE_BYTES)?
-    };
+    let cache_bytes = args.value("--cache-bytes", cv_sim::DEFAULT_CACHE_BYTES)?;
+    let cache_dir = args.get("--cache-dir").map(std::path::PathBuf::from);
+    if cache_bytes == 0 && cache_dir.is_some() {
+        return Err(UsageError(
+            "--cache-dir needs a cache: it cannot be combined with --cache-bytes 0".into(),
+        ));
+    }
     Ok(ServerConfig {
         addr: args.value("--addr", "127.0.0.1:7878".to_string())?,
         queue_capacity: args.value("--queue-depth", 8)?,
@@ -53,7 +55,7 @@ fn config(args: &Args) -> Result<ServerConfig, UsageError> {
         panic_budget: args.value("--panic-budget", 3)?,
         cache_bytes,
         event_driven: args.has("--event-driven"),
-        cache_dir: args.get("--cache-dir").map(std::path::PathBuf::from),
+        cache_dir,
         ..ServerConfig::default()
     })
 }
@@ -69,7 +71,7 @@ fn main() {
         "--cache-bytes",
         "--cache-dir",
     ];
-    let switches = ["--event-driven", "--no-cache"];
+    let switches = ["--event-driven"];
     let parsed = Args::parse(std::env::args().skip(1), &valued, &switches).and_then(|args| {
         match args.positionals() {
             [] => config(&args),

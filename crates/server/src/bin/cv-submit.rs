@@ -8,15 +8,14 @@
 //!           [--comm none|delayed|lost] [--drop-prob 0.0]
 //!           [--platoon N] [--deadline-ms N] [--quiet]
 //! cv-submit status   [--addr …]
-//! cv-submit cancel JOB [--addr …]      # or: cv-submit --cancel JOB
+//! cv-submit cancel JOB [--addr …]
 //! cv-submit shutdown [--addr …]
 //! ```
 //!
 //! `--deadline-ms` asks the server to stop the job (at episode-step
 //! granularity) once that many milliseconds have passed since admission;
 //! the partial summary streamed back covers exactly the episodes that
-//! finished. `--cancel JOB` is a flag-style alias for the `cancel`
-//! subcommand.
+//! finished.
 //!
 //! The batch uses the paper's defaults: template `EpisodeConfig::paper_default`,
 //! the 20-point `p_1(0)` start grid, per-episode seeds `base_seed + i`.
@@ -40,7 +39,7 @@ const USAGE: &str = "usage: cv-submit [--addr 127.0.0.1:7878] [--episodes 16] [-
                  [--comm none|delayed|lost] [--drop-prob 0.0]
                  [--platoon N] [--deadline-ms N] [--quiet]
        cv-submit status   [--addr ...]
-       cv-submit cancel JOB [--addr ...]      (or: cv-submit --cancel JOB)
+       cv-submit cancel JOB [--addr ...]
        cv-submit shutdown [--addr ...]";
 
 /// What the command line asks for.
@@ -64,14 +63,13 @@ fn command(args: &Args) -> Result<Command, UsageError> {
         raw.parse()
             .map_err(|_| UsageError(format!("cancel: invalid job id '{raw}'")))
     };
-    match (args.get("--cancel"), args.positionals()) {
-        (Some(raw), []) => job(raw).map(Command::Cancel),
-        (None, []) => submission(args).map(|s| Command::Submit(Box::new(s))),
-        (None, [cmd]) if cmd == "status" => Ok(Command::Status),
-        (None, [cmd]) if cmd == "shutdown" => Ok(Command::Shutdown),
-        (None, [cmd, raw]) if cmd == "cancel" => job(raw).map(Command::Cancel),
-        (None, [cmd]) if cmd == "cancel" => Err(UsageError("cancel needs a JOB".into())),
-        (_, [.., last]) => Err(UsageError(format!("unexpected argument '{last}'"))),
+    match args.positionals() {
+        [] => submission(args).map(|s| Command::Submit(Box::new(s))),
+        [cmd] if cmd == "status" => Ok(Command::Status),
+        [cmd] if cmd == "shutdown" => Ok(Command::Shutdown),
+        [cmd, raw] if cmd == "cancel" => job(raw).map(Command::Cancel),
+        [cmd] if cmd == "cancel" => Err(UsageError("cancel needs a JOB".into())),
+        [.., last] => Err(UsageError(format!("unexpected argument '{last}'"))),
     }
 }
 
@@ -138,7 +136,6 @@ fn main() {
         "--drop-prob",
         "--platoon",
         "--deadline-ms",
-        "--cancel",
     ];
     let parsed = Args::parse(std::env::args().skip(1), &valued, &["--quiet"])
         .and_then(|args| command(&args).map(|command| (args, command)));

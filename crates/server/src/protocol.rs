@@ -63,17 +63,6 @@ fn usize_field(v: &Json, key: &str) -> Result<usize, DecodeError> {
         .ok_or_else(|| bad(format!("field '{key}' must be a non-negative integer")))
 }
 
-/// A counter added to the summary after the wire format shipped: absent in
-/// frames from older peers, decoded as zero rather than a frame error.
-fn compat_usize_field(v: &Json, key: &str) -> Result<usize, DecodeError> {
-    match v.get(key) {
-        None => Ok(0),
-        Some(x) => x
-            .as_usize()
-            .ok_or_else(|| bad(format!("field '{key}' must be a non-negative integer"))),
-    }
-}
-
 fn str_field<'a>(v: &'a Json, key: &str) -> Result<&'a str, DecodeError> {
     field(v, key)?
         .as_str()
@@ -438,11 +427,11 @@ pub fn summary_from_json(v: &Json) -> Result<BatchSummary, DecodeError> {
         reaching_times: lossy_vec(v, "reaching_times")?,
         wall_time_secs: f64_field(v, "wall_time_secs")?,
         episodes_per_sec: f64_field(v, "episodes_per_sec")?,
-        cache_hits: compat_usize_field(v, "cache_hits")?,
-        cache_misses: compat_usize_field(v, "cache_misses")?,
-        cache_evictions: compat_usize_field(v, "cache_evictions")?,
-        cache_persisted_hits: compat_usize_field(v, "cache_persisted_hits")?,
-        cache_quarantined: compat_usize_field(v, "cache_quarantined")?,
+        cache_hits: usize_field(v, "cache_hits")?,
+        cache_misses: usize_field(v, "cache_misses")?,
+        cache_evictions: usize_field(v, "cache_evictions")?,
+        cache_persisted_hits: usize_field(v, "cache_persisted_hits")?,
+        cache_quarantined: usize_field(v, "cache_quarantined")?,
     })
 }
 
@@ -994,48 +983,28 @@ mod tests {
     }
 
     #[test]
-    fn summary_without_cache_counters_decodes_as_zero() {
-        // Frames from peers that predate the cache counters must still
-        // decode — the counters default to zero, not a frame error.
-        let summary = BatchSummary {
-            episodes: 1,
-            requested: 1,
-            failed: 0,
-            panicked: 0,
-            skipped: 0,
-            reaching_time: 8.0,
-            safe_rate: 1.0,
-            eta_mean: 0.5,
-            emergency_frequency: 0.0,
-            etas: vec![0.5],
-            reaching_times: vec![8.0],
-            wall_time_secs: 0.1,
-            episodes_per_sec: 10.0,
-            cache_hits: 7,
-            cache_misses: 1,
-            cache_evictions: 4,
-            cache_persisted_hits: 5,
-            cache_quarantined: 2,
-        };
-        let Json::Obj(pairs) = summary_to_json(&summary) else {
+    fn summary_missing_a_cache_counter_is_a_decode_error_naming_it() {
+        // The encoder always writes every cache counter, so a summary
+        // without one is malformed, never a silent zero.
+        let Json::Obj(pairs) = summary_to_json(&sample_summary()) else {
             panic!("summary must encode as an object");
         };
-        let legacy = Json::Obj(
-            pairs
-                .into_iter()
-                .filter(|(k, _)| !k.starts_with("cache_"))
-                .collect(),
-        );
-        let back = summary_from_json(&Json::parse(&legacy.encode()).unwrap()).unwrap();
-        assert_eq!(
-            (back.cache_hits, back.cache_misses, back.cache_evictions),
-            (0, 0, 0)
-        );
-        assert_eq!(
-            (back.cache_persisted_hits, back.cache_quarantined),
-            (0, 0),
-            "persistent-tier counters default to zero from older peers"
-        );
+        let counters = [
+            "cache_hits",
+            "cache_misses",
+            "cache_evictions",
+            "cache_persisted_hits",
+            "cache_quarantined",
+        ];
+        for key in counters {
+            assert!(pairs.iter().any(|(k, _)| k == key), "{key} is encoded");
+            let without = Json::Obj(pairs.iter().filter(|(k, _)| k != key).cloned().collect());
+            let err = summary_from_json(&Json::parse(&without.encode()).unwrap()).unwrap_err();
+            assert!(
+                err.0.contains(&format!("'{key}'")),
+                "error for a missing {key} names it: {err}"
+            );
+        }
     }
 
     #[test]

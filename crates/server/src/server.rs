@@ -921,14 +921,17 @@ fn runner_loop(shared: &Arc<Shared>) {
             shared.pending_episodes.fetch_sub(1, Ordering::Relaxed);
             let _ = job.events.send(event);
         };
+        // The update fills fields that exist only under cv-sim's features
+        // (the fault-injection kill switch), which Cargo may turn on
+        // without cv-server's own feature; in a default build it is empty.
+        #[allow(clippy::needless_update)]
         let control = BatchControl {
             quarantine: Some(&shared.quarantine),
             interrupt: Some(&state.cancel),
             deadline: job.deadline,
             cache: shared.cache.as_ref(),
             observer: Some(&mut observer),
-            #[cfg(feature = "fault-injection")]
-            kill_worker: None,
+            ..BatchControl::default()
         };
         let batch = BatchConfig {
             threads: effective_workers(shared.config.workers, job.batch.threads),

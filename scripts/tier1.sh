@@ -12,6 +12,10 @@ cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings -W clippy::perf
+# Cargo unifies features, so cv-sim's fault-injection feature can be on
+# while cv-server's own is off; every cv-sim type cv-server builds must
+# still compile in that union.
+cargo check --offline -p cv-server --features cv-sim/fault-injection
 
 # Benchmark smoke: perfbench is a cargo workspace of its own, so the
 # workspace build above never compiles it. Build it, then run every
@@ -164,7 +168,7 @@ trap - EXIT
 # byte for byte, to the fixed-step daemon's above.
 EVENT_LOG=target/tier1-event-serve.log
 cargo run -q --release --offline -p cv-server --bin cv-serve -- \
-  --addr 127.0.0.1:0 --no-cache --event-driven > "$EVENT_LOG" &
+  --addr 127.0.0.1:0 --cache-bytes 0 --event-driven > "$EVENT_LOG" &
 SERVE_PID=$!
 trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
 ADDR=""
@@ -265,5 +269,11 @@ expect_usage_error() {
 }
 expect_usage_error cv-server cv-submit -- --episodes ten
 expect_usage_error cv-server cv-serve -- --bogus
+# One spelling each: the cache is turned off with --cache-bytes 0, a cache
+# directory for a disabled cache is refused rather than left unused, and a
+# job is cancelled with the `cancel JOB` subcommand.
+expect_usage_error cv-server cv-serve -- --cache-bytes 0 --cache-dir target/x
+expect_usage_error cv-server cv-serve -- --no-cache
+expect_usage_error cv-server cv-submit -- --cancel 1
 expect_usage_error bench exp_table1 -- --sims ten
 expect_usage_error bench exp_fig5 -- --panel g

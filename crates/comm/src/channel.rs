@@ -2,21 +2,6 @@ use cv_rng::{Rng, SplitMix64};
 
 use crate::Message;
 
-/// What a channel resolved a scheduled send to ([`Channel::send_scheduled`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Arrival {
-    /// The message will arrive at exactly this absolute time.
-    Delivered(f64),
-    /// The channel dropped the message; it never arrives.
-    Dropped,
-    /// The channel delivers nothing, ever ([`LostChannel`]).
-    Never,
-    /// The channel cannot resolve delivery at send time; the message was
-    /// enqueued internally (via [`Channel::send`]) and the caller must keep
-    /// polling [`Channel::receive_into`].
-    Unknown,
-}
-
 /// A one-way message channel from other vehicles to the ego vehicle.
 ///
 /// Implementations decide when (and whether) a sent message is delivered.
@@ -27,18 +12,12 @@ pub trait Channel {
     fn send(&mut self, msg: Message, now: f64);
 
     /// Resolves the fate of `msg` at send time instead of enqueuing it:
-    /// event-driven callers schedule [`Arrival::Delivered`] times on their
-    /// own wheel and never poll the channel. Implementations that know
-    /// their delivery schedule MUST NOT also enqueue the message — and must
-    /// consume exactly the same randomness as [`Channel::send`] would, so a
-    /// channel driven through either entry point replays the identical
-    /// drop-decision stream. The default falls back to [`Channel::send`]
-    /// and reports [`Arrival::Unknown`], telling the caller to poll
-    /// [`Channel::receive_into`] for this channel.
-    fn send_scheduled(&mut self, msg: Message, now: f64) -> Arrival {
-        self.send(msg, now);
-        Arrival::Unknown
-    }
+    /// the absolute delivery time, or `None` if the message never arrives.
+    /// Callers that schedule deliveries themselves never poll the channel.
+    /// The message is NOT also enqueued, and exactly the same randomness
+    /// as [`Channel::send`] is consumed, so a channel driven through either
+    /// entry point replays the identical drop-decision stream.
+    fn send_scheduled(&mut self, msg: Message, now: f64) -> Option<f64>;
 
     /// Appends all messages deliverable at or before `now` to `out`, in
     /// stamp order. The allocation-free form of [`Channel::receive`] for
@@ -109,8 +88,8 @@ impl Channel for PerfectChannel {
         });
     }
 
-    fn send_scheduled(&mut self, _msg: Message, now: f64) -> Arrival {
-        Arrival::Delivered(now)
+    fn send_scheduled(&mut self, _msg: Message, now: f64) -> Option<f64> {
+        Some(now)
     }
 
     fn receive_into(&mut self, now: f64, out: &mut Vec<Message>) {
@@ -192,15 +171,11 @@ impl Channel for DelayDropChannel {
         }
     }
 
-    fn send_scheduled(&mut self, _msg: Message, now: f64) -> Arrival {
+    fn send_scheduled(&mut self, _msg: Message, now: f64) -> Option<f64> {
         // Same draw (and draw-even-at-p_d-0 rule) as `send`, so scheduled and
-        // polled operation consume an identical drop-decision stream.
+        // queued operation consume an identical drop-decision stream.
         let dropped = self.rng.random_f64() < self.drop_prob;
-        if dropped {
-            Arrival::Dropped
-        } else {
-            Arrival::Delivered(now + self.delay)
-        }
+        (!dropped).then_some(now + self.delay)
     }
 
     fn receive_into(&mut self, now: f64, out: &mut Vec<Message>) {
@@ -230,8 +205,8 @@ impl LostChannel {
 impl Channel for LostChannel {
     fn send(&mut self, _msg: Message, _now: f64) {}
 
-    fn send_scheduled(&mut self, _msg: Message, _now: f64) -> Arrival {
-        Arrival::Never
+    fn send_scheduled(&mut self, _msg: Message, _now: f64) -> Option<f64> {
+        None
     }
 
     fn receive_into(&mut self, _now: f64, _out: &mut Vec<Message>) {}
@@ -351,33 +326,27 @@ mod tests {
     #[test]
     fn scheduled_send_resolves_without_enqueuing() {
         let mut perfect = PerfectChannel::new();
-        assert_eq!(
-            perfect.send_scheduled(msg(0.3), 0.3),
-            Arrival::Delivered(0.3)
-        );
+        assert_eq!(perfect.send_scheduled(msg(0.3), 0.3), Some(0.3));
         assert!(
             perfect.receive(f64::MAX).is_empty(),
             "must not also enqueue"
         );
 
         let mut delay = DelayDropChannel::new(0.25, 0.0, 1);
-        assert_eq!(
-            delay.send_scheduled(msg(0.1), 0.1),
-            Arrival::Delivered(0.35)
-        );
+        assert_eq!(delay.send_scheduled(msg(0.1), 0.1), Some(0.35));
         assert!(delay.receive(f64::MAX).is_empty(), "must not also enqueue");
 
         let mut lost = LostChannel::new();
-        assert_eq!(lost.send_scheduled(msg(0.0), 0.0), Arrival::Never);
+        assert_eq!(lost.send_scheduled(msg(0.0), 0.0), None);
     }
 
     #[test]
-    fn scheduled_send_replays_the_polled_drop_stream() {
+    fn scheduled_send_replays_the_queued_drop_stream() {
         // Decisions from repeated send_scheduled calls must equal the set of
-        // survivors a polled channel with the same seed would deliver.
-        let mut polled = DelayDropChannel::new(0.0, 0.5, 42);
-        (0..50).for_each(|i| polled.send(msg(i as f64), i as f64));
-        let survivors: Vec<u64> = polled
+        // survivors a queueing channel with the same seed would deliver.
+        let mut queued = DelayDropChannel::new(0.0, 0.5, 42);
+        (0..50).for_each(|i| queued.send(msg(i as f64), i as f64));
+        let survivors: Vec<u64> = queued
             .receive(f64::MAX)
             .iter()
             .map(|m| m.stamp as u64)
@@ -385,33 +354,8 @@ mod tests {
 
         let mut scheduled = DelayDropChannel::new(0.0, 0.5, 42);
         let resolved: Vec<u64> = (0..50)
-            .filter(|&i| {
-                matches!(
-                    scheduled.send_scheduled(msg(i as f64), i as f64),
-                    Arrival::Delivered(_)
-                )
-            })
+            .filter(|&i| scheduled.send_scheduled(msg(i as f64), i as f64).is_some())
             .collect();
         assert_eq!(resolved, survivors);
-    }
-
-    #[test]
-    fn default_send_scheduled_enqueues_and_reports_unknown() {
-        // A channel without its own schedule falls back to polling semantics.
-        struct Opaque(PerfectChannel);
-        impl Channel for Opaque {
-            fn send(&mut self, msg: Message, now: f64) {
-                self.0.send(msg, now);
-            }
-            fn receive_into(&mut self, now: f64, out: &mut Vec<Message>) {
-                self.0.receive_into(now, out);
-            }
-            fn reset(&mut self, seed: u64) {
-                self.0.reset(seed);
-            }
-        }
-        let mut ch = Opaque(PerfectChannel::new());
-        assert_eq!(ch.send_scheduled(msg(0.0), 0.0), Arrival::Unknown);
-        assert_eq!(ch.receive(0.0).len(), 1, "fallback must enqueue");
     }
 }

@@ -31,6 +31,6 @@ mod channel;
 mod message;
 mod setting;
 
-pub use channel::{Arrival, Channel, DelayDropChannel, LostChannel, PerfectChannel};
+pub use channel::{Channel, DelayDropChannel, LostChannel, PerfectChannel};
 pub use message::Message;
 pub use setting::CommSetting;

@@ -79,6 +79,10 @@ impl Channel for Box<dyn Channel + Send> {
         (**self).send(msg, now);
     }
 
+    fn send_scheduled(&mut self, msg: Message, now: f64) -> Option<f64> {
+        (**self).send_scheduled(msg, now)
+    }
+
     fn receive_into(&mut self, now: f64, out: &mut Vec<Message>) {
         (**self).receive_into(now, out);
     }
@@ -110,6 +114,22 @@ mod tests {
         let mut lost = CommSetting::Lost.channel(0);
         lost.send(Message::new(1, 0.0, 0.0, 0.0, 0.0), 0.0);
         assert!(lost.receive(100.0).is_empty());
+    }
+
+    #[test]
+    fn boxed_channels_forward_the_scheduled_send() {
+        // With `Channel` in scope, method calls on the box resolve to the
+        // `Box` impl above, not to the trait object behind it.
+        let m = Message::new(1, 0.0, 0.0, 0.0, 0.0);
+        let mut perfect = CommSetting::NoDisturbance.channel(0);
+        assert_eq!(perfect.send_scheduled(m, 0.0), Some(0.0));
+        let mut delayed = CommSetting::delayed_with_drop(0.0).channel(0);
+        assert_eq!(delayed.send_scheduled(m, 0.0), Some(0.25));
+        let mut lost = CommSetting::Lost.channel(0);
+        assert_eq!(lost.send_scheduled(m, 0.0), None);
+        // Nothing was enqueued behind the box either.
+        assert!(perfect.receive(f64::MAX).is_empty());
+        assert!(delayed.receive(f64::MAX).is_empty());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Usage: `cargo run --release -p cv-server --bin cv-serve --
 //! [--addr 127.0.0.1:7878] [--queue-depth 8] [--workers 0]
-//! [--event-driven] [--idle-timeout-secs 60] [--max-pending-episodes 0]
+//! [--idle-timeout-secs 60] [--max-pending-episodes 0]
 //! [--panic-budget 3] [--cache-bytes 67108864] [--cache-dir PATH]`
 //!
 //! `--max-pending-episodes` caps episodes admitted but not yet resolved
@@ -17,9 +17,8 @@
 //! truncated, corrupt segments quarantined to `.bad` — when a daemon
 //! restarts with the same directory. A cache directory for a disabled
 //! cache is a usage error, not a directory silently left unused.
-//! `--event-driven` runs every job on the event wheel (`cv_sim::events`,
-//! DESIGN.md §18) — bit-identical whenever every cadence divides the
-//! control step, fastest on sparse platoon workloads.
+//! Every job runs on cv-sim's event wheel (`cv_sim::events`, DESIGN.md
+//! §18).
 //!
 //! Flags are parsed strictly (`cv_server::cli`): an unknown flag or a value
 //! that does not parse prints the usage and exits with code 64 before
@@ -34,7 +33,7 @@ use cv_server::cli::{Args, UsageError, EXIT_USAGE};
 use cv_server::{Server, ServerConfig};
 
 const USAGE: &str = "usage: cv-serve [--addr 127.0.0.1:7878] [--queue-depth 8] [--workers 0] \
-[--event-driven] [--idle-timeout-secs 60] [--max-pending-episodes 0] \
+[--idle-timeout-secs 60] [--max-pending-episodes 0] \
 [--panic-budget 3] [--cache-bytes 67108864] [--cache-dir PATH]";
 
 /// The daemon's configuration from its command line.
@@ -54,7 +53,6 @@ fn config(args: &Args) -> Result<ServerConfig, UsageError> {
         max_pending_episodes: args.value("--max-pending-episodes", 0)?,
         panic_budget: args.value("--panic-budget", 3)?,
         cache_bytes,
-        event_driven: args.has("--event-driven"),
         cache_dir,
         ..ServerConfig::default()
     })
@@ -71,8 +69,7 @@ fn main() {
         "--cache-bytes",
         "--cache-dir",
     ];
-    let switches = ["--event-driven"];
-    let parsed = Args::parse(std::env::args().skip(1), &valued, &switches).and_then(|args| {
+    let parsed = Args::parse(std::env::args().skip(1), &valued, &[]).and_then(|args| {
         match args.positionals() {
             [] => config(&args),
             [extra, ..] => Err(UsageError(format!("unexpected argument '{extra}'"))),

@@ -99,11 +99,6 @@ pub struct ServerConfig {
     /// stack, and code version all match a previous run is answered from
     /// the cache without touching a worker. `0` disables caching.
     pub cache_bytes: usize,
-    /// Runs every job on the event wheel (`cv_sim::events`, DESIGN.md
-    /// §18) instead of polling every vehicle pair every tick: bit-identical
-    /// whenever every cadence divides the control step, fastest on sparse
-    /// platoon workloads.
-    pub event_driven: bool,
     /// Directory for the persistent cache tier (DESIGN.md §17). `None`
     /// keeps the cache memory-only; `Some(dir)` makes the cache survive
     /// daemon restarts: results are appended to checksummed segment files
@@ -127,7 +122,6 @@ impl Default for ServerConfig {
             max_pending_episodes: 0,
             panic_budget: 3,
             cache_bytes: DEFAULT_CACHE_BYTES,
-            event_driven: false,
             cache_dir: None,
         }
     }
@@ -854,11 +848,6 @@ fn handle_submit(
 }
 
 fn runner_loop(shared: &Arc<Shared>) {
-    let mode = if shared.config.event_driven {
-        BatchMode::EventDriven
-    } else {
-        BatchMode::PerEpisode
-    };
     while let Some(job) = shared.queue.pop() {
         shared.wait_unheld();
         let state = job.state;
@@ -937,7 +926,7 @@ fn runner_loop(shared: &Arc<Shared>) {
             threads: effective_workers(shared.config.workers, job.batch.threads),
             ..job.batch
         };
-        let report = run_batch_with(&batch, &job.spec, mode, control);
+        let report = run_batch_with(&batch, &job.spec, BatchMode::default(), control);
         shared
             .pending_episodes
             .fetch_sub(total - resolved.min(total), Ordering::Relaxed);

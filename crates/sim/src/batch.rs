@@ -97,7 +97,7 @@ impl BatchConfig {
 /// for any thread count.
 ///
 /// This is the strict all-or-nothing wrapper of the supervised entry point
-/// [`crate::run_batch_with`] in [`BatchMode::PerEpisode`] with an empty
+/// [`crate::run_batch_with`] in [`BatchMode::EventDriven`] with an empty
 /// control: it collapses
 /// the report — the first per-episode error fails the batch, and a
 /// contained panic is re-raised. Callers that want partial results, panic
@@ -126,7 +126,7 @@ impl BatchConfig {
 /// ```
 pub fn run_batch(batch: &BatchConfig, spec: &StackSpec) -> Result<Vec<EpisodeResult>, SimError> {
     let control = crate::BatchControl::default();
-    crate::run_batch_with(batch, spec, BatchMode::PerEpisode, control)?.into_results()
+    crate::run_batch_with(batch, spec, BatchMode::EventDriven, control)?.into_results()
 }
 
 #[cfg(test)]

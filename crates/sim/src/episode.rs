@@ -4,7 +4,7 @@ use cv_sensing::Measurement;
 use left_turn::ScenarioError;
 use safe_shield::{Outcome, PlannerSource};
 
-use crate::stepper::{NnAnswer, Pairs, StepAdvance};
+use crate::stepper::{NnAnswer, StepAdvance};
 use crate::{EpisodeConfig, EpisodeWorkspace, StackSpec};
 
 /// Errors running an episode.
@@ -172,8 +172,8 @@ pub fn run_episode(
 impl EpisodeWorkspace {
     /// Runs one episode, reusing every buffer this workspace retains from
     /// earlier runs (see the [`crate::workspace`] module docs): the episode
-    /// stepper on the poll schedule with the NN answered inline. Results
-    /// are identical to [`run_episode`].
+    /// stepper with the NN answered inline. Results are identical to
+    /// [`run_episode`], and with or without traces.
     ///
     /// # Errors
     ///
@@ -183,7 +183,7 @@ impl EpisodeWorkspace {
         cfg: &EpisodeConfig,
         record_traces: bool,
     ) -> Result<EpisodeResult, SimError> {
-        self.start(cfg, Pairs::Poll, NnAnswer::Inline, record_traces)?;
+        self.start(cfg, NnAnswer::Inline, record_traces)?;
         match self.advance(cfg, None, None) {
             StepAdvance::Finished(result) => Ok(result),
             _ => unreachable!("an inline episode without an interrupt runs to its outcome"),

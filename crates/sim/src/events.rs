@@ -1,165 +1,98 @@
-//! The event wheel: the stepper's *wheel* pair schedule
-//! ([`crate::BatchMode::EventDriven`]).
+//! The event wheel: the episode stepper's one pair schedule
+//! ([`crate::stepper`]), under every [`crate::BatchMode`].
 //!
-//! Under the *poll* schedule the stepper ([`crate::stepper`]) pays for
-//! every vehicle pair on every control tick — broadcast, channel poll,
-//! sensor read, estimator query — even after a conflicting vehicle has
-//! permanently cleared the conflict zone and can no longer influence a
-//! single planner decision. On long-horizon platoon workloads most pairs
-//! are quiescent most of the time, so that cost dominates.
+//! The stepper keeps the outer tick clock (the ego must plan every `Δt_c`;
+//! the paper's teacher policies pace on the per-tick window estimates) but
+//! schedules the *per-pair* work:
 //!
-//! The wheel keeps the same outer tick clock (the ego must plan every
-//! `Δt_c`; the paper's teacher policies pace on the per-tick window
-//! estimates) but schedules the *per-pair* work:
-//!
-//! * **Message arrivals** are resolved at *send* time via
-//!   [`cv_comm::Channel::send_scheduled`] and pushed onto a binary heap
-//!   keyed by integer arrival tick — channels are never polled. A channel
-//!   that cannot resolve its schedule ([`cv_comm::Arrival::Unknown`])
-//!   demotes its pair to per-tick polling, preserving correctness for
-//!   custom channel implementations. The poll schedule is exactly this
-//!   wheel with every pair demoted from the start and retirement off.
+//! * **Message arrivals** are known when the message is sent: every
+//!   channel of a [`cv_comm::CommSetting`] delivers after a constant delay
+//!   or not at all (paper §V). [`cv_comm::Channel::send_scheduled`]
+//!   resolves the delivery time, [`arrival_tick`] turns it into a control
+//!   tick, and the message waits on its pair's FIFO until that tick.
+//!   No channel is asked each tick what is due.
 //! * **Retirement**: once a pair provably can no longer produce a non-empty
 //!   turning window — its true position is past the scenario exit by a
 //!   margin covering all sensor noise, no message is in flight, and its
 //!   *current estimate* already places it past the exit in both the
 //!   interval and nominal forms — the pair's estimate is frozen
-//!   ([`crate::stack`]'s frozen pins) and every future event for it is
-//!   cancelled. Quiescent spans for that pair then cost O(1) total instead
-//!   of O(span/Δt_c).
+//!   ([`crate::stack`]'s frozen pins) and the pair does no further work.
+//!   Quiescent spans for that pair then cost O(1) total instead of
+//!   O(span/Δt_c). A retired pair stops producing measurements and
+//!   estimates, so retirement is off whenever traces are recorded; it is
+//!   also off for `v_min = 0`, where a vehicle could stop short of leaving.
 //!
 //! # Tie-break ordering contract
 //!
 //! Simultaneous events resolve in a documented, seed-independent order,
-//! identical across thread counts and re-runs (`tests/event_core.rs`
-//! property-checks this):
+//! identical across worker counts and re-runs:
 //!
-//! 1. within one control tick, per pair: `MessageArrival` (all due
-//!    arrivals) before `SensorRead` before the tick-wide
-//!    `ControlDecision`/actuation;
+//! 1. within one control tick, per pair: every due message arrival before
+//!    the sensor read before the tick-wide control decision and actuation;
 //! 2. pairs are visited in index order (pair 0 = the primary `C_1`);
-//! 3. within one pair and tick, message arrivals apply in send order
-//!    (monotone `seq`, which equals stamp order for the constant-delay
-//!    channels — exactly the per-drain stamp sort of a polled channel).
+//! 3. within one pair, arrivals apply in send order. A channel's delay is
+//!    constant and float addition is monotone, so arrival ticks never
+//!    decrease in send order and each pair's FIFO is already sorted by
+//!    tick (a debug assertion checks it).
 //!
-//! This is the order the poll schedule produces implicitly, which is what
-//! makes bit-identity possible at all.
-//!
-//! # Bit-identity with the poll schedule
-//!
-//! Whenever every cadence divides the integration step (the repo default:
-//! `Δt_m = Δt_s = 2·Δt_c`), the wheel must reproduce the poll schedule's
-//! [`crate::EpisodeResult`]s bit for bit — same outcome, same `η` bits,
-//! same emergency counts. `tests/event_core.rs` enforces the matrix across
-//! seeds, thread counts, and stacks, and `tests/engine_golden.rs` pins both
-//! schedules' fingerprints across commits. Traces are the one deliberate
-//! non-goal: the wheel never records them (retired pairs have no per-tick
-//! estimates to trace), so trace-consuming experiments (Fig. 6) run on the
-//! poll schedule.
+//! This is the order in which polling the channels every tick (`send`,
+//! then `receive_into` draining in stamp order) delivers the same
+//! messages; the `fifo_delivers_what_polling_delivers` test holds the two
+//! to the same messages on the same ticks, and `tests/engine_golden.rs`
+//! pins fingerprints computed while the polling schedule still ran beside
+//! the wheel and matched it bit for bit.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use cv_comm::Message;
 
-/// One message scheduled on the wheel, ordered by `(tick, pair, seq)` —
-/// the tie-break contract in the module docs. The payload does not
-/// participate in the ordering (its floats are not `Ord`).
-struct ScheduledArrival {
-    /// Control tick at which the message becomes deliverable — the first
-    /// tick whose poll the poll schedule would have drained it on.
-    tick: u64,
-    /// Receiving pair index.
-    pair: usize,
-    /// Monotone send counter; equals stamp order for constant-delay
-    /// channels.
-    seq: u64,
-    /// The message itself.
-    msg: Message,
-}
-
-impl ScheduledArrival {
-    fn key(&self) -> (u64, usize, u64) {
-        (self.tick, self.pair, self.seq)
-    }
-}
-
-impl PartialEq for ScheduledArrival {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for ScheduledArrival {}
-
-impl PartialOrd for ScheduledArrival {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for ScheduledArrival {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-
 /// Reusable wheel state held by [`crate::EpisodeWorkspace`], so the
-/// per-step loop stays allocation-free in the steady state (the heap and
-/// flag vectors keep their capacity across episodes).
+/// per-step loop stays allocation-free in the steady state (the queues and
+/// flags keep their capacity across episodes).
 #[derive(Default)]
 pub(crate) struct EventScratch {
-    /// Min-heap of scheduled arrivals (time wheel).
-    heap: BinaryHeap<Reverse<ScheduledArrival>>,
-    /// Monotone send counter feeding [`ScheduledArrival::seq`].
-    seq: u64,
-    /// Pairs permanently retired from event processing.
+    /// Per pair, the scheduled arrivals `(tick, message)` in send order. A
+    /// pair with messages in flight must not retire: an arrival could
+    /// still move its estimate.
+    queues: Vec<VecDeque<(u64, Message)>>,
+    /// Per pair, whether it is permanently retired from event processing.
     pub(crate) retired: Vec<bool>,
-    /// Scheduled arrivals currently on the wheel, per pair — a pair with
-    /// messages in flight must not retire (the arrival could still move
-    /// its estimate).
-    pub(crate) inflight: Vec<u32>,
-    /// Pairs polled every tick: all of them under the poll schedule, and
-    /// under the wheel those demoted by [`cv_comm::Arrival::Unknown`].
-    pub(crate) polled: Vec<bool>,
+    /// Arrivals scheduled since the last [`EventScratch::reset`].
+    pub(crate) scheduled: u64,
 }
 
 impl EventScratch {
-    /// Re-arms the wheel for `n` pairs, all of them polled when `poll`.
-    pub(crate) fn reset(&mut self, n: usize, poll: bool) {
-        self.heap.clear();
-        self.seq = 0;
+    /// Re-arms the wheel for `n` pairs.
+    pub(crate) fn reset(&mut self, n: usize) {
+        self.queues.truncate(n);
+        self.queues.iter_mut().for_each(VecDeque::clear);
+        self.queues.resize_with(n, VecDeque::new);
         self.retired.clear();
         self.retired.resize(n, false);
-        self.inflight.clear();
-        self.inflight.resize(n, 0);
-        self.polled.clear();
-        self.polled.resize(n, poll);
+        self.scheduled = 0;
     }
 
     /// Schedules `msg` for `pair` at control tick `tick`.
     pub(crate) fn schedule(&mut self, pair: usize, msg: Message, tick: u64) {
-        self.seq += 1;
-        self.inflight[pair] += 1;
-        self.heap.push(Reverse(ScheduledArrival {
-            tick,
-            pair,
-            seq: self.seq,
-            msg,
-        }));
+        let queue = &mut self.queues[pair];
+        debug_assert!(
+            queue.back().is_none_or(|&(last, _)| last <= tick),
+            "pair {pair}: arrival tick {tick} scheduled after a later one"
+        );
+        queue.push_back((tick, msg));
+        self.scheduled += 1;
     }
 
-    /// Pops the next arrival due for `pair` at `tick`. Pairs are visited in
-    /// index order, so everything at the top of the heap with
-    /// `(tick, pair)` is due now.
+    /// Pops `pair`'s next arrival due at or before `tick`.
     pub(crate) fn pop_due(&mut self, tick: u64, pair: usize) -> Option<Message> {
-        let Reverse(top) = self.heap.peek()?;
-        if top.tick != tick || top.pair != pair {
-            return None;
-        }
-        let Reverse(due) = self.heap.pop()?;
-        self.inflight[pair] -= 1;
-        Some(due.msg)
+        let queue = &mut self.queues[pair];
+        queue.front().filter(|&&(due, _)| due <= tick)?;
+        queue.pop_front().map(|(_, msg)| msg)
+    }
+
+    /// Whether `pair` has messages in flight.
+    pub(crate) fn in_flight(&self, pair: usize) -> bool {
+        !self.queues[pair].is_empty()
     }
 }
 
@@ -167,8 +100,8 @@ impl EventScratch {
 /// message delivered at `deliver_at` — the exact integerisation of the
 /// polling predicate `deliver_at <= tick·Δt_c + 1e-12`
 /// (`cv_comm`'s `drain_due_into`). A closed-form `ceil` gives the guess;
-/// the two correction loops absorb any one-ULP rounding slack so the two
-/// schedules can never disagree on a delivery tick.
+/// the two correction loops absorb any one-ULP rounding slack so the wheel
+/// and a channel drained every tick can never disagree on a delivery tick.
 pub(crate) fn arrival_tick(deliver_at: f64, send_tick: u64, dt_c: f64) -> u64 {
     let guess = ((deliver_at - 1e-12) / dt_c).ceil();
     let mut k = if guess > send_tick as f64 {
@@ -188,29 +121,13 @@ pub(crate) fn arrival_tick(deliver_at: f64, send_tick: u64, dt_c: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stepper::{NnAnswer, Pairs, StepAdvance};
+    use crate::cadence::Cadence;
+    use crate::stepper::{NnAnswer, StepAdvance};
     use crate::{
-        run_batch_lanes, run_episode, BatchConfig, BatchMode, EpisodeConfig, EpisodeResult,
-        EpisodeWorkspace, StackSpec,
+        BatchConfig, EpisodeConfig, EpisodeResult, EpisodeWorkspace, PlatoonFollower, PlatoonSpec,
+        StackSpec,
     };
-
-    /// `cfg` as a one-episode batch on the event wheel.
-    fn run_event(cfg: &EpisodeConfig, spec: &StackSpec) -> EpisodeResult {
-        let mut batch = BatchConfig::new(cfg.clone(), 1);
-        batch.starts = vec![cfg.other_start_shared];
-        let report = run_batch_lanes(&batch, spec, BatchMode::EventDriven, None, None).unwrap();
-        report.into_results().unwrap().remove(0)
-    }
-
-    /// `cfg` on the event wheel of the caller's (reused) workspace.
-    fn run_event_on(ws: &mut EpisodeWorkspace, cfg: &EpisodeConfig) -> EpisodeResult {
-        ws.start(cfg, Pairs::Wheel, NnAnswer::Inline, false)
-            .unwrap();
-        match ws.advance(cfg, None, None) {
-            StepAdvance::Finished(result) => result,
-            _ => unreachable!("an inline episode without an interrupt finishes"),
-        }
-    }
+    use cv_comm::{Channel, CommSetting};
 
     fn bits(r: &EpisodeResult) -> (u64, String, u64, u64, Option<usize>) {
         (
@@ -245,14 +162,123 @@ mod tests {
     }
 
     #[test]
-    fn event_engine_matches_fixed_step_on_the_paper_default() {
-        for seed in 0..8 {
-            let cfg = EpisodeConfig::paper_default(seed);
-            let spec = StackSpec::pure_teacher_conservative(&cfg).unwrap();
-            let fixed = run_episode(&cfg, &spec, false).unwrap();
-            let event = run_event(&cfg, &spec);
-            assert_eq!(bits(&fixed), bits(&event), "seed {seed}");
+    fn fifo_delivers_what_polling_delivers() {
+        // cv-comm's poll API is the reference: a channel sent to on its
+        // cadence and drained every tick. The wheel's send_scheduled +
+        // arrival_tick + FIFO must hand over the same messages, in the same
+        // order, on the same ticks — at cadences and delays that divide
+        // `Δt_c` and at ones that do not.
+        let dt_c = 0.05;
+        let steps = 400;
+        let mut settings = vec![CommSetting::NoDisturbance, CommSetting::Lost];
+        for delay in [0.0, 0.0333, 0.1, 0.2, 0.25, 0.37] {
+            for drop_prob in [0.0, 0.5] {
+                settings.push(CommSetting::Delayed { delay, drop_prob });
+            }
         }
+        for comm in settings {
+            for dt_m in [0.1, 0.07, 0.05] {
+                let seed = 17;
+                let (mut drained, mut sent) = (comm.channel(seed), comm.channel(seed));
+                let mut wheel = EventScratch::default();
+                wheel.reset(1);
+                let (mut due, mut by_poll, mut by_wheel) = (Vec::new(), Vec::new(), Vec::new());
+                let mut cadence = Cadence::new(dt_m, dt_c);
+                for step in 0..=steps {
+                    let t = step as f64 * dt_c;
+                    if cadence.due() {
+                        let m = Message::new(1, t, 3.0 * t, 10.0, 0.0);
+                        drained.send(m, t);
+                        if let Some(at) = sent.send_scheduled(m, t) {
+                            let tick = arrival_tick(at, step, dt_c);
+                            if tick <= steps {
+                                wheel.schedule(0, m, tick);
+                            }
+                        }
+                    }
+                    due.clear();
+                    drained.receive_into(t, &mut due);
+                    by_poll.extend(due.iter().map(|m| (step, m.stamp.to_bits())));
+                    while let Some(m) = wheel.pop_due(step, 0) {
+                        by_wheel.push((step, m.stamp.to_bits()));
+                    }
+                    cadence.advance();
+                }
+                assert_eq!(by_poll, by_wheel, "{comm} at Δt_m = {dt_m}");
+                if comm.is_connected() {
+                    assert!(!by_wheel.is_empty(), "{comm}: nothing delivered");
+                }
+            }
+        }
+    }
+
+    /// Episodes `0..n` of `batch` on one reused workspace — a one-worker
+    /// batch — returning the results, the arrivals scheduled and the pairs
+    /// retired over all of them.
+    fn wheel_counts(
+        batch: &BatchConfig,
+        spec: &StackSpec,
+        n: usize,
+        traced: bool,
+    ) -> (Vec<EpisodeResult>, u64, usize) {
+        let mut ws = EpisodeWorkspace::new(spec.clone());
+        let (mut results, mut scheduled, mut retired) = (Vec::new(), 0, 0);
+        for i in 0..n {
+            let cfg = batch.episode(i);
+            ws.start(&cfg, NnAnswer::Inline, traced).unwrap();
+            let StepAdvance::Finished(result) = ws.advance(&cfg, None, None) else {
+                unreachable!("an inline episode without an interrupt finishes");
+            };
+            results.push(result);
+            scheduled += ws.events.scheduled;
+            retired += ws.events.retired.iter().filter(|&&r| r).count();
+        }
+        (results, scheduled, retired)
+    }
+
+    /// The sparse n = 8 platoon: ego far upstream, leader at the zone's
+    /// edge, 6 m gaps, V2V lost — pairs clear the zone early.
+    fn sparse_platoon() -> BatchConfig {
+        let mut platoon = PlatoonSpec::paper_default(8, 9).unwrap();
+        platoon.leader_start_shared = 16.0;
+        platoon.comm = CommSetting::Lost;
+        for f in &mut platoon.followers {
+            *f = PlatoonFollower {
+                gap: 6.0,
+                ..PlatoonFollower::paper_default()
+            };
+        }
+        let mut cfg = platoon.episode();
+        cfg.ego_init.position = -150.0;
+        let mut batch = BatchConfig::new(cfg, 20);
+        batch.starts = (0..20).map(|j| 16.0 + 0.25 * f64::from(j)).collect();
+        batch
+    }
+
+    #[test]
+    fn the_wheel_schedules_arrivals_and_retires_pairs() {
+        // The counts pin that the wheel does its work: a pair that falls
+        // back to per-tick work would schedule nothing and never retire,
+        // and no result comparison would notice. Tracing turns retirement
+        // off, so the traced run is also the reference that retiring is
+        // invisible in the results.
+        let sparse = sparse_platoon();
+        let spec = StackSpec::pure_teacher_conservative(&sparse.template).unwrap();
+        let (results, scheduled, retired) = wheel_counts(&sparse, &spec, 20, false);
+        assert_eq!((scheduled, retired), (0, 140), "sparse n = 8 lost platoon");
+        let (traced, _, none) = wheel_counts(&sparse, &spec, 20, true);
+        assert_eq!(none, 0, "tracing keeps every pair live");
+        let bits_of = |rs: &[EpisodeResult]| rs.iter().map(bits).collect::<Vec<_>>();
+        assert_eq!(bits_of(&results), bits_of(&traced));
+
+        let mut template = EpisodeConfig::paper_default(0);
+        template.comm = CommSetting::delayed_with_drop(0.25);
+        let delayed = BatchConfig::new(template, 20);
+        let spec = StackSpec::pure_teacher_conservative(&delayed.template).unwrap();
+        let (results, scheduled, retired) = wheel_counts(&delayed, &spec, 20, false);
+        assert_eq!((scheduled, retired), (973, 13), "paper default, delayed");
+        let (traced, ..) = wheel_counts(&delayed, &spec, 20, true);
+        assert_eq!(bits_of(&results), bits_of(&traced));
     }
 
     #[test]
@@ -260,28 +286,13 @@ mod tests {
         let cfg = EpisodeConfig::paper_default(11);
         let spec = StackSpec::pure_teacher_conservative(&cfg).unwrap();
         let mut ws = EpisodeWorkspace::new(spec);
-        let first = run_event_on(&mut ws, &cfg);
-        let again = run_event_on(&mut ws, &cfg);
+        let first = ws.run(&cfg, false).unwrap();
+        let again = ws.run(&cfg, false).unwrap();
         assert_eq!(bits(&first), bits(&again));
-        // Interleaving a poll-schedule run must not perturb a later wheel
-        // run.
-        let _ = ws.run(&cfg, false).unwrap();
-        let third = run_event_on(&mut ws, &cfg);
+        // Interleaving a traced run (retirement off) must not perturb a
+        // later retiring run.
+        let _ = ws.run(&cfg, true).unwrap();
+        let third = ws.run(&cfg, false).unwrap();
         assert_eq!(bits(&first), bits(&third));
-    }
-
-    #[test]
-    fn delayed_comm_matches_fixed_step() {
-        for seed in 0..6 {
-            let mut cfg = EpisodeConfig::paper_default(seed);
-            cfg.comm = cv_comm::CommSetting::Delayed {
-                delay: 0.25,
-                drop_prob: 0.5,
-            };
-            let spec = StackSpec::pure_teacher_conservative(&cfg).unwrap();
-            let fixed = run_episode(&cfg, &spec, false).unwrap();
-            let event = run_event(&cfg, &spec);
-            assert_eq!(bits(&fixed), bits(&event), "seed {seed}");
-        }
     }
 }

@@ -1,8 +1,8 @@
 //! Batch modes and the worker driver: every batch path runs its episodes
 //! through `drive_worker`, which steps them on the episode stepper
-//! ([`crate::stepper`]) with the two policies its [`BatchMode`] selects.
-//! Each worker of the fan-out behind [`crate::run_batch_with`] is one
-//! `drive_worker` call.
+//! ([`crate::stepper`]) — the event wheel in every mode — with the NN
+//! answer its [`BatchMode`] selects. Each worker of the fan-out behind
+//! [`crate::run_batch_with`] is one `drive_worker` call.
 //!
 //! A worker owns a [`LaneGroup`] of `K` episode *lanes* (`K =`
 //! [`BatchMode::lanes`] for a stack with an NN planner, else 1). With one
@@ -27,9 +27,10 @@
 //! dead lanes carry zeros. Results therefore depend only on the episode
 //! configuration and the configured [`BatchMode`]:
 //!
-//! * `PerEpisode`, `Lanes(1)` and `EventDriven` answer every NN step inline
-//!   with the executor's own planner and are **bit-identical** to each
-//!   other (`tests/engine_golden.rs` pins them across commits);
+//! * `EventDriven` and `Lanes(1)` answer every NN step inline with the
+//!   executor's own planner and are **bit-identical** to each other and to
+//!   [`crate::run_episode`] (`tests/engine_golden.rs` pins them across
+//!   commits);
 //! * `Lanes(k)` for `k > 1` uses the padded 8-wide kernel. Both kernels
 //!   share cv-nn's one vectorised `tanh`; the lane kernel's FMA
 //!   contraction and missing zero-skip differ from the per-episode path
@@ -45,38 +46,32 @@ use cv_nn::{BatchScratch, LanePlan, Matrix, Mlp, LANE_WIDTH};
 use cv_planner::NnPlanner;
 use safe_shield::{Observation, Outcome};
 
-use crate::stepper::{NnAnswer, Pairs, StepAdvance};
+use crate::stepper::{NnAnswer, StepAdvance};
 use crate::supervise::payload_string;
 use crate::{
     BatchConfig, BatchControl, BatchReport, EpisodeConfig, EpisodeOutcome, EpisodeResult,
     EpisodeWorkspace, Quarantine, SimError, SkipReason, StackSpec,
 };
 
-/// How a batch distributes episodes over each worker.
+/// How a batch distributes episodes over each worker. Every mode steps
+/// its episodes on the event wheel ([`crate::events`], DESIGN.md §18).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum BatchMode {
-    /// The reference path: one episode at a time per worker, every pair
-    /// polled every tick.
+    /// The reference path: one episode at a time per worker, the NN
+    /// answered inline.
     #[default]
-    PerEpisode,
+    EventDriven,
     /// K episodes stepped in lockstep per worker (`1 ≤ K ≤` [`LANE_WIDTH`]).
-    /// `Lanes(1)` is bit-identical to [`BatchMode::PerEpisode`]; larger K
+    /// `Lanes(1)` is bit-identical to [`BatchMode::EventDriven`]; larger K
     /// is covered by the tolerance contract (module docs).
     Lanes(usize),
-    /// One episode at a time per worker on the event wheel
-    /// ([`crate::events`]): V2V deliveries scheduled at send time and
-    /// cleared vehicle pairs retired. Bit-identical to
-    /// [`BatchMode::PerEpisode`] (DESIGN.md §18); fastest on sparse
-    /// platoon workloads where most pairs are quiescent most of the time.
-    EventDriven,
 }
 
 impl BatchMode {
-    /// The lane count this mode runs (`1` for the per-episode and
-    /// event-driven paths).
+    /// The lane count this mode runs (`1` for [`BatchMode::EventDriven`]).
     pub fn lanes(&self) -> usize {
         match self {
-            BatchMode::PerEpisode | BatchMode::EventDriven => 1,
+            BatchMode::EventDriven => 1,
             BatchMode::Lanes(k) => *k,
         }
     }
@@ -88,7 +83,7 @@ impl BatchMode {
     /// [`SimError::InvalidBatch`] with the offending count.
     pub fn validate(&self) -> Result<(), SimError> {
         match self {
-            BatchMode::PerEpisode | BatchMode::EventDriven => Ok(()),
+            BatchMode::EventDriven => Ok(()),
             BatchMode::Lanes(k) if (1..=LANE_WIDTH).contains(k) => Ok(()),
             BatchMode::Lanes(k) => Err(SimError::InvalidBatch {
                 reason: format!("lane count {k} outside 1..={LANE_WIDTH}"),
@@ -265,7 +260,6 @@ struct LaneGroup {
     /// The batched evaluator answering deferred NN steps; `None` when the
     /// stepper answers inline (one lane).
     nn: Option<GroupNn>,
-    pairs: Pairs,
 }
 
 impl LaneGroup {
@@ -281,11 +275,6 @@ impl LaneGroup {
                 })
                 .collect(),
             nn: spec.nn_planner().filter(|_| k > 1).map(GroupNn::new),
-            pairs: if mode == BatchMode::EventDriven {
-                Pairs::Wheel
-            } else {
-                Pairs::Poll
-            },
         }
     }
 
@@ -300,7 +289,6 @@ impl LaneGroup {
         interrupt: Option<&AtomicBool>,
         emit: &mut dyn FnMut(usize, EpisodeOutcome),
     ) -> bool {
-        let pairs = self.pairs;
         let answer = if self.nn.is_some() {
             NnAnswer::Deferred
         } else {
@@ -322,9 +310,7 @@ impl LaneGroup {
                 }
                 // AssertUnwindSafe: the lane is rebuilt wholesale on the
                 // panic path, so no torn state survives the catch.
-                match catch_unwind(AssertUnwindSafe(|| {
-                    lane.ws.start(&cfg, pairs, answer, false)
-                })) {
+                match catch_unwind(AssertUnwindSafe(|| lane.ws.start(&cfg, answer, false))) {
                     Ok(Ok(())) => {
                         lane.episode = Some((i, cfg));
                         break;
@@ -430,8 +416,8 @@ impl LaneGroup {
 
 /// The worker driver: runs episodes claimed from `claim` on one worker's
 /// [`LaneGroup`] until `claim` runs dry and every lane retires, emitting
-/// exactly one typed outcome per claimed index. `mode` selects the
-/// stepper's policies (module docs); `interrupt` is honoured before each
+/// exactly one typed outcome per claimed index. `mode` selects the lane
+/// count and so who answers NN steps (module docs); `interrupt` is honoured before each
 /// episode and at step granularity; `quarantine` is consulted before each
 /// episode and updated on each contained panic. The fan-out of
 /// [`crate::run_batch_with`] calls it once per worker and once per rescued
@@ -501,14 +487,14 @@ mod tests {
         for k in 1..=LANE_WIDTH {
             assert!(BatchMode::Lanes(k).validate().is_ok());
         }
-        assert_eq!(BatchMode::PerEpisode.lanes(), 1);
+        assert_eq!(BatchMode::EventDriven.lanes(), 1);
         assert_eq!(BatchMode::Lanes(4).lanes(), 4);
     }
 
     #[test]
     fn lanes_of_one_is_bit_identical_to_per_episode() {
         let (batch, spec) = nn_batch(10, 1);
-        let reference = run_batch_lanes(&batch, &spec, BatchMode::PerEpisode, None, None).unwrap();
+        let reference = run_batch_lanes(&batch, &spec, BatchMode::EventDriven, None, None).unwrap();
         let lanes = run_batch_lanes(&batch, &spec, BatchMode::Lanes(1), None, None).unwrap();
         assert_eq!(reference, lanes, "Lanes(1) must be bit-identical");
         for (a, b) in reference.outcomes.iter().zip(&lanes.outcomes) {
@@ -534,7 +520,7 @@ mod tests {
     #[test]
     fn batched_lanes_pass_the_tolerance_gate() {
         let (batch, spec) = nn_batch(10, 2);
-        let reference = run_batch_lanes(&batch, &spec, BatchMode::PerEpisode, None, None).unwrap();
+        let reference = run_batch_lanes(&batch, &spec, BatchMode::EventDriven, None, None).unwrap();
         for k in [2, 4, 8] {
             let lanes = run_batch_lanes(&batch, &spec, BatchMode::Lanes(k), None, None).unwrap();
             for (i, (a, b)) in reference.outcomes.iter().zip(&lanes.outcomes).enumerate() {
@@ -549,7 +535,7 @@ mod tests {
         let template = EpisodeConfig::paper_default(5);
         let spec = StackSpec::pure_teacher_conservative(&template).unwrap();
         let batch = BatchConfig::new(template, 6);
-        let reference = run_batch_lanes(&batch, &spec, BatchMode::PerEpisode, None, None).unwrap();
+        let reference = run_batch_lanes(&batch, &spec, BatchMode::EventDriven, None, None).unwrap();
         let lanes = run_batch_lanes(&batch, &spec, BatchMode::Lanes(8), None, None).unwrap();
         assert_eq!(reference, lanes);
     }
@@ -560,7 +546,7 @@ mod tests {
         // episodes still complete and match the per-episode reference gate.
         let (mut batch, spec) = nn_batch(8, 1);
         batch.starts = vec![batch.starts[0], 10.0];
-        let reference = run_batch_lanes(&batch, &spec, BatchMode::PerEpisode, None, None).unwrap();
+        let reference = run_batch_lanes(&batch, &spec, BatchMode::EventDriven, None, None).unwrap();
         let lanes = run_batch_lanes(&batch, &spec, BatchMode::Lanes(4), None, None).unwrap();
         let summary = lanes.summary();
         assert_eq!((summary.requested, summary.failed), (8, 4));

@@ -17,9 +17,10 @@
 //! * [`run_batch_with`] — the one supervised batch entry point: episodes
 //!   are distributed over workers by one claim-by-index fan-out (the only
 //!   code that spawns, stops and rescues batch workers), and each worker
-//!   runs them on the [`stepper`], the simulator's one per-step loop, in
-//!   the [`BatchMode`] the caller picks (per-episode, lane-batched NN
-//!   inference — see [`lanes`] — or the event wheel — see [`events`]).
+//!   runs them on the [`stepper`], the simulator's one per-step loop, with
+//!   its one pair schedule, the event wheel (see [`events`]), in the
+//!   [`BatchMode`] the caller picks (one lane, or lane-batched NN
+//!   inference — see [`lanes`]).
 //!   Every episode is wrapped in `catch_unwind` and mapped to a typed
 //!   [`EpisodeOutcome`] (completed / failed / panicked / skipped). A
 //!   [`BatchControl`] attaches a seed [`Quarantine`], an interrupt and a

@@ -328,7 +328,7 @@ mod tests {
                 &mut claim,
                 &batch,
                 &spec,
-                BatchMode::PerEpisode,
+                BatchMode::EventDriven,
                 None,
                 stop,
                 emit,

@@ -259,7 +259,9 @@ impl StackSpec {
             };
             return teacher.reinit(exec, cfg, scenarios, inits);
         }
+        // Every slot starts live; the stepper pins retired vehicles.
         exec.frozen.clear();
+        exec.frozen.resize(inits.len(), None);
         let other_limits = scenarios[0].other_limits();
         match (&mut exec.kind, self) {
             (
@@ -312,18 +314,14 @@ pub(crate) struct StackExec {
     est_scratch: Vec<VehicleEstimate>,
     /// Window cluster buffer for the unshielded merge, refilled each step.
     win_scratch: Vec<Interval>,
-    /// Wheel-schedule pins: a `Some(est)` here overrides estimator `i`'s
-    /// live estimate with a snapshot taken when the stepper retired its
-    /// vehicle (see `crate::events`). Empty under the poll schedule, where
-    /// every estimate is always recomputed.
+    /// Retirement pins, one slot per conflicting vehicle: a `Some(est)`
+    /// here overrides estimator `i`'s live estimate with a snapshot taken
+    /// when the stepper retired its vehicle (see `crate::events`).
     frozen: Vec<Option<VehicleEstimate>>,
 }
 
-/// Fills `out` with one estimate per vehicle, honouring frozen pins.
-///
-/// The single estimate-gathering path for both pair schedules: with no pins
-/// armed (`frozen` empty) this is the plain refill; with pins, a retired
-/// vehicle's snapshot substitutes for its estimator query.
+/// Fills `out` with one estimate per vehicle: a retired vehicle's pinned
+/// snapshot, else its estimator's live estimate.
 fn fill_estimates(
     out: &mut Vec<VehicleEstimate>,
     frozen: &[Option<VehicleEstimate>],
@@ -331,16 +329,12 @@ fn fill_estimates(
     time: f64,
 ) {
     out.clear();
-    if frozen.is_empty() {
-        out.extend(estimators.iter().map(|e| e.estimate(time)));
-    } else {
-        out.extend(
-            estimators
-                .iter()
-                .zip(frozen)
-                .map(|(e, f)| f.unwrap_or_else(|| e.estimate(time))),
-        );
-    }
+    out.extend(
+        estimators
+            .iter()
+            .zip(frozen)
+            .map(|(e, f)| f.unwrap_or_else(|| e.estimate(time))),
+    );
 }
 
 /// Fills `out` with the per-vehicle passing-time windows, skipping frozen
@@ -351,8 +345,8 @@ fn fill_estimates(
 /// retirement probe), and `v_min > 0` keeps any forward projection there —
 /// so the pinned estimate's window is `None` on every later step, in both
 /// window kinds. Skipping the computation therefore yields exactly the set
-/// the poll schedule's live estimates produce; it just stops paying
-/// for windows that are known-`None`.
+/// the live estimates produce; it just stops paying for windows that are
+/// known-`None`.
 fn fill_windows(
     out: &mut Vec<Interval>,
     frozen: &[Option<VehicleEstimate>],
@@ -368,7 +362,7 @@ fn fill_windows(
             .zip(ests)
             .enumerate()
             .filter_map(|(i, (s, e))| {
-                if frozen.get(i).is_some_and(|f| f.is_some()) {
+                if frozen[i].is_some() {
                     return None;
                 }
                 match window {
@@ -409,14 +403,6 @@ pub(crate) enum StepPlan {
 }
 
 impl StackExec {
-    /// Arms the frozen-pin slots for `n` conflicting vehicles (wheel
-    /// schedule only); all slots start live. The poll schedule never calls
-    /// this, so its estimate path stays the plain refill.
-    pub(crate) fn arm_frozen(&mut self, n: usize) {
-        self.frozen.clear();
-        self.frozen.resize(n, None);
-    }
-
     /// Pins vehicle `i`'s estimate to `est` for the rest of the episode.
     pub(crate) fn set_frozen(&mut self, i: usize, est: VehicleEstimate) {
         self.frozen[i] = Some(est);

@@ -5,26 +5,24 @@
 //! conflicting vehicle in index order: the vehicle broadcasts (every
 //! `Δt_m`), due V2V messages reach its estimator, the sensor fires (every
 //! `Δt_s`); then ground truth is checked (collision → `η = −1`, target →
-//! `η = 1/t`), the stack plans, and all vehicles advance one step. Two
-//! policies, both derived from [`crate::BatchMode`], vary how:
+//! `η = 1/t`), the stack plans, and all vehicles advance one step.
 //!
-//! * **Pair schedule** ([`Pairs`]). *Poll* visits every pair every tick
-//!   (`PerEpisode`, `Lanes(k)`); *wheel* resolves message arrivals at send
-//!   time onto the event heap and retires pairs that cleared the zone
-//!   (`EventDriven`, [`crate::events`]). Poll is the wheel with every pair
-//!   polled and retirement off, so one per-pair block serves both.
-//! * **NN answer** ([`NnAnswer`]). *Inline* (one lane) answers a nominal
-//!   NN step with the executor's own planner inside `advance`; *deferred*
-//!   (`Lanes(k > 1)`) parks the episode with the observation, which the
-//!   lane group answers from one batched forward and hands back through
-//!   `resume` ([`crate::lanes`]).
+//! The pairs run on one schedule, the event wheel ([`crate::events`]):
+//! message arrivals are resolved at send time onto per-pair FIFOs, and
+//! pairs that cleared the zone retire, except while traces are recorded.
+//! One policy, derived from [`crate::BatchMode`], varies who answers a
+//! nominal NN step ([`NnAnswer`]). *Inline* (one lane) answers it with the
+//! executor's own planner inside `advance`; *deferred* (`Lanes(k > 1)`)
+//! parks the episode with the observation, which the lane group answers
+//! from one batched forward and hands back through `resume`
+//! ([`crate::lanes`]).
 //!
-//! Traces are recorded only on the poll + inline path
+//! Traces are recorded only with the NN answered inline
 //! ([`EpisodeWorkspace::run`]).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use cv_comm::{Arrival, Message};
+use cv_comm::Message;
 use cv_dynamics::{Trajectory, VehicleLimits, VehicleState};
 use cv_estimation::VehicleEstimate;
 use left_turn::LeftTurnScenario;
@@ -37,15 +35,6 @@ use crate::{
     DecisionTrace, EpisodeConfig, EpisodeResult, EpisodeTraces, EpisodeWorkspace, SimError,
     WindowTrace,
 };
-
-/// How the stepper visits vehicle pairs (module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Pairs {
-    /// Every pair polled every tick.
-    Poll,
-    /// Send-time arrivals on the event wheel, with retirement.
-    Wheel,
-}
 
 /// Who answers a nominal NN step (module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,18 +69,18 @@ pub(crate) struct Run {
     emergency_steps: u64,
     total_steps: u64,
     answer: NnAnswer,
-    /// Retirement is on: the wheel schedule with `v_min > 0`, so a vehicle
-    /// past the exit can never re-enter the zone (otherwise pairs simply
-    /// never retire — wheel cost degrades to poll cost, not to wrong
-    /// answers).
+    /// Retirement is on: no traces are recorded, and `v_min > 0`, so a
+    /// vehicle past the exit can never re-enter the zone (otherwise pairs
+    /// simply never retire — the cost is per-tick work on every pair, not
+    /// wrong answers).
     retire: bool,
     /// Truth margin before a retirement probe reads the estimate: past the
     /// exit by the full sensor-noise band (plus slack), every measurement
-    /// and message also lands past the exit, so the live estimate the poll
-    /// schedule keeps refining stays exit-side forever — which is what
-    /// makes the frozen pin bit-invisible.
+    /// and message also lands past the exit, so the live estimate a
+    /// non-retired pair keeps refining stays exit-side forever — which is
+    /// what makes the frozen pin bit-invisible.
     truth_margin: f64,
-    /// Pairs not yet retired.
+    /// Number of pairs not yet retired.
     active: usize,
     /// An NN evaluation is outstanding (deferred answer).
     parked: bool,
@@ -108,7 +97,6 @@ impl EpisodeWorkspace {
     pub(crate) fn start(
         &mut self,
         cfg: &EpisodeConfig,
-        pairs: Pairs,
         answer: NnAnswer,
         record_traces: bool,
     ) -> Result<(), SimError> {
@@ -137,19 +125,12 @@ impl EpisodeWorkspace {
         let scenarios = scenario_cache[slot].1.as_slice();
         // Re-arm the retained executor: the planner (for an NN stack, its
         // weight matrices) is NOT re-cloned.
-        let exec = match exec {
-            Some(e) => {
-                spec.reinit(e, cfg, scenarios, others);
-                e
-            }
-            None => exec.insert(spec.build(cfg, scenarios)),
-        };
-        let n = others.len();
-        events.reset(n, pairs == Pairs::Poll);
-        if pairs == Pairs::Wheel {
-            exec.arm_frozen(n);
+        match exec {
+            Some(e) => spec.reinit(e, cfg, scenarios, others),
+            None => *exec = Some(spec.build(cfg, scenarios)),
         }
-        let traced = record_traces && pairs == Pairs::Poll && answer == NnAnswer::Inline;
+        let n = others.len();
+        events.reset(n);
         *run = Some(Run {
             slot,
             ego: cfg.ego_init,
@@ -162,11 +143,11 @@ impl EpisodeWorkspace {
             emergency_steps: 0,
             total_steps: 0,
             answer,
-            retire: pairs == Pairs::Wheel && other_limits.v_min() > 0.0,
+            retire: !record_traces && other_limits.v_min() > 0.0,
             truth_margin: 2.0 * cfg.noise.delta_p + 0.5,
             active: n,
             parked: false,
-            traces: traced.then(|| EpisodeTraces {
+            traces: record_traces.then(|| EpisodeTraces {
                 others: vec![Trajectory::new(); n],
                 ..EpisodeTraces::default()
             }),
@@ -199,7 +180,6 @@ impl EpisodeWorkspace {
             sensors,
             drivers,
             others,
-            inbox,
             events,
             run: armed,
             ..
@@ -237,36 +217,19 @@ impl EpisodeWorkspace {
                             if events.retired[i] {
                                 continue;
                             }
-                            let chan = &mut channels[i].chan;
                             if msg_now {
                                 let m = Message::from_state(1 + i, t, other);
-                                if events.polled[i] {
-                                    chan.send(m, t);
-                                } else {
-                                    match chan.send_scheduled(m, t) {
-                                        Arrival::Delivered(at) => {
-                                            // Past-horizon arrivals would
-                                            // never be drained by a poll
-                                            // either.
-                                            let tick = arrival_tick(at, run.step, cfg.dt_c);
-                                            if tick <= run.steps {
-                                                events.schedule(i, m, tick);
-                                            }
-                                        }
-                                        Arrival::Dropped | Arrival::Never => {}
-                                        Arrival::Unknown => events.polled[i] = true,
+                                if let Some(at) = channels[i].chan.send_scheduled(m, t) {
+                                    // An arrival past the horizon is never
+                                    // delivered.
+                                    let tick = arrival_tick(at, run.step, cfg.dt_c);
+                                    if tick <= run.steps {
+                                        events.schedule(i, m, tick);
                                     }
                                 }
                             }
                             while let Some(m) = events.pop_due(run.step, i) {
                                 exec.estimator_mut(i).on_message(&m);
-                            }
-                            if events.polled[i] {
-                                inbox.clear();
-                                chan.receive_into(t, inbox);
-                                for m in inbox.iter() {
-                                    exec.estimator_mut(i).on_message(m);
-                                }
                             }
                             if sense_now {
                                 // Dropout-free sensors keep the historical
@@ -285,12 +248,11 @@ impl EpisodeWorkspace {
                             }
                             // Retirement probe (crate::events): truth past
                             // the exit beyond the noise band, nothing in
-                            // flight, nothing polled, and the live estimate
-                            // already exit-side in both forms.
+                            // flight, and the live estimate already
+                            // exit-side in both forms.
                             let exit = scenarios[i].other_exit();
                             if run.retire
-                                && !events.polled[i]
-                                && events.inflight[i] == 0
+                                && !events.in_flight(i)
                                 && other.position >= exit + run.truth_margin
                             {
                                 let est = exec.estimator_mut(i).estimate(t);
@@ -316,8 +278,8 @@ impl EpisodeWorkspace {
                         break (Outcome::Reached { time: t }, None);
                     }
 
-                    // The ego plans every tick under both schedules: the
-                    // teacher policies pace on the per-tick windows.
+                    // The ego plans every tick: the teacher policies pace
+                    // on the per-tick windows.
                     match exec.plan_prepare(t, &run.ego) {
                         StepPlan::Ready(decision) => decision,
                         StepPlan::Nn { obs } if run.answer == NnAnswer::Inline => PlanDecision {

@@ -411,7 +411,7 @@ mod tests {
             cache: Some(cache),
             ..BatchControl::default()
         };
-        let report = run_on(batch, spec, workers, BatchMode::PerEpisode, control);
+        let report = run_on(batch, spec, workers, BatchMode::EventDriven, control);
         assert!(!report.interrupted(), "nothing stops an uncontrolled run");
         report.summary()
     }
@@ -450,7 +450,7 @@ mod tests {
         let batch = small_batch(5, 6);
         let spec = StackSpec::pure_teacher_conservative(&batch.template).unwrap();
         let strict = crate::run_batch(&batch, &spec).unwrap();
-        let report = run_batch_lanes(&batch, &spec, BatchMode::PerEpisode, None, None).unwrap();
+        let report = run_batch_lanes(&batch, &spec, BatchMode::EventDriven, None, None).unwrap();
         assert_eq!(report.completed(), 6);
         let supervised = report.into_results().unwrap();
         assert_eq!(strict, supervised, "supervision changed episode results");
@@ -493,7 +493,7 @@ mod tests {
         let mut batch = small_batch(3, 4);
         batch.starts = vec![batch.starts[0], 10.0];
         let spec = StackSpec::pure_teacher_conservative(&batch.template).unwrap();
-        let report = run_batch_lanes(&batch, &spec, BatchMode::PerEpisode, None, None).unwrap();
+        let report = run_batch_lanes(&batch, &spec, BatchMode::EventDriven, None, None).unwrap();
         let s = report.summary();
         assert_eq!((s.requested, s.episodes, s.failed), (4, 2, 2));
         assert!(matches!(
@@ -524,7 +524,7 @@ mod tests {
         let spec = StackSpec::pure_teacher_conservative(&batch.template).unwrap();
         let stop = AtomicBool::new(true);
         let report =
-            run_batch_lanes(&batch, &spec, BatchMode::PerEpisode, None, Some(&stop)).unwrap();
+            run_batch_lanes(&batch, &spec, BatchMode::EventDriven, None, Some(&stop)).unwrap();
         assert_eq!(report.completed(), 0);
         assert!(report.interrupted() && !report.deadline_hit);
         assert!(report.outcomes.iter().all(|o| matches!(
@@ -539,7 +539,7 @@ mod tests {
     }
 
     #[test]
-    fn any_worker_count_and_pair_schedule_matches_run_batch() {
+    fn any_worker_count_matches_run_batch() {
         let mut template = EpisodeConfig::paper_default(19);
         template.comm = CommSetting::Delayed {
             delay: 0.25,
@@ -548,10 +548,7 @@ mod tests {
         let spec = StackSpec::pure_teacher_aggressive(&template).unwrap();
         let platoon = PlatoonSpec::paper_default(4, 19).unwrap().episode();
         let platoon_spec = StackSpec::pure_teacher_conservative(&platoon).unwrap();
-        for (template, spec, mode) in [
-            (template, spec, BatchMode::PerEpisode),
-            (platoon, platoon_spec, BatchMode::EventDriven),
-        ] {
+        for (template, spec) in [(template, spec), (platoon, platoon_spec)] {
             let batch = BatchConfig::new(template, 10);
             let reference = BatchSummary::from_results(&run_batch(&batch, &spec).unwrap());
             for workers in [1, 3, 10] {
@@ -564,10 +561,10 @@ mod tests {
                     observer: Some(&mut observer),
                     ..BatchControl::default()
                 };
-                let report = run_on(&batch, &spec, workers, mode, control);
+                let report = run_on(&batch, &spec, workers, BatchMode::EventDriven, control);
                 assert!(!report.interrupted());
                 let summary = report.summary();
-                assert!(summary.stats_eq(&reference), "{mode:?}, {workers} workers");
+                assert!(summary.stats_eq(&reference), "{workers} workers");
                 assert_eq!((summary.requested, summary.episodes), (10, 10));
                 seen.sort_unstable();
                 assert_eq!(seen, (0..10).collect::<Vec<_>>());
@@ -609,7 +606,7 @@ mod tests {
         let err = run_batch_with(
             &batch,
             &spec,
-            BatchMode::PerEpisode,
+            BatchMode::EventDriven,
             BatchControl::default(),
         );
         assert!(matches!(err, Err(SimError::InvalidBatch { .. })));
@@ -652,7 +649,7 @@ mod tests {
             observer: Some(&mut observer),
             ..BatchControl::default()
         };
-        let warm = run_on(&batch, &spec, 3, BatchMode::PerEpisode, control).summary();
+        let warm = run_on(&batch, &spec, 3, BatchMode::EventDriven, control).summary();
         assert_eq!((warm.cache_hits, warm.cache_misses), (8, 0));
         assert_eq!(warm.cache_evictions, 0);
         assert!(cold.stats_eq(&warm));
@@ -668,7 +665,7 @@ mod tests {
             &batch,
             &spec,
             2,
-            BatchMode::PerEpisode,
+            BatchMode::EventDriven,
             BatchControl::default(),
         )
         .summary();
@@ -754,7 +751,7 @@ mod tests {
             cache: Some(&cache),
             ..BatchControl::default()
         };
-        let report = run_on(&big, &spec, 2, BatchMode::PerEpisode, stopped(&cancel));
+        let report = run_on(&big, &spec, 2, BatchMode::EventDriven, stopped(&cancel));
         assert!(report.interrupted() && !report.deadline_hit);
         let partial = report.summary();
         assert_eq!(partial.episodes, 6, "exactly the cached episodes resolve");
@@ -777,7 +774,7 @@ mod tests {
         // A fully warm batch computes nothing: with cancel still set, no
         // worker may run, yet every episode is served and the batch is
         // complete.
-        let report = run_on(&big, &spec, 2, BatchMode::PerEpisode, stopped(&cancel));
+        let report = run_on(&big, &spec, 2, BatchMode::EventDriven, stopped(&cancel));
         assert!(!report.interrupted());
         let warm = report.summary();
         assert_eq!((warm.episodes, warm.skipped), (12, 0));
@@ -801,7 +798,7 @@ mod tests {
             observer: Some(&mut observer),
             ..BatchControl::default()
         };
-        let report = run_on(&batch, &spec, 1, BatchMode::PerEpisode, control);
+        let report = run_on(&batch, &spec, 1, BatchMode::EventDriven, control);
         assert!(report.interrupted() && !report.deadline_hit);
         let partial = report.summary();
         let done = partial.episodes;
@@ -818,7 +815,7 @@ mod tests {
             deadline: Some(Instant::now()),
             ..BatchControl::default()
         };
-        let report = run_on(&batch, &spec, 2, BatchMode::PerEpisode, control);
+        let report = run_on(&batch, &spec, 2, BatchMode::EventDriven, control);
         assert!(report.interrupted() && report.deadline_hit);
         let partial = report.summary();
         assert!(
@@ -851,7 +848,7 @@ mod tests {
                     interrupt: Some(&cancel),
                     ..BatchControl::default()
                 };
-                run_on(&batch, &spec, 1, BatchMode::PerEpisode, control)
+                run_on(&batch, &spec, 1, BatchMode::EventDriven, control)
             });
             assert!(report.interrupted(), "round {round}: cancel was lost");
             let partial = report.summary();
@@ -885,7 +882,7 @@ mod tests {
                     observer: Some(&mut observer),
                     ..BatchControl::default()
                 };
-                let report = run_on(&batch, &spec, workers, BatchMode::PerEpisode, control);
+                let report = run_on(&batch, &spec, workers, BatchMode::EventDriven, control);
                 assert!(
                     report.interrupted(),
                     "seed {seed}/{workers}w: never cancelled"
@@ -950,7 +947,7 @@ mod tests {
                 kill_worker: Some(killed),
                 ..BatchControl::default()
             };
-            let report = run_on(batch, spec, workers, BatchMode::PerEpisode, control);
+            let report = run_on(batch, spec, workers, BatchMode::EventDriven, control);
             seen.sort_unstable();
             (report, seen)
         }
@@ -1009,7 +1006,7 @@ mod tests {
             let seeds = vec![batch.base_seed + 2, batch.base_seed + 5];
             let faulty = StackSpec::panic_injection(&batch.template, seeds).unwrap();
             let report =
-                run_batch_lanes(&batch, &faulty, BatchMode::PerEpisode, None, None).unwrap();
+                run_batch_lanes(&batch, &faulty, BatchMode::EventDriven, None, None).unwrap();
             let s = report.summary();
             assert_eq!((s.requested, s.episodes, s.panicked), (8, 6, 2));
             for (i, outcome) in report.outcomes.iter().enumerate() {
@@ -1031,7 +1028,7 @@ mod tests {
 
             // Same-seed rerun is byte-identical, including the faults.
             let rerun =
-                run_batch_lanes(&batch, &faulty, BatchMode::PerEpisode, None, None).unwrap();
+                run_batch_lanes(&batch, &faulty, BatchMode::EventDriven, None, None).unwrap();
             assert_eq!(report, rerun);
         }
 
@@ -1043,14 +1040,14 @@ mod tests {
             let q = Quarantine::new(2);
             for run in 0..2 {
                 let report =
-                    run_batch_lanes(&batch, &faulty, BatchMode::PerEpisode, Some(&q), None)
+                    run_batch_lanes(&batch, &faulty, BatchMode::EventDriven, Some(&q), None)
                         .unwrap();
                 let s = report.summary();
                 assert_eq!((s.panicked, s.skipped), (1, 0), "run {run}");
             }
             // Budget exhausted: the seed is now skipped, not retried.
             let report =
-                run_batch_lanes(&batch, &faulty, BatchMode::PerEpisode, Some(&q), None).unwrap();
+                run_batch_lanes(&batch, &faulty, BatchMode::EventDriven, Some(&q), None).unwrap();
             assert!(matches!(
                 &report.outcomes[0],
                 EpisodeOutcome::Skipped {

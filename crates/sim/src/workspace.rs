@@ -14,8 +14,8 @@
 //!   (their elements are heap-free);
 //! - the [`StackSpec`]'s executor is re-armed via `StackSpec::reinit`, so
 //!   the planner is cloned exactly once per worker;
-//! - the message inbox is drained through [`Channel::receive_into`] into a
-//!   retained buffer.
+//! - the event wheel's per-pair arrival queues ([`crate::events`]) keep
+//!   their capacity.
 //!
 //! Together with the scratch buffers inside the planner stack — including
 //! the `MlpScratch` each `NnPlanner` carries for allocation-free inference
@@ -25,7 +25,7 @@
 //! the build-from-scratch path; `tests/scheduler_determinism.rs` enforces
 //! that.
 
-use cv_comm::{Channel, CommSetting, Message};
+use cv_comm::{Channel, CommSetting};
 use cv_dynamics::VehicleState;
 use cv_sensing::UniformNoiseSensor;
 use left_turn::LeftTurnScenario;
@@ -79,9 +79,8 @@ pub struct EpisodeWorkspace {
     pub(crate) sensors: Vec<UniformNoiseSensor>,
     pub(crate) drivers: Vec<Driver>,
     pub(crate) others: Vec<VehicleState>,
-    pub(crate) inbox: Vec<Message>,
-    /// Pair-schedule scratch (event heap, polled and retired flags),
-    /// reused across episodes.
+    /// Event-wheel scratch (arrival queues, retired flags), reused across
+    /// episodes.
     pub(crate) events: EventScratch,
     /// The episode the stepper is running, between `start` and its finish.
     pub(crate) run: Option<Run>,
@@ -111,7 +110,6 @@ impl EpisodeWorkspace {
             sensors: Vec::new(),
             drivers: Vec::new(),
             others: Vec::new(),
-            inbox: Vec::new(),
             events: EventScratch::default(),
             run: None,
         }

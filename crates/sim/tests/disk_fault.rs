@@ -53,7 +53,7 @@ fn run(batch: &BatchConfig, spec: &StackSpec, cache: Option<&EpisodeCache>) -> B
         cache,
         ..BatchControl::default()
     };
-    let report = run_batch_with(batch, spec, BatchMode::PerEpisode, control).unwrap();
+    let report = run_batch_with(batch, spec, BatchMode::EventDriven, control).unwrap();
     assert!(!report.interrupted(), "nothing stops an uncontrolled run");
     report.summary()
 }

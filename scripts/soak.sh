@@ -47,14 +47,14 @@ timeout "${CV_SOAK_TIMEOUT_SECS}" \
   cargo test --release --offline -p cv-sim --test disk_fault -- \
   --ignored --nocapture
 
-# Event-engine sparse-disturbance soak (tests/event_core.rs): thousands
-# of long-horizon n=8 platoon episodes per cell (lost and heavy
-# delay/drop channels, two seeds, two thread counts), each batch
-# asserted bit-identical to the fixed-step oracle (DESIGN.md §18).
+# Event-wheel sparse-disturbance soak (tests/scheduler_determinism.rs):
+# thousands of long-horizon n=8 platoon episodes per cell (lost and heavy
+# delay/drop channels, two seeds), each batch at 2 and 4 workers, run
+# twice, asserted identical to the 1-worker batch (DESIGN.md §18).
 # CV_SOAK_EVENT_EPISODES overrides the per-cell episode count.
-echo "soak: event-engine sparse-disturbance bit-identity"
+echo "soak: event-wheel sparse-disturbance determinism"
 timeout "${CV_SOAK_TIMEOUT_SECS}" \
-  cargo test --release --offline --test event_core -- \
+  cargo test --release --offline --test scheduler_determinism -- \
   --ignored --nocapture
 
 echo "soak: clean"

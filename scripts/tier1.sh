@@ -39,12 +39,12 @@ done
 # the contract is about are actually selected.
 timeout 300 cargo test -q --release --offline --test lane_batching
 
-# Event-core smoke: the event-driven engine's bit-identity matrix
-# (seeds x thread counts x stacks, incl. an n=4 platoon with one lost
-# V2V channel) and the simultaneous-event ordering contract
-# (DESIGN.md §18) in release mode. The long-horizon sparse soak in the
-# same file is #[ignore]d here and runs via scripts/soak.sh.
-timeout 300 cargo test -q --release --offline --test event_core
+# Golden-fingerprint smoke: every exact path's pinned digests, and the
+# event wheel's delivery-order digests (tests/event_core.rs: seeds x worker
+# counts x stacks, tick-collision delays; engine_golden's odd cadences;
+# DESIGN.md §18), in release mode, where the optimiser may reorder what the
+# debug run above does not.
+timeout 300 cargo test -q --release --offline --test engine_golden --test event_core
 
 # Alloc-guard: the counting-allocator proof that the NN hot paths
 # (predict_into, forward_batch_into, NnPlanner::plan, the warmed episode
@@ -158,31 +158,6 @@ det_plat_warm=$(echo "$plat_warm" | grep -v -e "^wall time" -e "^cache")
 [ "$det_plat_cold" = "$det_plat_warm" ] \
   || { echo "tier1: cached platoon summary diverged from the computed one:"; \
        diff <(echo "$det_plat_cold") <(echo "$det_plat_warm"); exit 1; } >&2
-cargo run -q --release --offline -p cv-server --bin cv-submit -- --addr "$ADDR" shutdown
-wait "$SERVE_PID"
-trap - EXIT
-
-# Event-wheel daemon smoke (DESIGN.md §18): a second daemon running every
-# job with --event-driven (and no cache, so the batch is computed) must
-# answer the same n=4 platoon batch with deterministic summary lines equal,
-# byte for byte, to the fixed-step daemon's above.
-EVENT_LOG=target/tier1-event-serve.log
-cargo run -q --release --offline -p cv-server --bin cv-serve -- \
-  --addr 127.0.0.1:0 --cache-bytes 0 --event-driven > "$EVENT_LOG" &
-SERVE_PID=$!
-trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(sed -n 's/^cv-serve listening on //p' "$EVENT_LOG")
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-test -n "$ADDR" || { echo "tier1: event-driven cv-serve never reported its address" >&2; exit 1; }
-plat_event=$(submit_platoon)
-det_plat_event=$(echo "$plat_event" | grep -v -e "^wall time" -e "^cache")
-[ "$det_plat_cold" = "$det_plat_event" ] \
-  || { echo "tier1: event-driven platoon summary diverged from the fixed-step one:"; \
-       diff <(echo "$det_plat_cold") <(echo "$det_plat_event"); exit 1; } >&2
 cargo run -q --release --offline -p cv-server --bin cv-submit -- --addr "$ADDR" shutdown
 wait "$SERVE_PID"
 trap - EXIT

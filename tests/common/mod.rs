@@ -1,6 +1,8 @@
 #![allow(dead_code)] // each test binary uses a subset of these fixtures
 //! Shared fixtures for the integration tests: smoke-trained NN planners,
-//! cached per test binary.
+//! cached per test binary, and the golden-fingerprint helpers.
+
+pub mod golden;
 
 use std::sync::OnceLock;
 

@@ -10,136 +10,32 @@
 //!
 //! The matrix covers the per-episode path with traces (both teacher
 //! families under all three comm settings; an untrained case-study-shaped
-//! NN as pure, `κ_cb` and `κ_cu`), the batch paths (`PerEpisode`,
-//! `Lanes(1)`, `EventDriven`), the n = 4 platoon with one lost V2V link,
-//! and the dense and sparse n = 8 platoons on `EventDriven`. `Lanes(k > 1)`
-//! is not here: its float contraction depends on the host's ISA tier, so
-//! it stays under the tolerance gate (`tests/lane_batching.rs`).
+//! NN as pure, `κ_cb` and `κ_cu`) and without, the batch paths
+//! (`EventDriven`, `Lanes(1)`), the n = 4 platoon with one lost V2V link,
+//! and the dense and sparse n = 8 platoons. `Lanes(k > 1)` is not here: its
+//! float contraction depends on the host's ISA tier, so it stays under the
+//! tolerance gate (`tests/lane_batching.rs`).
+//!
+//! The `odd-cadence/` row pins the event wheel's delivery order (DESIGN.md
+//! §18) at cadences and a delay that do not divide `Δt_c`; its digest was
+//! computed in a build that still carried the per-tick polling schedule
+//! and asserted it equal to the wheel. The seeds × worker counts × stacks
+//! matrix and the tick-collision delays are pinned the same way in
+//! `tests/event_core.rs`. The digest and the fixtures shared by both files
+//! live in `tests/common/golden.rs`.
 
-use safe_cv::comm::CommSetting;
-use safe_cv::dynamics::VehicleState;
-use safe_cv::estimation::{Interval, VehicleEstimate};
-use safe_cv::nn::{Activation, Mlp};
-use safe_cv::planner::{FeatureScaling, NnPlanner};
-use safe_cv::shield::{AggressiveConfig, Outcome};
-use safe_cv::sim::{
-    run_batch, run_batch_lanes, run_episode, BatchConfig, BatchMode, EpisodeConfig, EpisodeResult,
-    PlatoonFollower, PlatoonSpec, StackSpec, WindowKind,
+mod common;
+
+use common::golden::{
+    assert_golden, batch_of, digest, in_mode, platoon_n4_one_lost, untrained_nn as seeded_nn,
 };
-
-/// FNV-1a over 64-bit words.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn f(&mut self, x: f64) {
-        self.u(x.to_bits());
-    }
-
-    fn state(&mut self, s: &VehicleState) {
-        self.f(s.position);
-        self.f(s.velocity);
-        self.f(s.acceleration);
-    }
-
-    fn interval(&mut self, i: &Interval) {
-        self.f(i.lo());
-        self.f(i.hi());
-    }
-
-    fn window(&mut self, w: &Option<Interval>) {
-        match w {
-            Some(i) => {
-                self.u(1);
-                self.interval(i);
-            }
-            None => self.u(0),
-        }
-    }
-
-    fn estimate(&mut self, e: &VehicleEstimate) {
-        self.f(e.time);
-        self.interval(&e.position);
-        self.interval(&e.velocity);
-        self.interval(&e.acceleration);
-        self.state(&e.nominal);
-    }
-
-    fn result(&mut self, r: &EpisodeResult) {
-        self.f(r.eta);
-        match r.outcome {
-            Outcome::Collision { time } => {
-                self.u(0);
-                self.f(time);
-            }
-            Outcome::Reached { time } => {
-                self.u(1);
-                self.f(time);
-            }
-            Outcome::Timeout => self.u(2),
-        }
-        self.u(r.emergency_steps);
-        self.u(r.total_steps);
-        self.u(r.collided_pair.map_or(u64::MAX, |p| p as u64));
-        let Some(tr) = &r.traces else {
-            self.u(0);
-            return;
-        };
-        self.u(1);
-        for trajectory in std::iter::once(&tr.ego).chain(&tr.others) {
-            self.u(trajectory.len() as u64);
-            for sample in trajectory.iter() {
-                self.f(sample.time);
-                self.state(&sample.state);
-            }
-        }
-        self.u(tr.measurements.len() as u64);
-        for m in &tr.measurements {
-            self.u(m.target as u64);
-            self.f(m.stamp);
-            self.f(m.position);
-            self.f(m.velocity);
-            self.f(m.acceleration);
-        }
-        self.u(tr.estimates.len() as u64);
-        for (t, e) in &tr.estimates {
-            self.f(*t);
-            self.estimate(e);
-        }
-        self.u(tr.windows.len() as u64);
-        for w in &tr.windows {
-            self.f(w.time);
-            self.window(&w.conservative);
-            self.window(&w.aggressive);
-            self.window(&w.truth_nominal);
-        }
-        self.u(tr.decisions.len() as u64);
-        for d in &tr.decisions {
-            self.f(d.time);
-            self.u(d.source as u64);
-            self.f(d.accel);
-        }
-    }
-}
-
-fn digest(results: &[EpisodeResult]) -> u64 {
-    let mut d = Digest::new();
-    d.u(results.len() as u64);
-    for r in results {
-        d.result(r);
-    }
-    d.0
-}
+use safe_cv::comm::CommSetting;
+use safe_cv::planner::NnPlanner;
+use safe_cv::shield::AggressiveConfig;
+use safe_cv::sim::{
+    run_batch, run_episode, BatchConfig, BatchMode, EpisodeConfig, EpisodeResult, PlatoonFollower,
+    PlatoonSpec, StackSpec, WindowKind,
+};
 
 /// The three comm settings of the paper's tables.
 fn comms() -> [(&'static str, CommSetting); 3] {
@@ -157,18 +53,7 @@ const NET_SEED: u64 = 41;
 
 /// An untrained case-study-shaped (5×32×32×1, tanh) NN planner.
 fn untrained_nn() -> NnPlanner {
-    let ego_limits = EpisodeConfig::paper_default(NET_SEED)
-        .scenario()
-        .expect("paper geometry")
-        .ego_limits();
-    let net = Mlp::new(
-        &[5, 32, 32, 1],
-        Activation::Tanh,
-        Activation::Tanh,
-        NET_SEED,
-    )
-    .expect("case-study shape");
-    NnPlanner::new(net, ego_limits, FeatureScaling::left_turn(), "golden-nn")
+    seeded_nn(NET_SEED)
 }
 
 fn nn_stacks() -> [(&'static str, StackSpec); 3] {
@@ -199,24 +84,11 @@ fn traced(template: &EpisodeConfig, spec: &StackSpec, n: u64) -> Vec<EpisodeResu
         .collect()
 }
 
-fn batch_of(template: EpisodeConfig, episodes: usize, threads: usize) -> BatchConfig {
-    let mut batch = BatchConfig::new(template, episodes);
-    batch.threads = threads;
-    batch
-}
-
-fn in_mode(batch: &BatchConfig, spec: &StackSpec, mode: BatchMode) -> Vec<EpisodeResult> {
-    run_batch_lanes(batch, spec, mode, None, None)
-        .expect("valid batch")
-        .into_results()
-        .expect("episodes complete")
-}
-
-/// An n = 4 platoon whose first follower's V2V channel is lost.
-fn platoon_n4_one_lost(seed: u64) -> EpisodeConfig {
-    let mut platoon = PlatoonSpec::paper_default(4, seed).expect("n >= 2");
-    platoon.followers[0].comm = Some(CommSetting::Lost);
-    platoon.episode()
+/// The episodes of `batch` through `run_episode`, one at a time, untraced.
+fn untraced(batch: &BatchConfig, spec: &StackSpec) -> Vec<EpisodeResult> {
+    (0..batch.episodes)
+        .map(|i| run_episode(&batch.episode(i), spec, false).expect("valid episode"))
+        .collect()
 }
 
 /// The dense n = 8 platoon: paper spacing under delayed, dropping V2V.
@@ -243,6 +115,18 @@ fn sparse_platoon_n8(seed: u64) -> BatchConfig {
     let mut batch = batch_of(cfg, 3, 2);
     batch.starts = (0..20).map(|j| 16.0 + 0.25 * f64::from(j)).collect();
     batch
+}
+
+/// Cadences and a delay that divide neither each other nor `Δt_c`.
+fn odd_cadence(seed: u64) -> EpisodeConfig {
+    let mut cfg = EpisodeConfig::paper_default(seed);
+    cfg.dt_m = 0.07;
+    cfg.dt_s = 0.13;
+    cfg.comm = CommSetting::Delayed {
+        delay: 0.0333,
+        drop_prob: 0.25,
+    };
+    cfg
 }
 
 /// Every case of the matrix, with its computed digest.
@@ -275,8 +159,11 @@ fn cases() -> Vec<(String, u64)> {
             format!("{name}/run_batch"),
             digest(&run_batch(&batch, &spec).unwrap()),
         ));
+        out.push((
+            format!("{name}/per-episode"),
+            digest(&untraced(&batch, &spec)),
+        ));
         for (mode_name, mode) in [
-            ("per-episode", BatchMode::PerEpisode),
             ("lanes1", BatchMode::Lanes(1)),
             ("event", BatchMode::EventDriven),
         ] {
@@ -296,15 +183,14 @@ fn cases() -> Vec<(String, u64)> {
             format!("platoon-n4-one-lost/{stack_name}/traced"),
             digest(&traced(&platoon, spec, 2)),
         ));
-        for (mode_name, mode) in [
-            ("per-episode", BatchMode::PerEpisode),
-            ("event", BatchMode::EventDriven),
-        ] {
-            out.push((
-                format!("platoon-n4-one-lost/{stack_name}/{mode_name}"),
-                digest(&in_mode(&platoon_batch, spec, mode)),
-            ));
-        }
+        out.push((
+            format!("platoon-n4-one-lost/{stack_name}/per-episode"),
+            digest(&untraced(&platoon_batch, spec)),
+        ));
+        out.push((
+            format!("platoon-n4-one-lost/{stack_name}/event"),
+            digest(&in_mode(&platoon_batch, spec, BatchMode::EventDriven)),
+        ));
     }
 
     for (platoon_name, batch) in [
@@ -320,6 +206,15 @@ fn cases() -> Vec<(String, u64)> {
             ));
         }
     }
+
+    out.push((
+        "odd-cadence/nn-ultimate".to_string(),
+        digest(&in_mode(
+            &batch_of(odd_cadence(13), 10, 2),
+            &ultimate,
+            BatchMode::EventDriven,
+        )),
+    ));
     out
 }
 
@@ -366,28 +261,10 @@ const GOLDEN: &[(&str, u64)] = &[
     ("platoon-n8-dense/nn-ultimate/event", 0xc26644b574bb1443),
     ("platoon-n8-sparse/teacher-cons/event", 0x3da3539076af580b),
     ("platoon-n8-sparse/nn-ultimate/event", 0x5808cbe23faada2b),
+    ("odd-cadence/nn-ultimate", 0x997f04803a332284),
 ];
 
 #[test]
 fn exact_paths_reproduce_their_golden_fingerprints() {
-    let got = cases();
-    let table: String = got
-        .iter()
-        .map(|(name, d)| format!("    (\"{name}\", {d:#018x}),\n"))
-        .collect();
-    assert_eq!(
-        got.len(),
-        GOLDEN.len(),
-        "case list changed; current digests:\n{table}"
-    );
-    let diverged: Vec<&str> = got
-        .iter()
-        .zip(GOLDEN)
-        .filter(|((name, d), (gname, gd))| name != gname || d != gd)
-        .map(|((name, _), _)| name.as_str())
-        .collect();
-    assert!(
-        diverged.is_empty(),
-        "fingerprints diverged for {diverged:?}; current digests:\n{table}"
-    );
+    assert_golden(&cases(), GOLDEN);
 }

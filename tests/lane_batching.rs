@@ -36,7 +36,7 @@ fn stacks() -> Vec<(&'static str, StackSpec)> {
 }
 
 fn reference_results(batch: &BatchConfig, spec: &StackSpec) -> Vec<EpisodeResult> {
-    run_batch_lanes(batch, spec, BatchMode::PerEpisode, None, None)
+    run_batch_lanes(batch, spec, BatchMode::EventDriven, None, None)
         .expect("reference batch must run")
         .into_results()
         .expect("reference episodes must complete")

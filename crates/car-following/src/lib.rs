@@ -27,10 +27,10 @@
 //!
 //! let scenario = CarFollowingScenario::highway_default()?;
 //! // A reckless cruise controller shielded by the framework:
-//! let mut shielded = CompoundPlanner::basic(scenario, CruisePlanner::reckless(&scenario));
+//! let mut shielded = CompoundPlanner::basic(vec![scenario], CruisePlanner::reckless(&scenario));
 //! let ego = VehicleState::new(0.0, 20.0, 0.0);
 //! let lead = VehicleEstimate::exact(0.0, VehicleState::new(60.0, 15.0, 0.0));
-//! let decision = shielded.plan(0.0, &ego, &lead);
+//! let decision = shielded.plan(0.0, &ego, &[lead]);
 //! assert!(decision.accel.is_finite());
 //! # Ok::<(), car_following::CarFollowingError>(())
 //! ```

@@ -14,9 +14,10 @@ pub trait Channel {
     /// Resolves the fate of `msg` at send time instead of enqueuing it:
     /// the absolute delivery time, or `None` if the message never arrives.
     /// Callers that schedule deliveries themselves never poll the channel.
-    /// The message is NOT also enqueued, and exactly the same randomness
-    /// as [`Channel::send`] is consumed, so a channel driven through either
-    /// entry point replays the identical drop-decision stream.
+    /// The message is NOT also enqueued. This is the channel's one delivery
+    /// rule: [`Channel::send`] is this plus enqueuing the survivor, so a
+    /// channel driven through either entry point replays the identical
+    /// drop-decision stream.
     fn send_scheduled(&mut self, msg: Message, now: f64) -> Option<f64>;
 
     /// Appends all messages deliverable at or before `now` to `out`, in
@@ -82,10 +83,9 @@ impl PerfectChannel {
 
 impl Channel for PerfectChannel {
     fn send(&mut self, msg: Message, now: f64) {
-        self.queue.push(InFlight {
-            deliver_at: now,
-            msg,
-        });
+        if let Some(deliver_at) = self.send_scheduled(msg, now) {
+            self.queue.push(InFlight { deliver_at, msg });
+        }
     }
 
     fn send_scheduled(&mut self, _msg: Message, now: f64) -> Option<f64> {
@@ -160,20 +160,14 @@ impl DelayDropChannel {
 
 impl Channel for DelayDropChannel {
     fn send(&mut self, msg: Message, now: f64) {
-        // Draw the drop decision even for p_d = 0 so that sweeping p_d keeps
-        // the same per-message random stream alignment.
-        let dropped = self.rng.random_f64() < self.drop_prob;
-        if !dropped {
-            self.queue.push(InFlight {
-                deliver_at: now + self.delay,
-                msg,
-            });
+        if let Some(deliver_at) = self.send_scheduled(msg, now) {
+            self.queue.push(InFlight { deliver_at, msg });
         }
     }
 
     fn send_scheduled(&mut self, _msg: Message, now: f64) -> Option<f64> {
-        // Same draw (and draw-even-at-p_d-0 rule) as `send`, so scheduled and
-        // queued operation consume an identical drop-decision stream.
+        // Draw the drop decision even for p_d = 0 so that sweeping p_d keeps
+        // the same per-message random stream alignment.
         let dropped = self.rng.random_f64() < self.drop_prob;
         (!dropped).then_some(now + self.delay)
     }

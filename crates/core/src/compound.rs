@@ -1,7 +1,10 @@
 use cv_dynamics::VehicleState;
-use cv_estimation::VehicleEstimate;
+use cv_estimation::{Interval, VehicleEstimate};
 
-use crate::{AggressiveConfig, MonitorVerdict, Observation, Planner, RuntimeMonitor, Scenario};
+use crate::{
+    merge_windows_in_place, AggressiveConfig, MonitorVerdict, Observation, Planner, RuntimeMonitor,
+    Scenario, DEFAULT_MERGE_GAP,
+};
 
 /// Which planner produced the acceleration of a step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,131 +35,197 @@ pub struct PlanDecision {
     pub source: PlannerSource,
 }
 
-/// Running counters over an episode (emergency frequency in the paper's
-/// tables is `emergency_steps / total_steps`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CompoundStats {
-    /// Steps decided by the emergency planner.
-    pub emergency_steps: u64,
-    /// Total steps planned.
-    pub total_steps: u64,
-}
-
-impl CompoundStats {
-    /// Fraction of steps decided by `κ_e` (0 when no steps were planned).
-    pub fn emergency_frequency(&self) -> f64 {
-        if self.total_steps == 0 {
-            0.0
-        } else {
-            self.emergency_steps as f64 / self.total_steps as f64
-        }
-    }
+/// Result of the decision phase of a compound-planner step
+/// ([`CompoundPlanner::plan_prepare`]), split out so an executor can run
+/// the monitor/emergency logic itself and answer the NN step with its own
+/// evaluation of the embedded planner.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PreparedPlan {
+    /// The monitor decided (emergency); no NN evaluation is needed.
+    Decided(PlanDecision),
+    /// Nominal step: the embedded NN planner must be evaluated on `obs`,
+    /// and its output used with [`PlannerSource::NeuralNetwork`].
+    Nominal {
+        /// The fused observation the NN consumes.
+        obs: Observation,
+    },
 }
 
 /// The compound planner `κ_c` of paper Section III: runtime monitor +
-/// emergency planner wrapped around an arbitrary NN-based planner.
+/// emergency planner wrapped around an arbitrary NN-based planner, over
+/// `n ≥ 1` conflicting vehicles (the paper's system model, Section II-A,
+/// allows `n−1` of them; its evaluation exercises one).
 ///
-/// Construction chooses between the paper's two variants through
-/// [`WindowSource`]:
+/// One [`Scenario`] instance per conflicting vehicle, each knowing where the
+/// conflict zone lies in *its* vehicle's frame. Every step the
+/// [`RuntimeMonitor`] checks each pair in index order; the first pair whose
+/// state is in `X_b` hands the step to that pair's emergency planner `κ_e`.
+/// Otherwise the embedded NN planner receives the [`merge_windows_in_place`]
+/// fusion of the per-vehicle windows of its [`WindowSource`]:
 ///
 /// * `κ_cb` (basic): `WindowSource::Conservative` — the NN sees the same
-///   sound window the monitor uses.
+///   sound windows the monitor used.
 /// * `κ_cu` (ultimate): `WindowSource::Aggressive` — the NN sees the
-///   compact Eq. 8 window while the monitor keeps the sound one.
+///   compact Eq. 8 windows while the monitor keeps the sound ones.
 ///
 /// The information-filter half of the "ultimate" configuration lives in the
-/// estimator that produces the [`VehicleEstimate`] passed to
+/// estimator that produces the [`VehicleEstimate`]s passed to
 /// [`CompoundPlanner::plan`]; see `cv_estimation::FilterMode`.
 ///
 /// # Example
 ///
-/// See the `quickstart` example in the workspace root, which wraps a trained
-/// NN planner for the unprotected left turn.
+/// See the `custom_planner` example in the workspace root, which wraps a
+/// hand-written full-throttle planner for the unprotected left turn.
 #[derive(Debug, Clone)]
 pub struct CompoundPlanner<S, P> {
-    scenario: S,
+    scenarios: Vec<S>,
     nn: P,
     window_source: WindowSource,
-    monitor: RuntimeMonitor,
-    stats: CompoundStats,
+    /// The NN's window cluster, retained across calls so
+    /// [`CompoundPlanner::plan`] is allocation-free in the steady state.
+    merge_scratch: Vec<Interval>,
 }
 
 impl<S: Scenario, P: Planner> CompoundPlanner<S, P> {
-    /// Wraps `nn` for `scenario`, feeding it windows per `window_source`.
-    pub fn new(scenario: S, nn: P, window_source: WindowSource) -> Self {
+    /// Wraps `nn` with one scenario per conflicting vehicle, feeding it
+    /// windows per `window_source`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scenarios` is empty.
+    pub fn new(scenarios: Vec<S>, nn: P, window_source: WindowSource) -> Self {
+        assert!(
+            !scenarios.is_empty(),
+            "need at least one conflicting vehicle"
+        );
         Self {
-            scenario,
+            scenarios,
             nn,
             window_source,
-            monitor: RuntimeMonitor::new(),
-            stats: CompoundStats::default(),
+            merge_scratch: Vec::new(),
         }
     }
 
-    /// The basic compound planner `κ_cb` (conservative window for the NN).
-    pub fn basic(scenario: S, nn: P) -> Self {
-        Self::new(scenario, nn, WindowSource::Conservative)
+    /// The basic compound planner `κ_cb` (conservative windows for the NN).
+    pub fn basic(scenarios: Vec<S>, nn: P) -> Self {
+        Self::new(scenarios, nn, WindowSource::Conservative)
     }
 
-    /// The ultimate compound planner `κ_cu` (aggressive window for the NN).
-    pub fn ultimate(scenario: S, nn: P, config: AggressiveConfig) -> Self {
-        Self::new(scenario, nn, WindowSource::Aggressive(config))
+    /// The ultimate compound planner `κ_cu` (aggressive windows for the NN).
+    pub fn ultimate(scenarios: Vec<S>, nn: P, config: AggressiveConfig) -> Self {
+        Self::new(scenarios, nn, WindowSource::Aggressive(config))
     }
 
-    /// The wrapped scenario.
-    pub fn scenario(&self) -> &S {
-        &self.scenario
+    /// The embedded NN planner, for callers that answer a
+    /// [`PreparedPlan::Nominal`] step with it themselves.
+    pub fn nn_mut(&mut self) -> &mut P {
+        &mut self.nn
     }
 
-    /// The embedded NN planner.
-    pub fn nn(&self) -> &P {
-        &self.nn
-    }
-
-    /// Episode statistics so far.
-    pub fn stats(&self) -> CompoundStats {
-        self.stats
-    }
-
-    /// Clears the episode statistics and resets the embedded planner.
+    /// Resets the embedded planner for a fresh episode.
     pub fn reset(&mut self) {
-        self.stats = CompoundStats::default();
         self.nn.reset();
     }
 
-    /// Plans one control step.
+    /// Re-arms the planner for a fresh episode with new per-vehicle
+    /// scenarios, reusing the internal buffers (and, crucially, the embedded
+    /// planner — an NN planner's weight matrices are *not* re-cloned).
     ///
-    /// `estimate` is the (filtered) belief about the conflicting vehicle; it
-    /// must come from a sound estimator for the safety guarantee (paper
-    /// §III-E) to hold.
+    /// Equivalent to building a new planner with [`CompoundPlanner::new`]
+    /// over the same scenarios: the embedded planner is [`Planner::reset`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scenarios` is empty.
+    pub fn reinit(&mut self, scenarios: &[S])
+    where
+        S: Clone,
+    {
+        assert!(
+            !scenarios.is_empty(),
+            "need at least one conflicting vehicle"
+        );
+        self.scenarios.clear();
+        self.scenarios.extend_from_slice(scenarios);
+        self.reset();
+    }
+
+    /// Decision phase of one control step: runs the monitor/emergency logic
+    /// and window fusion, but **defers** the NN evaluation.
+    ///
+    /// [`CompoundPlanner::plan`] is this + an inline evaluation of the
+    /// embedded planner, so a caller that completes every
+    /// [`PreparedPlan::Nominal`] with its own NN evaluation reproduces it
+    /// exactly.
+    ///
+    /// `estimates` are the (filtered) beliefs about the conflicting
+    /// vehicles, one per scenario; they must come from a sound estimator for
+    /// the safety guarantee (paper §III-E) to hold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `estimates.len()` differs from the scenario count.
+    pub fn plan_prepare(
+        &mut self,
+        time: f64,
+        ego: &VehicleState,
+        estimates: &[VehicleEstimate],
+    ) -> PreparedPlan {
+        assert_eq!(
+            estimates.len(),
+            self.scenarios.len(),
+            "one estimate per conflicting vehicle"
+        );
+        // The monitor escalates on the first vehicle demanding it; under
+        // `Conservative` the windows it returns are the NN's windows.
+        let monitor = RuntimeMonitor::new();
+        self.merge_scratch.clear();
+        for (scenario, estimate) in self.scenarios.iter().zip(estimates) {
+            match monitor.check(scenario, time, ego, estimate) {
+                MonitorVerdict::Emergency { window } => {
+                    return PreparedPlan::Decided(PlanDecision {
+                        accel: scenario.emergency_accel(time, ego, window),
+                        source: PlannerSource::Emergency,
+                    });
+                }
+                MonitorVerdict::Nominal { window } => {
+                    if matches!(self.window_source, WindowSource::Conservative) {
+                        self.merge_scratch.extend(window);
+                    }
+                }
+            }
+        }
+        if let WindowSource::Aggressive(cfg) = self.window_source {
+            self.merge_scratch.extend(
+                self.scenarios
+                    .iter()
+                    .zip(estimates)
+                    .filter_map(|(s, e)| s.aggressive_window(time, e, &cfg)),
+            );
+        }
+        let fused = merge_windows_in_place(&mut self.merge_scratch, DEFAULT_MERGE_GAP);
+        PreparedPlan::Nominal {
+            obs: Observation::new(time, *ego, fused),
+        }
+    }
+
+    /// Plans one control step from one estimate per conflicting vehicle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `estimates.len()` differs from the scenario count.
     pub fn plan(
         &mut self,
         time: f64,
         ego: &VehicleState,
-        estimate: &VehicleEstimate,
+        estimates: &[VehicleEstimate],
     ) -> PlanDecision {
-        self.stats.total_steps += 1;
-        match self.monitor.check(&self.scenario, time, ego, estimate) {
-            MonitorVerdict::Emergency { window } => {
-                self.stats.emergency_steps += 1;
-                PlanDecision {
-                    accel: self.scenario.emergency_accel(time, ego, window),
-                    source: PlannerSource::Emergency,
-                }
-            }
-            MonitorVerdict::Nominal { window } => {
-                let nn_window = match self.window_source {
-                    WindowSource::Conservative => window,
-                    WindowSource::Aggressive(cfg) => {
-                        self.scenario.aggressive_window(time, estimate, &cfg)
-                    }
-                };
-                let obs = Observation::new(time, *ego, nn_window);
-                PlanDecision {
-                    accel: self.nn.plan(&obs),
-                    source: PlannerSource::NeuralNetwork,
-                }
-            }
+        match self.plan_prepare(time, ego, estimates) {
+            PreparedPlan::Decided(decision) => decision,
+            PreparedPlan::Nominal { obs } => PlanDecision {
+                accel: self.nn.plan(&obs),
+                source: PlannerSource::NeuralNetwork,
+            },
         }
     }
 }
@@ -164,11 +233,23 @@ impl<S: Scenario, P: Planner> CompoundPlanner<S, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cv_estimation::Interval;
+    use std::cell::Cell;
 
-    /// Toy scenario: conflict zone starts at position 10 while the window is
-    /// open until t = 5; boundary band is [9, 10).
-    struct Wall;
+    /// Toy scenario: the conflict zone starts at `wall` while the window is
+    /// open until t = 5; the boundary band is `[wall − 1, wall)`. The
+    /// aggressive window pretends it closes one second earlier.
+    struct Wall {
+        wall: f64,
+        /// Counts `conservative_window` calls.
+        cons_calls: Cell<u32>,
+    }
+
+    fn wall(wall: f64) -> Wall {
+        Wall {
+            wall,
+            cons_calls: Cell::new(0),
+        }
+    }
 
     impl Scenario for Wall {
         fn target_reached(&self, _t: f64, ego: &VehicleState) -> bool {
@@ -176,15 +257,12 @@ mod tests {
         }
 
         fn collision(&self, ego: &VehicleState, _other: &VehicleState) -> bool {
-            ego.position >= 10.0
+            ego.position >= self.wall
         }
 
         fn conservative_window(&self, t: f64, _e: &VehicleEstimate) -> Option<Interval> {
-            if t < 5.0 {
-                Some(Interval::new(t, 5.0))
-            } else {
-                None
-            }
+            self.cons_calls.set(self.cons_calls.get() + 1);
+            (t < 5.0).then(|| Interval::new(t, 5.0))
         }
 
         fn nominal_window(&self, t: f64, e: &VehicleEstimate) -> Option<Interval> {
@@ -197,20 +275,15 @@ mod tests {
             _e: &VehicleEstimate,
             _c: &AggressiveConfig,
         ) -> Option<Interval> {
-            // Aggressive: pretend the window closes one second earlier.
-            if t < 4.0 {
-                Some(Interval::new(t, 4.0))
-            } else {
-                None
-            }
+            (t < 4.0).then(|| Interval::new(t, 4.0))
         }
 
         fn in_unsafe_set(&self, _t: f64, ego: &VehicleState, w: Option<Interval>) -> bool {
-            w.is_some() && ego.position >= 10.0
+            w.is_some() && ego.position >= self.wall
         }
 
         fn in_boundary_safe_set(&self, _t: f64, ego: &VehicleState, w: Option<Interval>) -> bool {
-            w.is_some() && (9.0..10.0).contains(&ego.position)
+            w.is_some() && (self.wall - 1.0..self.wall).contains(&ego.position)
         }
 
         fn emergency_accel(&self, _t: f64, _ego: &VehicleState, _w: Option<Interval>) -> f64 {
@@ -218,7 +291,8 @@ mod tests {
         }
     }
 
-    /// Records the windows it was shown.
+    /// Records the windows it was shown; `reset` forgets them.
+    #[derive(Default)]
     struct Probe {
         windows: Vec<Option<Interval>>,
     }
@@ -232,6 +306,10 @@ mod tests {
         fn name(&self) -> &str {
             "probe"
         }
+
+        fn reset(&mut self) {
+            self.windows.clear();
+        }
     }
 
     fn est() -> VehicleEstimate {
@@ -240,42 +318,107 @@ mod tests {
 
     #[test]
     fn switches_to_emergency_in_boundary_set() {
-        let mut cp = CompoundPlanner::basic(Wall, Probe { windows: vec![] });
-        let far = cp.plan(0.0, &VehicleState::new(0.0, 1.0, 0.0), &est());
+        let mut cp = CompoundPlanner::basic(vec![wall(10.0)], Probe::default());
+        let far = cp.plan(0.0, &VehicleState::new(0.0, 1.0, 0.0), &[est()]);
         assert_eq!(far.source, PlannerSource::NeuralNetwork);
         assert_eq!(far.accel, 1.0);
-        let near = cp.plan(0.1, &VehicleState::new(9.5, 1.0, 0.0), &est());
+        let near = cp.plan(0.1, &VehicleState::new(9.5, 1.0, 0.0), &[est()]);
         assert_eq!(near.source, PlannerSource::Emergency);
         assert_eq!(near.accel, -4.0);
-        assert_eq!(cp.stats().emergency_steps, 1);
-        assert_eq!(cp.stats().total_steps, 2);
-        assert!((cp.stats().emergency_frequency() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn no_emergency_after_window_closes() {
-        let mut cp = CompoundPlanner::basic(Wall, Probe { windows: vec![] });
-        let d = cp.plan(6.0, &VehicleState::new(9.5, 1.0, 0.0), &est());
+        let mut cp = CompoundPlanner::basic(vec![wall(10.0)], Probe::default());
+        let d = cp.plan(6.0, &VehicleState::new(9.5, 1.0, 0.0), &[est()]);
         assert_eq!(d.source, PlannerSource::NeuralNetwork);
     }
 
     #[test]
     fn ultimate_feeds_aggressive_window_to_nn() {
-        let mut cp =
-            CompoundPlanner::ultimate(Wall, Probe { windows: vec![] }, AggressiveConfig::default());
-        cp.plan(0.0, &VehicleState::new(0.0, 1.0, 0.0), &est());
-        assert_eq!(cp.nn().windows[0], Some(Interval::new(0.0, 4.0)));
+        let mut cp = CompoundPlanner::ultimate(
+            vec![wall(10.0)],
+            Probe::default(),
+            AggressiveConfig::default(),
+        );
+        cp.plan(0.0, &VehicleState::new(0.0, 1.0, 0.0), &[est()]);
+        assert_eq!(cp.nn_mut().windows[0], Some(Interval::new(0.0, 4.0)));
 
-        let mut basic = CompoundPlanner::basic(Wall, Probe { windows: vec![] });
-        basic.plan(0.0, &VehicleState::new(0.0, 1.0, 0.0), &est());
-        assert_eq!(basic.nn().windows[0], Some(Interval::new(0.0, 5.0)));
+        let mut basic = CompoundPlanner::basic(vec![wall(10.0)], Probe::default());
+        basic.plan(0.0, &VehicleState::new(0.0, 1.0, 0.0), &[est()]);
+        assert_eq!(basic.nn_mut().windows[0], Some(Interval::new(0.0, 5.0)));
     }
 
     #[test]
-    fn reset_clears_stats() {
-        let mut cp = CompoundPlanner::basic(Wall, Probe { windows: vec![] });
-        cp.plan(0.0, &VehicleState::new(9.5, 1.0, 0.0), &est());
+    fn reset_resets_the_nn() {
+        let mut cp = CompoundPlanner::basic(vec![wall(10.0)], Probe::default());
+        cp.plan(0.0, &VehicleState::new(0.0, 1.0, 0.0), &[est()]);
+        assert_eq!(cp.nn_mut().windows.len(), 1);
         cp.reset();
-        assert_eq!(cp.stats(), CompoundStats::default());
+        assert!(cp.nn_mut().windows.is_empty());
+    }
+
+    #[test]
+    fn any_vehicle_can_trigger_emergency() {
+        let mut cp = CompoundPlanner::basic(vec![wall(50.0), wall(10.0)], Probe::default());
+        // Far from both walls: NN drives.
+        let d = cp.plan(0.0, &VehicleState::new(0.0, 1.0, 0.0), &[est(), est()]);
+        assert_eq!(d.source, PlannerSource::NeuralNetwork);
+        // In the second wall's boundary band: emergency, even though the
+        // first wall is far away.
+        let d = cp.plan(0.1, &VehicleState::new(9.5, 1.0, 0.0), &[est(), est()]);
+        assert_eq!(d.source, PlannerSource::Emergency);
+        assert_eq!(d.accel, -4.0);
+    }
+
+    /// The NN of `κ_cb` is fed the windows the monitor already computed:
+    /// a nominal step evaluates each pair's conservative window once.
+    #[test]
+    fn nominal_conservative_step_computes_each_window_once() {
+        let mut cp =
+            CompoundPlanner::basic(vec![wall(50.0), wall(10.0), wall(30.0)], Probe::default());
+        let d = cp.plan(0.0, &VehicleState::new(0.0, 1.0, 0.0), &[est(); 3]);
+        assert_eq!(d.source, PlannerSource::NeuralNetwork);
+        let calls: Vec<u32> = cp.scenarios.iter().map(|s| s.cons_calls.get()).collect();
+        assert_eq!(calls, [1, 1, 1]);
+    }
+
+    /// `plan` must be exactly `plan_prepare` + inline NN completion, so
+    /// executors that complete `Nominal` themselves reproduce the compound
+    /// semantics.
+    #[test]
+    fn plan_prepare_plus_completion_matches_plan() {
+        let mk = || {
+            CompoundPlanner::new(
+                vec![wall(50.0), wall(10.0)],
+                Probe::default(),
+                WindowSource::Conservative,
+            )
+        };
+        let mut whole = mk();
+        let mut split = mk();
+        let mut emergencies = 0;
+        for step in 0..12 {
+            let ego = VehicleState::new(step as f64, 1.0, 0.0);
+            let t = step as f64 * 0.1;
+            let want = whole.plan(t, &ego, &[est(), est()]);
+            let got = match split.plan_prepare(t, &ego, &[est(), est()]) {
+                PreparedPlan::Decided(d) => d,
+                PreparedPlan::Nominal { obs } => PlanDecision {
+                    accel: Probe::default().plan(&obs),
+                    source: PlannerSource::NeuralNetwork,
+                },
+            };
+            assert_eq!(want, got, "step {step}");
+            emergencies += usize::from(want.source == PlannerSource::Emergency);
+        }
+        assert!(emergencies > 0, "matrix must cover both");
+    }
+
+    #[test]
+    #[should_panic]
+    fn estimate_count_must_match() {
+        let mut cp = CompoundPlanner::basic(vec![wall(10.0)], Probe::default());
+        let _ = cp.plan(0.0, &VehicleState::at_rest(), &[est(), est()]);
     }
 }

@@ -1,14 +1,16 @@
 //! Safety-guaranteed compound planner framework (the paper's contribution).
 //!
 //! Given **any** neural-network-based planner `κ_n` with no safety guarantee,
-//! this crate builds a *compound planner* `κ_c` (paper Section III) that:
+//! this crate builds the *compound planner* `κ_c` (paper Section III),
+//! [`CompoundPlanner`], over one or more conflicting vehicles. Every control
+//! step it:
 //!
-//! 1. runs a [`RuntimeMonitor`] every control step; it estimates the unsafe
-//!    set `X_u` from filtered information and computes the *boundary safe
-//!    set* `X_b` — the states one control step away from `X_u` (Eq. 3);
+//! 1. runs the [`RuntimeMonitor`] on each ego/vehicle pair; it estimates the
+//!    unsafe set `X_u` from filtered information and computes the *boundary
+//!    safe set* `X_b` — the states one control step away from `X_u` (Eq. 3);
 //! 2. hands control to an *emergency planner* `κ_e` **iff** the current state
-//!    is in `X_b` (the `κ_e` contract is Eq. 4: from `X_b`, stay in the safe
-//!    set), and to `κ_n` otherwise;
+//!    is in some pair's `X_b` (the `κ_e` contract is Eq. 4: from `X_b`, stay
+//!    in the safe set), and to `κ_n` otherwise;
 //! 3. optionally feeds `κ_n` an *aggressive* (underestimated) unsafe set
 //!    (paper Eq. 8, [`AggressiveConfig`]) — safe because the monitor keeps
 //!    using the sound conservative set.
@@ -23,8 +25,8 @@
 //!
 //! # Example
 //!
-//! A minimal planner wrapped by the framework (using a trivial scenario from
-//! the test suite — see the `left-turn` crate for the real one):
+//! A minimal planner the framework can wrap (the `custom_planner` example
+//! wraps a hostile one around the `left-turn` crate's scenario):
 //!
 //! ```
 //! use safe_shield::{Observation, Planner};
@@ -46,12 +48,11 @@ mod planner;
 mod scenario;
 
 pub use aggressive::AggressiveConfig;
-pub use compound::{CompoundPlanner, CompoundStats, PlanDecision, PlannerSource, WindowSource};
+pub use compound::{CompoundPlanner, PlanDecision, PlannerSource, PreparedPlan, WindowSource};
 pub use eval::Outcome;
 pub use monitor::{MonitorVerdict, RuntimeMonitor};
 pub use multi::{
-    merge_windows, merge_windows_in_place, pair_time_slack, platoon_eta, platoon_slack,
-    MultiCompoundPlanner, PreparedPlan, DEFAULT_MERGE_GAP,
+    merge_windows_in_place, pair_time_slack, platoon_eta, platoon_slack, DEFAULT_MERGE_GAP,
 };
 pub use observation::Observation;
 pub use planner::Planner;

@@ -4,9 +4,9 @@ use crate::Observation;
 /// `a_0(t)` for the ego vehicle (paper Section II-A, "Planner").
 ///
 /// Implementations include the NN-based planners and the analytic teacher
-/// policies in `cv-planner`, as well as the [`crate::CompoundPlanner`]'s
-/// internals. Implementors should be deterministic given the observation;
-/// stochastic exploration belongs in training, not deployment.
+/// policies in `cv-planner`; a [`crate::CompoundPlanner`] wraps any of them.
+/// Implementors should be deterministic given the observation; stochastic
+/// exploration belongs in training, not deployment.
 pub trait Planner {
     /// Returns the acceleration command for the current step. The caller
     /// clamps it to the ego's actuation limits.

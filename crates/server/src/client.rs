@@ -477,6 +477,13 @@ impl Client {
     /// configuration-deterministic (a resubmission replays bit-identically)
     /// and the server cancels jobs whose connection died mid-stream.
     ///
+    /// `deadline_ms` is the optional per-job deadline each attempt asks
+    /// the server for. A server [`ClientError::Overloaded`] hint becomes a
+    /// *floor* on the next backoff sleep (the server knows its queue depth
+    /// better than the client's blind exponential), and the policy's
+    /// `retry_deadline` bounds the total time spent — once the next sleep
+    /// would cross it, the last error is returned instead of sleeping.
+    ///
     /// `on_event` observes the frames of every attempt, so progress events
     /// may repeat across retries; `on_retry` is told about each abandoned
     /// attempt (its 0-based index and the error that ended it).
@@ -485,35 +492,8 @@ impl Client {
     ///
     /// The last error once the attempt budget is exhausted, or the first
     /// terminal (non-retryable) error.
-    pub fn submit_with_retry<F, R>(
-        addr: impl ToSocketAddrs,
-        config: &ClientConfig,
-        batch: &BatchConfig,
-        stack: StackSpecWire,
-        on_event: F,
-        on_retry: R,
-    ) -> Result<BatchSummary, ClientError>
-    where
-        F: FnMut(&Event),
-        R: FnMut(u32, &ClientError),
-    {
-        Client::submit_with_retry_deadline(addr, config, batch, stack, None, on_event, on_retry)
-    }
-
-    /// [`Client::submit_with_retry`] with an optional per-job deadline.
-    ///
-    /// Two extra behaviours over the plain retry loop: a server
-    /// [`ClientError::Overloaded`] hint becomes a *floor* on the next
-    /// backoff sleep (the server knows its queue depth better than the
-    /// client's blind exponential), and the policy's `retry_deadline`
-    /// bounds the total time spent — once the next sleep would cross it,
-    /// the last error is returned instead of sleeping.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::submit_with_retry`].
     #[allow(clippy::too_many_arguments)]
-    pub fn submit_with_retry_deadline<F, R>(
+    pub fn submit_with_retry<F, R>(
         addr: impl ToSocketAddrs,
         config: &ClientConfig,
         batch: &BatchConfig,

@@ -213,6 +213,7 @@ fn run_cell(
         &chaos_config(seed),
         &batch,
         StackSpecWire::TeacherConservative,
+        None,
         |_| {},
         |_, _| retries += 1,
     );
@@ -351,6 +352,7 @@ fn retry_recovers_transparently_from_mid_stream_resets() {
             &chaos_config(21),
             &batch,
             StackSpecWire::TeacherConservative,
+            None,
             |_| {},
             |attempt, e| retry_errors.push((attempt, e.is_retryable())),
         )
@@ -389,6 +391,7 @@ fn retry_recovers_from_silently_dropped_requests() {
             &chaos_config(33),
             &batch,
             StackSpecWire::TeacherConservative,
+            None,
             |_| {},
             |_, e| saw_timeout |= matches!(e, ClientError::Timeout { .. }),
         )
@@ -460,6 +463,7 @@ fn terminal_errors_are_not_retried() {
             &chaos_config(5),
             &batch,
             StackSpecWire::TeacherConservative,
+            None,
             |_| {},
             |_, _| retried = true,
         )
@@ -566,6 +570,7 @@ fn concurrent_sessions_through_seeded_proxies_all_converge() {
                         &chaos_config(seed),
                         &batch,
                         StackSpecWire::TeacherConservative,
+                        None,
                         |_| {},
                         |_, _| {},
                     )
@@ -631,6 +636,7 @@ fn soak_full_matrix_and_session_storm() {
                             &chaos_config(seed),
                             &batch,
                             StackSpecWire::TeacherConservative,
+                            None,
                             |_| {},
                             |_, _| {},
                         )

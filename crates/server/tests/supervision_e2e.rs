@@ -285,6 +285,7 @@ fn saturated_server_sheds_typed_overloaded_through_the_chaos_proxy() {
                 &config,
                 &paper_batch(500, seed),
                 StackSpecWire::TeacherConservative,
+                None,
                 |_| {},
                 |_, _| {},
             );
@@ -369,6 +370,7 @@ fn retry_honours_the_overload_hint_and_the_retry_deadline() {
             &config,
             &paper_batch(50, 64),
             StackSpecWire::TeacherConservative,
+            None,
             |_| {},
             |_, e| {
                 if matches!(e, ClientError::Overloaded { .. }) {
@@ -402,6 +404,7 @@ fn retry_honours_the_overload_hint_and_the_retry_deadline() {
             &bounded,
             &paper_batch(50, 68),
             StackSpecWire::TeacherConservative,
+            None,
             |_| {},
             |_, _| {},
         );

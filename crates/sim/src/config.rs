@@ -274,7 +274,7 @@ impl PlatoonSpec {
     ///
     /// Returns [`SimError::InvalidBatch`] for `n < 2`: a platoon needs the
     /// ego and at least one conflicting vehicle
-    /// (`MultiCompoundPlanner` is undefined over zero pairs).
+    /// (`CompoundPlanner` is undefined over zero pairs).
     pub fn paper_default(n: usize, seed: u64) -> Result<Self, SimError> {
         if n < 2 {
             return Err(SimError::InvalidBatch {

@@ -5,8 +5,8 @@ use cv_estimation::{
 use cv_planner::{NnPlanner, TeacherPolicy};
 use left_turn::{LeftTurnScenario, ScenarioError};
 use safe_shield::{
-    merge_windows_in_place, AggressiveConfig, MultiCompoundPlanner, Observation, PlanDecision,
-    Planner, PlannerSource, Scenario, WindowSource, DEFAULT_MERGE_GAP,
+    merge_windows_in_place, AggressiveConfig, CompoundPlanner, Observation, PlanDecision, Planner,
+    PlannerSource, Scenario, WindowSource, DEFAULT_MERGE_GAP,
 };
 
 use crate::EpisodeConfig;
@@ -218,7 +218,7 @@ impl StackSpec {
                 window_source,
                 ..
             } => ExecKind::Compound {
-                compound: MultiCompoundPlanner::new(
+                compound: CompoundPlanner::new(
                     scenarios.to_vec(),
                     Box::new(planner.clone()) as Box<dyn Planner + Send>,
                     *window_source,
@@ -384,7 +384,7 @@ enum ExecKind {
         is_nn: bool,
     },
     Compound {
-        compound: MultiCompoundPlanner<LeftTurnScenario, Box<dyn Planner + Send>>,
+        compound: CompoundPlanner<LeftTurnScenario, Box<dyn Planner + Send>>,
         estimators: Vec<Box<dyn Estimator + Send>>,
     },
 }
@@ -455,7 +455,7 @@ impl StackExec {
     /// observation the NN must be evaluated on — by [`StackExec::answer`]
     /// inline, or by a batched forward over many episodes. Both build the
     /// observation with the same fusion code, and (for compound stacks)
-    /// [`MultiCompoundPlanner::plan`] is itself prepare + inline answer.
+    /// [`CompoundPlanner::plan`] is itself prepare + inline answer.
     pub(crate) fn plan_prepare(&mut self, time: f64, ego: &VehicleState) -> StepPlan {
         match &mut self.kind {
             ExecKind::Pure {

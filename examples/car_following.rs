@@ -15,7 +15,7 @@ fn closed_loop(shielded: bool) -> (f64, bool) {
     let dt = scenario.dt_c();
 
     let reckless = CruisePlanner::reckless(&scenario);
-    let mut compound = CompoundPlanner::basic(scenario, reckless);
+    let mut compound = CompoundPlanner::basic(vec![scenario], reckless);
     let mut raw = reckless;
 
     // Perfect lead estimation for clarity (the estimation stack is
@@ -32,15 +32,15 @@ fn closed_loop(shielded: bool) -> (f64, bool) {
             0.0
         };
         min_gap = min_gap.min(lead.position - ego.position);
-        if compound.scenario().collision(&ego, &lead) {
+        if scenario.collision(&ego, &lead) {
             return (min_gap, false);
         }
-        if compound.scenario().target_reached(t, &ego) {
+        if scenario.target_reached(t, &ego) {
             break;
         }
         let est = VehicleEstimate::exact(t, lead);
         let accel = if shielded {
-            compound.plan(t, &ego, &est).accel
+            compound.plan(t, &ego, &[est]).accel
         } else {
             raw.plan(&Observation::new(t, ego, Some(est.position)))
         };

@@ -4,7 +4,7 @@
 //!
 //! The runtime monitor checks every vehicle's passing window; the NN planner
 //! sees the fused window of the earliest traffic cluster
-//! (`safe_shield::merge_windows`).
+//! (`safe_shield::merge_windows_in_place`).
 //!
 //! Run with: `cargo run --release --example platoon`
 

@@ -17,6 +17,13 @@ cargo clippy --offline --workspace --all-targets -- -D warnings -W clippy::perf
 # still compile in that union.
 cargo check --offline -p cv-server --features cv-sim/fault-injection
 
+# Shield smoke through the public API: a full-throttle planner on the left
+# turn and a reckless cruise controller on car following, each wrapped in
+# safe_shield::CompoundPlanner, the type the engine runs. Each example
+# asserts that its shield held (no collision, the gap kept).
+cargo run -q --release --offline --example custom_planner
+cargo run -q --release --offline --example car_following
+
 # Benchmark smoke: perfbench is a cargo workspace of its own, so the
 # workspace build above never compiles it. Build it, then run every
 # workload for one second: each run must exit 0 and its last line must

@@ -71,7 +71,7 @@ pub mod prelude {
     pub use left_turn::LeftTurnScenario;
     pub use safe_shield::{
         AggressiveConfig, CompoundPlanner, Observation, Outcome, PlanDecision, Planner,
-        RuntimeMonitor, Scenario, WindowSource,
+        PlannerSource, RuntimeMonitor, Scenario, WindowSource,
     };
 }
 

@@ -13,7 +13,7 @@ fn min_gap_shielded(seed: u64, ambush_at: Option<f64>, initial_gap: f64) -> f64 
     let ego_limits = scenario.ego_limits();
     let lead_limits = scenario.lead_limits();
     let dt = scenario.dt_c();
-    let mut compound = CompoundPlanner::basic(scenario, CruisePlanner::reckless(&scenario));
+    let mut compound = CompoundPlanner::basic(vec![scenario], CruisePlanner::reckless(&scenario));
 
     let mut rng = SplitMix64::seed_from_u64(seed);
     let mut ego = VehicleState::new(0.0, 20.0, 0.0);
@@ -22,11 +22,11 @@ fn min_gap_shielded(seed: u64, ambush_at: Option<f64>, initial_gap: f64) -> f64 
     for step in 0..4000u64 {
         let t = step as f64 * dt;
         min_gap = min_gap.min(lead.position - ego.position);
-        if compound.scenario().target_reached(t, &ego) {
+        if scenario.target_reached(t, &ego) {
             break;
         }
         let est = VehicleEstimate::exact(t, lead);
-        let accel = compound.plan(t, &ego, &est).accel;
+        let accel = compound.plan(t, &ego, &[est]).accel;
         ego = ego_limits.step(&ego, accel, dt);
         let lead_accel = match ambush_at {
             Some(at) if t >= at => lead_limits.a_min(),
@@ -67,22 +67,25 @@ fn adaptive_cruise_is_smoother_than_reckless_under_the_shield() {
     let lead_limits = scenario.lead_limits();
     let dt = scenario.dt_c();
     let run = |planner: CruisePlanner| {
-        let mut compound = CompoundPlanner::basic(scenario, planner);
+        let mut compound = CompoundPlanner::basic(vec![scenario], planner);
+        let (mut emergency_steps, mut steps) = (0u64, 0u64);
         let mut rng = SplitMix64::seed_from_u64(9);
         let mut ego = VehicleState::new(0.0, 20.0, 0.0);
         let mut lead = VehicleState::new(60.0, 15.0, 0.0);
         for step in 0..4000u64 {
             let t = step as f64 * dt;
-            if compound.scenario().target_reached(t, &ego) {
+            if scenario.target_reached(t, &ego) {
                 break;
             }
             let est = VehicleEstimate::exact(t, lead);
-            let accel = compound.plan(t, &ego, &est).accel;
-            ego = ego_limits.step(&ego, accel, dt);
+            let decision = compound.plan(t, &ego, &[est]);
+            steps += 1;
+            emergency_steps += u64::from(decision.source == PlannerSource::Emergency);
+            ego = ego_limits.step(&ego, decision.accel, dt);
             let a = rng.random_range(-1.0..1.0);
             lead = lead_limits.step(&lead, a, dt);
         }
-        compound.stats().emergency_frequency()
+        emergency_steps as f64 / steps as f64
     };
     let reckless = run(CruisePlanner::reckless(&scenario));
     let adaptive = run(CruisePlanner::adaptive(&scenario, 1.5));

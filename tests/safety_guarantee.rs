@@ -110,7 +110,7 @@ fn shield_contains_a_hostile_planner() {
         let scenario = cfg.scenario().expect("valid scenario");
         let ego_limits = scenario.ego_limits();
         let other_limits = scenario.other_limits();
-        let mut compound = CompoundPlanner::basic(scenario, Hostile);
+        let mut compound = CompoundPlanner::basic(vec![scenario], Hostile);
         let mut estimator = InformationFilter::new(
             other_limits,
             cfg.noise,
@@ -128,13 +128,13 @@ fn shield_contains_a_hostile_planner() {
                 estimator.on_measurement(&sensor.measure(1, t, &other));
             }
             assert!(
-                !compound.scenario().collision(&ego, &other),
+                !scenario.collision(&ego, &other),
                 "hostile planner broke through with seed {seed} at t = {t:.2}"
             );
-            if compound.scenario().target_reached(t, &ego) {
+            if scenario.target_reached(t, &ego) {
                 break;
             }
-            let d = compound.plan(t, &ego, &estimator.estimate(t));
+            let d = compound.plan(t, &ego, &[estimator.estimate(t)]);
             ego = ego_limits.step(&ego, d.accel, cfg.dt_c);
             let a1 = rng.random_range(other_limits.a_min()..=other_limits.a_max());
             other = other_limits.step(&other, a1, cfg.dt_c);

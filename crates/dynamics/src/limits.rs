@@ -121,11 +121,6 @@ impl VehicleLimits {
         velocity.clamp(self.v_min, self.v_max)
     }
 
-    /// Returns `true` if `velocity` lies within `[v_min, v_max]`.
-    pub fn velocity_in_range(&self, velocity: f64) -> bool {
-        (self.v_min..=self.v_max).contains(&velocity)
-    }
-
     /// Advances a vehicle state by one control step of length `dt` under the
     /// (clamped) acceleration command `accel`, saturating velocity exactly.
     ///

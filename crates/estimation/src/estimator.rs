@@ -70,13 +70,12 @@ pub struct NaiveEstimator {
     last_msg: Option<(f64, VehicleState)>,
     last_meas: Option<(f64, VehicleState)>,
     initial: (f64, VehicleState),
-    max_message_staleness: f64,
 }
 
 impl NaiveEstimator {
-    /// Default maximum age (s) of a message before the naive planner falls
-    /// back to its sensors.
-    pub const DEFAULT_MAX_STALENESS: f64 = 1.0;
+    /// Maximum age (s) of a message before the naive planner falls back to
+    /// its sensors.
+    pub const MAX_STALENESS: f64 = 1.0;
 
     /// Creates a naive estimator with an initial belief.
     pub fn new(limits: VehicleLimits, t0: f64, initial: VehicleState) -> Self {
@@ -85,25 +84,13 @@ impl NaiveEstimator {
             last_msg: None,
             last_meas: None,
             initial: (t0, initial),
-            max_message_staleness: Self::DEFAULT_MAX_STALENESS,
         }
-    }
-
-    /// Overrides the message-staleness threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `staleness` is negative.
-    pub fn with_max_staleness(mut self, staleness: f64) -> Self {
-        assert!(staleness >= 0.0, "staleness must be nonnegative");
-        self.max_message_staleness = staleness;
-        self
     }
 
     /// The information source the estimator would use at `now`.
     fn source(&self, now: f64) -> (f64, VehicleState) {
         match (self.last_msg, self.last_meas) {
-            (Some(msg), _) if now - msg.0 <= self.max_message_staleness => msg,
+            (Some(msg), _) if now - msg.0 <= Self::MAX_STALENESS => msg,
             (msg, Some(meas)) => {
                 // Fall back to sensing, unless the (stale) message is still
                 // the freshest thing we have.

@@ -59,8 +59,7 @@ impl Prior {
 ///
 /// The hard bound is their intersection. In [`FilterMode::Fused`] a
 /// [`TrackingFilter`] (Kalman + message rollback) additionally provides the
-/// nominal state (its mean, clamped into the hard bound); the `k·σ` band is
-/// exposed for diagnostics via [`InformationFilter::kalman_position_band`].
+/// nominal state (its mean, clamped into the hard bound).
 ///
 /// # Example
 ///
@@ -91,13 +90,9 @@ pub struct InformationFilter {
     last_msg: Option<Message>,
     last_meas: Option<Measurement>,
     tracker: Option<TrackingFilter>,
-    k_sigma: f64,
 }
 
 impl InformationFilter {
-    /// Default Kalman confidence band half-width, in standard deviations.
-    pub const DEFAULT_K_SIGMA: f64 = 3.0;
-
     /// Creates a filter for a vehicle with physical `limits`, sensed with
     /// `noise`, starting from `prior`.
     pub fn new(limits: VehicleLimits, noise: SensorNoise, mode: FilterMode, prior: Prior) -> Self {
@@ -109,29 +104,12 @@ impl InformationFilter {
             last_msg: None,
             last_meas: None,
             tracker: None,
-            k_sigma: Self::DEFAULT_K_SIGMA,
         }
-    }
-
-    /// Overrides the Kalman confidence band width (`k` in `k·σ`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k_sigma <= 0`.
-    pub fn with_k_sigma(mut self, k_sigma: f64) -> Self {
-        assert!(k_sigma > 0.0, "k_sigma must be positive, got {k_sigma}");
-        self.k_sigma = k_sigma;
-        self
     }
 
     /// The configured mode.
     pub fn mode(&self) -> FilterMode {
         self.mode
-    }
-
-    /// Latest message seen, if any.
-    pub fn last_message(&self) -> Option<&Message> {
-        self.last_msg.as_ref()
     }
 
     /// Process-noise acceleration variance matched to the target's physical
@@ -146,22 +124,6 @@ impl InformationFilter {
     fn new_tracker(&self, t0: f64, position: f64, velocity: f64) -> TrackingFilter {
         TrackingFilter::new(self.noise, t0, position, velocity)
             .with_process_accel_var(self.process_accel_var())
-    }
-
-    /// The Kalman tracker's `k·σ` position band at `now`, if a tracker is
-    /// active (diagnostics; not used by the monitor — see [`FilterMode`]).
-    pub fn kalman_position_band(&self, now: f64) -> Option<Interval> {
-        self.tracker
-            .as_ref()
-            .map(|t| t.position_interval(now, self.k_sigma))
-    }
-
-    /// The Kalman tracker's `k·σ` velocity band at `now`, if a tracker is
-    /// active.
-    pub fn kalman_velocity_band(&self, now: f64) -> Option<Interval> {
-        self.tracker
-            .as_ref()
-            .map(|t| t.velocity_interval(now, self.k_sigma))
     }
 
     fn hard_position_velocity(&self, now: f64) -> (Interval, Interval) {

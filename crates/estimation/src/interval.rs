@@ -126,14 +126,6 @@ impl Interval {
         }
     }
 
-    /// Translates both ends by `offset`.
-    pub fn translate(&self, offset: f64) -> Interval {
-        Interval {
-            lo: self.lo + offset,
-            hi: self.hi + offset,
-        }
-    }
-
     /// Clamps `x` into the interval.
     pub fn clamp(&self, x: f64) -> f64 {
         x.clamp(self.lo, self.hi)

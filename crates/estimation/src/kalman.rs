@@ -1,6 +1,6 @@
 use cv_sensing::SensorNoise;
 
-use crate::{Interval, Mat2, Vec2};
+use crate::{Mat2, Vec2};
 
 /// Kalman filter over the `(position, velocity)` state of one tracked
 /// vehicle, following the equations of paper §III-B (after [16]):
@@ -156,16 +156,6 @@ impl KalmanFilter {
         self.x = x;
         self.p = Mat2::diag(1e-9, 1e-9);
     }
-
-    /// `k_sigma`-confidence interval on the position estimate.
-    pub fn position_interval(&self, k_sigma: f64) -> Interval {
-        Interval::centered(self.x.x, k_sigma * self.p.a.max(0.0).sqrt())
-    }
-
-    /// `k_sigma`-confidence interval on the velocity estimate.
-    pub fn velocity_interval(&self, k_sigma: f64) -> Interval {
-        Interval::centered(self.x.y, k_sigma * self.p.d.max(0.0).sqrt())
-    }
 }
 
 #[cfg(test)]
@@ -250,16 +240,7 @@ mod tests {
         let mut kf = filter();
         kf.reset_exact(Vec2::new(100.0, 3.0));
         assert_eq!(kf.state(), Vec2::new(100.0, 3.0));
-        assert!(kf.covariance().a < 1e-6);
-        assert!(kf.position_interval(3.0).width() < 1e-3);
-    }
-
-    #[test]
-    fn confidence_intervals_are_centered_on_the_mean() {
-        let kf = filter();
-        let pi = kf.position_interval(3.0);
-        assert!((pi.midpoint() - kf.state().x).abs() < 1e-12);
-        assert!((pi.width() - 6.0).abs() < 1e-12); // σ = 1, k = 3 → width 6
+        assert_eq!(kf.covariance(), Mat2::diag(1e-9, 1e-9));
     }
 
     #[test]

@@ -3,7 +3,7 @@ use std::collections::VecDeque;
 use cv_comm::Message;
 use cv_sensing::{Measurement, SensorNoise};
 
-use crate::{Interval, KalmanFilter, Mat2, Vec2};
+use crate::{KalmanFilter, Mat2, Vec2};
 
 /// One stored sensing event, kept for message-triggered replay.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,15 +45,14 @@ pub struct TrackingFilter {
     /// Latest acceleration input, used to extrapolate beyond `last_time`.
     last_accel: f64,
     history: VecDeque<SensorRecord>,
-    max_history: usize,
 }
 
 impl TrackingFilter {
-    /// Default number of retained sensing events for rollback replay.
+    /// Number of retained sensing events for rollback replay.
     ///
     /// At `Δt_s = 0.1 s` this covers 20 s of history — far beyond any
     /// realistic message delay.
-    pub const DEFAULT_MAX_HISTORY: usize = 256;
+    pub const MAX_HISTORY: usize = 256;
 
     /// Creates a tracker initialised at time `t0` with a rough guess of the
     /// target's position and velocity (covariance starts wide).
@@ -70,7 +69,6 @@ impl TrackingFilter {
             // pushes one record per sensing period, and regrowing the ring
             // mid-episode is the only allocation the tracker would make.
             history: VecDeque::with_capacity(64),
-            max_history: Self::DEFAULT_MAX_HISTORY,
         }
     }
 
@@ -109,7 +107,7 @@ impl TrackingFilter {
             z,
             accel: m.acceleration,
         });
-        while self.history.len() > self.max_history {
+        while self.history.len() > Self::MAX_HISTORY {
             self.history.pop_front();
         }
     }
@@ -151,18 +149,6 @@ impl TrackingFilter {
         let mut kf = self.kf.clone();
         kf.predict(self.last_accel, (now - self.last_time).max(0.0));
         (kf.state(), kf.covariance())
-    }
-
-    /// `k_sigma` position confidence interval extrapolated to `now`.
-    pub fn position_interval(&self, now: f64, k_sigma: f64) -> Interval {
-        let (x, p) = self.predicted(now);
-        Interval::centered(x.x, k_sigma * p.a.max(0.0).sqrt())
-    }
-
-    /// `k_sigma` velocity confidence interval extrapolated to `now`.
-    pub fn velocity_interval(&self, now: f64, k_sigma: f64) -> Interval {
-        let (x, p) = self.predicted(now);
-        Interval::centered(x.y, k_sigma * p.d.max(0.0).sqrt())
     }
 
     /// Latest known acceleration input of the target.
@@ -390,6 +376,6 @@ mod tests {
         for i in 1..=1000 {
             tf.on_measurement(&Measurement::new(1, i as f64 * 0.1, 0.0, 5.0, 0.0));
         }
-        assert!(tf.history.len() <= TrackingFilter::DEFAULT_MAX_HISTORY);
+        assert!(tf.history.len() <= TrackingFilter::MAX_HISTORY);
     }
 }

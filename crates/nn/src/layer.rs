@@ -12,22 +12,6 @@ pub struct Dense {
     activation: Activation,
 }
 
-/// Cached forward quantities needed by the backward pass.
-#[derive(Debug, Clone)]
-pub(crate) struct DenseCache {
-    /// The layer input `x` (batch × in_dim).
-    pub input: Matrix,
-    /// Pre-activations `z = x·W + b` (batch × out_dim).
-    pub pre: Matrix,
-}
-
-/// Parameter gradients of one layer.
-#[derive(Debug, Clone)]
-pub(crate) struct DenseGrads {
-    pub d_weights: Matrix,
-    pub d_bias: Vec<f64>,
-}
-
 impl Dense {
     /// Creates a layer with Xavier-uniform weights and zero bias.
     pub fn new(
@@ -95,25 +79,20 @@ impl Dense {
         self.weights.rows() * self.weights.cols() + self.bias.len()
     }
 
-    /// Forward pass on a batch.
-    ///
-    /// Allocating reference path: per output element, an ascending-`k`
-    /// accumulation with zero-skip, then `+ b`, then `σ` — the chain the
-    /// single-row kernel behind [`crate::Mlp::predict_into`] reproduces to
-    /// the bit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if `x.cols() != in_dim`.
-    pub fn forward(&self, x: &Matrix) -> Result<Matrix, NnError> {
+    /// Forward pass on a batch: the test suite's allocating oracle. Per
+    /// output element, an ascending-`k` accumulation with zero-skip, then
+    /// `+ b`, then `σ` — the chain the single-row kernel behind
+    /// [`crate::Mlp::predict_into`] reproduces to the bit.
+    #[cfg(test)]
+    pub(crate) fn forward(&self, x: &Matrix) -> Result<Matrix, NnError> {
         let z = x.matmul(&self.weights)?.add_row_broadcast(&self.bias)?;
         Ok(z.map(|v| self.activation.apply(v)))
     }
 
     /// Training's fused forward pass: the pre-activations into `pre` (kept
-    /// for the in-place backward pass, [`Dense::backward_in_place`]), then
-    /// one activation sweep into `out`. Per element it runs the chain of
-    /// [`Dense::forward`], so results are bit-identical.
+    /// for the backward pass, [`Dense::backward_in_place`]), then one
+    /// activation sweep into `out`. Per element it runs the chain of the
+    /// inference kernels (ascending-`k` product, `+ b`, `σ`).
     ///
     /// # Errors
     ///
@@ -136,45 +115,15 @@ impl Dense {
         Ok(())
     }
 
-    /// Forward pass keeping the cache for backprop.
-    pub(crate) fn forward_cached(&self, x: &Matrix) -> Result<(Matrix, DenseCache), NnError> {
-        let pre = x.matmul(&self.weights)?.add_row_broadcast(&self.bias)?;
-        let out = pre.map(|v| self.activation.apply(v));
-        Ok((
-            out,
-            DenseCache {
-                input: x.clone(),
-                pre,
-            },
-        ))
-    }
-
-    /// Backward pass: given `d_out = ∂L/∂y`, returns `∂L/∂x` and the
-    /// parameter gradients.
-    pub(crate) fn backward(
-        &self,
-        cache: &DenseCache,
-        d_out: &Matrix,
-    ) -> Result<(Matrix, DenseGrads), NnError> {
-        let d_pre = d_out.hadamard(&cache.pre.map(|v| self.activation.derivative(v)))?;
-        // `xᵀ·δ` runs transpose-free (`tr_matmul` streams the batch×in
-        // input in place — the largest matrix in the pass); `δ·Wᵀ` keeps a
-        // materialised transpose of the small weight matrix, which measures
-        // faster (see `Matrix::matmul_tr`). Both are bit-identical to the
-        // naive transpose-then-multiply forms.
-        let d_weights = cache.input.tr_matmul(&d_pre)?;
-        let d_bias = d_pre.column_sums();
-        let d_input = d_pre.matmul_tr(&self.weights)?;
-        Ok((d_input, DenseGrads { d_weights, d_bias }))
-    }
-
-    /// In-place variant of [`Dense::backward`] writing every intermediate
-    /// into caller-owned buffers. `input`/`pre`/`out` are the forward cache
-    /// (as produced by [`Dense::forward_cached_into`]), so `σ′` comes from
-    /// the cached activation instead of a second `σ`; `w_t` stages the
-    /// weight transpose for the `δ·Wᵀ` product. Per element the float-op
-    /// sequence matches the allocating path exactly, so gradients are
-    /// bit-identical.
+    /// Backward pass: given `d_out = ∂L/∂y`, writes `∂L/∂z` into `d_pre`,
+    /// the parameter gradients into `d_weights`/`d_bias` and `∂L/∂x` into
+    /// `d_input`, all caller-owned buffers. `input`/`pre`/`out` are the
+    /// forward cache (as produced by [`Dense::forward_cached_into`]), so
+    /// `σ′` comes from the cached activation instead of a second `σ`.
+    /// `xᵀ·δ` runs transpose-free ([`Matrix::tr_matmul_into`] streams the
+    /// batch×in input in place, the largest matrix in the pass); `δ·Wᵀ`
+    /// stages the small weight transpose in `w_t`, which measures faster
+    /// (see [`Matrix::matmul_tr_into`]).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn backward_in_place(
         &self,
@@ -219,20 +168,6 @@ impl Dense {
     pub(crate) fn params_mut(&mut self) -> (&mut Matrix, &mut [f64]) {
         (&mut self.weights, &mut self.bias)
     }
-
-    /// Applies an additive update to the parameters (optimizer hook).
-    pub(crate) fn apply_update(&mut self, dw: &Matrix, db: &[f64]) -> Result<(), NnError> {
-        self.weights = self.weights.add(dw)?;
-        if db.len() != self.bias.len() {
-            return Err(NnError::ShapeMismatch {
-                context: "bias update length".into(),
-            });
-        }
-        for (b, d) in self.bias.iter_mut().zip(db) {
-            *b += d;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -267,20 +202,33 @@ mod tests {
         assert_eq!(layer().num_params(), 3 * 2 + 2);
     }
 
-    /// Finite-difference gradient check on a single layer.
+    /// Finite-difference gradient check of the backward pass on a single
+    /// layer.
     #[test]
     fn backward_matches_finite_difference() {
         let mut rng = SplitMix64::seed_from_u64(7);
         let l = Dense::new(3, 2, Activation::Tanh, &mut rng);
         let x = Matrix::from_rows(&[&[0.3, -0.5, 0.9], &[-0.1, 0.8, 0.2]]).unwrap();
-        // Loss = mean of squares of outputs; dL/dy = 2y/N.
+        // The loss is the mean of squares of outputs; dL/dy = 2y/N.
         let n = 4.0; // 2 rows * 2 cols
-        let (y, cache) = l.forward_cached(&x).unwrap();
-        let d_out = y.scale(2.0 / n);
-        let (d_x, grads) = l.backward(&cache, &d_out).unwrap();
+        let (mut pre, mut y) = (Matrix::default(), Matrix::default());
+        l.forward_cached_into(&x, &mut pre, &mut y).unwrap();
+        let mut d_out = y.clone();
+        for v in d_out.as_mut_slice() {
+            *v *= 2.0 / n;
+        }
+        let (mut d_pre, mut d_w, mut w_t, mut d_x) = Default::default();
+        let mut d_b = Vec::new();
+        l.backward_in_place(
+            &x, &pre, &y, &d_out, &mut d_pre, &mut d_w, &mut d_b, &mut w_t, &mut d_x,
+        )
+        .unwrap();
 
         let h = 1e-6;
-        let loss = |layer: &Dense, input: &Matrix| layer.forward(input).unwrap().mean_square();
+        let zeros = Matrix::zeros(2, 2);
+        let loss = |layer: &Dense, input: &Matrix| {
+            crate::train::mse(&layer.forward(input).unwrap(), &zeros).unwrap()
+        };
 
         // Weight gradients.
         for r in 0..3 {
@@ -295,20 +243,21 @@ mod tests {
                 lm.weights = w;
                 let fd = (loss(&lp, &x) - loss(&lm, &x)) / (2.0 * h);
                 assert!(
-                    (grads.d_weights.get(r, c) - fd).abs() < 1e-5,
+                    (d_w.get(r, c) - fd).abs() < 1e-5,
                     "dW[{r}][{c}]: {} vs {fd}",
-                    grads.d_weights.get(r, c)
+                    d_w.get(r, c)
                 );
             }
         }
         // Bias gradients.
-        for c in 0..2 {
+        assert_eq!(d_b.len(), 2);
+        for (c, db) in d_b.iter().enumerate() {
             let mut lp = l.clone();
             lp.bias[c] += h;
             let mut lm = l.clone();
             lm.bias[c] -= h;
             let fd = (loss(&lp, &x) - loss(&lm, &x)) / (2.0 * h);
-            assert!((grads.d_bias[c] - fd).abs() < 1e-5);
+            assert!((db - fd).abs() < 1e-5);
         }
         // Input gradients.
         for r in 0..2 {

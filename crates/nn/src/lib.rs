@@ -6,17 +6,17 @@
 //! provides everything needed to train and run the small MLPs used as
 //! planners:
 //!
-//! * [`Matrix`] — dense row-major matrix with the handful of ops backprop
-//!   needs.
+//! * [`Matrix`] — dense row-major matrix with the handful of buffer-reusing
+//!   kernels inference and backprop need.
 //! * [`Activation`], [`Dense`], [`Mlp`] — layers and the network, with
 //!   forward inference and reverse-mode gradients.
-//! * [`Loss`], [`Optimizer`], [`Trainer`] — mean-squared-error training with
-//!   SGD or Adam, mini-batching, and shuffling.
+//! * [`Optimizer`], [`Trainer`] — mean-squared-error training with Adam,
+//!   shuffled mini-batches, and no per-batch heap allocation.
 //! * [`MlpScratch`] — two flat hidden-row buffers behind the
 //!   zero-allocation [`Mlp::predict_into`] used on the episode hot path: one
 //!   single-row kernel runs the whole network, each layer's row held in
 //!   registers through `+ b` and `tanh`; bit-identical to the allocating
-//!   reference [`Mlp::forward`].
+//!   matmul-then-bias-then-`σ` oracle the test suite keeps.
 //! * [`LanePlan`], [`BatchScratch`] — lane-batched inference
 //!   ([`Mlp::forward_batch_into`]): [`LANE_WIDTH`] = 8 samples stepped in
 //!   lockstep through structure-of-arrays slabs and runtime-dispatched
@@ -47,7 +47,6 @@
 mod activation;
 mod error;
 mod layer;
-mod loss;
 mod matrix;
 mod mlp;
 mod optimizer;
@@ -58,7 +57,6 @@ mod train;
 pub use activation::Activation;
 pub use error::NnError;
 pub use layer::Dense;
-pub use loss::Loss;
 pub use matrix::Matrix;
 pub use mlp::{LanePlan, Mlp};
 pub use optimizer::Optimizer;

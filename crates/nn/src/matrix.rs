@@ -16,7 +16,8 @@ use crate::NnError;
 ///
 /// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]])?;
 /// let b = Matrix::from_rows(&[&[1.0], &[1.0]])?;
-/// let c = a.matmul(&b)?;
+/// let mut c = Matrix::zeros(0, 0);
+/// a.matmul_into(&b, &mut c)?;
 /// assert_eq!(c.get(0, 0), 3.0);
 /// assert_eq!(c.get(1, 0), 7.0);
 /// # Ok::<(), cv_nn::NnError>(())
@@ -28,12 +29,12 @@ pub struct Matrix {
     data: Vec<f64>,
 }
 
-/// Output-tile height of the blocked `tr_matmul` kernel. Sized so a tile of
+/// Output-tile height of the blocked `tr_matmul_into` kernel. Sized so a tile of
 /// the right-hand operand (`TILE_ROWS` reuses × `TILE_COLS` doubles) stays
 /// cache-resident across the rows of a block; the paper's planner shapes fit
 /// a single tile, where the blocked loop degenerates to the naive traversal.
 const TILE_ROWS: usize = 16;
-/// Output-tile width of the blocked `tr_matmul` kernel (in `f64` lanes).
+/// Output-tile width of the blocked `tr_matmul_into` kernel (in `f64` lanes).
 const TILE_COLS: usize = 64;
 
 impl Matrix {
@@ -177,15 +178,10 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// Matrix product `self · other`.
-    ///
-    /// Runs the single-row kernel on every row (see
-    /// [`Matrix::matmul_into`]); bit-identical to the naive i-k-j kernel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if `self.cols != other.rows`.
-    pub fn matmul(&self, other: &Matrix) -> Result<Matrix, NnError> {
+    /// Allocating `self · other` through [`Matrix::matmul_into`]: the test
+    /// suite's forward oracle builds on it.
+    #[cfg(test)]
+    pub(crate) fn matmul(&self, other: &Matrix) -> Result<Matrix, NnError> {
         let mut out = Matrix::zeros(0, 0);
         self.matmul_into(other, &mut out)?;
         Ok(out)
@@ -299,27 +295,14 @@ impl Matrix {
         Ok(())
     }
 
-    /// Matrix product `selfᵀ · other` without materialising the transpose.
+    /// Matrix product `selfᵀ · other` into `out`, reusing its storage,
+    /// without materialising the transpose.
     ///
-    /// Runs the output-tiled kernel (see [`Matrix::tr_matmul_into`]);
-    /// bit-identical to `self.transpose().matmul(other)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if `self.rows != other.rows`.
-    pub fn tr_matmul(&self, other: &Matrix) -> Result<Matrix, NnError> {
-        let mut out = Matrix::zeros(0, 0);
-        self.tr_matmul_into(other, &mut out)?;
-        Ok(out)
-    }
-
-    /// Matrix product `selfᵀ · other` into `out`, reusing its storage.
-    ///
-    /// Same output-tiling contract as [`Matrix::matmul_into`]: blocks over
-    /// rows/columns of the output, i → k → j within a tile, one
-    /// ascending-`k` accumulation chain with zero-skip per output element —
-    /// bit-identical to the untiled k-outer kernel (kept as the test
-    /// suite's `tr_matmul_naive` oracle).
+    /// Blocks over rows/columns of the output, i → k → j within a tile,
+    /// one ascending-`k` accumulation chain with zero-skip per output
+    /// element — bit-identical to the untiled k-outer kernel (kept as the
+    /// test suite's `tr_matmul_naive` oracle) and to
+    /// `self.transpose()` followed by [`Matrix::matmul_into`].
     ///
     /// # Errors
     ///
@@ -357,36 +340,17 @@ impl Matrix {
         Ok(())
     }
 
-    /// Matrix product `self · otherᵀ` — the `δ·Wᵀ` input-gradient product
-    /// on backprop's hot path.
+    /// Matrix product `self · otherᵀ` into `out` — the `δ·Wᵀ` input-gradient
+    /// product on backprop's hot path — staging the transpose of `other` in
+    /// `t_scratch`; both buffers are reused across calls.
     ///
-    /// Implemented as transpose-then-[`Matrix::matmul`], *on measurement*:
-    /// the "transpose-free" alternatives (row-dot-row, or i-k-j with a
-    /// strided gather of `other`) must accumulate each output element in a
-    /// single ascending-`k` chain to stay bit-identical, which defeats
-    /// vectorisation — both measured 1.4–4× *slower* than paying one small
-    /// transpose allocation and running the vectorisable i-k-j kernel.
-    /// Contrast [`Matrix::tr_matmul`], where the transpose-free form wins.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if `self.cols != other.cols`.
-    pub fn matmul_tr(&self, other: &Matrix) -> Result<Matrix, NnError> {
-        if self.cols != other.cols {
-            return Err(NnError::ShapeMismatch {
-                context: format!(
-                    "matmul_tr: {}x{} * ({}x{})^T",
-                    self.rows, self.cols, other.rows, other.cols
-                ),
-            });
-        }
-        self.matmul(&other.transpose())
-    }
-
-    /// [`Matrix::matmul_tr`] into `out`, staging the transpose of `other`
-    /// in `t_scratch` — both buffers reused across calls, so the epoch loop
-    /// keeps the measured-faster transpose-then-multiply strategy without
-    /// its per-call allocations.
+    /// Transpose-then-[`Matrix::matmul_into`], *on measurement*: the
+    /// "transpose-free" alternatives (row-dot-row, or i-k-j with a strided
+    /// gather of `other`) must accumulate each output element in a single
+    /// ascending-`k` chain to stay bit-identical, which defeats
+    /// vectorisation — both measured 1.4–4× *slower* than one small
+    /// transpose and the vectorisable i-k-j kernel. Contrast
+    /// [`Matrix::tr_matmul_into`], where the transpose-free form wins.
     ///
     /// # Errors
     ///
@@ -424,61 +388,9 @@ impl Matrix {
         }
     }
 
-    /// Element-wise sum.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] on differing shapes.
-    pub fn add(&self, other: &Matrix) -> Result<Matrix, NnError> {
-        self.zip_with(other, "add", |a, b| a + b)
-    }
-
-    /// Element-wise difference.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] on differing shapes.
-    pub fn sub(&self, other: &Matrix) -> Result<Matrix, NnError> {
-        self.zip_with(other, "sub", |a, b| a - b)
-    }
-
-    /// Element-wise (Hadamard) product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] on differing shapes.
-    pub fn hadamard(&self, other: &Matrix) -> Result<Matrix, NnError> {
-        self.zip_with(other, "hadamard", |a, b| a * b)
-    }
-
-    fn zip_with(
-        &self,
-        other: &Matrix,
-        op: &str,
-        f: impl Fn(f64, f64) -> f64,
-    ) -> Result<Matrix, NnError> {
-        if self.rows != other.rows || self.cols != other.cols {
-            return Err(NnError::ShapeMismatch {
-                context: format!(
-                    "{op}: {}x{} vs {}x{}",
-                    self.rows, self.cols, other.rows, other.cols
-                ),
-            });
-        }
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(a, b)| f(*a, *b))
-                .collect(),
-        })
-    }
-
-    /// Applies `f` to every entry.
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
+    /// Applies `f` to every entry (the test suite's forward oracle).
+    #[cfg(test)]
+    pub(crate) fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
         Matrix {
             rows: self.rows,
             cols: self.cols,
@@ -486,17 +398,10 @@ impl Matrix {
         }
     }
 
-    /// Multiplies every entry by `k`.
-    pub fn scale(&self, k: f64) -> Matrix {
-        self.map(|x| x * k)
-    }
-
-    /// Adds the row vector `bias` (length `cols`) to every row.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if `bias.len() != cols`.
-    pub fn add_row_broadcast(&self, bias: &[f64]) -> Result<Matrix, NnError> {
+    /// Adds the row vector `bias` (length `cols`) to every row (the test
+    /// suite's forward oracle).
+    #[cfg(test)]
+    pub(crate) fn add_row_broadcast(&self, bias: &[f64]) -> Result<Matrix, NnError> {
         if bias.len() != self.cols {
             return Err(NnError::ShapeMismatch {
                 context: format!(
@@ -517,14 +422,7 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Sums each column into a length-`cols` vector.
-    pub fn column_sums(&self) -> Vec<f64> {
-        let mut sums = Vec::new();
-        self.column_sums_into(&mut sums);
-        sums
-    }
-
-    /// [`Matrix::column_sums`] into `out`, reusing its storage.
+    /// Sums each column into `out` (length `cols`), reusing its storage.
     pub fn column_sums_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.resize(self.cols, 0.0);
@@ -537,20 +435,9 @@ impl Matrix {
         }
     }
 
-    /// Selects the given rows into a new matrix (for mini-batching).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn select_rows(&self, indices: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.select_rows_into(indices, &mut out);
-        out
-    }
-
     /// Selects the given rows into `out`, reusing its storage — the
-    /// epoch-loop variant of [`Matrix::select_rows`] (one retained buffer
-    /// instead of one fresh matrix per mini-batch).
+    /// trainer's mini-batch gather (one retained buffer instead of one
+    /// fresh matrix per mini-batch).
     ///
     /// # Panics
     ///
@@ -561,15 +448,6 @@ impl Matrix {
         out.data.clear();
         for &i in indices {
             out.data.extend_from_slice(self.row(i));
-        }
-    }
-
-    /// Mean of the squares of all entries (used for MSE).
-    pub fn mean_square(&self) -> f64 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.data.iter().map(|x| x * x).sum::<f64>() / self.data.len() as f64
         }
     }
 }
@@ -625,15 +503,17 @@ mod tests {
         let b = m.add_row_broadcast(&[10.0, 20.0]).unwrap();
         assert_eq!(b.get(0, 0), 11.0);
         assert_eq!(b.get(1, 1), 24.0);
-        assert_eq!(m.column_sums(), vec![4.0, 6.0]);
+        let mut sums = vec![9.0; 5];
+        m.column_sums_into(&mut sums);
+        assert_eq!(sums, vec![4.0, 6.0]);
     }
 
     #[test]
     fn select_rows_picks_batch() {
         let m = Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]).unwrap();
-        let batch = m.select_rows(&[2, 0]);
-        assert_eq!(batch.get(0, 0), 3.0);
-        assert_eq!(batch.get(1, 0), 1.0);
+        let mut batch = Matrix::zeros(0, 0);
+        m.select_rows_into(&[2, 0], &mut batch);
+        assert_eq!(batch, Matrix::from_rows(&[&[3.0], &[1.0]]).unwrap());
     }
 
     #[test]
@@ -662,12 +542,6 @@ mod tests {
                 assert!((x - y).abs() < 1e-10);
             }
         }
-        fn add_commutes(seed in 0u64..50) {
-            let mut rng = SplitMix64::seed_from_u64(seed);
-            let a = Matrix::from_fn(3, 3, |_, _| rng.random_range(-1.0..1.0));
-            let b = Matrix::from_fn(3, 3, |_, _| rng.random_range(-1.0..1.0));
-            assert_eq!(a.add(&b).unwrap(), b.add(&a).unwrap());
-        }
         fn tr_matmul_is_bit_identical_to_transpose_matmul(
             m in 1usize..7, n in 1usize..7, p in 1usize..7, seed in 0u64..60
         ) {
@@ -679,7 +553,8 @@ mod tests {
                 else { rng.random_range(-1.0..1.0) }
             });
             let b = Matrix::from_fn(m, p, |_, _| rng.random_range(-1.0..1.0));
-            let fast = a.tr_matmul(&b).unwrap();
+            let mut fast = Matrix::zeros(0, 0);
+            a.tr_matmul_into(&b, &mut fast).unwrap();
             let reference = a.transpose().matmul(&b).unwrap();
             assert_eq!(fast.rows(), reference.rows());
             assert_eq!(fast.cols(), reference.cols());
@@ -696,7 +571,8 @@ mod tests {
                 else { rng.random_range(-1.0..1.0) }
             });
             let b = Matrix::from_fn(q, n, |_, _| rng.random_range(-1.0..1.0));
-            let fast = a.matmul_tr(&b).unwrap();
+            let (mut t_scratch, mut fast) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+            a.matmul_tr_into(&b, &mut t_scratch, &mut fast).unwrap();
             let reference = a.matmul(&b.transpose()).unwrap();
             assert_eq!(fast.rows(), reference.rows());
             assert_eq!(fast.cols(), reference.cols());
@@ -709,9 +585,9 @@ mod tests {
             let m = Matrix::from_fn(5, 3, |_, _| rng.random_range(-1.0..1.0));
             let mut buf = Matrix::zeros(0, 0);
             m.select_rows_into(&[4, 0, 2], &mut buf);
-            assert_eq!(buf, m.select_rows(&[4, 0, 2]));
+            assert_eq!(buf, Matrix::from_rows(&[m.row(4), m.row(0), m.row(2)]).unwrap());
             m.select_rows_into(&[1], &mut buf);
-            assert_eq!(buf, m.select_rows(&[1]));
+            assert_eq!(buf, Matrix::from_rows(&[m.row(1)]).unwrap());
         }
     }
 
@@ -772,7 +648,9 @@ mod tests {
 
                     let at = sparse_random(k, m, &mut rng);
                     let ctx = format!("tr_matmul ({k}x{m})^T * {k}x{n}");
-                    assert_bits_eq(&at.tr_matmul(&b).unwrap(), &tr_matmul_naive(&at, &b), &ctx);
+                    let mut fast = Matrix::zeros(0, 0);
+                    at.tr_matmul_into(&b, &mut fast).unwrap();
+                    assert_bits_eq(&fast, &tr_matmul_naive(&at, &b), &ctx);
                 }
             }
         }
@@ -794,15 +672,12 @@ mod tests {
         let bt = sparse_random(65, 33, &mut rng);
         let mut t_scratch = Matrix::zeros(0, 0);
         a.matmul_tr_into(&bt, &mut t_scratch, &mut out).unwrap();
-        assert_bits_eq(&out, &a.matmul_tr(&bt).unwrap(), "matmul_tr_into");
+        let reference = a.matmul_naive(&bt.transpose()).unwrap();
+        assert_bits_eq(&out, &reference, "matmul_tr_into");
 
         let mut tr = Matrix::zeros(0, 0);
         a.transpose_into(&mut tr);
         assert_eq!(tr, a.transpose());
-
-        let mut sums = Vec::new();
-        a.column_sums_into(&mut sums);
-        assert_eq!(sums, a.column_sums());
     }
 
     #[test]
@@ -865,12 +740,13 @@ mod tests {
     fn tr_matmul_and_matmul_tr_reject_bad_shapes() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(3, 2);
+        let (mut t_scratch, mut out) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         assert!(matches!(
-            a.tr_matmul(&b),
+            a.tr_matmul_into(&b, &mut out),
             Err(NnError::ShapeMismatch { .. })
         ));
         assert!(matches!(
-            a.matmul_tr(&a.transpose()),
+            a.matmul_tr_into(&a.transpose(), &mut t_scratch, &mut out),
             Err(NnError::ShapeMismatch { .. })
         ));
     }

@@ -1,6 +1,5 @@
 use cv_rng::SplitMix64;
 
-use crate::layer::DenseCache;
 use crate::scratch::BatchScratch;
 use crate::{simd, Activation, Dense, Matrix, MlpScratch, NnError, LANE_WIDTH};
 
@@ -99,13 +98,13 @@ impl LanePlan {
 /// # Example
 ///
 /// ```
-/// use cv_nn::{Activation, Matrix, Mlp};
+/// use cv_nn::{Activation, Mlp};
 ///
 /// let net = Mlp::new(&[5, 16, 16, 1], Activation::Tanh, Activation::Identity, 7)?;
 /// assert_eq!(net.input_dim(), 5);
 /// assert_eq!(net.output_dim(), 1);
-/// let y = net.forward(&Matrix::zeros(3, 5))?;
-/// assert_eq!((y.rows(), y.cols()), (3, 1));
+/// let y = net.predict(&[0.0; 5])?;
+/// assert_eq!(y.len(), 1);
 /// # Ok::<(), cv_nn::NnError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -193,15 +192,11 @@ impl Mlp {
         self.layers.iter().map(Dense::num_params).sum()
     }
 
-    /// Batch forward pass.
-    ///
-    /// Allocating reference path (one matrix per layer per call);
-    /// [`Mlp::predict_into`] is bit-identical to it on every row.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if `x.cols() != input_dim`.
-    pub fn forward(&self, x: &Matrix) -> Result<Matrix, NnError> {
+    /// Batch forward pass: the test suite's allocating oracle (one matrix
+    /// per layer per call); [`Mlp::predict_into`] is bit-identical to it on
+    /// every row.
+    #[cfg(test)]
+    pub(crate) fn forward(&self, x: &Matrix) -> Result<Matrix, NnError> {
         let mut cur = x.clone();
         for layer in &self.layers {
             cur = layer.forward(&cur)?;
@@ -213,7 +208,8 @@ impl Mlp {
     /// allocation-free hot path behind the planner's per-step call. One
     /// single-row kernel runs the whole network: each layer's row stays in
     /// registers through `+ b` and `tanh` and is stored once into
-    /// `scratch`. Bit-identical to [`Mlp::forward`].
+    /// `scratch`. Bit-identical, row by row, to the allocating
+    /// matmul-then-bias-then-`σ` chain the test suite keeps as its oracle.
     ///
     /// # Errors
     ///
@@ -316,18 +312,6 @@ impl Mlp {
             });
         }
         plan.forward_lanes_into(x, scratch, out)
-    }
-
-    /// Forward pass retaining per-layer caches for backprop.
-    pub(crate) fn forward_cached(&self, x: &Matrix) -> Result<(Matrix, Vec<DenseCache>), NnError> {
-        let mut cur = x.clone();
-        let mut caches = Vec::with_capacity(self.layers.len());
-        for layer in &self.layers {
-            let (out, cache) = layer.forward_cached(&cur)?;
-            caches.push(cache);
-            cur = out;
-        }
-        Ok((cur, caches))
     }
 
     /// Serializes architecture + weights to a plain-text format.

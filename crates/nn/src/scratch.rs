@@ -2,9 +2,9 @@ use crate::{Matrix, Mlp};
 
 /// Reusable workspace for allocation-free single-row [`Mlp`] inference.
 ///
-/// [`Mlp::forward`] allocates one matrix per layer per call; on the episode
-/// hot path the planner invokes the network every control step, so those
-/// allocations would dominate small-network inference cost. An `MlpScratch`
+/// A batch forward that allocates one matrix per layer per call would
+/// dominate small-network inference cost on the episode hot path, where
+/// the planner invokes the network every control step. An `MlpScratch`
 /// holds two flat hidden-row buffers that [`Mlp::predict_into`] ping-pongs
 /// between: each layer's row is stored once into one and the next layer
 /// broadcasts from it. Once they have grown to the widest hidden layer

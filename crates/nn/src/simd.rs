@@ -113,7 +113,8 @@ fn dense_lanes_scalar(wt: &[f64], bias: &[f64], act: &[f64], out: &mut [f64]) {
 /// Scalar single-row dense kernel, `out[j] = σ(Σ_k a[k]·b[k·stride + j] +
 /// bias[j])`: accumulated ascending-`k` from `+0.0` as separate `mul` and
 /// `add`, skipping exact-zero `a[k]`, then `+ bias[j]` when a bias is
-/// given, then `σ` — the per-element chain of [`crate::Dense::forward`].
+/// given, then `σ` — the per-element chain of the test suite's
+/// `Dense::forward` oracle.
 /// One column at a time, so each sum stays in a register.
 fn row_dense_scalar(
     a: &[f64],
@@ -476,8 +477,8 @@ pub(crate) fn row_matmul(a: &[f64], b: &[f64], out: &mut [f64]) {
 /// [`Isa::Scalar`]). Each layer is one [`row_dense`] with `+ b` and `σ` in
 /// its epilogue; its row is stored once, into `ping` or `pong` (each as
 /// wide as the widest hidden layer), for the next layer to broadcast from,
-/// and the last layer writes `out`. Bit-identical to
-/// [`crate::Mlp::forward`].
+/// and the last layer writes `out`. Bit-identical to the test suite's
+/// `Mlp::forward` oracle.
 pub(crate) fn row_forward(
     isa: Isa,
     layers: &[Dense],

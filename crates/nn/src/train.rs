@@ -1,26 +1,17 @@
 use cv_rng::{Rng, SplitMix64};
 
 use crate::optimizer::LayerOptState;
-use crate::{Loss, Matrix, Mlp, NnError, Optimizer};
+use crate::{Matrix, Mlp, NnError, Optimizer};
 
 /// Training hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
-    /// Number of full passes over the data (an upper bound when early
-    /// stopping is enabled).
+    /// Number of full passes over the data.
     pub epochs: usize,
     /// Mini-batch size (clamped to the dataset size).
     pub batch_size: usize,
     /// Shuffling seed.
     pub seed: u64,
-    /// Loss function.
-    pub loss: Loss,
-    /// Fraction of the data held out for validation (0 disables).
-    pub validation_fraction: f64,
-    /// Early stopping: abort after this many epochs without validation
-    /// improvement and restore the best weights. Requires
-    /// `validation_fraction > 0`.
-    pub patience: Option<usize>,
 }
 
 impl Default for TrainConfig {
@@ -29,14 +20,12 @@ impl Default for TrainConfig {
             epochs: 100,
             batch_size: 64,
             seed: 0,
-            loss: Loss::MeanSquaredError,
-            validation_fraction: 0.0,
-            patience: None,
         }
     }
 }
 
-/// Mini-batch gradient-descent trainer for [`Mlp`]s.
+/// Mini-batch gradient-descent trainer for [`Mlp`]s: mean-squared-error
+/// loss, Adam updates, a fresh shuffle every epoch.
 ///
 /// # Example
 ///
@@ -64,25 +53,13 @@ impl Trainer {
         Self { optimizer, config }
     }
 
-    /// The configured optimizer.
-    pub fn optimizer(&self) -> Optimizer {
-        self.optimizer
-    }
-
-    /// The configured hyperparameters.
-    pub fn config(&self) -> TrainConfig {
-        self.config
-    }
-
     /// Trains `net` on inputs `x` (N×in) and targets `y` (N×out), returning
     /// the per-epoch mean training loss.
     ///
-    /// In-place hot loop: forward caches, gradients, and optimizer updates
-    /// all run through preallocated [`FitScratch`] buffers, so after the
-    /// first batch an epoch performs no per-mini-batch heap allocation. The
-    /// weight trajectory is bit-identical to the allocating reference
-    /// [`Trainer::fit_alloc`] (every kernel preserves per-element op order —
-    /// see DESIGN.md §13).
+    /// Forward caches, gradients and optimizer updates all run through
+    /// preallocated [`FitScratch`] buffers, so after the first mini-batches
+    /// have grown them an epoch performs no heap allocation (DESIGN.md
+    /// §13).
     ///
     /// # Errors
     ///
@@ -90,29 +67,6 @@ impl Trainer {
     /// or the dataset is empty, and [`NnError::ShapeMismatch`] if the column
     /// counts do not match the network.
     pub fn fit(&self, net: &mut Mlp, x: &Matrix, y: &Matrix) -> Result<Vec<f64>, NnError> {
-        self.fit_impl(net, x, y, true)
-    }
-
-    /// Allocating reference trainer: identical schedule and arithmetic to
-    /// [`Trainer::fit`], but every mini-batch allocates its caches and
-    /// deltas afresh. A test reference: the equivalence tests here and in
-    /// `cv-planner`'s cloning tests check [`Trainer::fit`] against it bit
-    /// for bit.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Trainer::fit`].
-    pub fn fit_alloc(&self, net: &mut Mlp, x: &Matrix, y: &Matrix) -> Result<Vec<f64>, NnError> {
-        self.fit_impl(net, x, y, false)
-    }
-
-    fn fit_impl(
-        &self,
-        net: &mut Mlp,
-        x: &Matrix,
-        y: &Matrix,
-        in_place: bool,
-    ) -> Result<Vec<f64>, NnError> {
         if x.rows() == 0 {
             return Err(NnError::InvalidTrainingData {
                 context: "empty dataset".into(),
@@ -123,45 +77,15 @@ impl Trainer {
                 context: format!("{} inputs vs {} targets", x.rows(), y.rows()),
             });
         }
-        if !(0.0..1.0).contains(&self.config.validation_fraction) {
-            return Err(NnError::InvalidTrainingData {
-                context: format!(
-                    "validation fraction {} not in [0, 1)",
-                    self.config.validation_fraction
-                ),
-            });
-        }
         let mut rng = SplitMix64::seed_from_u64(self.config.seed);
-
-        // Optional validation hold-out (deterministic shuffle, tail split).
-        let early_stopping =
-            self.config.patience.is_some() && self.config.validation_fraction > 0.0;
-        let mut all: Vec<usize> = (0..x.rows()).collect();
-        let (train_idx, val_idx): (Vec<usize>, Vec<usize>) = if early_stopping {
-            rng.shuffle(&mut all);
-            let val_n = ((x.rows() as f64 * self.config.validation_fraction) as usize)
-                .clamp(1, x.rows() - 1);
-            let split = x.rows() - val_n;
-            (all[..split].to_vec(), all[split..].to_vec())
-        } else {
-            (all, Vec::new())
-        };
-        let (x_val, y_val) = if early_stopping {
-            (x.select_rows(&val_idx), y.select_rows(&val_idx))
-        } else {
-            (Matrix::zeros(0, 0), Matrix::zeros(0, 0))
-        };
-
-        let batch = self.config.batch_size.clamp(1, train_idx.len().max(1));
+        let batch = self.config.batch_size.clamp(1, x.rows());
         let mut states: Vec<LayerOptState> = net
             .layers()
             .iter()
             .map(|l| LayerOptState::new(l.in_dim(), l.out_dim()))
             .collect();
-        let mut order = train_idx;
+        let mut order: Vec<usize> = (0..x.rows()).collect();
         let mut history = Vec::with_capacity(self.config.epochs);
-        let mut best: Option<(f64, Mlp)> = None;
-        let mut stale_epochs = 0usize;
 
         // Mini-batch buffers reused across every batch of every epoch.
         let mut xb = Matrix::zeros(0, 0);
@@ -174,59 +98,17 @@ impl Trainer {
             for chunk in order.chunks(batch) {
                 x.select_rows_into(chunk, &mut xb);
                 y.select_rows_into(chunk, &mut yb);
-                epoch_loss += if in_place {
-                    self.step_in_place(net, &xb, &yb, &mut states, &mut scratch)?
-                } else {
-                    self.step_alloc(net, &xb, &yb, &mut states)?
-                };
+                epoch_loss += self.step(net, &xb, &yb, &mut states, &mut scratch)?;
                 batches += 1;
             }
-            history.push(epoch_loss / batches.max(1) as f64);
-
-            if early_stopping {
-                let val_loss = self.config.loss.value(&net.forward(&x_val)?, &y_val)?;
-                let improved = best.as_ref().is_none_or(|(b, _)| val_loss < *b);
-                if improved {
-                    best = Some((val_loss, net.clone()));
-                    stale_epochs = 0;
-                } else {
-                    stale_epochs += 1;
-                    if stale_epochs >= self.config.patience.expect("early stopping") {
-                        break;
-                    }
-                }
-            }
-        }
-        if let Some((_, best_net)) = best {
-            *net = best_net; // restore the best validation weights
+            history.push(epoch_loss / batches as f64);
         }
         Ok(history)
     }
 
-    /// One mini-batch step through the allocating reference path.
-    fn step_alloc(
-        &self,
-        net: &mut Mlp,
-        xb: &Matrix,
-        yb: &Matrix,
-        states: &mut [LayerOptState],
-    ) -> Result<f64, NnError> {
-        let (pred, caches) = net.forward_cached(xb)?;
-        let loss = self.config.loss.value(&pred, yb)?;
-        let mut grad = self.config.loss.gradient(&pred, yb)?;
-        // Backward through the stack, updating as we go.
-        for (idx, cache) in caches.iter().enumerate().rev() {
-            let layer = &net.layers()[idx];
-            let (d_input, grads) = layer.backward(cache, &grad)?;
-            let (dw, db) = states[idx].update(&self.optimizer, &grads.d_weights, &grads.d_bias)?;
-            net.layers_mut()[idx].apply_update(&dw, &db)?;
-            grad = d_input;
-        }
-        Ok(loss)
-    }
-
-    /// One mini-batch step through the scratch-backed in-place path.
-    fn step_in_place(
+    /// One mini-batch step: forward with caches, MSE loss, then backward
+    /// through the stack, updating each layer as its gradients are ready.
+    fn step(
         &self,
         net: &mut Mlp,
         xb: &Matrix,
@@ -241,10 +123,8 @@ impl Trainer {
             let input: &Matrix = if idx == 0 { xb } else { &done[idx - 1] };
             net.layers()[idx].forward_cached_into(input, &mut s.pres[idx], &mut rest[0])?;
         }
-        let loss = self.config.loss.value(&s.acts[n_layers - 1], yb)?;
-        self.config
-            .loss
-            .gradient_into(&s.acts[n_layers - 1], yb, &mut s.grad)?;
+        let loss = mse(&s.acts[n_layers - 1], yb)?;
+        mse_gradient_into(&s.acts[n_layers - 1], yb, &mut s.grad);
         // Backward through the stack, updating as we go.
         for idx in (0..n_layers).rev() {
             {
@@ -266,6 +146,55 @@ impl Trainer {
             std::mem::swap(&mut s.grad, &mut s.d_inp);
         }
         Ok(loss)
+    }
+}
+
+/// Mean squared error of predictions `y_hat` against targets `y`, summed
+/// in one ascending pass over `(ŷ−y)²`.
+///
+/// # Errors
+///
+/// Returns [`NnError::ShapeMismatch`] if the shapes differ.
+pub(crate) fn mse(y_hat: &Matrix, y: &Matrix) -> Result<f64, NnError> {
+    if y_hat.rows() != y.rows() || y_hat.cols() != y.cols() {
+        return Err(NnError::ShapeMismatch {
+            context: format!(
+                "mse: {}x{} vs {}x{}",
+                y_hat.rows(),
+                y_hat.cols(),
+                y.rows(),
+                y.cols()
+            ),
+        });
+    }
+    let n = y_hat.as_slice().len();
+    if n == 0 {
+        return Ok(0.0);
+    }
+    let sum: f64 = y_hat
+        .as_slice()
+        .iter()
+        .zip(y.as_slice())
+        .map(|(a, b)| {
+            let d = a - b;
+            d * d
+        })
+        .sum();
+    Ok(sum / n as f64)
+}
+
+/// Gradient `∂MSE/∂ŷ = (ŷ−y) · (2/N)` into a reusable buffer. The shapes
+/// must agree (as [`mse`] has checked).
+fn mse_gradient_into(y_hat: &Matrix, y: &Matrix, out: &mut Matrix) {
+    let k = 2.0 / (y.rows() * y.cols()) as f64;
+    out.reset_zeroed(y_hat.rows(), y_hat.cols());
+    for ((o, &a), &b) in out
+        .as_mut_slice()
+        .iter_mut()
+        .zip(y_hat.as_slice())
+        .zip(y.as_slice())
+    {
+        *o = (a - b) * k;
     }
 }
 
@@ -339,21 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_also_learns() {
-        let (x, y) = toy_regression();
-        let mut net = Mlp::new(&[1, 16, 1], Activation::Tanh, Activation::Identity, 4).unwrap();
-        let cfg = TrainConfig {
-            epochs: 300,
-            batch_size: 16,
-            ..TrainConfig::default()
-        };
-        let hist = Trainer::new(Optimizer::sgd(0.05), cfg)
-            .fit(&mut net, &x, &y)
-            .unwrap();
-        assert!(*hist.last().unwrap() < hist[0]);
-    }
-
-    #[test]
     fn training_is_deterministic_given_seeds() {
         let (x, y) = toy_regression();
         let run = || {
@@ -362,7 +276,6 @@ mod tests {
                 epochs: 20,
                 batch_size: 8,
                 seed: 11,
-                ..TrainConfig::default()
             };
             Trainer::new(Optimizer::adam(0.01), cfg)
                 .fit(&mut net, &x, &y)
@@ -372,81 +285,48 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// The in-place trainer must walk the exact same weight trajectory as
-    /// the allocating reference — identical per-epoch losses and
-    /// bit-identical final parameters, for both optimizers and with early
-    /// stopping in play.
-    #[test]
-    fn fit_is_bit_identical_to_fit_alloc() {
-        let (x, y) = toy_regression();
-        for (opt, patience, val_frac) in [
-            (Optimizer::adam(0.01), None, 0.0),
-            (Optimizer::sgd(0.05), None, 0.0),
-            (Optimizer::adam(0.01), Some(5), 0.25),
-        ] {
-            let cfg = TrainConfig {
-                epochs: 30,
-                batch_size: 8,
-                seed: 11,
-                validation_fraction: val_frac,
-                patience,
-                ..TrainConfig::default()
-            };
-            let mut net_a =
-                Mlp::new(&[1, 8, 8, 1], Activation::Tanh, Activation::Identity, 3).unwrap();
-            let mut net_b = net_a.clone();
-            let hist_a = Trainer::new(opt, cfg).fit(&mut net_a, &x, &y).unwrap();
-            let hist_b = Trainer::new(opt, cfg)
-                .fit_alloc(&mut net_b, &x, &y)
-                .unwrap();
-            assert_eq!(hist_a.len(), hist_b.len(), "{opt:?}");
-            for (a, b) in hist_a.iter().zip(&hist_b) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{opt:?}");
+    /// FNV-1a over the bits of every weight and bias, layer by layer, then
+    /// of every per-epoch loss.
+    fn trajectory_digest(net: &Mlp, history: &[f64]) -> u64 {
+        let mut h = cv_rng::Fnv1a::new();
+        for layer in net.layers() {
+            for w in layer.weights().as_slice() {
+                h.write_u64(w.to_bits());
             }
-            for (la, lb) in net_a.layers().iter().zip(net_b.layers()) {
-                for (a, b) in la.weights().as_slice().iter().zip(lb.weights().as_slice()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{opt:?}");
-                }
-                for (a, b) in la.bias().iter().zip(lb.bias()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{opt:?}");
-                }
+            for b in layer.bias() {
+                h.write_u64(b.to_bits());
             }
         }
+        h.write_u64(history.len() as u64);
+        for loss in history {
+            h.write_u64(loss.to_bits());
+        }
+        h.finish()
     }
 
+    /// Golden digests of two fixed Adam runs on [`toy_regression`]: full
+    /// mini-batches (8 of 64) and a ragged last batch (12 of 64). Computed
+    /// at commit `60bfaca`, where `fit` was still checked bit for bit
+    /// against an allocating reference trainer, so they pin that trajectory
+    /// across commits: any change that moves one bit of a weight, a bias
+    /// or an epoch loss fails here.
     #[test]
-    fn early_stopping_halts_before_the_epoch_budget() {
+    fn fit_reproduces_its_golden_trajectory() {
         let (x, y) = toy_regression();
-        let mut net = Mlp::new(&[1, 16, 1], Activation::Tanh, Activation::Identity, 6).unwrap();
-        let cfg = TrainConfig {
-            epochs: 2000,
-            batch_size: 16,
-            validation_fraction: 0.25,
-            patience: Some(8),
-            ..TrainConfig::default()
-        };
-        let hist = Trainer::new(Optimizer::adam(0.01), cfg)
-            .fit(&mut net, &x, &y)
-            .unwrap();
-        assert!(
-            hist.len() < 2000,
-            "early stopping never fired ({} epochs)",
-            hist.len()
-        );
-        assert!(*hist.last().unwrap() < hist[0]);
-    }
-
-    #[test]
-    fn invalid_validation_fraction_errors() {
-        let (x, y) = toy_regression();
-        let mut net = Mlp::new(&[1, 8, 1], Activation::Tanh, Activation::Identity, 0).unwrap();
-        let cfg = TrainConfig {
-            validation_fraction: 1.5,
-            patience: Some(3),
-            ..TrainConfig::default()
-        };
-        let res = Trainer::new(Optimizer::adam(0.01), cfg).fit(&mut net, &x, &y);
-        assert!(matches!(res, Err(NnError::InvalidTrainingData { .. })));
+        for (batch_size, golden) in [(8, 0xfa62_b94d_8be5_512c), (12, 0xdb35_98e0_f90b_5807)] {
+            let cfg = TrainConfig {
+                epochs: 30,
+                batch_size,
+                seed: 11,
+            };
+            let mut net =
+                Mlp::new(&[1, 8, 8, 1], Activation::Tanh, Activation::Identity, 3).unwrap();
+            let history = Trainer::new(Optimizer::adam(0.01), cfg)
+                .fit(&mut net, &x, &y)
+                .unwrap();
+            let got = trajectory_digest(&net, &history);
+            assert_eq!(got, golden, "batch {batch_size}: digest {got:#018x}");
+        }
     }
 
     #[test]
@@ -459,11 +339,57 @@ mod tests {
     }
 
     #[test]
+    fn mismatched_target_columns_error() {
+        let (x, _) = toy_regression();
+        let y = Matrix::zeros(x.rows(), 2);
+        let mut net = Mlp::new(&[1, 4, 1], Activation::Tanh, Activation::Identity, 0).unwrap();
+        let res = Trainer::new(Optimizer::adam(0.01), TrainConfig::default()).fit(&mut net, &x, &y);
+        assert!(matches!(res, Err(NnError::ShapeMismatch { .. })));
+    }
+
+    #[test]
     fn empty_data_errors() {
         let x = Matrix::zeros(0, 2);
         let y = Matrix::zeros(0, 1);
         let mut net = Mlp::new(&[2, 4, 1], Activation::Tanh, Activation::Identity, 0).unwrap();
         let res = Trainer::new(Optimizer::adam(0.01), TrainConfig::default()).fit(&mut net, &x, &y);
         assert!(matches!(res, Err(NnError::InvalidTrainingData { .. })));
+    }
+
+    #[test]
+    fn mse_of_equal_is_zero() {
+        let y = Matrix::from_rows(&[&[1.0, 2.0]]).unwrap();
+        assert_eq!(mse(&y, &y).unwrap(), 0.0);
+    }
+
+    #[test]
+    fn mse_known_value() {
+        let y_hat = Matrix::from_rows(&[&[1.0], &[3.0]]).unwrap();
+        let y = Matrix::from_rows(&[&[0.0], &[0.0]]).unwrap();
+        assert_eq!(mse(&y_hat, &y).unwrap(), 5.0);
+    }
+
+    #[test]
+    fn mse_rejects_shape_mismatch() {
+        assert!(mse(&Matrix::zeros(2, 2), &Matrix::zeros(2, 1)).is_err());
+    }
+
+    #[test]
+    fn mse_gradient_matches_finite_difference() {
+        let y_hat = Matrix::from_rows(&[&[0.5, -1.0], &[2.0, 0.0]]).unwrap();
+        let y = Matrix::from_rows(&[&[0.0, 1.0], &[1.5, -0.5]]).unwrap();
+        let mut g = Matrix::zeros(0, 0);
+        mse_gradient_into(&y_hat, &y, &mut g);
+        let h = 1e-6;
+        for r in 0..2 {
+            for c in 0..2 {
+                let mut p = y_hat.clone();
+                p.set(r, c, y_hat.get(r, c) + h);
+                let mut m = y_hat.clone();
+                m.set(r, c, y_hat.get(r, c) - h);
+                let fd = (mse(&p, &y).unwrap() - mse(&m, &y).unwrap()) / (2.0 * h);
+                assert!((g.get(r, c) - fd).abs() < 1e-6);
+            }
+        }
     }
 }

@@ -152,7 +152,6 @@ pub fn clone_behaviour(
         epochs: config.epochs,
         batch_size: config.batch_size,
         seed: config.seed ^ 0x5EED,
-        ..TrainConfig::default()
     };
     let history =
         Trainer::new(Optimizer::adam(config.learning_rate), train_cfg).fit(&mut net, &x, &y)?;
@@ -212,12 +211,14 @@ mod tests {
         assert!(planner.plan(&near) < -1.0, "near window -> brake");
     }
 
-    /// A full behaviour-cloning run through the in-place trainer must land
-    /// on bit-identical weights to the allocating reference trainer given
-    /// the same seed — the end-to-end check that the zero-allocation
-    /// training path changes nothing but speed.
+    /// Golden digest of a fixed behaviour-cloning run: FNV-1a over the bits
+    /// of every weight and bias of the cloned network, then of the final
+    /// training loss. Computed at commit `60bfaca`, where this run was
+    /// still checked bit for bit against an allocating reference trainer,
+    /// so it pins the planners' training across commits; tier-1 runs it in
+    /// release too.
     #[test]
-    fn cloning_run_is_bit_identical_to_allocating_trainer() {
+    fn cloning_run_reproduces_its_golden_digest() {
         let mut data = Dataset::new();
         for i in 0..30 {
             for j in 0..10 {
@@ -235,37 +236,19 @@ mod tests {
             ..CloneConfig::default()
         };
         let (planner, loss) =
-            clone_behaviour(&data, limits(), FeatureScaling::left_turn(), cfg, "ab").unwrap();
-
-        // Replicate clone_behaviour with the allocating reference trainer.
-        let (x, y) = data
-            .to_matrices(&FeatureScaling::left_turn(), &limits())
-            .unwrap();
-        let mut reference = Mlp::new(
-            &[Observation::FEATURES, cfg.hidden[0], cfg.hidden[1], 1],
-            Activation::Tanh,
-            Activation::Tanh,
-            cfg.seed,
-        )
-        .unwrap();
-        let train_cfg = TrainConfig {
-            epochs: cfg.epochs,
-            batch_size: cfg.batch_size,
-            seed: cfg.seed ^ 0x5EED,
-            ..TrainConfig::default()
-        };
-        let history = Trainer::new(Optimizer::adam(cfg.learning_rate), train_cfg)
-            .fit_alloc(&mut reference, &x, &y)
-            .unwrap();
-        assert_eq!(loss.to_bits(), history.last().unwrap().to_bits());
-        for (la, lb) in planner.network().layers().iter().zip(reference.layers()) {
-            for (a, b) in la.weights().as_slice().iter().zip(lb.weights().as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits());
+            clone_behaviour(&data, limits(), FeatureScaling::left_turn(), cfg, "golden").unwrap();
+        let mut h = cv_rng::Fnv1a::new();
+        for layer in planner.network().layers() {
+            for w in layer.weights().as_slice() {
+                h.write_u64(w.to_bits());
             }
-            for (a, b) in la.bias().iter().zip(lb.bias()) {
-                assert_eq!(a.to_bits(), b.to_bits());
+            for b in layer.bias() {
+                h.write_u64(b.to_bits());
             }
         }
+        h.write_u64(loss.to_bits());
+        let got = h.finish();
+        assert_eq!(got, 0xb1cd_7deb_3dc1_e503, "digest {got:#018x}");
     }
 
     #[test]

@@ -280,14 +280,6 @@ impl Json {
         self.as_u64().and_then(|v| usize::try_from(v).ok())
     }
 
-    /// The value as a `bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as a string slice.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -122,11 +122,6 @@ impl EpisodeConfig {
         Ok(scenario)
     }
 
-    /// `C_1`'s initial state in its forward frame.
-    pub fn other_init(&self) -> VehicleState {
-        VehicleState::new(0.0, self.other_init_speed, 0.0)
-    }
-
     /// All conflicting vehicles: the primary `C_1` followed by
     /// [`EpisodeConfig::extra_others`], as
     /// `(start_shared, init_speed, driver)` tuples.
@@ -185,21 +180,6 @@ impl EpisodeConfig {
     /// Derived sub-seed for the sensor observing vehicle `i`.
     pub fn seed_sensor_for(&self, i: usize) -> u64 {
         split_seed(self.seed, 3 + 8 * i as u64)
-    }
-
-    /// Derived sub-seed for `C_1`'s random acceleration sequence.
-    pub fn seed_driving(&self) -> u64 {
-        split_seed(self.seed, 1)
-    }
-
-    /// Derived sub-seed for the communication channel.
-    pub fn seed_channel(&self) -> u64 {
-        split_seed(self.seed, 2)
-    }
-
-    /// Derived sub-seed for the sensor noise.
-    pub fn seed_sensor(&self) -> u64 {
-        split_seed(self.seed, 3)
     }
 
     /// The 20 initial positions of the paper's sweep,
@@ -357,15 +337,15 @@ mod tests {
     #[test]
     fn sub_seeds_are_distinct_and_deterministic() {
         let c = EpisodeConfig::paper_default(7);
-        assert_ne!(c.seed_driving(), c.seed_channel());
-        assert_ne!(c.seed_channel(), c.seed_sensor());
+        assert_ne!(c.seed_driving_for(0), c.seed_channel_for(0));
+        assert_ne!(c.seed_channel_for(0), c.seed_sensor_for(0));
         assert_eq!(
-            c.seed_driving(),
-            EpisodeConfig::paper_default(7).seed_driving()
+            c.seed_driving_for(0),
+            EpisodeConfig::paper_default(7).seed_driving_for(0)
         );
         assert_ne!(
-            c.seed_driving(),
-            EpisodeConfig::paper_default(8).seed_driving()
+            c.seed_driving_for(0),
+            EpisodeConfig::paper_default(8).seed_driving_for(0)
         );
     }
 

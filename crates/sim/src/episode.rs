@@ -296,14 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_sub_seeds_are_vehicle_zero() {
-        let cfg = EpisodeConfig::paper_default(77);
-        assert_eq!(cfg.seed_driving_for(0), cfg.seed_driving());
-        assert_eq!(cfg.seed_channel_for(0), cfg.seed_channel());
-        assert_eq!(cfg.seed_sensor_for(0), cfg.seed_sensor());
-    }
-
-    #[test]
     fn sensor_dropout_does_not_break_safety() {
         // Messages lost AND half the sensor frames dropped: the hard
         // intervals widen, the shield stays sound.

@@ -337,19 +337,16 @@ fn fill_estimates(
     );
 }
 
-/// Fills `out` with the per-vehicle passing-time windows, skipping frozen
-/// pins.
+/// Fills `out` with the per-vehicle passing-time windows.
 ///
-/// A pin is only armed once both the estimate interval's lower bound and
-/// its nominal position sit past the scenario exit (`crate::events`
-/// retirement probe), and `v_min > 0` keeps any forward projection there —
-/// so the pinned estimate's window is `None` on every later step, in both
-/// window kinds. Skipping the computation therefore yields exactly the set
-/// the live estimates produce; it just stops paying for windows that are
-/// known-`None`.
+/// Retired vehicles need no skip here: a pin is only armed once both the
+/// estimate interval's lower bound and its nominal position sit at or past
+/// the scenario exit (`crate::events` retirement probe), so every window of
+/// the pinned estimate is `None` (`LeftTurnScenario`'s window function
+/// returns `None` once the exit is behind), and the compound planner's
+/// monitor cannot escalate on it either.
 fn fill_windows(
     out: &mut Vec<Interval>,
-    frozen: &[Option<VehicleEstimate>],
     scenarios: &[LeftTurnScenario],
     ests: &[VehicleEstimate],
     window: WindowKind,
@@ -360,15 +357,9 @@ fn fill_windows(
         scenarios
             .iter()
             .zip(ests)
-            .enumerate()
-            .filter_map(|(i, (s, e))| {
-                if frozen[i].is_some() {
-                    return None;
-                }
-                match window {
-                    WindowKind::Conservative => s.conservative_window(time, e),
-                    WindowKind::Nominal => s.nominal_window(time, e),
-                }
+            .filter_map(|(s, e)| match window {
+                WindowKind::Conservative => s.conservative_window(time, e),
+                WindowKind::Nominal => s.nominal_window(time, e),
             }),
     );
 }
@@ -468,7 +459,6 @@ impl StackExec {
                 fill_estimates(&mut self.est_scratch, &self.frozen, estimators, time);
                 fill_windows(
                     &mut self.win_scratch,
-                    &self.frozen,
                     scenarios,
                     &self.est_scratch,
                     *window,

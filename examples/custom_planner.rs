@@ -38,9 +38,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut ego = cfg.ego_init;
     let mut other = VehicleState::new(0.0, cfg.other_init_speed, 0.0);
-    let mut channel = cfg.comm.channel(cfg.seed_channel());
-    let mut sensor = UniformNoiseSensor::new(cfg.noise, cfg.seed_sensor());
-    let mut rng = cv_rng::SplitMix64::seed_from_u64(cfg.seed_driving());
+    let mut channel = cfg.comm.channel(cfg.seed_channel_for(0));
+    let mut sensor = UniformNoiseSensor::new(cfg.noise, cfg.seed_sensor_for(0));
+    let mut rng = cv_rng::SplitMix64::seed_from_u64(cfg.seed_driving_for(0));
 
     let dt = cfg.dt_c;
     let mut collided = false;

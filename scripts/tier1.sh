@@ -55,16 +55,18 @@ timeout 300 cargo test -q --release --offline --test engine_golden --test event_
 
 # Alloc-guard: the counting-allocator proof that the NN hot paths
 # (predict_into, forward_batch_into, NnPlanner::plan, the warmed episode
-# loop and the lane-batched step loop) are allocation-free in the steady
-# state (DESIGN.md §13, §15). Runs in release
+# loop, Trainer::fit's mini-batches and the lane-batched step loop) are
+# allocation-free in the steady state (DESIGN.md §13, §15). Runs in release
 # mode as its own binary so its #[global_allocator] never leaks into the
 # workspace test run above.
 timeout 300 cargo test -q --release --offline --test alloc_guard
 
-# NN-kernel bit-identity smoke: the tiled/fused/in-place compute layer
-# against its retained naive baselines, in release mode (the optimiser
-# settings under which the equivalence actually has to hold).
-timeout 300 cargo test -q --release --offline -p cv-nn
+# NN bit-identity smoke, in release mode (the optimiser settings under
+# which the equivalences actually have to hold): cv-nn's tiled/fused kernels
+# against the naive kernels its tests keep under #[cfg(test)], and the
+# trainer against its golden digests — cv-nn's fixed `Trainer::fit` runs
+# and cv-planner's behaviour-cloning run, pinned across commits.
+timeout 300 cargo test -q --release --offline -p cv-nn -p cv-planner
 
 # Chaos smoke run: the seeded fault matrix through the cv-chaos proxy in
 # release mode (timings differ from the debug pass above), under a hard

@@ -3,9 +3,10 @@
 //! A `#[global_allocator]` wrapper (used only in this test binary) counts
 //! every heap allocation, so the assertions below are exact: `predict_into`
 //! and the planner's per-step `plan` call perform *zero* allocations in the
-//! steady state, and a warmed episode loop allocates only a small
-//! per-episode constant (the estimator boxes rebuilt by `StackSpec::reinit`)
-//! — never per step. See DESIGN.md §13.
+//! steady state, a warmed episode loop allocates only a small per-episode
+//! constant (the estimator boxes rebuilt by `StackSpec::reinit`) — never
+//! per step — and `Trainer::fit` allocates nothing per mini-batch once its
+//! scratch has grown. See DESIGN.md §13.
 //!
 //! Everything lives in one `#[test]` so the default parallel test harness
 //! cannot pollute the counter from another test's thread. The harness's own
@@ -19,7 +20,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use cv_dynamics::{VehicleLimits, VehicleState};
 use cv_estimation::Interval;
-use cv_nn::{Activation, BatchScratch, Matrix, Mlp, MlpScratch, LANE_WIDTH};
+use cv_nn::{
+    Activation, BatchScratch, Matrix, Mlp, MlpScratch, Optimizer, TrainConfig, Trainer, LANE_WIDTH,
+};
 use cv_planner::{FeatureScaling, NnPlanner};
 use cv_sim::{run_batch_lanes, BatchConfig, BatchMode, EpisodeConfig, EpisodeWorkspace, StackSpec};
 use safe_shield::{Observation, Planner};
@@ -150,6 +153,33 @@ fn nn_hot_paths_are_allocation_free() {
         }
     });
     assert_eq!(n, 0, "forward_batch_into allocated {n} times in 100 calls");
+
+    // --- Trainer::fit: no allocation per mini-batch. Every buffer of the
+    // training step (batch gather, forward caches, gradients, Adam moments)
+    // is set up or grown within the first mini-batches and reused after, so
+    // a run of 6 epochs must allocate exactly as often as a run of 2 — the
+    // 16 extra mini-batches add nothing. A batch of 24 leaves a ragged
+    // batch of 16 at the end of every epoch, so buffers shrink and regrow.
+    let x = Matrix::from_fn(64, 5, |r, c| ((r * 5 + c) as f64 * 0.37).sin());
+    let y = Matrix::from_fn(64, 1, |r, _| (r as f64 * 0.21).cos() * 0.5);
+    let fit = |epochs: usize| {
+        let cfg = TrainConfig {
+            epochs,
+            batch_size: 24,
+            seed: 5,
+        };
+        let trainer = Trainer::new(Optimizer::adam(0.01), cfg);
+        let mut net = case_study_net();
+        min_allocs(3, || {
+            trainer.fit(&mut net, &x, &y).unwrap();
+        })
+    };
+    let (short, long) = (fit(2), fit(6));
+    assert_eq!(
+        short, long,
+        "Trainer::fit allocated {short} times over 2 epochs but {long} over 6 \
+         — something allocates per mini-batch"
+    );
 
     // --- Lane-batched step loop: allocations scale per episode, not per
     // step. `run_batch_lanes` builds a fresh lane group per call (O(K)

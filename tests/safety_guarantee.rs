@@ -119,8 +119,8 @@ fn shield_contains_a_hostile_planner() {
         );
         let mut ego = cfg.ego_init;
         let mut other = VehicleState::new(0.0, cfg.other_init_speed, 0.0);
-        let mut sensor = UniformNoiseSensor::new(cfg.noise, cfg.seed_sensor());
-        let mut rng = cv_rng::SplitMix64::seed_from_u64(cfg.seed_driving());
+        let mut sensor = UniformNoiseSensor::new(cfg.noise, cfg.seed_sensor_for(0));
+        let mut rng = cv_rng::SplitMix64::seed_from_u64(cfg.seed_driving_for(0));
         for step in 0..(cfg.horizon / cfg.dt_c) as u64 {
             use cv_rng::Rng as _;
             let t = step as f64 * cfg.dt_c;

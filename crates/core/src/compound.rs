@@ -1,10 +1,54 @@
 use cv_dynamics::VehicleState;
 use cv_estimation::{Interval, VehicleEstimate};
 
-use crate::{
-    merge_windows_in_place, AggressiveConfig, MonitorVerdict, Observation, Planner, RuntimeMonitor,
-    Scenario, DEFAULT_MERGE_GAP,
-};
+use crate::{AggressiveConfig, MonitorVerdict, Observation, Planner, RuntimeMonitor, Scenario};
+
+/// Default window clustering gap (s): roughly the ego's zone-crossing time.
+pub const DEFAULT_MERGE_GAP: f64 = 2.0;
+
+/// Merges per-vehicle passing windows into the single window the (one-window)
+/// NN planner consumes: the hull of the *earliest cluster* of the windows in
+/// `active` (any order) whose gaps are smaller than `merge_gap` seconds.
+///
+/// Gaps shorter than the ego's crossing time are not usable, so clustering
+/// with a `merge_gap` of roughly the crossing time ([`DEFAULT_MERGE_GAP`])
+/// presents dense traffic as one blocked interval while still exposing
+/// genuinely usable gaps behind it. Soundness is unaffected — the runtime
+/// monitor always checks every window individually.
+///
+/// The buffer is sorted in place; hot loops keep it alive across calls
+/// (`clear()` + `extend(…)`) so the per-step merge performs no heap
+/// allocation in the steady state.
+///
+/// # Example
+///
+/// ```
+/// use cv_estimation::Interval;
+/// use safe_shield::merge_windows_in_place;
+///
+/// let mut windows = vec![
+///     Interval::new(12.0, 13.0), // 5.5 s gap: usable, kept separate
+///     Interval::new(4.0, 5.0),
+///     Interval::new(5.5, 6.5), // 0.5 s gap: unusable, merged
+/// ];
+/// let merged = merge_windows_in_place(&mut windows, 2.0).expect("has windows");
+/// assert_eq!(merged, Interval::new(4.0, 6.5));
+/// ```
+pub fn merge_windows_in_place(active: &mut [Interval], merge_gap: f64) -> Option<Interval> {
+    if active.is_empty() {
+        return None;
+    }
+    active.sort_by(|a, b| a.lo().partial_cmp(&b.lo()).expect("finite bounds"));
+    let mut merged = active[0];
+    for w in &active[1..] {
+        if w.lo() <= merged.hi() + merge_gap {
+            merged = merged.hull(w);
+        } else {
+            break; // the earliest cluster is complete
+        }
+    }
+    Some(merged)
+}
 
 /// Which planner produced the acceleration of a step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,32 +166,31 @@ impl<S: Scenario, P: Planner> CompoundPlanner<S, P> {
         &mut self.nn
     }
 
-    /// Resets the embedded planner for a fresh episode.
-    pub fn reset(&mut self) {
-        self.nn.reset();
+    /// The per-vehicle scenarios, in pair order.
+    pub fn scenarios(&self) -> &[S] {
+        &self.scenarios
     }
 
-    /// Re-arms the planner for a fresh episode with new per-vehicle
-    /// scenarios, reusing the internal buffers (and, crucially, the embedded
-    /// planner — an NN planner's weight matrices are *not* re-cloned).
+    /// Re-arms the planner for a fresh episode: as [`CompoundPlanner::new`]
+    /// over the scenarios `fill` writes into the emptied list, except that
+    /// the embedded planner is [`Planner::reset`] instead of re-cloned.
     ///
-    /// Equivalent to building a new planner with [`CompoundPlanner::new`]
-    /// over the same scenarios: the embedded planner is [`Planner::reset`].
+    /// # Errors
+    ///
+    /// Returns `fill`'s error; re-arm again before planning.
     ///
     /// # Panics
     ///
-    /// Panics if `scenarios` is empty.
-    pub fn reinit(&mut self, scenarios: &[S])
-    where
-        S: Clone,
-    {
+    /// Panics if `fill` leaves the list empty.
+    pub fn reinit<E>(&mut self, fill: impl FnOnce(&mut Vec<S>) -> Result<(), E>) -> Result<(), E> {
+        self.scenarios.clear();
+        fill(&mut self.scenarios)?;
         assert!(
-            !scenarios.is_empty(),
+            !self.scenarios.is_empty(),
             "need at least one conflicting vehicle"
         );
-        self.scenarios.clear();
-        self.scenarios.extend_from_slice(scenarios);
-        self.reset();
+        self.nn.reset();
+        Ok(())
     }
 
     /// Decision phase of one control step: runs the monitor/emergency logic
@@ -234,6 +277,78 @@ impl<S: Scenario, P: Planner> CompoundPlanner<S, P> {
 mod tests {
     use super::*;
     use std::cell::Cell;
+
+    /// Allocating oracle for [`merge_windows_in_place`]: collects the present
+    /// windows into a fresh buffer and merges them.
+    fn merge_windows(
+        windows: impl IntoIterator<Item = Option<Interval>>,
+        merge_gap: f64,
+    ) -> Option<Interval> {
+        let mut active: Vec<Interval> = windows.into_iter().flatten().collect();
+        merge_windows_in_place(&mut active, merge_gap)
+    }
+
+    #[test]
+    fn merge_keeps_disjoint_clusters_apart() {
+        let merged = merge_windows(
+            [
+                Some(Interval::new(10.0, 11.0)),
+                Some(Interval::new(2.0, 3.0)),
+            ],
+            2.0,
+        )
+        .unwrap();
+        assert_eq!(merged, Interval::new(2.0, 3.0));
+    }
+
+    #[test]
+    fn merge_fuses_chained_windows() {
+        let merged = merge_windows(
+            [
+                Some(Interval::new(2.0, 3.0)),
+                Some(Interval::new(4.0, 5.0)),
+                Some(Interval::new(6.5, 7.0)),
+            ],
+            2.0,
+        )
+        .unwrap();
+        // 2-3, 4-5 and 6.5-7 chain up (gaps 1.0 and 1.5 < 2.0).
+        assert_eq!(merged, Interval::new(2.0, 7.0));
+    }
+
+    #[test]
+    fn in_place_merge_matches_allocating_merge() {
+        let cases: [&[Option<Interval>]; 4] = [
+            &[],
+            &[None, None],
+            &[Some(Interval::new(4.0, 5.0)), Some(Interval::new(5.5, 6.5))],
+            &[
+                Some(Interval::new(10.0, 11.0)),
+                None,
+                Some(Interval::new(2.0, 3.0)),
+                Some(Interval::new(4.5, 5.0)),
+            ],
+        ];
+        let mut buf = Vec::new();
+        for windows in cases {
+            buf.clear();
+            buf.extend(windows.iter().copied().flatten());
+            assert_eq!(
+                merge_windows_in_place(&mut buf, 2.0),
+                merge_windows(windows.iter().copied(), 2.0),
+            );
+        }
+    }
+
+    #[test]
+    fn merge_handles_empty_and_none() {
+        assert_eq!(merge_windows([], 2.0), None);
+        assert_eq!(merge_windows([None, None], 2.0), None);
+        assert_eq!(
+            merge_windows([None, Some(Interval::new(1.0, 2.0))], 2.0),
+            Some(Interval::new(1.0, 2.0))
+        );
+    }
 
     /// Toy scenario: the conflict zone starts at `wall` while the window is
     /// open until t = 5; the boundary band is `[wall − 1, wall)`. The
@@ -350,12 +465,19 @@ mod tests {
     }
 
     #[test]
-    fn reset_resets_the_nn() {
+    fn reinit_resets_the_nn_and_refills_the_scenarios() {
         let mut cp = CompoundPlanner::basic(vec![wall(10.0)], Probe::default());
         cp.plan(0.0, &VehicleState::new(0.0, 1.0, 0.0), &[est()]);
         assert_eq!(cp.nn_mut().windows.len(), 1);
-        cp.reset();
+        let refill = |list: &mut Vec<Wall>| {
+            list.extend([wall(50.0), wall(10.0)]);
+            Ok::<_, ()>(())
+        };
+        cp.reinit(refill).unwrap();
         assert!(cp.nn_mut().windows.is_empty());
+        let walls: Vec<f64> = cp.scenarios().iter().map(|s| s.wall).collect();
+        assert_eq!(walls, [50.0, 10.0]);
+        assert_eq!(cp.reinit(|_| Err("bad geometry")), Err("bad geometry"));
     }
 
     #[test]

@@ -1,3 +1,5 @@
+use cv_estimation::Interval;
+
 /// Outcome of one simulated episode, evaluated on ground truth.
 ///
 /// Implements the evaluation function `η` of paper Section II-A:
@@ -74,6 +76,49 @@ impl std::fmt::Display for Outcome {
     }
 }
 
+/// Temporal slack of one ego/vehicle pair: how far the ego's projected
+/// zone-crossing interval stays clear of that vehicle's passing window, in
+/// seconds.
+///
+/// Positive when the two intervals are disjoint (the separation between
+/// them), negative when they overlap (minus the overlap duration — the
+/// amount of crossing time in conflict), and `+∞` when either interval is
+/// absent (no projected crossing, or the vehicle never occupies the zone):
+/// a pair that cannot meet has unbounded slack.
+pub fn pair_time_slack(ego_crossing: Option<Interval>, window: Option<Interval>) -> f64 {
+    match (ego_crossing, window) {
+        (Some(ego), Some(win)) => {
+            if ego.hi() < win.lo() {
+                win.lo() - ego.hi()
+            } else if win.hi() < ego.lo() {
+                ego.lo() - win.hi()
+            } else {
+                -(ego.hi().min(win.hi()) - ego.lo().max(win.lo()))
+            }
+        }
+        _ => f64::INFINITY,
+    }
+}
+
+/// Platoon-level temporal slack: the minimum [`pair_time_slack`] over every
+/// ego/vehicle pair, i.e. the slack of the *tightest* pair. `+∞` over an
+/// empty platoon.
+///
+/// Because this is a plain `min` fold over independently computed per-pair
+/// slacks, removing any vehicle can only keep the result or raise it —
+/// never lower it — which is the monotonicity property the platoon tests
+/// pin down.
+pub fn platoon_slack(pair_slacks: impl IntoIterator<Item = f64>) -> f64 {
+    pair_slacks.into_iter().fold(f64::INFINITY, f64::min)
+}
+
+/// Platoon-level safety score: the minimum per-pair `η` — a collision with
+/// *any* vehicle scores the episode as a collision, exactly as the paper's
+/// single-pair `η` does for its one conflicting vehicle.
+pub fn platoon_eta(pair_etas: impl IntoIterator<Item = f64>) -> f64 {
+    pair_etas.into_iter().fold(f64::INFINITY, f64::min)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,5 +146,47 @@ mod tests {
     #[should_panic]
     fn zero_reaching_time_panics() {
         let _ = Outcome::Reached { time: 0.0 }.eta();
+    }
+
+    #[test]
+    fn pair_slack_measures_separation_and_overlap() {
+        let ego = Some(Interval::new(4.0, 6.0));
+        // Ego crosses before the window opens: separation 2 s.
+        assert_eq!(pair_time_slack(ego, Some(Interval::new(8.0, 10.0))), 2.0);
+        // Window closes before the ego arrives: separation 1 s.
+        assert_eq!(pair_time_slack(ego, Some(Interval::new(1.0, 3.0))), 1.0);
+        // Overlap of 1 s → slack −1.
+        assert_eq!(pair_time_slack(ego, Some(Interval::new(5.0, 9.0))), -1.0);
+        // Window swallowed by the crossing: overlap is the window length.
+        assert_eq!(pair_time_slack(ego, Some(Interval::new(4.5, 5.5))), -1.0);
+        // A pair that cannot meet has unbounded slack.
+        assert_eq!(
+            pair_time_slack(None, Some(Interval::new(1.0, 2.0))),
+            f64::INFINITY
+        );
+        assert_eq!(pair_time_slack(ego, None), f64::INFINITY);
+    }
+
+    #[test]
+    fn platoon_slack_is_the_tightest_pair_and_is_drop_monotone() {
+        let slacks = [3.0, -0.5, f64::INFINITY, 1.25];
+        assert_eq!(platoon_slack(slacks), -0.5);
+        assert_eq!(platoon_slack([]), f64::INFINITY);
+        // Dropping any one pair never lowers the remaining minimum.
+        let full = platoon_slack(slacks);
+        for drop in 0..slacks.len() {
+            let subset = slacks
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| *i != drop)
+                .map(|(_, s)| *s);
+            assert!(platoon_slack(subset) >= full, "dropping pair {drop}");
+        }
+    }
+
+    #[test]
+    fn platoon_eta_is_the_worst_pair() {
+        assert_eq!(platoon_eta([0.0, -1.0, 0.125]), -1.0);
+        assert_eq!(platoon_eta([0.125, 0.125]), 0.125);
     }
 }

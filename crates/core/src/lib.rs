@@ -42,18 +42,17 @@ mod aggressive;
 mod compound;
 mod eval;
 mod monitor;
-mod multi;
 mod observation;
 mod planner;
 mod scenario;
 
 pub use aggressive::AggressiveConfig;
-pub use compound::{CompoundPlanner, PlanDecision, PlannerSource, PreparedPlan, WindowSource};
-pub use eval::Outcome;
-pub use monitor::{MonitorVerdict, RuntimeMonitor};
-pub use multi::{
-    merge_windows_in_place, pair_time_slack, platoon_eta, platoon_slack, DEFAULT_MERGE_GAP,
+pub use compound::{
+    merge_windows_in_place, CompoundPlanner, PlanDecision, PlannerSource, PreparedPlan,
+    WindowSource, DEFAULT_MERGE_GAP,
 };
+pub use eval::{pair_time_slack, platoon_eta, platoon_slack, Outcome};
+pub use monitor::{MonitorVerdict, RuntimeMonitor};
 pub use observation::Observation;
 pub use planner::Planner;
 pub use scenario::Scenario;

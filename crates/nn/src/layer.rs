@@ -74,11 +74,6 @@ impl Dense {
         &self.bias
     }
 
-    /// Number of trainable parameters.
-    pub fn num_params(&self) -> usize {
-        self.weights.rows() * self.weights.cols() + self.bias.len()
-    }
-
     /// Forward pass on a batch: the test suite's allocating oracle. Per
     /// output element, an ascending-`k` accumulation with zero-skip, then
     /// `+ b`, then `σ` — the chain the single-row kernel behind
@@ -195,11 +190,6 @@ mod tests {
             .forward(&Matrix::from_rows(&[&[3.0, -1.0]]).unwrap())
             .unwrap();
         assert!((y.get(0, 0) - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn num_params_counts_weights_and_bias() {
-        assert_eq!(layer().num_params(), 3 * 2 + 2);
     }
 
     /// Finite-difference gradient check of the backward pass on a single

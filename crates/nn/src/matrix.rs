@@ -99,7 +99,7 @@ impl Matrix {
 
     /// Xavier/Glorot-uniform initialisation for a `fan_in × fan_out` weight
     /// matrix, seeded for reproducibility.
-    pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut SplitMix64) -> Self {
+    pub(crate) fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut SplitMix64) -> Self {
         let bound = (6.0 / (fan_in + fan_out) as f64).sqrt();
         Self::from_fn(fan_in, fan_out, |_, _| rng.random_range(-bound..=bound))
     }
@@ -307,7 +307,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] if `self.rows != other.rows`.
-    pub fn tr_matmul_into(&self, other: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
+    pub(crate) fn tr_matmul_into(&self, other: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
         if self.rows != other.rows {
             return Err(NnError::ShapeMismatch {
                 context: format!(
@@ -355,7 +355,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] if `self.cols != other.cols`.
-    pub fn matmul_tr_into(
+    pub(crate) fn matmul_tr_into(
         &self,
         other: &Matrix,
         t_scratch: &mut Matrix,
@@ -379,7 +379,7 @@ impl Matrix {
     }
 
     /// Transpose into `out`, reusing its storage.
-    pub fn transpose_into(&self, out: &mut Matrix) {
+    pub(crate) fn transpose_into(&self, out: &mut Matrix) {
         out.reset_zeroed(self.cols, self.rows);
         for r in 0..self.rows {
             for c in 0..self.cols {
@@ -423,7 +423,7 @@ impl Matrix {
     }
 
     /// Sums each column into `out` (length `cols`), reusing its storage.
-    pub fn column_sums_into(&self, out: &mut Vec<f64>) {
+    pub(crate) fn column_sums_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.resize(self.cols, 0.0);
         if self.cols > 0 {
@@ -442,7 +442,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if any index is out of bounds.
-    pub fn select_rows_into(&self, indices: &[usize], out: &mut Matrix) {
+    pub(crate) fn select_rows_into(&self, indices: &[usize], out: &mut Matrix) {
         out.rows = indices.len();
         out.cols = self.cols;
         out.data.clear();

@@ -149,7 +149,7 @@ impl Mlp {
     ///
     /// Returns [`NnError::InvalidArchitecture`] if empty, or
     /// [`NnError::ShapeMismatch`] if consecutive layer dims disagree.
-    pub fn from_layers(layers: Vec<Dense>) -> Result<Self, NnError> {
+    pub(crate) fn from_layers(layers: Vec<Dense>) -> Result<Self, NnError> {
         if layers.is_empty() {
             return Err(NnError::InvalidArchitecture);
         }
@@ -185,11 +185,6 @@ impl Mlp {
     /// Mutable access for the trainer.
     pub(crate) fn layers_mut(&mut self) -> &mut [Dense] {
         &mut self.layers
-    }
-
-    /// Total number of trainable parameters.
-    pub fn num_params(&self) -> usize {
-        self.layers.iter().map(Dense::num_params).sum()
     }
 
     /// Batch forward pass: the test suite's allocating oracle (one matrix
@@ -489,12 +484,6 @@ mod tests {
             .predict_into(&[0.1, 0.2], &mut scratch, &mut short)
             .is_err());
         assert!(net.predict(&[0.1]).is_err());
-    }
-
-    #[test]
-    fn num_params_is_summed() {
-        let net = Mlp::new(&[5, 16, 1], Activation::Tanh, Activation::Identity, 0).unwrap();
-        assert_eq!(net.num_params(), 5 * 16 + 16 + 16 + 1);
     }
 
     /// The batched lane pass against per-lane `predict`: every lane's

@@ -6,6 +6,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
+use cv_comm::CommSetting;
 use cv_server::{Client, ClientError, Event, Request, Server, ServerConfig, StackSpecWire};
 use cv_sim::{run_batch, BatchConfig, BatchSummary, EpisodeConfig, StackSpec};
 
@@ -190,6 +191,42 @@ fn empty_start_grid_is_rejected_with_invalid_batch() {
         .submit_batch(&batch, StackSpecWire::TeacherConservative, |_| {})
         .unwrap();
     assert_eq!(summary.episodes, 4);
+    server.shutdown();
+}
+
+#[test]
+fn a_negative_delay_is_invalid_batch_and_does_not_quarantine_its_seeds() {
+    // A negative delay panics the channel constructor. Admitted, it would
+    // panic every episode and charge the panics to seeds 0-3 in the
+    // daemon's shared quarantine, so that with a budget of 1 the valid job
+    // below would come back all skipped.
+    let server = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        panic_budget: 1,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut batch = paper_batch(4, 0);
+    batch.template.comm = CommSetting::Delayed {
+        delay: -1.0,
+        drop_prob: 0.0,
+    };
+    match client.submit_batch(&batch, StackSpecWire::TeacherConservative, |_| {}) {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, "invalid_batch");
+            assert!(message.contains("comm.delay"), "{message}");
+        }
+        other => panic!("expected invalid_batch rejection, got {other:?}"),
+    }
+    let summary = client
+        .submit_batch(
+            &paper_batch(4, 0),
+            StackSpecWire::TeacherConservative,
+            |_| {},
+        )
+        .unwrap();
+    assert_eq!((summary.episodes, summary.skipped), (4, 0));
     server.shutdown();
 }
 

@@ -1,3 +1,5 @@
+use cv_comm::CommSetting;
+
 use crate::{BatchMode, EpisodeConfig, EpisodeResult, SimError, StackSpec};
 
 /// Configuration for a Monte-Carlo batch.
@@ -36,23 +38,63 @@ impl BatchConfig {
         }
     }
 
-    /// Checks that the batch can actually be run.
+    /// Checks that the batch can actually be run: the daemon's admission
+    /// check and the first step of [`crate::run_batch_with`], so a value
+    /// that would panic a worker is refused before any episode starts.
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidBatch`] when `episodes == 0` or `starts` is empty
-    /// (the latter used to surface as a modulo-by-zero panic inside
-    /// [`BatchConfig::episode`]).
+    /// [`SimError::InvalidBatch`], naming the field, when `episodes == 0`,
+    /// `starts` is empty (the latter used to surface as a modulo-by-zero
+    /// panic inside [`BatchConfig::episode`]), a channel's delay is
+    /// negative or not finite or its `drop_prob` lies outside `[0, 1]` (the
+    /// template's and every [`crate::ExtraVehicle`]'s), a sensor noise bound
+    /// is negative or not finite, or `sensor_dropout` lies outside
+    /// `[0, 1]`.
     pub fn validate(&self) -> Result<(), SimError> {
+        let invalid = |reason: String| Err(SimError::InvalidBatch { reason });
         if self.episodes == 0 {
-            return Err(SimError::InvalidBatch {
-                reason: "batch must contain at least one episode".into(),
-            });
+            return invalid("batch must contain at least one episode".into());
         }
         if self.starts.is_empty() {
-            return Err(SimError::InvalidBatch {
-                reason: "initial-position grid `starts` must not be empty".into(),
-            });
+            return invalid("initial-position grid `starts` must not be empty".into());
+        }
+        let t = &self.template;
+        let overrides = t.extra_others.iter().enumerate();
+        let comms = std::iter::once(("comm".to_string(), t.comm)).chain(
+            overrides.filter_map(|(i, e)| Some((format!("extra_others[{i}].comm"), e.comm?))),
+        );
+        for (field, comm) in comms {
+            if let CommSetting::Delayed { delay, drop_prob } = comm {
+                if !(delay >= 0.0 && delay.is_finite()) {
+                    return invalid(format!(
+                        "{field}.delay must be finite and >= 0, got {delay}"
+                    ));
+                }
+                if !(0.0..=1.0).contains(&drop_prob) {
+                    return invalid(format!(
+                        "{field}.drop_prob must be in [0, 1], got {drop_prob}"
+                    ));
+                }
+            }
+        }
+        let n = t.noise;
+        for (field, bound) in [
+            ("delta_p", n.delta_p),
+            ("delta_v", n.delta_v),
+            ("delta_a", n.delta_a),
+        ] {
+            if !(bound >= 0.0 && bound.is_finite()) {
+                return invalid(format!(
+                    "noise.{field} must be finite and >= 0, got {bound}"
+                ));
+            }
+        }
+        if !(0.0..=1.0).contains(&t.sensor_dropout) {
+            return invalid(format!(
+                "sensor_dropout must be in [0, 1], got {}",
+                t.sensor_dropout
+            ));
         }
         Ok(())
     }

@@ -4,7 +4,7 @@
 //! `Δt_m` and the sensing period `Δt_s` onto the control tick one way:
 //! `every = round(period / Δt_c)`, clamped to at least one tick, firing on
 //! step 0 and every `every` steps after. This type is the single source of
-//! truth for that rule, under both pair schedules.
+//! truth for that rule.
 
 /// A periodic cadence quantized to control ticks, as a countdown the
 /// stepper advances once per step: it fires on step 0 and every

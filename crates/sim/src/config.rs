@@ -142,8 +142,20 @@ impl EpisodeConfig {
     ///
     /// Returns a [`ScenarioError`] if any vehicle starts inside the zone.
     pub fn scenarios(&self) -> Result<Vec<LeftTurnScenario>, ScenarioError> {
+        let mut out = Vec::new();
+        self.scenarios_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// [`EpisodeConfig::scenarios`] written into `out` (cleared first),
+    /// reusing its capacity.
+    pub(crate) fn scenarios_into(
+        &self,
+        out: &mut Vec<LeftTurnScenario>,
+    ) -> Result<(), ScenarioError> {
         let primary = self.scenario()?;
-        let mut out = vec![primary];
+        out.clear();
+        out.push(primary);
         for extra in &self.extra_others {
             out.push(LeftTurnScenario::new(
                 primary.geometry(),
@@ -153,7 +165,7 @@ impl EpisodeConfig {
                 self.dt_c,
             )?);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// The effective V2V channel setting of conflicting vehicle `i`: the

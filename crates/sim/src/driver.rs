@@ -141,9 +141,8 @@ impl Driver {
     }
 }
 
-/// Advances every conflicting vehicle one control step — the single
-/// actuation site shared by the per-episode loop and the lane stepper, so
-/// the two stay in lockstep by construction.
+/// Advances every conflicting vehicle one control step — the stepper's one
+/// actuation site.
 ///
 /// Vehicles update in index order, and each gap-tracking follower sees its
 /// predecessor's *pre-step* snapshot (both frames sampled at `t`), so the
@@ -153,23 +152,21 @@ impl Driver {
 /// decreasing shared coordinates in its own forward frame). Non-platoon
 /// models ignore the snapshot and keep their historical RNG streams.
 pub(crate) fn actuate_others(
-    cfg: &crate::EpisodeConfig,
     limits: VehicleLimits,
-    drivers: &mut [Driver],
-    others: &mut [VehicleState],
+    pairs: &mut [crate::workspace::Pair],
     t: f64,
+    dt: f64,
 ) {
     let mut lead: Option<(f64, VehicleState)> = None;
-    for (i, other) in others.iter_mut().enumerate() {
-        let pre = *other;
-        let start = crate::workspace::vehicle(cfg, i).0;
+    for pair in pairs {
+        let pre = pair.truth;
         let info = lead.map(|(lead_start, lead_pre): (f64, VehicleState)| LeadInfo {
-            gap: (start - pre.position) - (lead_start - lead_pre.position),
+            gap: (pair.start - pre.position) - (lead_start - lead_pre.position),
             velocity: lead_pre.velocity,
         });
-        let a = drivers[i].accel_following(t, &pre, info, cfg.dt_c);
-        *other = limits.step(&pre, a, cfg.dt_c);
-        lead = Some((start, pre));
+        let a = pair.driver.accel_following(t, &pre, info, dt);
+        pair.truth = limits.step(&pre, a, dt);
+        lead = Some((pair.start, pre));
     }
 }
 

@@ -15,12 +15,13 @@
 //!   turning window — its true position is past the scenario exit by a
 //!   margin covering all sensor noise, no message is in flight, and its
 //!   *current estimate* already places it past the exit in both the
-//!   interval and nominal forms — the pair's estimate is frozen
-//!   ([`crate::stack`]'s frozen pins) and the pair does no further work.
-//!   Quiescent spans for that pair then cost O(1) total instead of
-//!   O(span/Δt_c). A retired pair stops producing measurements and
-//!   estimates, so retirement is off whenever traces are recorded; it is
-//!   also off for `v_min = 0`, where a vehicle could stop short of leaving.
+//!   interval and nominal forms — the estimate is pinned (the pair's
+//!   `pin`, [`crate::workspace`]) and the pair does no further work: a pair
+//!   is retired exactly when it holds a pin. Quiescent spans for that pair
+//!   then cost O(1) total instead of O(span/Δt_c). A retired pair stops
+//!   producing measurements and estimates, so retirement is off whenever
+//!   traces are recorded; it is also off for `v_min = 0`, where a vehicle
+//!   could stop short of leaving.
 //!
 //! # Tie-break ordering contract
 //!
@@ -46,53 +47,43 @@ use std::collections::VecDeque;
 
 use cv_comm::Message;
 
-/// Reusable wheel state held by [`crate::EpisodeWorkspace`], so the
-/// per-step loop stays allocation-free in the steady state (the queues and
-/// flags keep their capacity across episodes).
+/// One pair's scheduled arrivals `(tick, message)`, in send order. The
+/// queue keeps its capacity across episodes, so the per-step loop stays
+/// allocation-free in the steady state.
 #[derive(Default)]
-pub(crate) struct EventScratch {
-    /// Per pair, the scheduled arrivals `(tick, message)` in send order. A
-    /// pair with messages in flight must not retire: an arrival could
-    /// still move its estimate.
-    queues: Vec<VecDeque<(u64, Message)>>,
-    /// Per pair, whether it is permanently retired from event processing.
-    pub(crate) retired: Vec<bool>,
-    /// Arrivals scheduled since the last [`EventScratch::reset`].
+pub(crate) struct Arrivals {
+    queue: VecDeque<(u64, Message)>,
+    /// Arrivals scheduled since the last [`Arrivals::clear`].
     pub(crate) scheduled: u64,
 }
 
-impl EventScratch {
-    /// Re-arms the wheel for `n` pairs.
-    pub(crate) fn reset(&mut self, n: usize) {
-        self.queues.truncate(n);
-        self.queues.iter_mut().for_each(VecDeque::clear);
-        self.queues.resize_with(n, VecDeque::new);
-        self.retired.clear();
-        self.retired.resize(n, false);
+impl Arrivals {
+    /// Empties the queue for a fresh episode.
+    pub(crate) fn clear(&mut self) {
+        self.queue.clear();
         self.scheduled = 0;
     }
 
-    /// Schedules `msg` for `pair` at control tick `tick`.
-    pub(crate) fn schedule(&mut self, pair: usize, msg: Message, tick: u64) {
-        let queue = &mut self.queues[pair];
+    /// Schedules `msg` for control tick `tick`.
+    pub(crate) fn schedule(&mut self, msg: Message, tick: u64) {
         debug_assert!(
-            queue.back().is_none_or(|&(last, _)| last <= tick),
-            "pair {pair}: arrival tick {tick} scheduled after a later one"
+            self.queue.back().is_none_or(|&(last, _)| last <= tick),
+            "arrival tick {tick} scheduled after a later one"
         );
-        queue.push_back((tick, msg));
+        self.queue.push_back((tick, msg));
         self.scheduled += 1;
     }
 
-    /// Pops `pair`'s next arrival due at or before `tick`.
-    pub(crate) fn pop_due(&mut self, tick: u64, pair: usize) -> Option<Message> {
-        let queue = &mut self.queues[pair];
-        queue.front().filter(|&&(due, _)| due <= tick)?;
-        queue.pop_front().map(|(_, msg)| msg)
+    /// Pops the next arrival due at or before `tick`.
+    pub(crate) fn pop_due(&mut self, tick: u64) -> Option<Message> {
+        self.queue.front().filter(|&&(due, _)| due <= tick)?;
+        self.queue.pop_front().map(|(_, msg)| msg)
     }
 
-    /// Whether `pair` has messages in flight.
-    pub(crate) fn in_flight(&self, pair: usize) -> bool {
-        !self.queues[pair].is_empty()
+    /// Whether messages are in flight. A pair with messages in flight must
+    /// not retire: an arrival could still move its estimate.
+    pub(crate) fn in_flight(&self) -> bool {
+        !self.queue.is_empty()
     }
 }
 
@@ -180,8 +171,7 @@ mod tests {
             for dt_m in [0.1, 0.07, 0.05] {
                 let seed = 17;
                 let (mut drained, mut sent) = (comm.channel(seed), comm.channel(seed));
-                let mut wheel = EventScratch::default();
-                wheel.reset(1);
+                let mut wheel = Arrivals::default();
                 let (mut due, mut by_poll, mut by_wheel) = (Vec::new(), Vec::new(), Vec::new());
                 let mut cadence = Cadence::new(dt_m, dt_c);
                 for step in 0..=steps {
@@ -192,14 +182,14 @@ mod tests {
                         if let Some(at) = sent.send_scheduled(m, t) {
                             let tick = arrival_tick(at, step, dt_c);
                             if tick <= steps {
-                                wheel.schedule(0, m, tick);
+                                wheel.schedule(m, tick);
                             }
                         }
                     }
                     due.clear();
                     drained.receive_into(t, &mut due);
                     by_poll.extend(due.iter().map(|m| (step, m.stamp.to_bits())));
-                    while let Some(m) = wheel.pop_due(step, 0) {
+                    while let Some(m) = wheel.pop_due(step) {
                         by_wheel.push((step, m.stamp.to_bits()));
                     }
                     cadence.advance();
@@ -230,8 +220,8 @@ mod tests {
                 unreachable!("an inline episode without an interrupt finishes");
             };
             results.push(result);
-            scheduled += ws.events.scheduled;
-            retired += ws.events.retired.iter().filter(|&&r| r).count();
+            scheduled += ws.pairs.iter().map(|p| p.arrivals.scheduled).sum::<u64>();
+            retired += ws.pairs.iter().filter(|p| p.pin.is_some()).count();
         }
         (results, scheduled, retired)
     }

@@ -1,4 +1,4 @@
-use cv_dynamics::VehicleState;
+use cv_dynamics::{VehicleLimits, VehicleState};
 use cv_estimation::{
     Estimator, FilterMode, InformationFilter, Interval, NaiveEstimator, Prior, VehicleEstimate,
 };
@@ -9,6 +9,7 @@ use safe_shield::{
     PlannerSource, Scenario, WindowSource, DEFAULT_MERGE_GAP,
 };
 
+use crate::workspace::Pair;
 use crate::EpisodeConfig;
 
 /// Which passing-time window an *unshielded* planner is fed.
@@ -176,165 +177,83 @@ impl StackSpec {
         }
     }
 
-    /// Builds the per-episode executor (estimator + planner pipeline), one
-    /// estimator per conflicting vehicle.
+    /// The estimator a pair of this stack starts each episode with, for a
+    /// vehicle with `limits` starting exactly at `init`: the naive
+    /// estimator for an unshielded stack, the information filter in the
+    /// stack's [`FilterMode`] for a compound one.
+    pub(crate) fn estimator(
+        &self,
+        cfg: &EpisodeConfig,
+        limits: VehicleLimits,
+        init: VehicleState,
+    ) -> Box<dyn Estimator + Send> {
+        match self {
+            StackSpec::Compound { filter_mode, .. } => Box::new(InformationFilter::new(
+                limits,
+                cfg.noise,
+                *filter_mode,
+                Prior::exact(0.0, init.position, init.velocity),
+            )),
+            _ => Box::new(NaiveEstimator::new(limits, 0.0, init)),
+        }
+    }
+
+    /// Builds the executor (the planner pipeline) for `cfg`'s geometry.
     ///
     /// The planner is cloned here — once. Reuse the executor across episodes
-    /// with [`StackSpec::reinit`] to avoid re-cloning NN weight matrices per
+    /// with [`StackExec::reinit`] to avoid re-cloning NN weight matrices per
     /// episode.
-    pub(crate) fn build(&self, cfg: &EpisodeConfig, scenarios: &[LeftTurnScenario]) -> StackExec {
-        let inits: Vec<VehicleState> = cfg
-            .vehicles()
-            .iter()
-            .map(|(_, speed, _)| VehicleState::new(0.0, *speed, 0.0))
-            .collect();
+    pub(crate) fn build(&self, cfg: &EpisodeConfig) -> Result<StackExec, ScenarioError> {
+        let scenarios = cfg.scenarios()?;
+        let pure = |planner: Box<dyn Planner + Send>, window: &WindowKind, is_nn, scenarios| {
+            ExecKind::Pure {
+                planner,
+                window: *window,
+                scenarios,
+                is_nn,
+            }
+        };
         let kind = match self {
-            StackSpec::PureNn { planner, window } => ExecKind::Pure {
-                planner: Box::new(planner.clone()),
-                estimators: Vec::new(),
-                window: *window,
-                scenarios: scenarios.to_vec(),
-                is_nn: true,
-            },
-            StackSpec::PureTeacher { policy, window } => ExecKind::Pure {
-                planner: Box::new(*policy),
-                estimators: Vec::new(),
-                window: *window,
-                scenarios: scenarios.to_vec(),
-                is_nn: false,
-            },
+            StackSpec::PureNn { planner, window } => {
+                pure(Box::new(planner.clone()), window, true, scenarios)
+            }
+            StackSpec::PureTeacher { policy, window } => {
+                pure(Box::new(*policy), window, false, scenarios)
+            }
             // The injected panic lives in the episode loop, not the
             // executor: the executor is the plain teacher.
             #[cfg(feature = "fault-injection")]
-            StackSpec::PanicInjection { policy, window, .. } => ExecKind::Pure {
-                planner: Box::new(*policy),
-                estimators: Vec::new(),
-                window: *window,
-                scenarios: scenarios.to_vec(),
-                is_nn: false,
-            },
+            StackSpec::PanicInjection { policy, window, .. } => {
+                pure(Box::new(*policy), window, false, scenarios)
+            }
             StackSpec::Compound {
                 planner,
                 window_source,
                 ..
-            } => ExecKind::Compound {
-                compound: CompoundPlanner::new(
-                    scenarios.to_vec(),
-                    Box::new(planner.clone()) as Box<dyn Planner + Send>,
-                    *window_source,
-                ),
-                estimators: Vec::new(),
-            },
+            } => ExecKind::Compound(CompoundPlanner::new(
+                scenarios,
+                Box::new(planner.clone()) as Box<dyn Planner + Send>,
+                *window_source,
+            )),
         };
-        let mut exec = StackExec {
+        Ok(StackExec {
             kind,
-            est_scratch: Vec::with_capacity(inits.len()),
-            win_scratch: Vec::with_capacity(inits.len()),
-            frozen: Vec::new(),
-        };
-        self.reinit(&mut exec, cfg, scenarios, &inits);
-        exec
-    }
-
-    /// Re-arms an executor previously built from **this same spec** for a
-    /// fresh episode: estimators are rebuilt from the episode's initial
-    /// states, the planner is reset in place (NN weights are *not*
-    /// re-cloned), and the compound planner's scenario list is refreshed.
-    ///
-    /// Equivalent to [`StackSpec::build`] over the same inputs.
-    pub(crate) fn reinit(
-        &self,
-        exec: &mut StackExec,
-        cfg: &EpisodeConfig,
-        scenarios: &[LeftTurnScenario],
-        inits: &[VehicleState],
-    ) {
-        // Normalise the fault-injection wrapper to the teacher it embeds so
-        // the shape match below stays exhaustive over real stacks.
-        #[cfg(feature = "fault-injection")]
-        if let StackSpec::PanicInjection { policy, window, .. } = self {
-            let teacher = StackSpec::PureTeacher {
-                policy: *policy,
-                window: *window,
-            };
-            return teacher.reinit(exec, cfg, scenarios, inits);
-        }
-        // Every slot starts live; the stepper pins retired vehicles.
-        exec.frozen.clear();
-        exec.frozen.resize(inits.len(), None);
-        let other_limits = scenarios[0].other_limits();
-        match (&mut exec.kind, self) {
-            (
-                ExecKind::Pure {
-                    planner,
-                    estimators,
-                    scenarios: exec_scenarios,
-                    ..
-                },
-                StackSpec::PureNn { .. } | StackSpec::PureTeacher { .. },
-            ) => {
-                planner.reset();
-                estimators.clear();
-                estimators.extend(inits.iter().map(|init| {
-                    Box::new(NaiveEstimator::new(other_limits, 0.0, *init))
-                        as Box<dyn Estimator + Send>
-                }));
-                exec_scenarios.clear();
-                exec_scenarios.extend_from_slice(scenarios);
-            }
-            (
-                ExecKind::Compound {
-                    compound,
-                    estimators,
-                },
-                StackSpec::Compound { filter_mode, .. },
-            ) => {
-                compound.reinit(scenarios);
-                estimators.clear();
-                estimators.extend(inits.iter().map(|init| {
-                    Box::new(InformationFilter::new(
-                        other_limits,
-                        cfg.noise,
-                        *filter_mode,
-                        Prior::exact(0.0, init.position, init.velocity),
-                    )) as Box<dyn Estimator + Send>
-                }));
-            }
-            _ => unreachable!("executor was built from a different StackSpec shape"),
-        }
+            est_scratch: Vec::new(),
+            win_scratch: Vec::new(),
+        })
     }
 }
 
-/// Per-episode executor: owns the estimators and the planner pipeline, plus
-/// per-step scratch buffers so [`StackExec::plan`] performs no heap
-/// allocation in the steady state.
+/// The planner side of a running stack, plus per-step scratch buffers so
+/// [`StackExec::plan_prepare`] performs no heap allocation in the steady
+/// state. The per-vehicle side (estimators, retirement pins) lives in the
+/// workspace's [`Pair`]s.
 pub(crate) struct StackExec {
     kind: ExecKind,
     /// One estimate per conflicting vehicle, refilled each step.
     est_scratch: Vec<VehicleEstimate>,
     /// Window cluster buffer for the unshielded merge, refilled each step.
     win_scratch: Vec<Interval>,
-    /// Retirement pins, one slot per conflicting vehicle: a `Some(est)`
-    /// here overrides estimator `i`'s live estimate with a snapshot taken
-    /// when the stepper retired its vehicle (see `crate::events`).
-    frozen: Vec<Option<VehicleEstimate>>,
-}
-
-/// Fills `out` with one estimate per vehicle: a retired vehicle's pinned
-/// snapshot, else its estimator's live estimate.
-fn fill_estimates(
-    out: &mut Vec<VehicleEstimate>,
-    frozen: &[Option<VehicleEstimate>],
-    estimators: &[Box<dyn Estimator + Send>],
-    time: f64,
-) {
-    out.clear();
-    out.extend(
-        estimators
-            .iter()
-            .zip(frozen)
-            .map(|(e, f)| f.unwrap_or_else(|| e.estimate(time))),
-    );
 }
 
 /// Fills `out` with the per-vehicle passing-time windows.
@@ -367,17 +286,13 @@ fn fill_windows(
 enum ExecKind {
     Pure {
         planner: Box<dyn Planner + Send>,
-        estimators: Vec<Box<dyn Estimator + Send>>,
         window: WindowKind,
         scenarios: Vec<LeftTurnScenario>,
         /// Whether `planner` is an NN whose evaluation can be deferred to a
         /// batched kernel ([`StackExec::plan_prepare`]).
         is_nn: bool,
     },
-    Compound {
-        compound: CompoundPlanner<LeftTurnScenario, Box<dyn Planner + Send>>,
-        estimators: Vec<Box<dyn Estimator + Send>>,
-    },
+    Compound(CompoundPlanner<LeftTurnScenario, Box<dyn Planner + Send>>),
 }
 
 /// Decision phase of one control step with the NN evaluation left open.
@@ -394,35 +309,27 @@ pub(crate) enum StepPlan {
 }
 
 impl StackExec {
-    /// Pins vehicle `i`'s estimate to `est` for the rest of the episode.
-    pub(crate) fn set_frozen(&mut self, i: usize, est: VehicleEstimate) {
-        self.frozen[i] = Some(est);
-    }
-
-    /// The estimator tracking conflicting vehicle `i`.
-    pub(crate) fn estimator_mut(&mut self, i: usize) -> &mut (dyn Estimator + Send) {
+    /// Re-arms the executor for `cfg`'s episode: the planner is reset in
+    /// place (NN weights are *not* re-cloned) and the scenario list is
+    /// rebuilt in place. Equivalent to [`StackSpec::build`] over `cfg`.
+    pub(crate) fn reinit(&mut self, cfg: &EpisodeConfig) -> Result<(), ScenarioError> {
         match &mut self.kind {
-            ExecKind::Pure { estimators, .. } => estimators[i].as_mut(),
-            ExecKind::Compound { estimators, .. } => estimators[i].as_mut(),
+            ExecKind::Pure {
+                planner, scenarios, ..
+            } => {
+                planner.reset();
+                cfg.scenarios_into(scenarios)
+            }
+            ExecKind::Compound(compound) => compound.reinit(|list| cfg.scenarios_into(list)),
         }
     }
 
-    /// Plans one step with the NN answered inline; returns the decision and
-    /// the primary vehicle's estimate.
-    #[cfg(test)]
-    pub(crate) fn plan(
-        &mut self,
-        time: f64,
-        ego: &VehicleState,
-    ) -> (PlanDecision, VehicleEstimate) {
-        let decision = match self.plan_prepare(time, ego) {
-            StepPlan::Ready(decision) => decision,
-            StepPlan::Nn { obs } => PlanDecision {
-                accel: self.answer(&obs),
-                source: PlannerSource::NeuralNetwork,
-            },
-        };
-        (decision, self.primary_estimate())
+    /// One scenario per conflicting vehicle, in pair order.
+    pub(crate) fn scenarios(&self) -> &[LeftTurnScenario] {
+        match &self.kind {
+            ExecKind::Pure { scenarios, .. } => scenarios,
+            ExecKind::Compound(compound) => compound.scenarios(),
+        }
     }
 
     /// Answers a [`StepPlan::Nn`] step with the executor's own planner: the
@@ -430,7 +337,7 @@ impl StackExec {
     pub(crate) fn answer(&mut self, obs: &Observation) -> f64 {
         match &mut self.kind {
             ExecKind::Pure { planner, .. } => planner.plan(obs),
-            ExecKind::Compound { compound, .. } => compound.nn_mut().plan(obs),
+            ExecKind::Compound(compound) => compound.nn_mut().plan(obs),
         }
     }
 
@@ -440,23 +347,33 @@ impl StackExec {
         self.est_scratch[0]
     }
 
-    /// Decision phase of one step with the NN evaluation left open: runs
-    /// estimation, window fusion, and (for a compound stack) the monitor /
-    /// emergency logic, then either returns the finished decision or the
-    /// observation the NN must be evaluated on — by [`StackExec::answer`]
-    /// inline, or by a batched forward over many episodes. Both build the
-    /// observation with the same fusion code, and (for compound stacks)
-    /// [`CompoundPlanner::plan`] is itself prepare + inline answer.
-    pub(crate) fn plan_prepare(&mut self, time: f64, ego: &VehicleState) -> StepPlan {
+    /// Decision phase of one step with the NN evaluation left open: reads
+    /// each pair's estimate, runs window fusion and (for a compound stack)
+    /// the monitor / emergency logic, then either returns the finished
+    /// decision or the observation the NN must be evaluated on — by
+    /// [`StackExec::answer`] inline, or by a batched forward over many
+    /// episodes. Both build the observation with the same fusion code, and
+    /// (for compound stacks) [`CompoundPlanner::plan`] is itself prepare +
+    /// inline answer.
+    pub(crate) fn plan_prepare(
+        &mut self,
+        time: f64,
+        ego: &VehicleState,
+        pairs: &[Pair],
+    ) -> StepPlan {
+        self.est_scratch.clear();
+        self.est_scratch.extend(
+            pairs
+                .iter()
+                .map(|pair| pair.pin.unwrap_or_else(|| pair.estimator.estimate(time))),
+        );
         match &mut self.kind {
             ExecKind::Pure {
                 planner,
-                estimators,
                 window,
                 scenarios,
                 is_nn,
             } => {
-                fill_estimates(&mut self.est_scratch, &self.frozen, estimators, time);
                 fill_windows(
                     &mut self.win_scratch,
                     scenarios,
@@ -475,11 +392,7 @@ impl StackExec {
                     })
                 }
             }
-            ExecKind::Compound {
-                compound,
-                estimators,
-            } => {
-                fill_estimates(&mut self.est_scratch, &self.frozen, estimators, time);
+            ExecKind::Compound(compound) => {
                 match compound.plan_prepare(time, ego, &self.est_scratch) {
                     safe_shield::PreparedPlan::Decided(decision) => StepPlan::Ready(decision),
                     safe_shield::PreparedPlan::Nominal { obs } => StepPlan::Nn { obs },
@@ -492,6 +405,28 @@ impl StackExec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stepper::NnAnswer;
+    use crate::EpisodeWorkspace;
+    use cv_nn::{Activation, Mlp};
+    use cv_planner::FeatureScaling;
+
+    /// Plans one step of `ws`'s armed episode with the NN answered inline;
+    /// returns the decision and the primary vehicle's estimate.
+    fn plan(
+        ws: &mut EpisodeWorkspace,
+        t: f64,
+        ego: &VehicleState,
+    ) -> (PlanDecision, VehicleEstimate) {
+        let exec = ws.exec.as_mut().expect("armed by start()");
+        let decision = match exec.plan_prepare(t, ego, &ws.pairs) {
+            StepPlan::Ready(decision) => decision,
+            StepPlan::Nn { obs } => PlanDecision {
+                accel: exec.answer(&obs),
+                source: PlannerSource::NeuralNetwork,
+            },
+        };
+        (decision, exec.primary_estimate())
+    }
 
     #[test]
     fn labels_match_tables() {
@@ -505,16 +440,26 @@ mod tests {
         let cfg = EpisodeConfig::paper_default(0);
         let scenarios = cfg.scenarios().unwrap();
         let teacher = TeacherPolicy::conservative(&scenarios[0]);
+        let net = Mlp::new(&[5, 8, 1], Activation::Tanh, Activation::Tanh, 7).unwrap();
+        let nn = NnPlanner::new(
+            net,
+            scenarios[0].ego_limits(),
+            FeatureScaling::left_turn(),
+            "untrained",
+        );
         let specs = [
             StackSpec::PureTeacher {
                 policy: teacher,
                 window: WindowKind::Conservative,
             },
             StackSpec::pure_teacher_aggressive(&cfg).unwrap(),
+            StackSpec::basic(nn.clone()),
+            StackSpec::ultimate(nn, AggressiveConfig::default()),
         ];
         for spec in specs {
-            let mut exec = spec.build(&cfg, &scenarios);
-            let (decision, est) = exec.plan(0.0, &cfg.ego_init);
+            let mut ws = EpisodeWorkspace::new(spec);
+            ws.start(&cfg, NnAnswer::Inline, false).unwrap();
+            let (decision, est) = plan(&mut ws, 0.0, &cfg.ego_init);
             assert!(decision.accel.is_finite());
             assert!(est.position.contains(0.0)); // C1 starts at forward 0
         }
@@ -522,29 +467,24 @@ mod tests {
 
     #[test]
     fn reinit_matches_a_fresh_build() {
-        // Run an episode's worth of planning on a reused executor, then
-        // compare a freshly built one against a reinitialised one.
+        // Run an episode's worth of planning on a reused workspace, then
+        // compare a freshly built one against a re-armed one.
         let cfg = EpisodeConfig::paper_default(3);
-        let scenarios = cfg.scenarios().unwrap();
         let spec = StackSpec::pure_teacher_conservative(&cfg).unwrap();
-        let inits: Vec<VehicleState> = cfg
-            .vehicles()
-            .iter()
-            .map(|(_, speed, _)| VehicleState::new(0.0, *speed, 0.0))
-            .collect();
-
-        let mut reused = spec.build(&cfg, &scenarios);
+        let mut reused = EpisodeWorkspace::new(spec.clone());
+        reused.start(&cfg, NnAnswer::Inline, false).unwrap();
         for k in 0..40 {
             let t = k as f64 * cfg.dt_c;
-            let _ = reused.plan(t, &cfg.ego_init);
+            let _ = plan(&mut reused, t, &cfg.ego_init);
         }
-        spec.reinit(&mut reused, &cfg, &scenarios, &inits);
+        reused.start(&cfg, NnAnswer::Inline, false).unwrap();
 
-        let mut fresh = spec.build(&cfg, &scenarios);
+        let mut fresh = EpisodeWorkspace::new(spec);
+        fresh.start(&cfg, NnAnswer::Inline, false).unwrap();
         for k in 0..10 {
             let t = k as f64 * cfg.dt_c;
-            let (a, ea) = fresh.plan(t, &cfg.ego_init);
-            let (b, eb) = reused.plan(t, &cfg.ego_init);
+            let (a, ea) = plan(&mut fresh, t, &cfg.ego_init);
+            let (b, eb) = plan(&mut reused, t, &cfg.ego_init);
             assert_eq!(a.accel.to_bits(), b.accel.to_bits(), "step {k}");
             assert_eq!(a.source, b.source, "step {k}");
             assert_eq!(ea, eb, "step {k}");

@@ -23,7 +23,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use cv_comm::Message;
-use cv_dynamics::{Trajectory, VehicleLimits, VehicleState};
+use cv_dynamics::{Trajectory, VehicleState};
 use cv_estimation::VehicleEstimate;
 use left_turn::LeftTurnScenario;
 use safe_shield::{Observation, Outcome, PlanDecision, PlannerSource, Scenario};
@@ -31,6 +31,7 @@ use safe_shield::{Observation, Outcome, PlanDecision, PlannerSource, Scenario};
 use crate::cadence::Cadence;
 use crate::events::arrival_tick;
 use crate::stack::StepPlan;
+use crate::workspace::Pair;
 use crate::{
     DecisionTrace, EpisodeConfig, EpisodeResult, EpisodeTraces, EpisodeWorkspace, SimError,
     WindowTrace,
@@ -58,10 +59,10 @@ pub(crate) enum StepAdvance {
 
 /// Per-episode state of the stepper, armed by [`EpisodeWorkspace::start`].
 pub(crate) struct Run {
-    slot: usize,
+    /// The primary pair's scenario: the ego's target and limits, and the
+    /// conflicting vehicles' limits.
+    primary: LeftTurnScenario,
     ego: VehicleState,
-    ego_limits: VehicleLimits,
-    other_limits: VehicleLimits,
     msg: Cadence,
     sense: Cadence,
     steps: u64,
@@ -78,7 +79,7 @@ pub(crate) struct Run {
     /// exit by the full sensor-noise band (plus slack), every measurement
     /// and message also lands past the exit, so the live estimate a
     /// non-retired pair keeps refining stays exit-side forever — which is
-    /// what makes the frozen pin bit-invisible.
+    /// what makes the pin bit-invisible.
     truth_margin: f64,
     /// Number of pairs not yet retired.
     active: usize,
@@ -88,8 +89,9 @@ pub(crate) struct Run {
 }
 
 impl EpisodeWorkspace {
-    /// Arms the stepper for one episode — scenario lookup, vehicle and
-    /// channel re-arm, executor reinit — without running any step.
+    /// Arms the stepper for one episode — executor re-arm (its scenario
+    /// list rebuilt in place), then one pair per conflicting vehicle —
+    /// without running any step.
     ///
     /// # Errors
     ///
@@ -108,34 +110,20 @@ impl EpisodeWorkspace {
                 cfg.seed
             );
         }
-        let slot = self.scenario_slot(cfg)?;
-        let ego_limits = self.cached_scenarios(slot)[0].ego_limits();
-        let other_limits = self.cached_scenarios(slot)[0].other_limits();
-        self.arm_vehicles(cfg, other_limits);
-
-        let EpisodeWorkspace {
-            spec,
-            exec,
-            scenario_cache,
-            others,
-            events,
-            run,
-            ..
-        } = self;
-        let scenarios = scenario_cache[slot].1.as_slice();
         // Re-arm the retained executor: the planner (for an NN stack, its
         // weight matrices) is NOT re-cloned.
-        match exec {
-            Some(e) => spec.reinit(e, cfg, scenarios, others),
-            None => *exec = Some(spec.build(cfg, scenarios)),
-        }
-        let n = others.len();
-        events.reset(n);
-        *run = Some(Run {
-            slot,
+        let primary = match &mut self.exec {
+            Some(exec) => {
+                exec.reinit(cfg)?;
+                exec.scenarios()[0]
+            }
+            None => self.exec.insert(self.spec.build(cfg)?).scenarios()[0],
+        };
+        self.arm_pairs(cfg, primary.other_limits());
+        let n = self.pairs.len();
+        self.run = Some(Run {
+            primary,
             ego: cfg.ego_init,
-            ego_limits,
-            other_limits,
             msg: Cadence::new(cfg.dt_m, cfg.dt_c),
             sense: Cadence::new(cfg.dt_s, cfg.dt_c),
             steps: (cfg.horizon / cfg.dt_c).ceil() as u64,
@@ -143,7 +131,7 @@ impl EpisodeWorkspace {
             emergency_steps: 0,
             total_steps: 0,
             answer,
-            retire: !record_traces && other_limits.v_min() > 0.0,
+            retire: !record_traces && primary.other_limits().v_min() > 0.0,
             truth_margin: 2.0 * cfg.noise.delta_p + 0.5,
             active: n,
             parked: false,
@@ -175,18 +163,12 @@ impl EpisodeWorkspace {
     ) -> StepAdvance {
         let EpisodeWorkspace {
             exec,
-            scenario_cache,
-            channels,
-            sensors,
-            drivers,
-            others,
-            events,
+            pairs,
             run: armed,
             ..
         } = self;
         let run = armed.as_mut().expect("advance() before start()");
         let exec = exec.as_mut().expect("executor armed by start()");
-        let scenarios = scenario_cache[run.slot].1.as_slice();
         assert_eq!(
             run.parked,
             resume.is_some(),
@@ -211,54 +193,54 @@ impl EpisodeWorkspace {
                     if run.active > 0 {
                         let msg_now = run.msg.due();
                         let sense_now = run.sense.due();
+                        let scenarios = exec.scenarios();
                         // V2V broadcast and delivery, then sensing — per
-                        // vehicle, in index order.
-                        for (i, other) in others.iter().enumerate() {
-                            if events.retired[i] {
+                        // pair, in index order.
+                        for (i, (pair, scenario)) in pairs.iter_mut().zip(scenarios).enumerate() {
+                            if pair.pin.is_some() {
                                 continue;
                             }
                             if msg_now {
-                                let m = Message::from_state(1 + i, t, other);
-                                if let Some(at) = channels[i].chan.send_scheduled(m, t) {
+                                let m = Message::from_state(1 + i, t, &pair.truth);
+                                if let Some(at) = pair.channel.send_scheduled(m, t) {
                                     // An arrival past the horizon is never
                                     // delivered.
                                     let tick = arrival_tick(at, run.step, cfg.dt_c);
                                     if tick <= run.steps {
-                                        events.schedule(i, m, tick);
+                                        pair.arrivals.schedule(m, tick);
                                     }
                                 }
                             }
-                            while let Some(m) = events.pop_due(run.step, i) {
-                                exec.estimator_mut(i).on_message(&m);
+                            while let Some(m) = pair.arrivals.pop_due(run.step) {
+                                pair.estimator.on_message(&m);
                             }
                             if sense_now {
                                 // Dropout-free sensors keep the historical
                                 // RNG stream.
                                 let maybe = if cfg.sensor_dropout > 0.0 {
-                                    sensors[i].try_measure(1 + i, t, other)
+                                    pair.sensor.try_measure(1 + i, t, &pair.truth)
                                 } else {
-                                    Some(sensors[i].measure(1 + i, t, other))
+                                    Some(pair.sensor.measure(1 + i, t, &pair.truth))
                                 };
                                 if let Some(m) = maybe {
                                     if let Some(tr) = run.traces.as_mut() {
                                         tr.measurements.push(m);
                                     }
-                                    exec.estimator_mut(i).on_measurement(&m);
+                                    pair.estimator.on_measurement(&m);
                                 }
                             }
                             // Retirement probe (crate::events): truth past
                             // the exit beyond the noise band, nothing in
                             // flight, and the live estimate already
                             // exit-side in both forms.
-                            let exit = scenarios[i].other_exit();
+                            let exit = scenario.other_exit();
                             if run.retire
-                                && !events.in_flight(i)
-                                && other.position >= exit + run.truth_margin
+                                && !pair.arrivals.in_flight()
+                                && pair.truth.position >= exit + run.truth_margin
                             {
-                                let est = exec.estimator_mut(i).estimate(t);
+                                let est = pair.estimator.estimate(t);
                                 if est.position.lo() >= exit && est.nominal.position >= exit {
-                                    exec.set_frozen(i, est);
-                                    events.retired[i] = true;
+                                    pair.pin = Some(est);
                                     run.active -= 1;
                                 }
                             }
@@ -268,19 +250,19 @@ impl EpisodeWorkspace {
                         // retired pair sits past the exit with `v_min > 0`,
                         // so it can never collide again: skipping it finds
                         // the same first hit as a full scan.
-                        if let Some(hit) = (0..others.len()).find(|&i| {
-                            !events.retired[i] && scenarios[i].collision(&run.ego, &others[i])
+                        if let Some(hit) = pairs.iter().zip(scenarios).position(|(pair, s)| {
+                            pair.pin.is_none() && s.collision(&run.ego, &pair.truth)
                         }) {
                             break (Outcome::Collision { time: t }, Some(hit));
                         }
                     }
-                    if scenarios[0].target_reached(t, &run.ego) {
+                    if run.primary.target_reached(t, &run.ego) {
                         break (Outcome::Reached { time: t }, None);
                     }
 
                     // The ego plans every tick: the teacher policies pace
                     // on the per-tick windows.
-                    match exec.plan_prepare(t, &run.ego) {
+                    match exec.plan_prepare(t, &run.ego, pairs) {
                         StepPlan::Ready(decision) => decision,
                         StepPlan::Nn { obs } if run.answer == NnAnswer::Inline => PlanDecision {
                             accel: exec.answer(&obs),
@@ -304,18 +286,22 @@ impl EpisodeWorkspace {
                     tr,
                     t,
                     &run.ego,
-                    others,
+                    pairs,
                     exec.primary_estimate(),
-                    &scenarios[0],
+                    &run.primary,
                     decision,
                 );
             }
-            run.ego = run.ego_limits.step(&run.ego, decision.accel, cfg.dt_c);
+            run.ego = run
+                .primary
+                .ego_limits()
+                .step(&run.ego, decision.accel, cfg.dt_c);
             if run.active > 0 {
                 // Still-active followers gap-track their (possibly retired)
                 // predecessors, so all vehicles advance together until the
                 // last pair retires; after that nothing reads them again.
-                crate::driver::actuate_others(cfg, run.other_limits, drivers, others, t);
+                let limits = run.primary.other_limits();
+                crate::driver::actuate_others(limits, pairs, t, cfg.dt_c);
             }
             run.step += 1;
             run.msg.advance();
@@ -340,17 +326,17 @@ fn record(
     tr: &mut EpisodeTraces,
     t: f64,
     ego: &VehicleState,
-    others: &[VehicleState],
+    pairs: &[Pair],
     est: VehicleEstimate,
     primary: &LeftTurnScenario,
     decision: PlanDecision,
 ) {
     tr.ego.push(t, *ego);
-    for (trajectory, other) in tr.others.iter_mut().zip(others) {
-        trajectory.push(t, *other);
+    for (trajectory, pair) in tr.others.iter_mut().zip(pairs) {
+        trajectory.push(t, pair.truth);
     }
     tr.estimates.push((t, est));
-    let truth_est = VehicleEstimate::exact(t, others[0]);
+    let truth_est = VehicleEstimate::exact(t, pairs[0].truth);
     tr.windows.push(WindowTrace {
         time: t,
         conservative: primary.conservative_window(t, &est),

@@ -506,6 +506,51 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_templates_are_refused_before_they_can_poison_the_quarantine() {
+        // Each of these used to panic every worker in a channel, sensor or
+        // noise constructor, and the panics were charged to the episodes'
+        // seeds: with a budget of 1, a later valid batch on the same seeds
+        // came back all `Skipped { Quarantined }`.
+        fn delayed(delay: f64, drop_prob: f64) -> cv_comm::CommSetting {
+            cv_comm::CommSetting::Delayed { delay, drop_prob }
+        }
+        let q = Quarantine::new(1);
+        let control = || BatchControl {
+            quarantine: Some(&q),
+            ..BatchControl::default()
+        };
+        let (valid, spec) = teacher_batch(0, 4);
+        type Poison = fn(&mut EpisodeConfig);
+        let poisons: [(&str, Poison); 8] = [
+            ("comm.delay", |c| c.comm = delayed(-1.0, 0.0)),
+            ("comm.delay", |c| c.comm = delayed(f64::INFINITY, 0.0)),
+            ("comm.drop_prob", |c| c.comm = delayed(0.25, 1.5)),
+            ("extra_others[0].comm.drop_prob", |c| {
+                let extra = crate::ExtraVehicle::new(62.0, 10.0, crate::DriverModel::ConstantSpeed);
+                c.extra_others
+                    .push(extra.with_comm(delayed(0.25, f64::NAN)));
+            }),
+            ("noise.delta_v", |c| c.noise.delta_v = -0.5),
+            ("noise.delta_p", |c| c.noise.delta_p = f64::INFINITY),
+            ("sensor_dropout", |c| c.sensor_dropout = f64::NAN),
+            ("sensor_dropout", |c| c.sensor_dropout = 1.5),
+        ];
+        for (field, poison) in poisons {
+            let mut bad = valid.clone();
+            poison(&mut bad.template);
+            match run_batch_with(&bad, &spec, BatchMode::EventDriven, control()) {
+                Err(SimError::InvalidBatch { reason }) => {
+                    assert!(reason.starts_with(field), "{field}: {reason}")
+                }
+                Err(other) => panic!("{field}: wrong error {other}"),
+                Ok(report) => panic!("{field} was admitted: {:?}", report.outcomes),
+            }
+        }
+        let report = run_batch_with(&valid, &spec, BatchMode::EventDriven, control()).unwrap();
+        assert_eq!(report.completed(), 4, "{:?}", report.outcomes);
+    }
+
+    #[test]
     fn quarantine_counts_and_trips_at_budget() {
         let q = Quarantine::new(2);
         assert_eq!(q.budget(), 2);
@@ -677,13 +722,25 @@ mod tests {
     }
 
     #[test]
-    fn nan_config_bypasses_the_cache_but_still_runs() {
-        let (mut batch, spec) = teacher_batch(11, 3);
-        batch.template.sensor_dropout = f64::NAN;
+    fn unkeyable_stack_bypasses_the_cache_and_its_episodes_complete() {
+        // A NaN aggressive buffer makes the stack digest a `KeyError` while
+        // the stack still runs (a NaN buffer yields no aggressive window):
+        // the batch runs uncached, with no lookup and nothing stored.
+        let (batch, basic) = nn_batch(3);
+        let StackSpec::Compound { planner, .. } = basic else {
+            unreachable!("nn_batch runs the basic compound stack")
+        };
+        let nan = safe_shield::AggressiveConfig {
+            a_buf: f64::NAN,
+            ..Default::default()
+        };
+        let spec = StackSpec::ultimate(planner, nan);
+        assert!(crate::stack_digest(&spec).is_err());
         let cache = EpisodeCache::new(1 << 20);
         let summary = cached(&batch, &spec, 2, &cache);
         assert_eq!((summary.cache_hits, summary.cache_misses), (0, 0));
-        assert!(cache.is_empty(), "a NaN config must never be stored");
+        assert_eq!((summary.episodes, summary.panicked), (3, 0));
+        assert!(cache.is_empty(), "an unkeyable stack must never be stored");
     }
 
     #[test]

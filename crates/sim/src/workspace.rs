@@ -1,21 +1,23 @@
 //! Per-worker reusable episode state.
 //!
-//! Building an episode from scratch allocates scenario geometry, boxed
-//! communication channels, boxed estimators, and a planner clone (for an NN
-//! stack: every weight matrix). A batch worker runs thousands of episodes
-//! with the *same* stack and a handful of distinct geometries, so
-//! [`EpisodeWorkspace`] keeps all of that alive across episodes:
+//! Building an episode from scratch allocates boxed communication channels,
+//! boxed estimators, per-pair queues and a planner clone (for an NN stack:
+//! every weight matrix). A batch worker runs thousands of episodes with the
+//! *same* stack, so [`EpisodeWorkspace`] keeps that alive across episodes:
 //!
-//! - scenario lists are cached per geometry (`Δt_c` + every vehicle's start
-//!   position fully determine them);
-//! - channels are re-armed via [`Channel::reset`] (bit-identical to a fresh
-//!   channel — see the `cv-comm` tests) instead of re-boxed;
-//! - sensors, drivers, and vehicle-state buffers are refilled in place
-//!   (their elements are heap-free);
-//! - the [`StackSpec`]'s executor is re-armed via `StackSpec::reinit`, so
-//!   the planner is cloned exactly once per worker;
-//! - the event wheel's per-pair arrival queues ([`crate::events`]) keep
-//!   their capacity.
+//! - each conflicting vehicle is one [`Pair`] record (paper §II-A: each of
+//!   the ego's `n − 1` conflicting vehicles has its own V2V channel, sensor
+//!   and estimator), and one loop re-arms them all in place
+//!   ([`EpisodeWorkspace::arm_pairs`]): a channel is re-armed via
+//!   [`Channel::reset`] (bit-identical to a fresh channel — see the
+//!   `cv-comm` tests) while its setting is unchanged and rebuilt otherwise,
+//!   the arrival queue keeps its capacity, and the estimator is rebuilt
+//!   from [`StackSpec::estimator`];
+//! - the [`StackSpec`]'s executor is built once and re-armed in place, so
+//!   the planner is cloned exactly once per worker. The executor's scenario
+//!   list (the compound planner's own, for a compound stack) is the one
+//!   home of the episode's geometry: each episode rebuilds it in place,
+//!   which is a few comparisons per vehicle.
 //!
 //! Together with the scratch buffers inside the planner stack — including
 //! the `MlpScratch` each `NnPlanner` carries for allocation-free inference
@@ -26,27 +28,35 @@
 //! that.
 
 use cv_comm::{Channel, CommSetting};
-use cv_dynamics::VehicleState;
+use cv_dynamics::{VehicleLimits, VehicleState};
+use cv_estimation::{Estimator, VehicleEstimate};
 use cv_sensing::UniformNoiseSensor;
-use left_turn::LeftTurnScenario;
 
 use crate::driver::Driver;
-use crate::events::EventScratch;
+use crate::events::Arrivals;
 use crate::stack::StackExec;
 use crate::stepper::Run;
-use crate::{DriverModel, EpisodeConfig, SimError, StackSpec};
+use crate::{EpisodeConfig, StackSpec};
 
-/// A communication channel kept for reuse, remembering which setting built
-/// it so a template change (e.g. a comm-scenario sweep) rebuilds instead of
-/// mis-resetting.
-pub(crate) struct ChannelSlot {
-    pub(crate) setting: CommSetting,
-    pub(crate) chan: Box<dyn Channel + Send>,
+/// One ego/vehicle pair: everything the engine keeps about one conflicting
+/// vehicle, from its ground truth to the stack's belief about it.
+pub(crate) struct Pair {
+    /// Start position on the shared ego axis.
+    pub(crate) start: f64,
+    /// Ground-truth state, in the vehicle's own forward frame.
+    pub(crate) truth: VehicleState,
+    pub(crate) driver: Driver,
+    pub(crate) sensor: UniformNoiseSensor,
+    /// The setting `channel` was built for.
+    pub(crate) comm: CommSetting,
+    pub(crate) channel: Box<dyn Channel + Send>,
+    /// Messages sent and not yet delivered ([`crate::events`]).
+    pub(crate) arrivals: Arrivals,
+    pub(crate) estimator: Box<dyn Estimator + Send>,
+    /// The estimate pinned when the pair retired; a pair is retired exactly
+    /// when this is `Some` ([`crate::events`]).
+    pub(crate) pin: Option<VehicleEstimate>,
 }
-
-/// Upper bound on cached geometries; far above the paper's 20-start grid,
-/// and a sweep over more geometries than this simply re-derives them.
-const MAX_CACHED_GEOMETRIES: usize = 64;
 
 /// Reusable per-worker state for running episodes of one [`StackSpec`].
 ///
@@ -71,30 +81,10 @@ pub struct EpisodeWorkspace {
     pub(crate) spec: StackSpec,
     /// Built on first use, re-armed (not rebuilt) on every later episode.
     pub(crate) exec: Option<StackExec>,
-    /// Geometry-keyed scenario cache; the key is the bit pattern of `Δt_c`
-    /// followed by every vehicle's start position.
-    pub(crate) scenario_cache: Vec<(Vec<u64>, Vec<LeftTurnScenario>)>,
-    key_scratch: Vec<u64>,
-    pub(crate) channels: Vec<ChannelSlot>,
-    pub(crate) sensors: Vec<UniformNoiseSensor>,
-    pub(crate) drivers: Vec<Driver>,
-    pub(crate) others: Vec<VehicleState>,
-    /// Event-wheel scratch (arrival queues, retired flags), reused across
-    /// episodes.
-    pub(crate) events: EventScratch,
+    /// One record per conflicting vehicle, primary `C_1` first.
+    pub(crate) pairs: Vec<Pair>,
     /// The episode the stepper is running, between `start` and its finish.
     pub(crate) run: Option<Run>,
-}
-
-/// `(start_shared, init_speed, driver)` of conflicting vehicle `i` without
-/// materialising [`EpisodeConfig::vehicles`].
-pub(crate) fn vehicle(cfg: &EpisodeConfig, i: usize) -> (f64, f64, DriverModel) {
-    if i == 0 {
-        (cfg.other_start_shared, cfg.other_init_speed, cfg.driver)
-    } else {
-        let e = &cfg.extra_others[i - 1];
-        (e.start_shared, e.init_speed, e.driver)
-    }
 }
 
 impl EpisodeWorkspace {
@@ -104,13 +94,7 @@ impl EpisodeWorkspace {
         Self {
             spec,
             exec: None,
-            scenario_cache: Vec::new(),
-            key_scratch: Vec::new(),
-            channels: Vec::new(),
-            sensors: Vec::new(),
-            drivers: Vec::new(),
-            others: Vec::new(),
-            events: EventScratch::default(),
+            pairs: Vec::new(),
             run: None,
         }
     }
@@ -120,129 +104,73 @@ impl EpisodeWorkspace {
         &self.spec
     }
 
-    /// Index into the scenario cache for `cfg`'s geometry, building (and
-    /// validating) the scenario list on a cache miss.
-    pub(crate) fn scenario_slot(&mut self, cfg: &EpisodeConfig) -> Result<usize, SimError> {
-        self.key_scratch.clear();
-        self.key_scratch.push(cfg.dt_c.to_bits());
-        self.key_scratch.push(cfg.other_start_shared.to_bits());
-        self.key_scratch
-            .extend(cfg.extra_others.iter().map(|e| e.start_shared.to_bits()));
-        if let Some(pos) = self
-            .scenario_cache
-            .iter()
-            .position(|(k, _)| *k == self.key_scratch)
-        {
-            return Ok(pos);
-        }
-        let scenarios = cfg.scenarios()?;
-        if self.scenario_cache.len() >= MAX_CACHED_GEOMETRIES {
-            self.scenario_cache.clear();
-        }
-        self.scenario_cache
-            .push((self.key_scratch.clone(), scenarios));
-        Ok(self.scenario_cache.len() - 1)
-    }
-
-    /// The cached scenario list at `slot`.
-    pub(crate) fn cached_scenarios(&self, slot: usize) -> &[LeftTurnScenario] {
-        &self.scenario_cache[slot].1
-    }
-
-    /// Re-arms channels, sensors, drivers, and vehicle states for `cfg`
-    /// (`n` conflicting vehicles), reusing every buffer.
-    pub(crate) fn arm_vehicles(
-        &mut self,
-        cfg: &EpisodeConfig,
-        other_limits: cv_dynamics::VehicleLimits,
-    ) {
+    /// Re-arms one pair per conflicting vehicle of `cfg`, in place.
+    pub(crate) fn arm_pairs(&mut self, cfg: &EpisodeConfig, limits: VehicleLimits) {
         let n = 1 + cfg.extra_others.len();
-        self.others.clear();
-        self.others
-            .extend((0..n).map(|i| VehicleState::new(0.0, vehicle(cfg, i).1, 0.0)));
-
-        // Every vehicle pair carries its own channel; a per-vehicle
-        // override (platoons) re-arms only that slot's setting.
-        self.channels.truncate(n);
-        for (i, slot) in self.channels.iter_mut().enumerate() {
-            let comm = cfg.effective_comm(i);
-            let seed = cfg.seed_channel_for(i);
-            if slot.setting == comm {
-                slot.chan.reset(seed);
-            } else {
-                slot.setting = comm;
-                slot.chan = comm.channel(seed);
+        self.pairs.truncate(n);
+        for i in 0..n {
+            let (start, speed, model) = match i.checked_sub(1) {
+                None => (cfg.other_start_shared, cfg.other_init_speed, cfg.driver),
+                Some(j) => {
+                    let e = &cfg.extra_others[j];
+                    (e.start_shared, e.init_speed, e.driver)
+                }
+            };
+            let truth = VehicleState::new(0.0, speed, 0.0);
+            let driver = model.driver(limits, cfg.seed_driving_for(i));
+            let sensor = UniformNoiseSensor::new(cfg.noise, cfg.seed_sensor_for(i))
+                .with_dropout(cfg.sensor_dropout);
+            let (comm, seed) = (cfg.effective_comm(i), cfg.seed_channel_for(i));
+            let estimator = self.spec.estimator(cfg, limits, truth);
+            match self.pairs.get_mut(i) {
+                Some(pair) => {
+                    if pair.comm == comm {
+                        pair.channel.reset(seed);
+                    } else {
+                        pair.channel = comm.channel(seed);
+                    }
+                    pair.arrivals.clear();
+                    (pair.start, pair.truth, pair.driver, pair.sensor) =
+                        (start, truth, driver, sensor);
+                    (pair.comm, pair.estimator, pair.pin) = (comm, estimator, None);
+                }
+                None => self.pairs.push(Pair {
+                    start,
+                    truth,
+                    driver,
+                    sensor,
+                    comm,
+                    channel: comm.channel(seed),
+                    arrivals: Arrivals::default(),
+                    estimator,
+                    pin: None,
+                }),
             }
         }
-        for i in self.channels.len()..n {
-            let comm = cfg.effective_comm(i);
-            self.channels.push(ChannelSlot {
-                setting: comm,
-                chan: comm.channel(cfg.seed_channel_for(i)),
-            });
-        }
-
-        self.sensors.clear();
-        self.sensors.extend((0..n).map(|i| {
-            UniformNoiseSensor::new(cfg.noise, cfg.seed_sensor_for(i))
-                .with_dropout(cfg.sensor_dropout)
-        }));
-
-        self.drivers.clear();
-        self.drivers.extend((0..n).map(|i| {
-            vehicle(cfg, i)
-                .2
-                .driver(other_limits, cfg.seed_driving_for(i))
-        }));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExtraVehicle;
 
     #[test]
-    fn scenario_cache_hits_on_repeated_geometry() {
+    fn invalid_geometry_is_a_typed_error_and_the_workspace_recovers() {
         let cfg = EpisodeConfig::paper_default(0);
         let spec = StackSpec::pure_teacher_conservative(&cfg).unwrap();
         let mut ws = EpisodeWorkspace::new(spec);
-        let a = ws.scenario_slot(&cfg).unwrap();
-        let b = ws.scenario_slot(&cfg).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(ws.scenario_cache.len(), 1);
-
-        let mut moved = cfg.clone();
-        moved.other_start_shared = 55.0;
-        let c = ws.scenario_slot(&moved).unwrap();
-        assert_ne!(a, c);
-        assert_eq!(ws.scenario_cache.len(), 2);
-    }
-
-    #[test]
-    fn scenario_cache_is_bounded() {
-        let cfg = EpisodeConfig::paper_default(0);
-        let spec = StackSpec::pure_teacher_conservative(&cfg).unwrap();
-        let mut ws = EpisodeWorkspace::new(spec);
-        for j in 0..(2 * MAX_CACHED_GEOMETRIES) {
-            let mut c = cfg.clone();
-            c.other_start_shared = 50.5 + 0.01 * j as f64;
-            ws.scenario_slot(&c).unwrap();
-        }
-        assert!(ws.scenario_cache.len() <= MAX_CACHED_GEOMETRIES);
-    }
-
-    #[test]
-    fn invalid_geometry_is_not_cached() {
-        let mut cfg = EpisodeConfig::paper_default(0);
-        cfg.other_start_shared = -1.0; // inside / behind the zone
-        let spec = StackSpec::PureTeacher {
-            policy: cv_planner::TeacherPolicy::conservative(
-                &EpisodeConfig::paper_default(0).scenario().unwrap(),
-            ),
-            window: crate::WindowKind::Conservative,
-        };
-        let mut ws = EpisodeWorkspace::new(spec);
-        assert!(ws.scenario_slot(&cfg).is_err());
-        assert!(ws.scenario_cache.is_empty());
+        let good = ws.run(&cfg, false).unwrap();
+        let mut bad = cfg.clone();
+        bad.extra_others = vec![ExtraVehicle::new(
+            10.0, // inside the zone
+            10.0,
+            crate::DriverModel::ConstantSpeed,
+        )];
+        assert!(matches!(
+            ws.run(&bad, false),
+            Err(crate::SimError::Scenario(_))
+        ));
+        assert_eq!(ws.run(&cfg, false).unwrap(), good);
     }
 }

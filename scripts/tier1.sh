@@ -261,3 +261,7 @@ expect_usage_error cv-server cv-serve -- --no-cache
 expect_usage_error cv-server cv-submit -- --cancel 1
 expect_usage_error bench exp_table1 -- --sims ten
 expect_usage_error bench exp_fig5 -- --panel g
+
+# Non-test lines per crate, the line count ROADMAP tracks. For information
+# only: nothing here gates on it.
+scripts/loc.sh

@@ -6,7 +6,8 @@
 //! results stay bit-identical to the original fresh-state serial path. This
 //! suite pins that contract end to end:
 //!
-//! 1. a reused workspace reproduces `run_episode` exactly, traces included;
+//! 1. a reused workspace reproduces `run_episode` exactly, traced and
+//!    untraced, as the pair count changes, on a teacher and a `κ_cu` stack;
 //! 2. `run_batch` (dynamic) over the full paper start grid matches
 //!    `run_episode` called on each episode in index order, for every
 //!    thread count in {1, 2, 4, 8};
@@ -19,6 +20,7 @@
 
 use cv_server::{Client, Server, ServerConfig, StackSpecWire};
 use safe_cv::prelude::*;
+use safe_cv::sim::training::{train_planner, Personality, TrainSetup};
 use safe_cv::sim::{
     run_batch, run_episode, BatchConfig, BatchSummary, EpisodeWorkspace, PlatoonFollower,
     PlatoonSpec,
@@ -35,24 +37,43 @@ fn disturbed_template(seed: u64) -> EpisodeConfig {
 
 /// A reused workspace must reproduce the one-shot entry point exactly,
 /// including the full per-step traces, across episodes with different
-/// seeds, starts, and comm settings (so every retained buffer is re-armed
-/// in between).
+/// seeds, starts, comm settings and pair counts (so every retained buffer
+/// is re-armed in between): one conflicting vehicle, then an n = 4 platoon
+/// (3 pairs), then 2 pairs, then 1 again. Every episode runs traced and
+/// untraced, because only untraced runs retire pairs and arm their pins,
+/// on the aggressive teacher and on a `κ_cu` stack.
 #[test]
 fn reused_workspace_matches_fresh_episodes_with_traces() {
     let template = disturbed_template(41);
-    let spec = StackSpec::pure_teacher_aggressive(&template).expect("paper geometry");
-    let mut ws = EpisodeWorkspace::new(spec.clone());
-    for (i, start) in [50.5, 53.0, 58.5, 50.5].into_iter().enumerate() {
-        let mut cfg = template.clone();
-        cfg.seed = 41 + i as u64;
-        cfg.other_start_shared = start;
-        if i == 2 {
-            cfg.comm = CommSetting::NoDisturbance; // force a channel rebuild
+    let planner = train_planner(&TrainSetup::smoke(), Personality::Aggressive).expect("training");
+    let specs = [
+        StackSpec::pure_teacher_aggressive(&template).expect("paper geometry"),
+        StackSpec::ultimate(planner, AggressiveConfig::default()),
+    ];
+    for spec in specs {
+        let mut ws = EpisodeWorkspace::new(spec.clone());
+        for (i, (start, vehicles)) in [(50.5, 2), (53.0, 4), (58.5, 3), (50.5, 2)]
+            .into_iter()
+            .enumerate()
+        {
+            let mut platoon = PlatoonSpec::paper_default(vehicles, 41 + i as u64).expect("n >= 2");
+            platoon.leader_start_shared = start;
+            platoon.comm = template.comm;
+            if i == 2 {
+                platoon.comm = CommSetting::NoDisturbance; // force channel rebuilds
+            }
+            let cfg = platoon.episode();
+            for traced in [true, false] {
+                let fresh = run_episode(&cfg, &spec, traced).expect("valid episode");
+                let reused = ws.run(&cfg, traced).expect("valid episode");
+                let context = format!(
+                    "{} episode {i} (start {start}, n = {vehicles})",
+                    spec.label()
+                );
+                assert_eq!(fresh, reused, "{context}, traced: {traced}");
+                assert_eq!(fresh.traces.is_some(), traced, "{context}");
+            }
         }
-        let fresh = run_episode(&cfg, &spec, true).expect("valid episode");
-        let reused = ws.run(&cfg, true).expect("valid episode");
-        assert_eq!(fresh, reused, "episode {i} diverged (start {start})");
-        assert!(fresh.traces.is_some(), "traces were requested");
     }
 }
 

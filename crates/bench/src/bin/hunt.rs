@@ -100,7 +100,7 @@ fn main() {
                         violations += 1;
                         println!(
                             "VIOLATION {nn_name}/{stack_name}/{setting_name} idx {i} seed {} start {}: {:?}",
-                            cfg.seed, cfg.other_start_shared, r.outcome
+                            cfg.seed, cfg.others[0].start_shared, r.outcome
                         );
                         if bad == 1 {
                             dump_trace(&cfg, &spec);

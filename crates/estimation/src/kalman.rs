@@ -3,7 +3,7 @@ use cv_sensing::SensorNoise;
 use crate::{Mat2, Vec2};
 
 /// Kalman filter over the `(position, velocity)` state of one tracked
-/// vehicle, following the equations of paper §III-B (after [16]):
+/// vehicle, following the equations of paper §III-B (after \[16\]):
 ///
 /// ```text
 /// x̂(t+Δt, t) = F x̂(t,t) + G a(t)

@@ -55,6 +55,8 @@ pub enum ScenarioError {
     EmptyConflictZone,
     /// `C_1` must start beyond the back line of the zone.
     OtherStartsInsideZone,
+    /// There is no oncoming vehicle to build a scenario for.
+    NoOncomingVehicle,
     /// The control period must be positive and finite.
     InvalidControlPeriod,
     /// Vehicle limits were rejected.
@@ -68,6 +70,7 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::OtherStartsInsideZone => {
                 write!(f, "oncoming vehicle must start beyond the conflict zone")
             }
+            ScenarioError::NoOncomingVehicle => write!(f, "there is no oncoming vehicle"),
             ScenarioError::InvalidControlPeriod => {
                 write!(f, "control period must be positive and finite")
             }

@@ -31,10 +31,10 @@ pub struct LeftTurnScenario {
 impl LeftTurnScenario {
     /// Creates a scenario.
     ///
-    /// `other_start_shared` is `C_1`'s initial position on the shared ego
+    /// `start_shared` is `C_1`'s initial position on the shared ego
     /// axis (the paper sweeps `p_1(0) ∈ {50.5 + 0.5j}`); since `C_1` drives
     /// toward decreasing shared coordinates, it enters the zone after
-    /// travelling `other_start_shared − p_b` metres.
+    /// travelling `start_shared − p_b` metres.
     ///
     /// # Errors
     ///
@@ -44,13 +44,13 @@ impl LeftTurnScenario {
         geometry: Geometry,
         ego_limits: VehicleLimits,
         other_limits: VehicleLimits,
-        other_start_shared: f64,
+        start_shared: f64,
         dt_c: f64,
     ) -> Result<Self, ScenarioError> {
         if geometry.p_f >= geometry.p_b {
             return Err(ScenarioError::EmptyConflictZone);
         }
-        if other_start_shared <= geometry.p_b {
+        if start_shared <= geometry.p_b {
             return Err(ScenarioError::OtherStartsInsideZone);
         }
         if !(dt_c > 0.0 && dt_c.is_finite()) {
@@ -60,26 +60,26 @@ impl LeftTurnScenario {
             geometry,
             ego_limits,
             other_limits,
-            other_entry: other_start_shared - geometry.p_b,
-            other_exit: other_start_shared - geometry.p_f,
+            other_entry: start_shared - geometry.p_b,
+            other_exit: start_shared - geometry.p_f,
             dt_c,
         })
     }
 
     /// The paper's default configuration (zone `[5, 15]`, `Δt_c = 0.05 s`,
     /// ego `v ∈ [0, 12]`, `a ∈ [−6, 3]`; `C_1` `v ∈ [3, 14]`, `a ∈ [−3, 3]`)
-    /// with `C_1` starting at `other_start_shared` on the shared axis.
+    /// with `C_1` starting at `start_shared` on the shared axis.
     ///
     /// # Errors
     ///
-    /// Returns a [`ScenarioError`] if `other_start_shared` is not beyond the
+    /// Returns a [`ScenarioError`] if `start_shared` is not beyond the
     /// zone.
-    pub fn paper_default(other_start_shared: f64) -> Result<Self, ScenarioError> {
+    pub fn paper_default(start_shared: f64) -> Result<Self, ScenarioError> {
         Self::new(
             Geometry::paper(),
             VehicleLimits::new(0.0, 12.0, -6.0, 3.0)?,
             VehicleLimits::new(3.0, 14.0, -3.0, 3.0)?,
-            other_start_shared,
+            start_shared,
             0.05,
         )
     }

@@ -1,7 +1,7 @@
 //! From-scratch feedforward neural network library.
 //!
 //! The paper wraps *"any NN-based planner"*; its evaluation trains planners
-//! with the learning method of its ref. [6]. Since no external ML framework
+//! with the learning method of its ref. \[6\]. Since no external ML framework
 //! is available (nor desirable for a self-contained reproduction), this crate
 //! provides everything needed to train and run the small MLPs used as
 //! planners:

@@ -57,7 +57,7 @@ impl Trainer {
     /// the per-epoch mean training loss.
     ///
     /// Forward caches, gradients and optimizer updates all run through
-    /// preallocated [`FitScratch`] buffers, so after the first mini-batches
+    /// preallocated `FitScratch` buffers, so after the first mini-batches
     /// have grown them an epoch performs no heap allocation (DESIGN.md
     /// §13).
     ///

@@ -1,6 +1,6 @@
 /// One sensor measurement of another vehicle, taken at `stamp`.
 ///
-/// Unlike a V2V [`cv_comm::Message`] the values here are *inaccurate*
+/// Unlike a V2V `cv_comm::Message` the values here are *inaccurate*
 /// (bounded uniform noise) but never delayed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Measurement {

@@ -25,10 +25,12 @@
 //! the usage and exits with code 64 before any connection is made.
 //!
 //! `--platoon N` swaps the template for an `N`-vehicle platoon
-//! (`PlatoonSpec::paper_default`): the leader is the paper's conflicting
-//! vehicle, the `N − 2` followers hold 9 m gap-tracking formation behind
-//! it, and the comm flags still apply to every V2V channel. `N ≥ 2`;
-//! `--platoon 2` is the paper scenario itself.
+//! (`PlatoonSpec::paper_default`): the template's `others` list holds the
+//! leader (the paper's `C_1`, `others[0]`) and the `N − 2` followers that
+//! hold 9 m gap-tracking formation behind it, and the comm flags still
+//! apply to every V2V channel. `N ≥ 2`; `--platoon 2` is the paper
+//! scenario itself. The start grid moves only the leader, so the leader's
+//! first headway varies across the grid (see `BatchConfig::starts`).
 
 use cv_server::cli::{Args, UsageError, EXIT_USAGE};
 use cv_server::{Client, ClientError, Event, Request, StackSpecWire};

@@ -32,8 +32,6 @@ pub struct ClientConfig {
     pub read_timeout: Duration,
     /// Deadline for one frame write to drain into the socket.
     pub write_timeout: Duration,
-    /// Per-frame size cap (see [`MAX_FRAME_BYTES`]).
-    pub max_frame_bytes: usize,
     /// Retry policy for idempotent requests ([`Client::submit_with_retry`]).
     pub retry: RetryPolicy,
 }
@@ -44,7 +42,6 @@ impl Default for ClientConfig {
             connect_timeout: Duration::from_secs(5),
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(10),
-            max_frame_bytes: MAX_FRAME_BYTES,
             retry: RetryPolicy::default(),
         }
     }
@@ -301,18 +298,13 @@ impl Client {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(config.read_timeout))?;
         stream.set_write_timeout(Some(config.write_timeout))?;
-        let reader = FrameReader::new(BufReader::new(stream.try_clone()?), config.max_frame_bytes);
+        let reader = FrameReader::new(BufReader::new(stream.try_clone()?), MAX_FRAME_BYTES);
         Ok(Client {
             reader,
             writer: stream,
             out: String::new(),
             config,
         })
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ClientConfig {
-        &self.config
     }
 
     /// Sends one request frame.

@@ -1,9 +1,10 @@
 //! Typed protocol frames and their JSON (de)serialisation.
 //!
-//! Every frame is one [`wire::Json`] object on one line. Requests carry an
-//! `"op"` discriminator, responses an `"event"` discriminator. The episode
-//! payload mirrors [`cv_sim::EpisodeConfig`] field for field, so a submitted
-//! batch replays bit-identically to an in-process [`cv_sim::run_batch`].
+//! Every frame is one [`crate::wire::Json`] object on one line. Requests
+//! carry an `"op"` discriminator, responses an `"event"` discriminator. The
+//! episode payload mirrors [`cv_sim::EpisodeConfig`] field for field, so a
+//! submitted batch replays bit-identically to an in-process
+//! [`cv_sim::run_batch`].
 //!
 //! Planner stacks travel by *name* ([`StackSpecWire`]): the NN planners'
 //! weight matrices are too heavy for a control protocol, so the wire names
@@ -13,7 +14,7 @@
 use cv_comm::CommSetting;
 use cv_dynamics::VehicleState;
 use cv_sensing::SensorNoise;
-use cv_sim::{BatchConfig, BatchSummary, DriverModel, EpisodeConfig, ExtraVehicle, StackSpec};
+use cv_sim::{BatchConfig, BatchSummary, DriverModel, EpisodeConfig, OtherVehicle, StackSpec};
 
 use crate::wire::Json;
 
@@ -220,10 +221,20 @@ fn state_from_json(v: &Json) -> Result<VehicleState, DecodeError> {
 
 /// Encodes an [`EpisodeConfig`] as a JSON object.
 pub fn episode_to_json(cfg: &EpisodeConfig) -> Json {
+    let other_to_json = |v: &OtherVehicle| {
+        let mut pairs = vec![
+            ("start_shared", Json::Num(v.start_shared)),
+            ("init_speed", Json::Num(v.init_speed)),
+            ("driver", driver_to_json(&v.driver)),
+        ];
+        // An inherited channel (`None`) is the absent key.
+        if let Some(comm) = &v.comm {
+            pairs.push(("comm", comm_to_json(comm)));
+        }
+        Json::obj(pairs)
+    };
     Json::obj(vec![
-        ("other_start_shared", Json::Num(cfg.other_start_shared)),
         ("ego_init", state_to_json(&cfg.ego_init)),
-        ("other_init_speed", Json::Num(cfg.other_init_speed)),
         ("dt_c", Json::Num(cfg.dt_c)),
         ("dt_m", Json::Num(cfg.dt_m)),
         ("dt_s", Json::Num(cfg.dt_s)),
@@ -239,28 +250,9 @@ pub fn episode_to_json(cfg: &EpisodeConfig) -> Json {
         ),
         ("seed", Json::Int(cfg.seed as i128)),
         ("sensor_dropout", Json::Num(cfg.sensor_dropout)),
-        ("driver", driver_to_json(&cfg.driver)),
         (
-            "extra_others",
-            Json::Arr(
-                cfg.extra_others
-                    .iter()
-                    .map(|e| {
-                        let mut pairs = vec![
-                            ("start_shared", Json::Num(e.start_shared)),
-                            ("init_speed", Json::Num(e.init_speed)),
-                            ("driver", driver_to_json(&e.driver)),
-                        ];
-                        // Per-vehicle channel override (platoons): only on
-                        // the wire when set, so pre-platoon peers still
-                        // parse our frames.
-                        if let Some(comm) = &e.comm {
-                            pairs.push(("comm", comm_to_json(comm)));
-                        }
-                        Json::obj(pairs)
-                    })
-                    .collect(),
-            ),
+            "others",
+            Json::Arr(cfg.others.iter().map(other_to_json).collect()),
         ),
     ])
 }
@@ -272,18 +264,16 @@ pub fn episode_to_json(cfg: &EpisodeConfig) -> Json {
 /// [`DecodeError`] for missing or mistyped fields.
 pub fn episode_from_json(v: &Json) -> Result<EpisodeConfig, DecodeError> {
     let noise = field(v, "noise")?;
-    let extras = field(v, "extra_others")?
+    let others = field(v, "others")?
         .as_arr()
-        .ok_or_else(|| bad("field 'extra_others' must be an array"))?
+        .ok_or_else(|| bad("field 'others' must be an array"))?
         .iter()
-        .map(|e| {
-            Ok(ExtraVehicle {
-                start_shared: f64_field(e, "start_shared")?,
-                init_speed: f64_field(e, "init_speed")?,
-                driver: driver_from_json(field(e, "driver")?)?,
-                // Absent in frames from pre-platoon peers: inherit the
-                // template comm, which is exactly what they simulated.
-                comm: match e.get("comm") {
+        .map(|o| {
+            Ok(OtherVehicle {
+                start_shared: f64_field(o, "start_shared")?,
+                init_speed: f64_field(o, "init_speed")?,
+                driver: driver_from_json(field(o, "driver")?)?,
+                comm: match o.get("comm") {
                     None | Some(Json::Null) => None,
                     Some(c) => Some(comm_from_json(c)?),
                 },
@@ -291,9 +281,7 @@ pub fn episode_from_json(v: &Json) -> Result<EpisodeConfig, DecodeError> {
         })
         .collect::<Result<Vec<_>, DecodeError>>()?;
     Ok(EpisodeConfig {
-        other_start_shared: f64_field(v, "other_start_shared")?,
         ego_init: state_from_json(field(v, "ego_init")?)?,
-        other_init_speed: f64_field(v, "other_init_speed")?,
         dt_c: f64_field(v, "dt_c")?,
         dt_m: f64_field(v, "dt_m")?,
         dt_s: f64_field(v, "dt_s")?,
@@ -306,8 +294,7 @@ pub fn episode_from_json(v: &Json) -> Result<EpisodeConfig, DecodeError> {
         },
         seed: u64_field(v, "seed")?,
         sensor_dropout: f64_field(v, "sensor_dropout")?,
-        driver: driver_from_json(field(v, "driver")?)?,
-        extra_others: extras,
+        others,
     })
 }
 
@@ -851,17 +838,18 @@ mod tests {
             delay: 0.25,
             drop_prob: 0.35,
         };
-        template.driver = DriverModel::OrnsteinUhlenbeck {
+        template.others[0].driver = DriverModel::OrnsteinUhlenbeck {
             theta: 0.5,
             sigma: 1.25,
         };
-        template.extra_others.push(ExtraVehicle::new(
+        template.others[0].comm = Some(CommSetting::NoDisturbance);
+        template.others.push(OtherVehicle::new(
             80.0,
             9.0,
             DriverModel::Ambush { brake_at: 2.0 },
         ));
-        template.extra_others.push(
-            ExtraVehicle::new(
+        template.others.push(
+            OtherVehicle::new(
                 89.0,
                 10.0,
                 DriverModel::GapTracking {
@@ -886,34 +874,20 @@ mod tests {
     }
 
     #[test]
-    fn extras_without_comm_decode_as_inherited() {
-        // Frames from pre-platoon peers carry no per-vehicle comm entry;
-        // those vehicles must inherit the template channel (comm: None),
-        // not fail the frame.
-        let batch = sample_batch();
-        let Json::Obj(mut top) = batch_to_json(&batch) else {
-            panic!("batch must encode as an object");
-        };
-        for (k, v) in &mut top {
-            if k != "template" {
-                continue;
-            }
-            let Json::Obj(tpl) = v else { unreachable!() };
-            for (tk, tv) in tpl.iter_mut() {
-                if tk != "extra_others" {
-                    continue;
-                }
-                let Json::Arr(extras) = tv else {
-                    unreachable!()
-                };
-                for e in extras.iter_mut() {
-                    let Json::Obj(pairs) = e else { unreachable!() };
-                    pairs.retain(|(k, _)| k != "comm");
-                }
-            }
-        }
-        let back = batch_from_json(&Json::parse(&Json::Obj(top).encode()).unwrap()).unwrap();
-        assert!(back.template.extra_others.iter().all(|e| e.comm.is_none()));
+    fn an_old_shape_template_is_refused_naming_others() {
+        // A template from before the `others` list: C_1 in top-level fields,
+        // every further vehicle in `extra_others`.
+        let old = r#"{"op":"submit_batch","stack":"teacher_conservative","batch":{
+            "template":{"other_start_shared":52.0,
+                "ego_init":{"position":-30.0,"velocity":8.0,"acceleration":0.0},
+                "other_init_speed":10.0,"dt_c":0.05,"dt_m":0.1,"dt_s":0.1,"horizon":30.0,
+                "comm":{"kind":"no_disturbance"},
+                "noise":{"delta_p":1.0,"delta_v":1.0,"delta_a":1.0},
+                "seed":0,"sensor_dropout":0.0,"driver":{"kind":"uniform_random"},
+                "extra_others":[]},
+            "episodes":8,"base_seed":0,"starts":[52.0],"threads":0}}"#;
+        let err = Request::from_json(&Json::parse(old).unwrap()).unwrap_err();
+        assert!(err.0.contains("'others'"), "{err}");
     }
 
     #[test]

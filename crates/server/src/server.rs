@@ -80,10 +80,6 @@ pub struct ServerConfig {
     /// closed. Each malformed frame before that is answered with
     /// `bad_request` and the connection keeps reading.
     pub max_bad_frames: u32,
-    /// Per-frame size cap (see [`crate::wire::MAX_FRAME_BYTES`]); an
-    /// oversize line closes the connection (the stream is no longer
-    /// frame-aligned).
-    pub max_frame_bytes: usize,
     /// Admission-control ceiling on episodes admitted but not yet resolved
     /// (queued + running), across all jobs. A submission that would exceed
     /// it gets a terminal `overloaded` event with a retry hint instead of
@@ -118,7 +114,6 @@ impl Default for ServerConfig {
             idle_timeout: Duration::from_secs(60),
             write_timeout: Duration::from_secs(10),
             max_bad_frames: 8,
-            max_frame_bytes: MAX_FRAME_BYTES,
             max_pending_episodes: 0,
             panic_budget: 3,
             cache_bytes: DEFAULT_CACHE_BYTES,
@@ -550,7 +545,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let mut reader = FrameReader::new(BufReader::new(read_half), shared.config.max_frame_bytes);
+    let mut reader = FrameReader::new(BufReader::new(read_half), MAX_FRAME_BYTES);
     let mut writer = FrameWriter {
         stream,
         buf: String::new(),

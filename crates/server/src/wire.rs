@@ -16,7 +16,9 @@
 use std::fmt::Write as _;
 use std::io::{BufRead, ErrorKind};
 
-/// Default upper bound on one newline-delimited frame, in bytes.
+/// Upper bound on one newline-delimited frame, in bytes, at both ends of a
+/// connection. An oversize line closes the connection: the stream is no
+/// longer frame-aligned.
 ///
 /// Generous for the protocol (the largest legitimate frame — a
 /// `batch_done` summary with per-episode vectors for an 80k-episode batch —

@@ -88,7 +88,6 @@ fn chaos_config(seed: u64) -> ClientConfig {
             jitter_seed: seed,
             retry_deadline: None,
         },
-        ..ClientConfig::default()
     }
 }
 
@@ -421,7 +420,6 @@ fn dead_peer_yields_a_timely_typed_timeout_not_a_hang() {
         read_timeout: Duration::from_millis(300),
         write_timeout: Duration::from_secs(2),
         retry: RetryPolicy::none(),
-        ..ClientConfig::default()
     };
     let t0 = Instant::now();
     let mut client = Client::connect_with(addr, config).unwrap();

@@ -11,8 +11,8 @@ use crate::{BatchMode, EpisodeConfig, EpisodeResult, SimError, StackSpec};
 /// meaningful.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchConfig {
-    /// Episode template (comm setting, noise, periods…). The `seed` and
-    /// `other_start_shared` fields are overwritten per episode.
+    /// Episode template (comm setting, noise, periods…). Its `seed` and
+    /// `C_1`'s `others[0].start_shared` are overwritten per episode.
     pub template: EpisodeConfig,
     /// Number of episodes.
     pub episodes: usize,
@@ -20,6 +20,13 @@ pub struct BatchConfig {
     pub base_seed: u64,
     /// Grid of `C_1` initial positions cycled through
     /// (default: the paper's `{50.5 + 0.5j}`).
+    ///
+    /// Only `C_1` moves: every other vehicle keeps its template start. A
+    /// lowered [`crate::PlatoonSpec`] therefore loses its formation across
+    /// the grid. For `PlatoonSpec::paper_default(8, _)` the followers stay
+    /// at 61, 70, … m, so the paper grid of 50.5–60 m starts the leader
+    /// 10.5–1 m ahead of its first follower instead of at the spec's 9 m
+    /// headway.
     pub starts: Vec<f64>,
     /// Worker threads (`0` = all available parallelism).
     pub threads: usize,
@@ -46,11 +53,11 @@ impl BatchConfig {
     ///
     /// [`SimError::InvalidBatch`], naming the field, when `episodes == 0`,
     /// `starts` is empty (the latter used to surface as a modulo-by-zero
-    /// panic inside [`BatchConfig::episode`]), a channel's delay is
-    /// negative or not finite or its `drop_prob` lies outside `[0, 1]` (the
-    /// template's and every [`crate::ExtraVehicle`]'s), a sensor noise bound
-    /// is negative or not finite, or `sensor_dropout` lies outside
-    /// `[0, 1]`.
+    /// panic inside [`BatchConfig::episode`]), the template has no
+    /// conflicting vehicle, a channel's delay is negative or not finite or
+    /// its `drop_prob` lies outside `[0, 1]` (the template's and every
+    /// vehicle's override), a sensor noise bound is negative or not finite,
+    /// or `sensor_dropout` lies outside `[0, 1]`.
     pub fn validate(&self) -> Result<(), SimError> {
         let invalid = |reason: String| Err(SimError::InvalidBatch { reason });
         if self.episodes == 0 {
@@ -60,11 +67,12 @@ impl BatchConfig {
             return invalid("initial-position grid `starts` must not be empty".into());
         }
         let t = &self.template;
-        let overrides = t.extra_others.iter().enumerate();
-        let comms = std::iter::once(("comm".to_string(), t.comm)).chain(
-            overrides.filter_map(|(i, e)| Some((format!("extra_others[{i}].comm"), e.comm?))),
-        );
-        for (field, comm) in comms {
+        if t.others.is_empty() {
+            return invalid("others must list at least one conflicting vehicle".into());
+        }
+        let overrides = (t.others.iter().enumerate())
+            .filter_map(|(i, v)| Some((format!("others[{i}].comm"), v.comm?)));
+        for (field, comm) in std::iter::once(("comm".to_string(), t.comm)).chain(overrides) {
             if let CommSetting::Delayed { delay, drop_prob } = comm {
                 if !(delay >= 0.0 && delay.is_finite()) {
                     return invalid(format!(
@@ -112,7 +120,9 @@ impl BatchConfig {
         );
         let mut cfg = self.template.clone();
         cfg.seed = self.base_seed.wrapping_add(index as u64);
-        cfg.other_start_shared = self.starts[index % self.starts.len()];
+        if let Some(c1) = cfg.others.first_mut() {
+            c1.start_shared = self.starts[index % self.starts.len()];
+        }
         cfg
     }
 
@@ -219,6 +229,17 @@ mod tests {
     }
 
     #[test]
+    fn a_template_without_conflicting_vehicles_is_a_typed_error() {
+        let mut template = EpisodeConfig::paper_default(0);
+        let spec = StackSpec::pure_teacher_conservative(&template).unwrap();
+        template.others.clear();
+        match run_batch(&BatchConfig::new(template, 4), &spec) {
+            Err(SimError::InvalidBatch { reason }) => assert!(reason.starts_with("others")),
+            other => panic!("expected InvalidBatch, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn zero_episodes_is_a_typed_error() {
         let template = EpisodeConfig::paper_default(0);
         let spec = StackSpec::pure_teacher_conservative(&template).unwrap();
@@ -232,9 +253,9 @@ mod tests {
     #[test]
     fn episodes_cycle_the_start_grid() {
         let batch = BatchConfig::new(EpisodeConfig::paper_default(0), 25);
-        assert_eq!(batch.episode(0).other_start_shared, 50.5);
-        assert_eq!(batch.episode(19).other_start_shared, 60.0);
-        assert_eq!(batch.episode(20).other_start_shared, 50.5);
+        assert_eq!(batch.episode(0).others[0].start_shared, 50.5);
+        assert_eq!(batch.episode(19).others[0].start_shared, 60.0);
+        assert_eq!(batch.episode(20).others[0].start_shared, 50.5);
         assert_eq!(batch.episode(3).seed, 3);
     }
 }

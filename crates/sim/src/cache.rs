@@ -11,11 +11,11 @@
 //!   byte, every collection length-prefixed. A NaN anywhere is a typed
 //!   [`KeyError`], never a silent key.
 //! * [`stack_digest`] folds the planner stack — including full NN weight
-//!   matrices — plus the *salt*: the crate version and the set of active
-//!   feature flags that can change simulation behaviour (`fault-injection`
+//!   matrices — plus the *salt*: the key-format tag, the crate version and
+//!   the set of active feature flags that can change simulation behaviour (`fault-injection`
 //!   compiles a different [`StackSpec`] shape, so its artifacts must never
 //!   collide with default-build ones).
-//! * [`episode_key`] combines the two; [`BatchConfig::episode`] + this is
+//! * [`episode_key`] combines the two; [`crate::BatchConfig::episode`] + this is
 //!   what the server's shard path looks up before touching a worker.
 //!
 //! The digest is computed once per batch (NN weights are the expensive
@@ -103,9 +103,7 @@ fn feed_driver(h: &mut KeyHasher, driver: &crate::DriverModel) -> Result<(), Key
 
 impl Hashable for EpisodeConfig {
     fn feed(&self, h: &mut KeyHasher) -> Result<(), KeyError> {
-        h.write_f64("other_start_shared", self.other_start_shared)?;
         feed_state(h, &self.ego_init)?;
-        h.write_f64("other_init_speed", self.other_init_speed)?;
         h.write_f64("dt_c", self.dt_c)?;
         h.write_f64("dt_m", self.dt_m)?;
         h.write_f64("dt_s", self.dt_s)?;
@@ -114,13 +112,12 @@ impl Hashable for EpisodeConfig {
         feed_noise(h, &self.noise)?;
         h.write_u64(self.seed);
         h.write_f64("sensor_dropout", self.sensor_dropout)?;
-        feed_driver(h, &self.driver)?;
-        h.write_len(self.extra_others.len());
-        for extra in &self.extra_others {
-            h.write_f64("extra.start_shared", extra.start_shared)?;
-            h.write_f64("extra.init_speed", extra.init_speed)?;
-            feed_driver(h, &extra.driver)?;
-            match &extra.comm {
+        h.write_len(self.others.len());
+        for other in &self.others {
+            h.write_f64("others.start_shared", other.start_shared)?;
+            h.write_f64("others.init_speed", other.init_speed)?;
+            feed_driver(h, &other.driver)?;
+            match &other.comm {
                 None => h.write_u8(0),
                 Some(comm) => {
                     h.write_u8(1);
@@ -176,24 +173,27 @@ fn feed_nn(h: &mut KeyHasher, planner: &NnPlanner) -> Result<(), KeyError> {
 }
 
 /// Folds the *salt* — everything outside the configs that can change what a
-/// simulation produces — into a key stream: the crate version (code
-/// evolution invalidates old entries wholesale), the NN numerics tag
-/// ([`cv_nn::NUMERICS`]: a build whose network outputs round differently
-/// must not serve another's results) and the active behaviour-relevant
-/// feature flags (a `fault-injection` build compiles different stack
-/// shapes and must never share keys with a default build).
+/// simulation produces — into a key stream: the key-format tag, the crate
+/// version (code evolution invalidates old entries wholesale), the NN
+/// numerics tag ([`cv_nn::NUMERICS`]: a build whose network outputs round
+/// differently must not serve another's results) and the active
+/// behaviour-relevant feature flags (a `fault-injection` build compiles
+/// different stack shapes and must never share keys with a default build).
 fn feed_salt(h: &mut KeyHasher) {
+    // Bumped whenever a feed changes shape (2: one `others` list), so a
+    // store written under the old feed is refused, not loaded as dead keys.
+    h.write_str("key-format/2");
     h.write_str(concat!("cv-sim/", env!("CARGO_PKG_VERSION")));
     h.write_str(cv_nn::NUMERICS);
     h.write_u8(u8::from(cfg!(feature = "fault-injection")));
 }
 
-/// The segment-store salt: the same code-version + numerics + feature-flag
-/// stream that salts every [`stack_digest`], hashed alone. A persistent
-/// cache directory written by a different binary (version bump, NN
-/// numerics or feature change) fails the salt check at startup and is
-/// *refused* — counted as stale, never misread — instead of serving
-/// results the current code would not reproduce.
+/// The segment-store salt: the same key-format + code-version + numerics +
+/// feature-flag stream that salts every [`stack_digest`], hashed alone. A
+/// persistent cache directory written by a different binary (key-format or
+/// version bump, NN numerics or feature change) fails the salt check at
+/// startup and is *refused* — counted as stale, never misread — instead of
+/// serving results the current code would not reproduce.
 pub fn store_salt() -> CacheKey {
     let mut h = KeyHasher::new();
     feed_salt(&mut h);
@@ -372,11 +372,11 @@ mod tests {
     cv_rng::props! {
         fn identical_configs_key_equal(cases = 64, seed in 0..u64::MAX, start in 50.0..60.0) {
             let mut a = EpisodeConfig::paper_default(seed);
-            a.other_start_shared = start;
+            a.others[0].start_shared = start;
             // An independently reconstructed config — not a clone — must
             // produce the same key: the hash is content, not identity.
             let mut b = EpisodeConfig::paper_default(seed);
-            b.other_start_shared = start;
+            b.others[0].start_shared = start;
             assert_eq!(key_of(&a), key_of(&b));
             let d1 = stack_digest(&StackSpec::pure_teacher_conservative(&a).unwrap()).unwrap();
             let d2 = stack_digest(&StackSpec::pure_teacher_conservative(&b).unwrap()).unwrap();
@@ -388,11 +388,13 @@ mod tests {
     fn flipping_any_single_field_changes_the_key() {
         type Mutation = (&'static str, fn(&mut EpisodeConfig));
         let mutations: &[Mutation] = &[
-            ("other_start_shared", |c| c.other_start_shared += 0.5),
+            ("others[0].start_shared", |c| {
+                c.others[0].start_shared += 0.5
+            }),
             ("ego_init.position", |c| c.ego_init.position += 1.0),
             ("ego_init.velocity", |c| c.ego_init.velocity += 1.0),
             ("ego_init.acceleration", |c| c.ego_init.acceleration += 0.5),
-            ("other_init_speed", |c| c.other_init_speed += 1.0),
+            ("others[0].init_speed", |c| c.others[0].init_speed += 1.0),
             ("dt_c", |c| c.dt_c = 0.025),
             ("dt_m", |c| c.dt_m = 0.2),
             ("dt_s", |c| c.dt_s = 0.2),
@@ -410,20 +412,20 @@ mod tests {
             ("seed", |c| c.seed += 1),
             ("sensor_dropout", |c| c.sensor_dropout = 0.1),
             ("sensor_dropout->-0.0", |c| c.sensor_dropout = -0.0),
-            ("driver->ou", |c| {
-                c.driver = DriverModel::OrnsteinUhlenbeck {
+            ("others[0].driver->ou", |c| {
+                c.others[0].driver = DriverModel::OrnsteinUhlenbeck {
                     theta: 0.5,
                     sigma: 1.0,
                 }
             }),
-            ("driver->constant", |c| {
-                c.driver = DriverModel::ConstantSpeed
+            ("others[0].driver->constant", |c| {
+                c.others[0].driver = DriverModel::ConstantSpeed
             }),
-            ("driver->ambush", |c| {
-                c.driver = DriverModel::Ambush { brake_at: 2.0 }
+            ("others[0].driver->ambush", |c| {
+                c.others[0].driver = DriverModel::Ambush { brake_at: 2.0 }
             }),
-            ("extra_others.push", |c| {
-                c.extra_others.push(crate::ExtraVehicle::new(
+            ("others.push", |c| {
+                c.others.push(crate::OtherVehicle::new(
                     80.0,
                     9.0,
                     DriverModel::UniformRandom,
@@ -508,6 +510,15 @@ mod tests {
         let mut pinned = platoon();
         pinned.followers[0].comm = Some(pinned.comm);
         assert_ne!(key_of(&pinned.episode()), reference);
+
+        // The leader `C_1` is `others[0]`, keyed like every follower: its
+        // own override, even one equal to the inherited setting, is a
+        // different config.
+        for comm in [CommSetting::Lost, platoon().comm] {
+            let mut cfg = platoon().episode();
+            cfg.others[0].comm = Some(comm);
+            assert_ne!(key_of(&cfg), reference, "others[0].comm {comm:?} inert");
+        }
     }
 
     #[test]
@@ -545,7 +556,9 @@ mod tests {
     fn nan_bearing_configs_are_rejected_with_a_typed_error() {
         type Poison = (&'static str, fn(&mut EpisodeConfig));
         let poisons: &[Poison] = &[
-            ("other_start_shared", |c| c.other_start_shared = f64::NAN),
+            ("others.start_shared", |c| {
+                c.others[0].start_shared = f64::NAN
+            }),
             ("ego_init.velocity", |c| c.ego_init.velocity = f64::NAN),
             ("dt_c", |c| c.dt_c = f64::NAN),
             ("horizon", |c| c.horizon = f64::NAN),
@@ -564,20 +577,20 @@ mod tests {
             ("noise.delta_v", |c| c.noise.delta_v = f64::NAN),
             ("sensor_dropout", |c| c.sensor_dropout = f64::NAN),
             ("driver.sigma", |c| {
-                c.driver = DriverModel::OrnsteinUhlenbeck {
+                c.others[0].driver = DriverModel::OrnsteinUhlenbeck {
                     theta: 0.5,
                     sigma: f64::NAN,
                 }
             }),
-            ("extra.init_speed", |c| {
-                c.extra_others.push(crate::ExtraVehicle::new(
+            ("others.init_speed", |c| {
+                c.others.push(crate::OtherVehicle::new(
                     80.0,
                     f64::NAN,
                     DriverModel::UniformRandom,
                 ))
             }),
             ("driver.gain", |c| {
-                c.extra_others.push(crate::ExtraVehicle::new(
+                c.others.push(crate::OtherVehicle::new(
                     80.0,
                     9.0,
                     DriverModel::GapTracking {
@@ -587,7 +600,7 @@ mod tests {
                 ))
             }),
             ("driver.target_gap", |c| {
-                c.extra_others.push(crate::ExtraVehicle::new(
+                c.others.push(crate::OtherVehicle::new(
                     80.0,
                     9.0,
                     DriverModel::GapTracking {
@@ -596,9 +609,9 @@ mod tests {
                     },
                 ))
             }),
-            ("extra.comm.delay", |c| {
-                c.extra_others.push(
-                    crate::ExtraVehicle::new(80.0, 9.0, DriverModel::UniformRandom).with_comm(
+            ("others.comm.delay", |c| {
+                c.others.push(
+                    crate::OtherVehicle::new(80.0, 9.0, DriverModel::UniformRandom).with_comm(
                         CommSetting::Delayed {
                             delay: f64::NAN,
                             drop_prob: 0.0,
@@ -606,9 +619,9 @@ mod tests {
                     ),
                 )
             }),
-            ("extra.comm.drop_prob", |c| {
-                c.extra_others.push(
-                    crate::ExtraVehicle::new(80.0, 9.0, DriverModel::UniformRandom).with_comm(
+            ("others.comm.drop_prob", |c| {
+                c.others.push(
+                    crate::OtherVehicle::new(80.0, 9.0, DriverModel::UniformRandom).with_comm(
                         CommSetting::Delayed {
                             delay: 0.25,
                             drop_prob: f64::NAN,

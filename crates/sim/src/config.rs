@@ -6,24 +6,24 @@ use left_turn::{LeftTurnScenario, ScenarioError};
 use crate::episode::SimError;
 use crate::DriverModel;
 
-/// An additional conflicting vehicle beyond the paper's single `C_1`.
+/// One conflicting vehicle `C_i` (paper §II-A): where it starts, how it
+/// drives, and its V2V channel to the ego.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExtraVehicle {
-    /// Initial position on the shared ego axis.
+pub struct OtherVehicle {
+    /// Initial position on the shared ego axis (`p_i(0)`).
     pub start_shared: f64,
     /// Initial speed (m/s, forward frame).
     pub init_speed: f64,
     /// Driving behaviour.
     pub driver: DriverModel,
     /// Per-pair V2V channel override: `None` inherits the episode-level
-    /// [`EpisodeConfig::comm`] setting (the pre-platoon behaviour, and the
-    /// wire default), `Some` gives this vehicle's channel its own
-    /// independent delay/drop.
+    /// [`EpisodeConfig::comm`] setting, `Some` gives this vehicle's channel
+    /// its own independent delay/drop.
     pub comm: Option<CommSetting>,
 }
 
-impl ExtraVehicle {
-    /// An extra vehicle inheriting the episode-level channel setting.
+impl OtherVehicle {
+    /// A vehicle inheriting the episode-level channel setting.
     pub fn new(start_shared: f64, init_speed: f64, driver: DriverModel) -> Self {
         Self {
             start_shared,
@@ -47,12 +47,8 @@ impl ExtraVehicle {
 /// speeds, horizon) are fixed in `DESIGN.md` §6.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpisodeConfig {
-    /// `C_1`'s initial position on the shared ego axis (`p_1(0)`).
-    pub other_start_shared: f64,
     /// Ego initial state (paper: `p_0(0) = −30 m`).
     pub ego_init: VehicleState,
-    /// `C_1` initial speed (m/s, forward frame).
-    pub other_init_speed: f64,
     /// Control period `Δt_c` (s).
     pub dt_c: f64,
     /// Message transmission period `Δt_m` (s).
@@ -74,11 +70,10 @@ pub struct EpisodeConfig {
     /// keeps the historical noise stream bit-identical; positive values use
     /// an extra RNG draw per sensing period.
     pub sensor_dropout: f64,
-    /// Driving behaviour of the primary oncoming vehicle `C_1`.
-    pub driver: DriverModel,
-    /// Additional oncoming vehicles (the paper's system model allows
-    /// `n − 1`; its evaluation uses one). Empty by default.
-    pub extra_others: Vec<ExtraVehicle>,
+    /// The conflicting vehicles `C_1 … C_{n−1}`, `C_1` first (the paper's
+    /// system model allows `n − 1`; its evaluation uses one). Vehicle `i`'s
+    /// random streams are keyed by its index.
+    pub others: Vec<OtherVehicle>,
 }
 
 impl EpisodeConfig {
@@ -86,9 +81,7 @@ impl EpisodeConfig {
     /// communication, with `Δt_m = Δt_s = 0.1 s` and `δ = 1`.
     pub fn paper_default(seed: u64) -> Self {
         Self {
-            other_start_shared: 52.0,
             ego_init: VehicleState::new(-30.0, 8.0, 0.0),
-            other_init_speed: 10.0,
             dt_c: 0.05,
             dt_m: 0.1,
             dt_s: 0.1,
@@ -97,42 +90,40 @@ impl EpisodeConfig {
             noise: SensorNoise::uniform(1.0),
             seed,
             sensor_dropout: 0.0,
-            driver: DriverModel::UniformRandom,
-            extra_others: Vec::new(),
+            others: vec![OtherVehicle::new(52.0, 10.0, DriverModel::UniformRandom)],
         }
     }
 
-    /// Builds the scenario geometry for this episode.
+    /// Builds the scenario geometry of `C_1` (`others[0]`).
     ///
     /// # Errors
     ///
     /// Returns a [`ScenarioError`] if the configuration is geometrically
-    /// invalid (e.g. `C_1` starting inside the zone).
+    /// invalid (e.g. `C_1` starting inside the zone) or has no conflicting
+    /// vehicle.
     pub fn scenario(&self) -> Result<LeftTurnScenario, ScenarioError> {
-        let mut scenario = LeftTurnScenario::paper_default(self.other_start_shared)?;
-        if (scenario.dt_c() - self.dt_c).abs() > 1e-12 {
-            scenario = LeftTurnScenario::new(
-                scenario.geometry(),
-                scenario.ego_limits(),
-                scenario.other_limits(),
-                self.other_start_shared,
-                self.dt_c,
-            )?;
-        }
-        Ok(scenario)
+        let first = self
+            .others
+            .first()
+            .ok_or(ScenarioError::NoOncomingVehicle)?;
+        self.scenario_at(first.start_shared)
     }
 
-    /// All conflicting vehicles: the primary `C_1` followed by
-    /// [`EpisodeConfig::extra_others`], as
-    /// `(start_shared, init_speed, driver)` tuples.
+    /// The paper's scenario for a vehicle starting at `start_shared`, at
+    /// this episode's control period.
+    fn scenario_at(&self, start_shared: f64) -> Result<LeftTurnScenario, ScenarioError> {
+        let paper = LeftTurnScenario::paper_default(start_shared)?;
+        let (ego, other) = (paper.ego_limits(), paper.other_limits());
+        LeftTurnScenario::new(paper.geometry(), ego, other, start_shared, self.dt_c)
+    }
+
+    /// All conflicting vehicles as `(start_shared, init_speed, driver)`
+    /// tuples, `C_1` first.
     pub fn vehicles(&self) -> Vec<(f64, f64, DriverModel)> {
-        let mut v = vec![(self.other_start_shared, self.other_init_speed, self.driver)];
-        v.extend(
-            self.extra_others
-                .iter()
-                .map(|e| (e.start_shared, e.init_speed, e.driver)),
-        );
-        v
+        self.others
+            .iter()
+            .map(|v| (v.start_shared, v.init_speed, v.driver))
+            .collect()
     }
 
     /// One scenario per conflicting vehicle (shared geometry, per-vehicle
@@ -140,7 +131,8 @@ impl EpisodeConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`ScenarioError`] if any vehicle starts inside the zone.
+    /// Returns a [`ScenarioError`] if any vehicle starts inside the zone or
+    /// there is no conflicting vehicle.
     pub fn scenarios(&self) -> Result<Vec<LeftTurnScenario>, ScenarioError> {
         let mut out = Vec::new();
         self.scenarios_into(&mut out)?;
@@ -153,30 +145,21 @@ impl EpisodeConfig {
         &self,
         out: &mut Vec<LeftTurnScenario>,
     ) -> Result<(), ScenarioError> {
-        let primary = self.scenario()?;
         out.clear();
-        out.push(primary);
-        for extra in &self.extra_others {
-            out.push(LeftTurnScenario::new(
-                primary.geometry(),
-                primary.ego_limits(),
-                primary.other_limits(),
-                extra.start_shared,
-                self.dt_c,
-            )?);
+        if self.others.is_empty() {
+            return Err(ScenarioError::NoOncomingVehicle);
+        }
+        for v in &self.others {
+            out.push(self.scenario_at(v.start_shared)?);
         }
         Ok(())
     }
 
-    /// The effective V2V channel setting of conflicting vehicle `i`: the
-    /// per-vehicle override when one is set, the episode-level
-    /// [`EpisodeConfig::comm`] otherwise. Vehicle `0` (the primary `C_1`)
-    /// always uses the episode-level setting.
+    /// The effective V2V channel setting of conflicting vehicle `i`: its
+    /// override when one is set, the episode-level [`EpisodeConfig::comm`]
+    /// otherwise (also for an index past the last vehicle).
     pub fn effective_comm(&self, i: usize) -> CommSetting {
-        match i.checked_sub(1).and_then(|j| self.extra_others.get(j)) {
-            Some(extra) => extra.comm.unwrap_or(self.comm),
-            None => self.comm,
-        }
+        self.others.get(i).and_then(|v| v.comm).unwrap_or(self.comm)
     }
 
     /// Derived sub-seed for vehicle `i`'s random driving.
@@ -235,10 +218,10 @@ impl PlatoonFollower {
 /// an oncoming platoon — a free-driven leader (the paper's `C_1`) trailed by
 /// gap-tracking followers, each vehicle with its own V2V channel.
 ///
-/// [`PlatoonSpec::episode`] lowers the spec onto [`EpisodeConfig`]: the
-/// leader becomes the primary conflicting vehicle and each follower an
-/// [`ExtraVehicle`] whose start position accumulates the headways and whose
-/// driver is [`DriverModel::GapTracking`]. An `n = 2` platoon (ego +
+/// [`PlatoonSpec::episode`] lowers the spec onto [`EpisodeConfig::others`]:
+/// the leader becomes `C_1` and each follower a further [`OtherVehicle`]
+/// whose start position accumulates the headways and whose driver is
+/// [`DriverModel::GapTracking`]. An `n = 2` platoon (ego +
 /// leader, no followers) lowers to exactly the single-conflicting-vehicle
 /// configuration — the differential oracle the platoon test-suite pins.
 #[derive(Debug, Clone, PartialEq)]
@@ -291,14 +274,16 @@ impl PlatoonSpec {
     /// Lowers the platoon onto an [`EpisodeConfig`].
     pub fn episode(&self) -> EpisodeConfig {
         let mut cfg = EpisodeConfig::paper_default(self.seed);
-        cfg.other_start_shared = self.leader_start_shared;
-        cfg.other_init_speed = self.leader_init_speed;
-        cfg.driver = self.leader_driver;
         cfg.comm = self.comm;
         let mut start = self.leader_start_shared;
+        cfg.others = vec![OtherVehicle::new(
+            start,
+            self.leader_init_speed,
+            self.leader_driver,
+        )];
         for f in &self.followers {
             start += f.gap;
-            cfg.extra_others.push(ExtraVehicle {
+            cfg.others.push(OtherVehicle {
                 start_shared: start,
                 init_speed: f.init_speed,
                 driver: DriverModel::GapTracking {
@@ -372,16 +357,19 @@ mod tests {
     fn effective_comm_inherits_unless_overridden() {
         let mut c = EpisodeConfig::paper_default(0);
         c.comm = CommSetting::delayed_with_drop(0.25);
-        c.extra_others
-            .push(ExtraVehicle::new(61.0, 10.0, DriverModel::ConstantSpeed));
-        c.extra_others.push(
-            ExtraVehicle::new(70.0, 10.0, DriverModel::ConstantSpeed).with_comm(CommSetting::Lost),
+        c.others
+            .push(OtherVehicle::new(61.0, 10.0, DriverModel::ConstantSpeed));
+        c.others.push(
+            OtherVehicle::new(70.0, 10.0, DriverModel::ConstantSpeed).with_comm(CommSetting::Lost),
         );
         assert_eq!(c.effective_comm(0), c.comm);
         assert_eq!(c.effective_comm(1), c.comm);
         assert_eq!(c.effective_comm(2), CommSetting::Lost);
         // Out of range falls back to the episode-level setting.
         assert_eq!(c.effective_comm(3), c.comm);
+        // C_1 is a vehicle like any other: its override is honoured too.
+        c.others[0].comm = Some(CommSetting::NoDisturbance);
+        assert_eq!(c.effective_comm(0), CommSetting::NoDisturbance);
     }
 
     #[test]
@@ -393,12 +381,12 @@ mod tests {
         spec.followers[1].comm = Some(CommSetting::Lost);
         assert_eq!(spec.n(), 4);
         let cfg = spec.episode();
-        assert_eq!(cfg.other_start_shared, 52.0);
-        assert_eq!(cfg.extra_others.len(), 2);
-        assert_eq!(cfg.extra_others[0].start_shared, 61.0);
-        assert_eq!(cfg.extra_others[1].start_shared, 73.0);
+        assert_eq!(cfg.others.len(), 3);
+        assert_eq!(cfg.others[0].start_shared, 52.0);
+        assert_eq!(cfg.others[1].start_shared, 61.0);
+        assert_eq!(cfg.others[2].start_shared, 73.0);
         assert_eq!(
-            cfg.extra_others[1].driver,
+            cfg.others[2].driver,
             DriverModel::GapTracking {
                 target_gap: 12.0,
                 gain: 0.4

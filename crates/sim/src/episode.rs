@@ -194,7 +194,7 @@ impl EpisodeWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DriverModel, ExtraVehicle};
+    use crate::{DriverModel, OtherVehicle};
     use cv_comm::CommSetting;
 
     #[test]
@@ -278,11 +278,12 @@ mod tests {
         // Two oncoming vehicles; the conservative teacher must stay safe and
         // crossing behind two cars can never beat crossing behind one.
         let mut cfg = EpisodeConfig::paper_default(4);
-        cfg.extra_others = vec![ExtraVehicle::new(62.0, 10.0, DriverModel::UniformRandom)];
+        cfg.others
+            .push(OtherVehicle::new(62.0, 10.0, DriverModel::UniformRandom));
         let spec = StackSpec::pure_teacher_conservative(&cfg).unwrap();
         let single = {
             let mut c = cfg.clone();
-            c.extra_others.clear();
+            c.others.truncate(1);
             run_episode(&c, &spec, false).unwrap()
         };
         let platoon = run_episode(&cfg, &spec, false).unwrap();
@@ -316,7 +317,7 @@ mod tests {
         // constant-velocity assumption. The conservative teacher uses sound
         // windows, so it must stay safe.
         let mut cfg = EpisodeConfig::paper_default(5);
-        cfg.driver = DriverModel::Ambush { brake_at: 2.0 };
+        cfg.others[0].driver = DriverModel::Ambush { brake_at: 2.0 };
         let spec = StackSpec::pure_teacher_conservative(&cfg).unwrap();
         let r = run_episode(&cfg, &spec, false).unwrap();
         assert!(r.outcome.is_safe());

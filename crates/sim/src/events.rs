@@ -8,7 +8,7 @@
 //! * **Message arrivals** are known when the message is sent: every
 //!   channel of a [`cv_comm::CommSetting`] delivers after a constant delay
 //!   or not at all (paper §V). [`cv_comm::Channel::send_scheduled`]
-//!   resolves the delivery time, [`arrival_tick`] turns it into a control
+//!   resolves the delivery time, `arrival_tick` turns it into a control
 //!   tick, and the message waits on its pair's FIFO until that tick.
 //!   No channel is asked each tick what is due.
 //! * **Retirement**: once a pair provably can no longer produce a non-empty

@@ -4,7 +4,7 @@
 //! answer its [`BatchMode`] selects. Each worker of the fan-out behind
 //! [`crate::run_batch_with`] is one `drive_worker` call.
 //!
-//! A worker owns a [`LaneGroup`] of `K` episode *lanes* (`K =`
+//! A worker owns a `LaneGroup` of `K` episode *lanes* (`K =`
 //! [`BatchMode::lanes`] for a stack with an NN planner, else 1). With one
 //! lane, the stepper answers NN steps inline and runs each episode to its
 //! outcome in one call. With `K > 1` (`Lanes(k)` on a stack with an

@@ -70,7 +70,7 @@ pub use batch::{run_batch, BatchConfig};
 pub use cache::{
     episode_key, episode_weight, stack_digest, store_salt, EpisodeCache, DEFAULT_CACHE_BYTES,
 };
-pub use config::{EpisodeConfig, ExtraVehicle, PlatoonFollower, PlatoonSpec};
+pub use config::{EpisodeConfig, OtherVehicle, PlatoonFollower, PlatoonSpec};
 pub use cv_cache::{CacheKey, CacheStats, Hashable, KeyError, KeyHasher, RecoveryReport};
 pub use driver::{Driver, DriverModel, LeadInfo};
 pub use episode::{

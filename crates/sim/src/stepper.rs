@@ -1,7 +1,7 @@
 //! The episode stepper: the simulator's one per-step loop.
 //!
 //! Every execution mode runs its episodes through
-//! [`EpisodeWorkspace::advance`]. Per control step `t = k·Δt_c`, per
+//! `EpisodeWorkspace::advance`. Per control step `t = k·Δt_c`, per
 //! conflicting vehicle in index order: the vehicle broadcasts (every
 //! `Δt_m`), due V2V messages reach its estimator, the sensor fires (every
 //! `Δt_s`); then ground truth is checked (collision → `η = −1`, target →
@@ -11,7 +11,7 @@
 //! message arrivals are resolved at send time onto per-pair FIFOs, and
 //! pairs that cleared the zone retire, except while traces are recorded.
 //! One policy, derived from [`crate::BatchMode`], varies who answers a
-//! nominal NN step ([`NnAnswer`]). *Inline* (one lane) answers it with the
+//! nominal NN step (`NnAnswer`). *Inline* (one lane) answers it with the
 //! executor's own planner inside `advance`; *deferred* (`Lanes(k > 1)`)
 //! parks the episode with the observation, which the lane group answers
 //! from one batched forward and hands back through `resume`

@@ -525,10 +525,9 @@ mod tests {
             ("comm.delay", |c| c.comm = delayed(-1.0, 0.0)),
             ("comm.delay", |c| c.comm = delayed(f64::INFINITY, 0.0)),
             ("comm.drop_prob", |c| c.comm = delayed(0.25, 1.5)),
-            ("extra_others[0].comm.drop_prob", |c| {
-                let extra = crate::ExtraVehicle::new(62.0, 10.0, crate::DriverModel::ConstantSpeed);
-                c.extra_others
-                    .push(extra.with_comm(delayed(0.25, f64::NAN)));
+            ("others[1].comm.drop_prob", |c| {
+                let extra = crate::OtherVehicle::new(62.0, 10.0, crate::DriverModel::ConstantSpeed);
+                c.others.push(extra.with_comm(delayed(0.25, f64::NAN)));
             }),
             ("noise.delta_v", |c| c.noise.delta_v = -0.5),
             ("noise.delta_p", |c| c.noise.delta_p = f64::INFINITY),

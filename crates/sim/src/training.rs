@@ -1,7 +1,7 @@
 //! Behaviour-cloning pipeline: teacher rollouts → datasets → NN planners.
 //!
 //! The paper trains `κ_n,cons` and `κ_n,aggr` with the learning method of
-//! its ref. [6]; per the substitution in `DESIGN.md`, we clone two analytic
+//! its ref. \[6\]; per the substitution in `DESIGN.md`, we clone two analytic
 //! [`cv_planner::TeacherPolicy`] presets instead. Rollouts run closed-loop under a mix
 //! of communication settings so the NN sees the windows it will face at
 //! deployment time.
@@ -158,11 +158,11 @@ pub fn collect_teacher_dataset(
     for ep in 0..setup.rollout_episodes {
         let mut cfg = EpisodeConfig::paper_default(setup.seed.wrapping_add(ep as u64));
         cfg.comm = comm_mix[ep % comm_mix.len()];
-        cfg.other_start_shared = starts[ep % starts.len()];
+        cfg.others[0].start_shared = starts[ep % starts.len()];
         // Randomise the start state a little so the clone generalises.
         cfg.ego_init.velocity = vary_rng.random_range(5.0..10.0);
         cfg.ego_init.position = -30.0 + vary_rng.random_range(-3.0..3.0);
-        cfg.other_init_speed = vary_rng.random_range(8.0..12.0);
+        cfg.others[0].init_speed = vary_rng.random_range(8.0..12.0);
         rollout_into(&cfg, personality, &mut data)?;
     }
     Ok(data)

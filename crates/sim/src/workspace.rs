@@ -5,14 +5,14 @@
 //! every weight matrix). A batch worker runs thousands of episodes with the
 //! *same* stack, so [`EpisodeWorkspace`] keeps that alive across episodes:
 //!
-//! - each conflicting vehicle is one [`Pair`] record (paper §II-A: each of
-//!   the ego's `n − 1` conflicting vehicles has its own V2V channel, sensor
-//!   and estimator), and one loop re-arms them all in place
-//!   ([`EpisodeWorkspace::arm_pairs`]): a channel is re-armed via
-//!   [`Channel::reset`] (bit-identical to a fresh channel — see the
-//!   `cv-comm` tests) while its setting is unchanged and rebuilt otherwise,
-//!   the arrival queue keeps its capacity, and the estimator is rebuilt
-//!   from [`StackSpec::estimator`];
+//! - each conflicting vehicle of [`EpisodeConfig::others`] is one `Pair`
+//!   record (paper §II-A: each of the ego's `n − 1` conflicting vehicles
+//!   has its own V2V channel, sensor and estimator), and one loop over that
+//!   list re-arms them all in place (`EpisodeWorkspace::arm_pairs`): a
+//!   channel is re-armed via [`Channel::reset`] (bit-identical to a fresh
+//!   channel — see the `cv-comm` tests) while its setting is unchanged and
+//!   rebuilt otherwise, the arrival queue keeps its capacity, and the
+//!   estimator is rebuilt from `StackSpec::estimator`;
 //! - the [`StackSpec`]'s executor is built once and re-armed in place, so
 //!   the planner is cloned exactly once per worker. The executor's scenario
 //!   list (the compound planner's own, for a compound stack) is the one
@@ -81,7 +81,7 @@ pub struct EpisodeWorkspace {
     pub(crate) spec: StackSpec,
     /// Built on first use, re-armed (not rebuilt) on every later episode.
     pub(crate) exec: Option<StackExec>,
-    /// One record per conflicting vehicle, primary `C_1` first.
+    /// One record per entry of [`EpisodeConfig::others`], in its order.
     pub(crate) pairs: Vec<Pair>,
     /// The episode the stepper is running, between `start` and its finish.
     pub(crate) run: Option<Run>,
@@ -106,18 +106,11 @@ impl EpisodeWorkspace {
 
     /// Re-arms one pair per conflicting vehicle of `cfg`, in place.
     pub(crate) fn arm_pairs(&mut self, cfg: &EpisodeConfig, limits: VehicleLimits) {
-        let n = 1 + cfg.extra_others.len();
-        self.pairs.truncate(n);
-        for i in 0..n {
-            let (start, speed, model) = match i.checked_sub(1) {
-                None => (cfg.other_start_shared, cfg.other_init_speed, cfg.driver),
-                Some(j) => {
-                    let e = &cfg.extra_others[j];
-                    (e.start_shared, e.init_speed, e.driver)
-                }
-            };
-            let truth = VehicleState::new(0.0, speed, 0.0);
-            let driver = model.driver(limits, cfg.seed_driving_for(i));
+        self.pairs.truncate(cfg.others.len());
+        for (i, other) in cfg.others.iter().enumerate() {
+            let start = other.start_shared;
+            let truth = VehicleState::new(0.0, other.init_speed, 0.0);
+            let driver = other.driver.driver(limits, cfg.seed_driving_for(i));
             let sensor = UniformNoiseSensor::new(cfg.noise, cfg.seed_sensor_for(i))
                 .with_dropout(cfg.sensor_dropout);
             let (comm, seed) = (cfg.effective_comm(i), cfg.seed_channel_for(i));
@@ -153,7 +146,8 @@ impl EpisodeWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ExtraVehicle;
+    use crate::OtherVehicle;
+    use left_turn::ScenarioError;
 
     #[test]
     fn invalid_geometry_is_a_typed_error_and_the_workspace_recovers() {
@@ -161,16 +155,23 @@ mod tests {
         let spec = StackSpec::pure_teacher_conservative(&cfg).unwrap();
         let mut ws = EpisodeWorkspace::new(spec);
         let good = ws.run(&cfg, false).unwrap();
-        let mut bad = cfg.clone();
-        bad.extra_others = vec![ExtraVehicle::new(
+        let mut inside = cfg.clone();
+        inside.others.push(OtherVehicle::new(
             10.0, // inside the zone
             10.0,
             crate::DriverModel::ConstantSpeed,
-        )];
-        assert!(matches!(
-            ws.run(&bad, false),
-            Err(crate::SimError::Scenario(_))
         ));
-        assert_eq!(ws.run(&cfg, false).unwrap(), good);
+        let mut empty = cfg.clone();
+        empty.others.clear();
+        for (bad, expected) in [
+            (inside, ScenarioError::OtherStartsInsideZone),
+            (empty, ScenarioError::NoOncomingVehicle),
+        ] {
+            assert_eq!(
+                ws.run(&bad, false),
+                Err(crate::SimError::Scenario(expected))
+            );
+            assert_eq!(ws.run(&cfg, false).unwrap(), good);
+        }
     }
 }

@@ -22,6 +22,8 @@ impl Planner for FullThrottle {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = EpisodeConfig::paper_default(3);
+    // The one conflicting vehicle `C_1` of the paper's evaluation.
+    let c1 = cfg.others[0];
     let scenario = cfg.scenario()?;
     let ego_limits = scenario.ego_limits();
     let other_limits = scenario.other_limits();
@@ -33,12 +35,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         other_limits,
         cfg.noise,
         FilterMode::HardOnly,
-        Prior::exact(0.0, 0.0, cfg.other_init_speed),
+        Prior::exact(0.0, 0.0, c1.init_speed),
     );
 
     let mut ego = cfg.ego_init;
-    let mut other = VehicleState::new(0.0, cfg.other_init_speed, 0.0);
-    let mut channel = cfg.comm.channel(cfg.seed_channel_for(0));
+    let mut other = VehicleState::new(0.0, c1.init_speed, 0.0);
+    let mut channel = cfg.effective_comm(0).channel(cfg.seed_channel_for(0));
     let mut sensor = UniformNoiseSensor::new(cfg.noise, cfg.seed_sensor_for(0));
     let mut rng = cv_rng::SplitMix64::seed_from_u64(cfg.seed_driving_for(0));
 

@@ -10,7 +10,7 @@
 
 use safe_cv::prelude::*;
 use safe_cv::sim::training::{train_planner, Personality, TrainSetup};
-use safe_cv::sim::{DriverModel, ExtraVehicle};
+use safe_cv::sim::{DriverModel, OtherVehicle};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("training a small conservative NN planner...");
@@ -23,8 +23,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     // Two more oncoming vehicles, 8 m and 30 m behind the first: the first
     // pair forms one unusable cluster; the third leaves a usable gap.
-    cfg.extra_others = vec![
-        ExtraVehicle::new(
+    cfg.others.extend([
+        OtherVehicle::new(
             60.0,
             10.0,
             DriverModel::OrnsteinUhlenbeck {
@@ -32,8 +32,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 sigma: 1.5,
             },
         ),
-        ExtraVehicle::new(82.0, 11.0, DriverModel::UniformRandom),
-    ];
+        OtherVehicle::new(82.0, 11.0, DriverModel::UniformRandom),
+    ]);
 
     let spec = StackSpec::ultimate(planner, AggressiveConfig::default());
     let result = run_episode(&cfg, &spec, true)?;

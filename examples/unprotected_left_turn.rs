@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "conflict zone on the ego axis: [{}, {}] m; C1 starts {} m down the road\n",
         scenario.geometry().p_f,
         scenario.geometry().p_b,
-        cfg.other_start_shared
+        cfg.others[0].start_shared
     );
 
     let spec = StackSpec::ultimate(planner, AggressiveConfig::default());
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "t[s]", "ego p[m]", "ego v", "C1 shared", "slack", "cons window"
     );
     for (ego, windows) in traces.iter_steps().step_by(10) {
-        let c1_shared = cfg.other_start_shared
+        let c1_shared = cfg.others[0].start_shared
             - traces
                 .primary_other()
                 .sample_at(ego.time)

@@ -12,6 +12,9 @@ cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings -W clippy::perf
+# Rustdoc gate: a broken intra-doc link, or a public doc linking a private
+# item, fails the build instead of rotting silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --keep-going
 # Cargo unifies features, so cv-sim's fault-injection feature can be on
 # while cv-server's own is off; every cv-sim type cv-server builds must
 # still compile in that union.

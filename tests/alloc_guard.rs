@@ -4,7 +4,7 @@
 //! every heap allocation, so the assertions below are exact: `predict_into`
 //! and the planner's per-step `plan` call perform *zero* allocations in the
 //! steady state, a warmed episode loop allocates only a small per-episode
-//! constant (the estimator boxes rebuilt by `StackSpec::reinit`) — never
+//! constant (the estimator boxes rebuilt by `EpisodeWorkspace::arm_pairs`) — never
 //! per step — and `Trainer::fit` allocates nothing per mini-batch once its
 //! scratch has grown. See DESIGN.md §13.
 //!
@@ -115,7 +115,7 @@ fn nn_hot_paths_are_allocation_free() {
 
     // --- Steady-state episode loop through the full NN planner stack. ---
     // A warmed workspace may allocate a small per-episode constant (the
-    // estimator boxes `StackSpec::reinit` rebuilds) but nothing per step:
+    // estimator boxes `EpisodeWorkspace::arm_pairs` rebuilds) but nothing per step:
     // a warmed run's allocation count must stay far below one per step.
     let cfg = EpisodeConfig::paper_default(42);
     let spec = StackSpec::basic(planner);

@@ -4,7 +4,7 @@
 mod common;
 
 use safe_cv::prelude::*;
-use safe_cv::sim::{run_episode, DriverModel, ExtraVehicle};
+use safe_cv::sim::{run_episode, DriverModel, OtherVehicle};
 
 fn platoon_cfg(seed: u64, gaps: &[f64]) -> EpisodeConfig {
     let mut cfg = EpisodeConfig::paper_default(seed);
@@ -12,14 +12,11 @@ fn platoon_cfg(seed: u64, gaps: &[f64]) -> EpisodeConfig {
         delay: 0.25,
         drop_prob: 0.25,
     };
-    let mut pos = cfg.other_start_shared;
-    cfg.extra_others = gaps
-        .iter()
-        .map(|gap| {
-            pos += gap;
-            ExtraVehicle::new(pos, 10.0, DriverModel::UniformRandom)
-        })
-        .collect();
+    let mut pos = cfg.others[0].start_shared;
+    cfg.others.extend(gaps.iter().map(|gap| {
+        pos += gap;
+        OtherVehicle::new(pos, 10.0, DriverModel::UniformRandom)
+    }));
     cfg
 }
 
@@ -38,8 +35,8 @@ fn shield_holds_for_three_vehicle_platoons_with_mixed_drivers() {
     let spec = StackSpec::basic(common::aggressive_nn());
     for seed in 0..20u64 {
         let mut cfg = platoon_cfg(seed, &[8.0, 25.0]);
-        cfg.extra_others[0].driver = DriverModel::Ambush { brake_at: 2.5 };
-        cfg.extra_others[1].driver = DriverModel::OrnsteinUhlenbeck {
+        cfg.others[1].driver = DriverModel::Ambush { brake_at: 2.5 };
+        cfg.others[2].driver = DriverModel::OrnsteinUhlenbeck {
             theta: 0.5,
             sigma: 1.5,
         };

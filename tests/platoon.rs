@@ -76,7 +76,7 @@ fn episode_eta_is_the_minimum_over_pair_etas() {
             drop_prob: 0.5,
         };
         let cfg = platoon.episode();
-        let pairs = 1 + cfg.extra_others.len();
+        let pairs = cfg.others.len();
         let r = run_episode(&cfg, &spec, false).expect("platoon episode");
         let per_pair = r.pair_etas(pairs);
         assert_eq!(per_pair.len(), pairs);
@@ -179,7 +179,7 @@ fn followers_track_the_leader_through_a_full_episode() {
     let platoon = PlatoonSpec::paper_default(3, 11).expect("n = 3 is valid");
     let cfg = platoon.episode();
     assert_eq!(
-        cfg.extra_others[0].driver,
+        cfg.others[1].driver,
         DriverModel::GapTracking {
             target_gap: 9.0,
             gain: 0.6,

@@ -19,7 +19,7 @@ cv_rng::props! {
         let mut cfg = EpisodeConfig::paper_default(seed);
         cfg.comm = CommSetting::Delayed { delay, drop_prob };
         cfg.noise = SensorNoise::uniform(delta);
-        cfg.other_start_shared = 50.5 + 0.5 * start_idx as f64;
+        cfg.others[0].start_shared = 50.5 + 0.5 * start_idx as f64;
         let spec = StackSpec::ultimate(common::aggressive_nn(), AggressiveConfig::default());
         let r = run_episode(&cfg, &spec, false).expect("valid episode");
         assert!(r.outcome.is_safe(), "collision: {:?}", r.outcome);

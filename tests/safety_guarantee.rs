@@ -10,7 +10,7 @@ use safe_cv::sim::run_episode;
 fn assert_batch_safe(spec: &StackSpec, mutate: impl Fn(&mut EpisodeConfig), n: u64, tag: &str) {
     for seed in 0..n {
         let mut cfg = EpisodeConfig::paper_default(seed);
-        cfg.other_start_shared = 50.5 + 0.5 * (seed % 20) as f64;
+        cfg.others[0].start_shared = 50.5 + 0.5 * (seed % 20) as f64;
         mutate(&mut cfg);
         let r = run_episode(&cfg, spec, false).expect("valid episode");
         assert!(
@@ -115,10 +115,10 @@ fn shield_contains_a_hostile_planner() {
             other_limits,
             cfg.noise,
             FilterMode::HardOnly,
-            Prior::exact(0.0, 0.0, cfg.other_init_speed),
+            Prior::exact(0.0, 0.0, cfg.others[0].init_speed),
         );
         let mut ego = cfg.ego_init;
-        let mut other = VehicleState::new(0.0, cfg.other_init_speed, 0.0);
+        let mut other = VehicleState::new(0.0, cfg.others[0].init_speed, 0.0);
         let mut sensor = UniformNoiseSensor::new(cfg.noise, cfg.seed_sensor_for(0));
         let mut rng = cv_rng::SplitMix64::seed_from_u64(cfg.seed_driving_for(0));
         for step in 0..(cfg.horizon / cfg.dt_c) as u64 {

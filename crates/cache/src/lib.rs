@@ -14,17 +14,15 @@
 //!   inputs to a simulation and hash differently — and NaN payloads are
 //!   rejected with a typed [`KeyError`] instead of being silently keyed
 //!   (a NaN-bearing config does not describe a reproducible episode).
-//! * **Storage** — [`ShardedCache`]: an in-process, memory-bounded LRU,
-//!   sharded across independently locked segments so concurrent lookups
-//!   contend only per shard, with hit/miss/eviction counters.
+//! * **Storage** — [`PersistentCache`]: one in-process, memory-bounded LRU
+//!   behind one mutex, with hit/miss/eviction counters, and an optional
+//!   crash-safe segment store on disk underneath ([`persist`]).
 //!
 //! What to cache is the *caller's* policy; the contract here is only that
 //! `insert` never exceeds the byte budget (least-recently-used entries are
 //! evicted first) and `get` returns exactly what was inserted.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use cv_rng::{Fnv1a, FNV_OFFSET_BASIS};
 
@@ -231,65 +229,80 @@ pub struct CacheStats {
     pub degraded: u64,
 }
 
-/// One shard: an LRU map with its own byte budget.
+/// The memory tier: one LRU map under one byte budget, with its counters.
 ///
-/// Recency is tracked with a monotonic tick per shard: the map stores each
-/// entry's current tick, and `order` is the tick-sorted index. A hit
-/// re-stamps the entry (O(log n)); eviction pops the smallest tick. Ticks
-/// are u64 — they cannot plausibly wrap.
-struct Shard<V> {
-    map: HashMap<CacheKey, ShardEntry<V>>,
+/// Recency is tracked with a monotonic tick: the map stores each entry's
+/// current tick, and `order` is the tick-sorted index. A hit re-stamps the
+/// entry (O(log n)); eviction pops the smallest tick. Ticks are u64 — they
+/// cannot plausibly wrap. [`PersistentCache`] owns it behind one mutex.
+pub(crate) struct Lru<V> {
+    map: HashMap<CacheKey, LruEntry<V>>,
     order: BTreeMap<u64, CacheKey>,
     next_tick: u64,
     bytes: usize,
+    budget: usize,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
 }
 
-struct ShardEntry<V> {
+struct LruEntry<V> {
     value: V,
     tick: u64,
     weight: usize,
 }
 
-impl<V: Clone> Shard<V> {
-    fn new() -> Self {
-        Shard {
+impl<V: Clone> Lru<V> {
+    /// An empty LRU holding at most `budget` bytes of entry weight.
+    pub(crate) fn new(budget: usize) -> Self {
+        Lru {
             map: HashMap::new(),
             order: BTreeMap::new(),
             next_tick: 0,
             bytes: 0,
+            budget,
+            hits: 0,
+            misses: 0,
+            evictions: 0,
         }
     }
 
-    fn get(&mut self, key: &CacheKey) -> Option<V> {
+    /// Looks up `key`, refreshing its recency on a hit.
+    pub(crate) fn get(&mut self, key: &CacheKey) -> Option<V> {
         let tick = self.next_tick;
-        let entry = self.map.get_mut(key)?;
+        let Some(entry) = self.map.get_mut(key) else {
+            self.misses += 1;
+            return None;
+        };
         self.order.remove(&entry.tick);
         entry.tick = tick;
         self.order.insert(tick, *key);
         self.next_tick += 1;
+        self.hits += 1;
         Some(entry.value.clone())
     }
 
-    /// Inserts and returns how many entries were evicted to make room.
-    fn insert(&mut self, key: CacheKey, value: V, weight: usize, budget: usize) -> u64 {
-        if weight > budget {
-            // An entry that alone overflows the shard would immediately
+    /// Inserts `value` under `key` with an estimated `weight` in bytes,
+    /// evicting least-recently-used entries as needed. An entry heavier
+    /// than the whole budget is refused.
+    pub(crate) fn insert(&mut self, key: CacheKey, value: V, weight: usize) {
+        if weight > self.budget {
+            // An entry that alone overflows the budget would immediately
             // evict everything including itself; refuse it outright.
-            return 0;
+            return;
         }
         if let Some(old) = self.map.remove(&key) {
             self.order.remove(&old.tick);
             self.bytes -= old.weight;
         }
-        let mut evicted = 0;
-        while self.bytes + weight > budget {
+        while self.bytes + weight > self.budget {
             let (_, victim) = self
                 .order
                 .pop_first()
                 .expect("non-empty order while over budget");
             let gone = self.map.remove(&victim).expect("order/map in sync");
             self.bytes -= gone.weight;
-            evicted += 1;
+            self.evictions += 1;
         }
         let tick = self.next_tick;
         self.next_tick += 1;
@@ -297,144 +310,26 @@ impl<V: Clone> Shard<V> {
         self.bytes += weight;
         self.map.insert(
             key,
-            ShardEntry {
+            LruEntry {
                 value,
                 tick,
                 weight,
             },
         );
-        evicted
-    }
-}
-
-/// A sharded, memory-bounded, in-process LRU keyed by [`CacheKey`].
-///
-/// The byte budget is split evenly across shards and enforced per shard;
-/// each shard is an independent [`Mutex`], so lookups on different shards
-/// never contend and a lookup concurrent with an eviction on the same shard
-/// simply serialises — it returns either the full entry or a miss, never a
-/// torn value. Values are returned by clone, so an evicted entry that a
-/// concurrent reader already fetched stays valid in the reader's hands.
-///
-/// Counters are process-wide atomics; per-job accounting is done by the
-/// caller (which knows which lookups belong to which job).
-pub struct ShardedCache<V> {
-    shards: Vec<Mutex<Shard<V>>>,
-    shard_budget: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-/// Default shard count: enough to keep a handful of worker threads off each
-/// other's locks without fragmenting small byte budgets.
-pub const DEFAULT_SHARDS: usize = 16;
-
-impl<V: Clone> ShardedCache<V> {
-    /// A cache holding at most `total_bytes` of entry weight across
-    /// [`DEFAULT_SHARDS`] shards.
-    pub fn new(total_bytes: usize) -> Self {
-        Self::with_shards(total_bytes, DEFAULT_SHARDS)
     }
 
-    /// A cache with an explicit shard count (floor 1). Single-shard caches
-    /// have a globally deterministic LRU order — what the eviction-order
-    /// tests pin down.
-    pub fn with_shards(total_bytes: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        ShardedCache {
-            shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
-            shard_budget: total_bytes / shards,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, key: &CacheKey) -> &Mutex<Shard<V>> {
-        // The key is already a high-quality hash; its low bits pick the
-        // shard directly.
-        &self.shards[(key.lo as usize) % self.shards.len()]
-    }
-
-    /// Looks up `key`, refreshing its recency on a hit.
-    pub fn get(&self, key: &CacheKey) -> Option<V> {
-        let got = self
-            .shard(key)
-            .lock()
-            .expect("cache shard poisoned")
-            .get(key);
-        match got {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Inserts `value` under `key` with an estimated `weight` in bytes,
-    /// evicting least-recently-used entries of the same shard as needed.
-    /// An entry heavier than a whole shard's budget is silently refused.
-    pub fn insert(&self, key: CacheKey, value: V, weight: usize) {
-        let evicted = self
-            .shard(&key)
-            .lock()
-            .expect("cache shard poisoned")
-            .insert(key, value, weight, self.shard_budget);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
-    }
-
-    /// Total evictions since construction.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// A snapshot of the counters and occupancy.
-    ///
-    /// All shard locks are held simultaneously while the occupancy totals
-    /// are read, so `entries`/`bytes` describe one consistent point in time
-    /// — a concurrent insert can never be half-counted across shards.
-    /// Locks are always taken in shard-index order (this is the only place
-    /// more than one is held), so there is no deadlock ordering to violate.
-    pub fn stats(&self) -> CacheStats {
-        let guards: Vec<_> = self
-            .shards
-            .iter()
-            .map(|shard| shard.lock().expect("cache shard poisoned"))
-            .collect();
-        let (mut entries, mut bytes) = (0, 0);
-        for s in &guards {
-            entries += s.map.len();
-            bytes += s.bytes;
-        }
+    /// The counters and occupancy; the persistent tier's two counters are
+    /// left at 0 for its owner to fill in.
+    pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries,
-            bytes,
+            hits: self.hits,
+            misses: self.misses,
+            evictions: self.evictions,
+            entries: self.map.len(),
+            bytes: self.bytes,
             bytes_persisted: 0,
             degraded: 0,
         }
-    }
-
-    /// Live entry count across all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").map.len())
-            .sum()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -505,7 +400,7 @@ mod tests {
 
     #[test]
     fn get_returns_what_insert_stored() {
-        let cache: ShardedCache<Vec<f64>> = ShardedCache::new(1 << 16);
+        let cache: PersistentCache<Vec<f64>> = PersistentCache::new(1 << 16);
         assert!(cache.is_empty());
         cache.insert(key(1), vec![1.5, -0.0], 64);
         assert_eq!(cache.get(&key(1)), Some(vec![1.5, -0.0]));
@@ -517,7 +412,7 @@ mod tests {
 
     #[test]
     fn reinsert_replaces_without_leaking_weight() {
-        let cache: ShardedCache<u32> = ShardedCache::with_shards(1024, 1);
+        let cache: PersistentCache<u32> = PersistentCache::new(1024);
         cache.insert(key(1), 10, 100);
         cache.insert(key(1), 20, 300);
         assert_eq!(cache.get(&key(1)), Some(20));
@@ -527,8 +422,8 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used_first() {
-        // Single shard, budget for exactly three unit-weight entries.
-        let cache: ShardedCache<u64> = ShardedCache::with_shards(3, 1);
+        // Budget for exactly three unit-weight entries.
+        let cache: PersistentCache<u64> = PersistentCache::new(3);
         cache.insert(key(1), 1, 1);
         cache.insert(key(2), 2, 1);
         cache.insert(key(3), 3, 1);
@@ -544,9 +439,9 @@ mod tests {
 
     #[test]
     fn oversize_entry_is_refused_not_thrashed() {
-        let cache: ShardedCache<u64> = ShardedCache::with_shards(8, 1);
+        let cache: PersistentCache<u64> = PersistentCache::new(8);
         cache.insert(key(1), 1, 4);
-        cache.insert(key(2), 2, 100); // heavier than the whole shard
+        cache.insert(key(2), 2, 100); // heavier than the whole budget
         assert_eq!(cache.get(&key(2)), None);
         assert_eq!(cache.get(&key(1)), Some(1), "resident entry untouched");
         assert_eq!(cache.evictions(), 0);

@@ -1,4 +1,4 @@
-//! Crash-safe persistent tier for the sharded result cache.
+//! Crash-safe persistent tier for the result cache.
 //!
 //! Layout: a cache directory holds append-only segment files
 //! (`seg-00000000.seg`, `seg-00000001.seg`, …). Each segment starts with a
@@ -20,17 +20,17 @@
 //!   is *stale*: skipped and counted, never misread and never renamed.
 //!
 //! Writes go through a bounded write-behind queue drained by one background
-//! thread, so an insert never blocks the shard scheduler on disk I/O. Any
+//! thread, so an insert never blocks its caller on disk I/O. Any
 //! I/O error flips a sticky `degraded` flag: the cache keeps serving from
 //! memory and counts every shed record instead of propagating the failure.
 
-use crate::{CacheKey, CacheStats, ShardedCache};
+use crate::{CacheKey, CacheStats, Lru};
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 /// CRC-64/XZ (reflected ECMA-182) — the variant used by xz-utils.
@@ -555,15 +555,18 @@ enum WriteCmd {
     Flush(SyncSender<bool>),
 }
 
-struct PersistHandle {
+struct PersistHandle<V> {
     tx: Option<SyncSender<WriteCmd>>,
     handle: Option<JoinHandle<()>>,
     degraded: Arc<AtomicBool>,
     shed: Arc<AtomicU64>,
     bytes_persisted: Arc<AtomicU64>,
+    /// `V`'s record encoding, taken where [`PersistValue`] is known, so
+    /// that inserting needs only `V: Clone`.
+    encode: fn(&V, &mut Vec<u8>) -> bool,
 }
 
-impl Drop for PersistHandle {
+impl<V> Drop for PersistHandle<V> {
     fn drop(&mut self) {
         self.tx = None; // close the channel so the writer drains and exits
         if let Some(handle) = self.handle.take() {
@@ -578,49 +581,92 @@ struct Stored<V> {
     persisted: bool,
 }
 
-/// The persistent cache: a [`ShardedCache`] read-through front with an
-/// optional write-behind segment store underneath. Constructed via
+/// The persistent cache: one memory-bounded LRU, read-through, behind one
+/// mutex, with an optional write-behind segment store underneath. The
+/// whole `total_bytes` budget is the LRU's: inserting past it evicts the
+/// least-recently-used entries, and an entry heavier than the whole budget
+/// is refused. Values are returned by clone, so an entry evicted after a
+/// reader fetched it stays valid in the reader's hands. Constructed via
 /// [`PersistentCache::new`] (memory-only, zero overhead — the write path
 /// does not exist) or [`PersistentCache::open`] /
 /// [`PersistentCache::open_with_io`] (disk-backed with crash recovery).
 pub struct PersistentCache<V> {
-    mem: ShardedCache<Stored<V>>,
-    persist: Option<PersistHandle>,
+    mem: Mutex<Lru<Stored<V>>>,
+    persist: Option<PersistHandle<V>>,
 }
 
 impl<V: Clone> PersistentCache<V> {
-    /// Memory-only cache; behaves exactly like the bare [`ShardedCache`].
+    /// Memory-only cache holding at most `total_bytes` of entry weight.
     pub fn new(total_bytes: usize) -> Self {
         Self {
-            mem: ShardedCache::new(total_bytes),
+            mem: Mutex::new(Lru::new(total_bytes)),
             persist: None,
         }
     }
 
+    fn mem(&self) -> MutexGuard<'_, Lru<Stored<V>>> {
+        self.mem.lock().expect("cache lock poisoned")
+    }
+
     /// Look up `key`, refreshing its LRU position.
     pub fn get(&self, key: &CacheKey) -> Option<V> {
-        self.mem.get(key).map(|s| s.value)
+        self.mem().get(key).map(|s| s.value)
     }
 
     /// Like [`get`](Self::get), but also reports whether the entry was
     /// reloaded from disk at startup (a *persisted* hit) rather than
     /// inserted this process lifetime.
     pub fn get_entry(&self, key: &CacheKey) -> Option<(V, bool)> {
-        self.mem.get(key).map(|s| (s.value, s.persisted))
+        self.mem().get(key).map(|s| (s.value, s.persisted))
     }
 
-    /// Total evictions across shards.
+    /// Insert into the memory tier and enqueue a background append. The
+    /// enqueue never blocks: a full queue or a degraded store sheds the
+    /// record (memory-only) and counts it.
+    pub fn insert(&self, key: CacheKey, value: V, weight: usize) {
+        if let Some(p) = self.persist.as_ref() {
+            let mut buf = Vec::new();
+            if (p.encode)(&value, &mut buf) {
+                if p.degraded.load(Ordering::Relaxed) {
+                    p.shed.fetch_add(1, Ordering::Relaxed);
+                } else if let Some(tx) = p.tx.as_ref() {
+                    match tx.try_send(WriteCmd::Record(encode_record(key, &buf))) {
+                        Ok(()) => {}
+                        Err(TrySendError::Full(_)) => {
+                            // Back-pressure shed: not sticky — the writer
+                            // may catch up.
+                            p.shed.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(TrySendError::Disconnected(_)) => {
+                            p.degraded.store(true, Ordering::Relaxed);
+                            p.shed.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                }
+            }
+        }
+        self.mem().insert(
+            key,
+            Stored {
+                value,
+                persisted: false,
+            },
+            weight,
+        );
+    }
+
+    /// Total evictions since construction.
     pub fn evictions(&self) -> u64 {
-        self.mem.evictions()
+        self.mem().stats().evictions
     }
 
     /// Entries currently resident.
     pub fn len(&self) -> usize {
-        self.mem.len()
+        self.mem().stats().entries
     }
 
     pub fn is_empty(&self) -> bool {
-        self.mem.is_empty()
+        self.len() == 0
     }
 
     /// True once any disk fault has flipped the store to memory-only.
@@ -631,9 +677,9 @@ impl<V: Clone> PersistentCache<V> {
     }
 
     /// Counter snapshot; the persistent tier overlays its two counters on
-    /// the shard totals.
+    /// the memory tier's.
     pub fn stats(&self) -> CacheStats {
-        let mut stats = self.mem.stats();
+        let mut stats = self.mem().stats();
         if let Some(p) = self.persist.as_ref() {
             stats.bytes_persisted = p.bytes_persisted.load(Ordering::Relaxed);
             stats.degraded = p.shed.load(Ordering::Relaxed);
@@ -674,7 +720,7 @@ impl<V: Clone + PersistValue> PersistentCache<V> {
         total_bytes: usize,
         salt: CacheKey,
     ) -> io::Result<(Self, RecoveryReport)> {
-        let mem: ShardedCache<Stored<V>> = ShardedCache::new(total_bytes);
+        let mut mem = Lru::new(total_bytes);
         let mut report = RecoveryReport::default();
 
         let mut names: Vec<String> = io
@@ -834,6 +880,7 @@ impl<V: Clone + PersistValue> PersistentCache<V> {
                 degraded,
                 shed,
                 bytes_persisted,
+                encode: V::encode_persist,
             },
             Some((active_name, active_len)) => {
                 let (tx, rx) = sync_channel(WRITE_QUEUE_DEPTH);
@@ -857,52 +904,18 @@ impl<V: Clone + PersistValue> PersistentCache<V> {
                     degraded,
                     shed,
                     bytes_persisted,
+                    encode: V::encode_persist,
                 }
             }
         };
 
         Ok((
             Self {
-                mem,
+                mem: Mutex::new(mem),
                 persist: Some(persist),
             },
             report,
         ))
-    }
-
-    /// Insert into the memory tier and enqueue a background append. The
-    /// enqueue never blocks: a full queue or a degraded store sheds the
-    /// record (memory-only) and counts it.
-    pub fn insert(&self, key: CacheKey, value: V, weight: usize) {
-        if let Some(p) = self.persist.as_ref() {
-            let mut buf = Vec::new();
-            if value.encode_persist(&mut buf) {
-                if p.degraded.load(Ordering::Relaxed) {
-                    p.shed.fetch_add(1, Ordering::Relaxed);
-                } else if let Some(tx) = p.tx.as_ref() {
-                    match tx.try_send(WriteCmd::Record(encode_record(key, &buf))) {
-                        Ok(()) => {}
-                        Err(TrySendError::Full(_)) => {
-                            // Back-pressure shed: not sticky — the writer
-                            // may catch up.
-                            p.shed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
-                            p.degraded.store(true, Ordering::Relaxed);
-                            p.shed.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-        }
-        self.mem.insert(
-            key,
-            Stored {
-                value,
-                persisted: false,
-            },
-            weight,
-        );
     }
 }
 

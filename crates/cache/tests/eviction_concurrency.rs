@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
-use cv_cache::{CacheKey, KeyHasher, ShardedCache};
+use cv_cache::{CacheKey, KeyHasher, PersistentCache};
 
 fn key(n: u64) -> CacheKey {
     let mut h = KeyHasher::new();
@@ -26,8 +26,8 @@ fn value(n: u64) -> Vec<u64> {
 
 #[test]
 fn filling_past_budget_evicts_in_lru_order_and_counts() {
-    // Single shard => one global LRU order. Budget holds 4 unit entries.
-    let cache: ShardedCache<Vec<u64>> = ShardedCache::with_shards(4, 1);
+    // One global LRU order. Budget holds 4 unit entries.
+    let cache: PersistentCache<Vec<u64>> = PersistentCache::new(4);
     for n in 0..4 {
         cache.insert(key(n), value(n), 1);
     }
@@ -50,7 +50,7 @@ fn filling_past_budget_evicts_in_lru_order_and_counts() {
 
 #[test]
 fn weighted_overflow_evicts_enough_and_only_enough() {
-    let cache: ShardedCache<Vec<u64>> = ShardedCache::with_shards(100, 1);
+    let cache: PersistentCache<Vec<u64>> = PersistentCache::new(100);
     cache.insert(key(1), value(1), 40);
     cache.insert(key(2), value(2), 40);
     // 60 bytes need both residents gone (40 + 40 + 60 > 100, 40 + 60 = 100).
@@ -68,10 +68,10 @@ fn concurrent_hits_during_eviction_are_never_torn_or_dropped() {
     const HOT: u64 = 1_000_000; // the entry readers hammer
     const ROUNDS: u64 = 400;
 
-    // One shard so every writer insert contends with every reader get on
-    // the same lock — the worst case for tearing. Budget of 8 units keeps
-    // eviction pressure constant while the hot entry is kept refreshed.
-    let cache: ShardedCache<Vec<u64>> = ShardedCache::with_shards(8, 1);
+    // Every writer insert contends with every reader get on the one lock —
+    // the worst case for tearing. Budget of 8 units keeps eviction pressure
+    // constant while the hot entry is kept refreshed.
+    let cache: PersistentCache<Vec<u64>> = PersistentCache::new(8);
     cache.insert(key(HOT), value(HOT), 1);
 
     let start = Barrier::new(READERS + 1);
@@ -97,7 +97,7 @@ fn concurrent_hits_during_eviction_are_never_torn_or_dropped() {
             });
         }
 
-        // Writer: flood the shard far past its budget, forcing evictions
+        // Writer: flood the cache far past its budget, forcing evictions
         // while the readers run. Re-insert the hot key periodically so hits
         // keep happening under eviction pressure.
         start.wait();
@@ -110,7 +110,7 @@ fn concurrent_hits_during_eviction_are_never_torn_or_dropped() {
         done.wait();
     });
 
-    // The flood overflowed an 8-slot shard ~400 times: evictions must have
+    // The flood overflowed an 8-slot cache ~400 times: evictions must have
     // happened and must be fully accounted for.
     let stats = cache.stats();
     assert!(stats.evictions > 0, "flood never evicted");

@@ -11,7 +11,9 @@
 //! many contained panics one episode seed may cause before it is
 //! quarantined (skipped, typed) on later encounters. `--cache-bytes` sets
 //! the byte budget of the content-addressed episode-result cache (default
-//! 64 MiB); `--cache-bytes 0` disables it. `--cache-dir PATH` makes the
+//! 64 MiB): one LRU over all entries, each weighing
+//! `cv_sim::episode_weight`, so a budget of `k` weights keeps `k` results;
+//! `--cache-bytes 0` disables it. `--cache-dir PATH` makes the
 //! cache persistent (DESIGN.md §17): results are appended to checksummed
 //! segment files in PATH and recovered — checksum-verified, torn tails
 //! truncated, corrupt segments quarantined to `.bad` — when a daemon

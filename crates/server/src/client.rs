@@ -129,11 +129,11 @@ pub enum ClientError {
     /// frame over the size cap. Terminal: a protocol violation will not be
     /// fixed by resubmitting.
     Protocol(String),
-    /// The server answered with an `error` frame. Retryable only for
-    /// transient codes (`queue_full`); rejections (`invalid_batch`,
-    /// `bad_request`, `shutting_down`, `quarantined`, …) are terminal.
+    /// The server answered with an `error` frame. Terminal: every code
+    /// (`invalid_batch`, `bad_request`, `shutting_down`, `quarantined`, …)
+    /// is a rejection; a full server answers [`ClientError::Overloaded`].
     Server {
-        /// Machine-readable code (`queue_full`, `invalid_batch`, …).
+        /// Machine-readable code (`invalid_batch`, `bad_request`, …).
         code: String,
         /// Human-readable detail.
         message: String,
@@ -205,8 +205,8 @@ impl ClientError {
             ClientError::Io(_) | ClientError::Timeout { .. } | ClientError::Overloaded { .. } => {
                 true
             }
-            ClientError::Server { code, .. } => code == "queue_full",
-            ClientError::Protocol(_)
+            ClientError::Server { .. }
+            | ClientError::Protocol(_)
             | ClientError::Cancelled { .. }
             | ClientError::DeadlineExceeded { .. } => false,
         }
@@ -569,14 +569,14 @@ mod tests {
                 op: "read",
                 after: Duration::from_secs(1),
             },
-            ClientError::Server {
-                code: "queue_full".into(),
-                message: "at capacity".into(),
-            },
             ClientError::Overloaded { retry_after_ms: 75 },
         ];
         let terminal: Vec<ClientError> = vec![
             ClientError::Protocol("garbage".into()),
+            ClientError::Server {
+                code: "queue_full".into(),
+                message: "at capacity".into(),
+            },
             ClientError::Cancelled { done: 3 },
             ClientError::Server {
                 code: "invalid_batch".into(),

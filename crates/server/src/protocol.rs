@@ -602,7 +602,7 @@ pub enum Event {
     },
     /// Something went wrong; terminal when it answers a submission.
     Error {
-        /// Machine-readable code (`queue_full`, `invalid_batch`, `bad_request`, …).
+        /// Machine-readable code (`invalid_batch`, `bad_request`, `shutting_down`, …).
         code: String,
         /// Human-readable detail.
         message: String,
@@ -1025,8 +1025,8 @@ mod tests {
                 retry_after_ms: 250,
             },
             Event::Error {
-                code: "queue_full".into(),
-                message: "queue is at capacity (4 jobs)".into(),
+                code: "invalid_batch".into(),
+                message: "batch must contain at least one episode".into(),
             },
             Event::Status {
                 jobs: vec![JobStatus {

@@ -93,7 +93,9 @@ pub struct ServerConfig {
     /// Byte budget for the content-addressed episode-result cache that
     /// fronts the batch fan-out: a resubmitted episode whose config,
     /// stack, and code version all match a previous run is answered from
-    /// the cache without touching a worker. `0` disables caching.
+    /// the cache without touching a worker. The budget is one LRU over all
+    /// entries, each weighing [`cv_sim::episode_weight`]. `0` disables
+    /// caching.
     pub cache_bytes: usize,
     /// Directory for the persistent cache tier (DESIGN.md §17). `None`
     /// keeps the cache memory-only; `Some(dir)` makes the cache survive

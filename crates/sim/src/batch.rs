@@ -53,8 +53,11 @@ impl BatchConfig {
     ///
     /// [`SimError::InvalidBatch`], naming the field, when `episodes == 0`,
     /// `starts` is empty (the latter used to surface as a modulo-by-zero
-    /// panic inside [`BatchConfig::episode`]), the template has no
-    /// conflicting vehicle, a channel's delay is negative or not finite or
+    /// panic inside [`BatchConfig::episode`]), the message or sensing
+    /// period (`dt_m`, `dt_s`) or the `horizon` is not finite and > 0
+    /// (quantised onto ticks, such a period would fire every tick, and such
+    /// a horizon would time every episode out at t = 0), the
+    /// template has no conflicting vehicle, a channel's delay is negative or not finite or
     /// its `drop_prob` lies outside `[0, 1]` (the template's and every
     /// vehicle's override), a sensor noise bound is negative or not finite,
     /// or `sensor_dropout` lies outside `[0, 1]`.
@@ -67,6 +70,11 @@ impl BatchConfig {
             return invalid("initial-position grid `starts` must not be empty".into());
         }
         let t = &self.template;
+        for (field, time) in [("dt_m", t.dt_m), ("dt_s", t.dt_s), ("horizon", t.horizon)] {
+            if !(time > 0.0 && time.is_finite()) {
+                return invalid(format!("{field} must be finite and > 0, got {time}"));
+            }
+        }
         if t.others.is_empty() {
             return invalid("others must list at least one conflicting vehicle".into());
         }

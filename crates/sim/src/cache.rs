@@ -16,7 +16,7 @@
 //!   compiles a different [`StackSpec`] shape, so its artifacts must never
 //!   collide with default-build ones).
 //! * [`episode_key`] combines the two; [`crate::BatchConfig::episode`] + this is
-//!   what the server's shard path looks up before touching a worker.
+//!   what [`crate::run_batch_with`] looks up before spawning a worker.
 //!
 //! The digest is computed once per batch (NN weights are the expensive
 //! part) and mixed into each per-episode key.
@@ -740,6 +740,35 @@ mod tests {
             ..results[0].clone()
         };
         assert!(!heavy.encode_persist(&mut Vec::new()));
+    }
+
+    #[test]
+    fn a_budget_of_eight_results_holds_all_eight() {
+        // The whole budget is one LRU: a cache sized for exactly eight
+        // results keeps eight, wherever their keys fall.
+        let result = |steps: u64| EpisodeResult {
+            outcome: safe_shield::Outcome::Timeout,
+            eta: 0.0,
+            emergency_steps: 0,
+            total_steps: steps,
+            collided_pair: None,
+            traces: None,
+        };
+        let weight = episode_weight(&result(0));
+        let cache = EpisodeCache::new(8 * weight);
+        let digest = digest();
+        let keys: Vec<CacheKey> = (0..8)
+            .map(|seed| episode_key(digest, &EpisodeConfig::paper_default(seed)).unwrap())
+            .collect();
+        for (steps, key) in (0..).zip(&keys) {
+            cache.insert(*key, result(steps), weight);
+        }
+        for (steps, key) in (0..).zip(&keys) {
+            let got = cache.get(key).map(|r| r.total_steps);
+            assert_eq!(got, Some(steps), "result {steps} was not kept");
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.evictions, stats.entries), (8, 0, 8));
     }
 
     #[test]

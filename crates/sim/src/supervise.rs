@@ -521,7 +521,7 @@ mod tests {
         };
         let (valid, spec) = teacher_batch(0, 4);
         type Poison = fn(&mut EpisodeConfig);
-        let poisons: [(&str, Poison); 8] = [
+        let poisons: [(&str, Poison); 14] = [
             ("comm.delay", |c| c.comm = delayed(-1.0, 0.0)),
             ("comm.delay", |c| c.comm = delayed(f64::INFINITY, 0.0)),
             ("comm.drop_prob", |c| c.comm = delayed(0.25, 1.5)),
@@ -533,6 +533,12 @@ mod tests {
             ("noise.delta_p", |c| c.noise.delta_p = f64::INFINITY),
             ("sensor_dropout", |c| c.sensor_dropout = f64::NAN),
             ("sensor_dropout", |c| c.sensor_dropout = 1.5),
+            ("dt_m", |c| c.dt_m = -1.0),
+            ("dt_m", |c| c.dt_m = f64::NAN),
+            ("dt_s", |c| c.dt_s = 0.0),
+            ("dt_s", |c| c.dt_s = f64::INFINITY),
+            ("horizon", |c| c.horizon = -5.0),
+            ("horizon", |c| c.horizon = f64::INFINITY),
         ];
         for (field, poison) in poisons {
             let mut bad = valid.clone();

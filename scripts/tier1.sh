@@ -71,6 +71,12 @@ timeout 300 cargo test -q --release --offline --test alloc_guard
 # and cv-planner's behaviour-cloning run, pinned across commits.
 timeout 300 cargo test -q --release --offline -p cv-nn -p cv-planner
 
+# Cache smoke in release mode: the LRU's eviction order and counters, the
+# segment store's crash properties, and the barrier-synchronised race of
+# readers against evictions on the one lock, which the optimiser schedules
+# differently than the debug pass above.
+timeout 300 cargo test -q --release --offline -p cv-cache
+
 # Chaos smoke run: the seeded fault matrix through the cv-chaos proxy in
 # release mode (timings differ from the debug pass above), under a hard
 # wall-clock cap so a hang in any networking path fails the gate instead

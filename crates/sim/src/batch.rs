@@ -56,9 +56,9 @@ impl BatchConfig {
     /// panic inside [`BatchConfig::episode`]), the message or sensing
     /// period (`dt_m`, `dt_s`) or the `horizon` is not finite and > 0
     /// (quantised onto ticks, such a period would fire every tick, and such
-    /// a horizon would time every episode out at t = 0), the
-    /// template has no conflicting vehicle, a channel's delay is negative or not finite or
-    /// its `drop_prob` lies outside `[0, 1]` (the template's and every
+    /// a horizon would time every episode out at t = 0), the template has
+    /// no conflicting vehicle, a channel's delay is negative or not finite
+    /// or its `drop_prob` lies outside `[0, 1]` (the template's and every
     /// vehicle's override), a sensor noise bound is negative or not finite,
     /// or `sensor_dropout` lies outside `[0, 1]`.
     pub fn validate(&self) -> Result<(), SimError> {

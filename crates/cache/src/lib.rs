@@ -257,7 +257,48 @@ struct LruEntry<V> {
     weight: usize,
 }
 
+/// Bytes a heap block of `size` bytes occupies: 64-bit glibc malloc adds
+/// an 8-byte header, rounds up to 16 and hands out at least 32.
+const fn heap_block(size: usize) -> usize {
+    let block = (size + 8).div_ceil(16) * 16;
+    if block < 32 {
+        32
+    } else {
+        block
+    }
+}
+
+/// Most and fewest `(key, value)` slots a non-root `BTreeMap` node holds
+/// (the standard library's B = 6).
+const BTREE_CAPACITY: usize = 11;
+const BTREE_MIN_LEN: usize = 5;
+
 impl<V: Clone> Lru<V> {
+    /// An upper bound on the resident bytes of one entry whose value owns
+    /// no heap memory, summed over the three structures that hold it:
+    ///
+    /// * its boxed [`LruEntry`], as one heap block;
+    /// * its share of `map`: one `(key, box)` slot and one control byte
+    ///   per bucket. The table doubles when 7/8 full and, once evictions
+    ///   have filled it with tombstones, may double again from 7/16, so a
+    ///   settled table is at least 7/32 full;
+    /// * its share of `order`: each leaf (a parent pointer, index and
+    ///   length, and [`BTREE_CAPACITY`] `(tick, key)` slots) holds at least
+    ///   [`BTREE_MIN_LEN`] entries, and each internal node (a leaf plus one
+    ///   edge per child) at least `BTREE_MIN_LEN + 1` children.
+    pub(crate) const ENTRY_BYTES: usize = {
+        let boxed = heap_block(std::mem::size_of::<LruEntry<V>>());
+        let bucket = (std::mem::size_of::<(CacheKey, Box<LruEntry<V>>)>() + 1) * 32;
+        let slot = std::mem::size_of::<(u64, CacheKey)>();
+        let leaf = heap_block(16 + BTREE_CAPACITY * slot);
+        let edges = (BTREE_CAPACITY + 1) * std::mem::size_of::<usize>();
+        let internal = heap_block(16 + BTREE_CAPACITY * slot + edges);
+        boxed
+            + bucket.div_ceil(7)
+            + leaf.div_ceil(BTREE_MIN_LEN)
+            + internal.div_ceil(BTREE_MIN_LEN * (BTREE_MIN_LEN + 1))
+    };
+
     /// An empty LRU holding at most `budget` bytes of entry weight.
     pub(crate) fn new(budget: usize) -> Self {
         Lru {

@@ -596,6 +596,13 @@ pub struct PersistentCache<V> {
 }
 
 impl<V: Clone> PersistentCache<V> {
+    /// An upper bound on the resident bytes the memory tier spends on one
+    /// entry whose value owns no heap memory: the value, its LRU
+    /// bookkeeping, and its shares of the map and of the recency index.
+    /// Weighing each entry as this plus the heap its value owns makes the
+    /// byte budget a bound on the tier's resident bytes.
+    pub const ENTRY_BYTES: usize = Lru::<Stored<V>>::ENTRY_BYTES;
+
     /// Memory-only cache holding at most `total_bytes` of entry weight.
     pub fn new(total_bytes: usize) -> Self {
         Self {

@@ -315,7 +315,7 @@ impl Client {
     /// expires.
     pub fn send(&mut self, request: &Request) -> Result<(), ClientError> {
         self.out.clear();
-        request.to_json().encode_into(&mut self.out);
+        request.encode_into(&mut self.out);
         self.out.push('\n');
         self.writer
             .write_all(self.out.as_bytes())

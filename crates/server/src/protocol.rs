@@ -1,7 +1,12 @@
 //! Typed protocol frames and their JSON (de)serialisation.
 //!
-//! Every frame is one [`crate::wire::Json`] object on one line. Requests
-//! carry an `"op"` discriminator, responses an `"event"` discriminator. The
+//! Every frame is one JSON object on one line. Requests carry an `"op"`
+//! discriminator, responses an `"event"` discriminator. Frames are sent
+//! with [`Request::encode_into`] / [`Event::encode_into`], which write
+//! straight into the connection's buffer through `wire::ObjWriter`; the
+//! `to_json` builders produce the same frame as a [`Json`] tree and are
+//! kept as the oracle the encoders are tested against. Frames are
+//! received through [`Json::parse`] and `from_json`, the only decoders. The
 //! episode payload mirrors [`cv_sim::EpisodeConfig`] field for field, so a
 //! submitted batch replays bit-identically to an in-process
 //! [`cv_sim::run_batch`].
@@ -16,7 +21,7 @@ use cv_dynamics::VehicleState;
 use cv_sensing::SensorNoise;
 use cv_sim::{BatchConfig, BatchSummary, DriverModel, EpisodeConfig, OtherVehicle, StackSpec};
 
-use crate::wire::Json;
+use crate::wire::{Json, ObjWriter};
 
 /// A decode failure: the frame was valid JSON but not a valid frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,7 +39,7 @@ fn bad(msg: impl Into<String>) -> DecodeError {
     DecodeError(msg.into())
 }
 
-fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, DecodeError> {
+fn field<'a, 'j>(v: &'a Json<'j>, key: &str) -> Result<&'a Json<'j>, DecodeError> {
     v.get(key)
         .ok_or_else(|| bad(format!("missing field '{key}'")))
 }
@@ -139,7 +144,7 @@ impl StackSpecWire {
     }
 }
 
-fn comm_to_json(comm: &CommSetting) -> Json {
+fn comm_to_json(comm: &CommSetting) -> Json<'static> {
     match comm {
         CommSetting::NoDisturbance => Json::obj(vec![("kind", Json::str("no_disturbance"))]),
         CommSetting::Delayed { delay, drop_prob } => Json::obj(vec![
@@ -149,6 +154,17 @@ fn comm_to_json(comm: &CommSetting) -> Json {
         ]),
         CommSetting::Lost => Json::obj(vec![("kind", Json::str("lost"))]),
     }
+}
+
+fn comm_into(o: &mut ObjWriter<'_>, comm: &CommSetting) {
+    match comm {
+        CommSetting::NoDisturbance => o.str("kind", "no_disturbance"),
+        CommSetting::Delayed { delay, drop_prob } => o
+            .str("kind", "delayed")
+            .num("delay", *delay)
+            .num("drop_prob", *drop_prob),
+        CommSetting::Lost => o.str("kind", "lost"),
+    };
 }
 
 fn comm_from_json(v: &Json) -> Result<CommSetting, DecodeError> {
@@ -163,7 +179,7 @@ fn comm_from_json(v: &Json) -> Result<CommSetting, DecodeError> {
     }
 }
 
-fn driver_to_json(driver: &DriverModel) -> Json {
+fn driver_to_json(driver: &DriverModel) -> Json<'static> {
     match driver {
         DriverModel::UniformRandom => Json::obj(vec![("kind", Json::str("uniform_random"))]),
         DriverModel::OrnsteinUhlenbeck { theta, sigma } => Json::obj(vec![
@@ -182,6 +198,22 @@ fn driver_to_json(driver: &DriverModel) -> Json {
             ("gain", Json::Num(*gain)),
         ]),
     }
+}
+
+fn driver_into(o: &mut ObjWriter<'_>, driver: &DriverModel) {
+    match driver {
+        DriverModel::UniformRandom => o.str("kind", "uniform_random"),
+        DriverModel::OrnsteinUhlenbeck { theta, sigma } => o
+            .str("kind", "ornstein_uhlenbeck")
+            .num("theta", *theta)
+            .num("sigma", *sigma),
+        DriverModel::ConstantSpeed => o.str("kind", "constant_speed"),
+        DriverModel::Ambush { brake_at } => o.str("kind", "ambush").num("brake_at", *brake_at),
+        DriverModel::GapTracking { target_gap, gain } => o
+            .str("kind", "gap_tracking")
+            .num("target_gap", *target_gap)
+            .num("gain", *gain),
+    };
 }
 
 fn driver_from_json(v: &Json) -> Result<DriverModel, DecodeError> {
@@ -203,12 +235,18 @@ fn driver_from_json(v: &Json) -> Result<DriverModel, DecodeError> {
     }
 }
 
-fn state_to_json(s: &VehicleState) -> Json {
+fn state_to_json(s: &VehicleState) -> Json<'static> {
     Json::obj(vec![
         ("position", Json::Num(s.position)),
         ("velocity", Json::Num(s.velocity)),
         ("acceleration", Json::Num(s.acceleration)),
     ])
+}
+
+fn state_into(o: &mut ObjWriter<'_>, s: &VehicleState) {
+    o.num("position", s.position)
+        .num("velocity", s.velocity)
+        .num("acceleration", s.acceleration);
 }
 
 fn state_from_json(v: &Json) -> Result<VehicleState, DecodeError> {
@@ -219,20 +257,21 @@ fn state_from_json(v: &Json) -> Result<VehicleState, DecodeError> {
     ))
 }
 
+fn other_to_json(v: &OtherVehicle) -> Json<'static> {
+    let mut pairs = vec![
+        ("start_shared", Json::Num(v.start_shared)),
+        ("init_speed", Json::Num(v.init_speed)),
+        ("driver", driver_to_json(&v.driver)),
+    ];
+    // An inherited channel (`None`) is the absent key.
+    if let Some(comm) = &v.comm {
+        pairs.push(("comm", comm_to_json(comm)));
+    }
+    Json::obj(pairs)
+}
+
 /// Encodes an [`EpisodeConfig`] as a JSON object.
-pub fn episode_to_json(cfg: &EpisodeConfig) -> Json {
-    let other_to_json = |v: &OtherVehicle| {
-        let mut pairs = vec![
-            ("start_shared", Json::Num(v.start_shared)),
-            ("init_speed", Json::Num(v.init_speed)),
-            ("driver", driver_to_json(&v.driver)),
-        ];
-        // An inherited channel (`None`) is the absent key.
-        if let Some(comm) = &v.comm {
-            pairs.push(("comm", comm_to_json(comm)));
-        }
-        Json::obj(pairs)
-    };
+pub fn episode_to_json(cfg: &EpisodeConfig) -> Json<'static> {
     Json::obj(vec![
         ("ego_init", state_to_json(&cfg.ego_init)),
         ("dt_c", Json::Num(cfg.dt_c)),
@@ -255,6 +294,30 @@ pub fn episode_to_json(cfg: &EpisodeConfig) -> Json {
             Json::Arr(cfg.others.iter().map(other_to_json).collect()),
         ),
     ])
+}
+
+fn episode_into(o: &mut ObjWriter<'_>, cfg: &EpisodeConfig) {
+    o.obj("ego_init", |s| state_into(s, &cfg.ego_init))
+        .num("dt_c", cfg.dt_c)
+        .num("dt_m", cfg.dt_m)
+        .num("dt_s", cfg.dt_s)
+        .num("horizon", cfg.horizon)
+        .obj("comm", |c| comm_into(c, &cfg.comm))
+        .obj("noise", |n| {
+            n.num("delta_p", cfg.noise.delta_p)
+                .num("delta_v", cfg.noise.delta_v)
+                .num("delta_a", cfg.noise.delta_a);
+        })
+        .int("seed", cfg.seed)
+        .num("sensor_dropout", cfg.sensor_dropout)
+        .objs("others", &cfg.others, |o, v| {
+            o.num("start_shared", v.start_shared)
+                .num("init_speed", v.init_speed)
+                .obj("driver", |d| driver_into(d, &v.driver));
+            if let Some(comm) = &v.comm {
+                o.obj("comm", |c| comm_into(c, comm));
+            }
+        });
 }
 
 /// Decodes an [`EpisodeConfig`] from a JSON object.
@@ -299,7 +362,7 @@ pub fn episode_from_json(v: &Json) -> Result<EpisodeConfig, DecodeError> {
 }
 
 /// Encodes a [`BatchConfig`] as a JSON object.
-pub fn batch_to_json(batch: &BatchConfig) -> Json {
+pub fn batch_to_json(batch: &BatchConfig) -> Json<'static> {
     Json::obj(vec![
         ("template", episode_to_json(&batch.template)),
         ("episodes", Json::Int(batch.episodes as i128)),
@@ -310,6 +373,14 @@ pub fn batch_to_json(batch: &BatchConfig) -> Json {
         ),
         ("threads", Json::Int(batch.threads as i128)),
     ])
+}
+
+fn batch_into(o: &mut ObjWriter<'_>, batch: &BatchConfig) {
+    o.obj("template", |t| episode_into(t, &batch.template))
+        .int("episodes", batch.episodes as u64)
+        .int("base_seed", batch.base_seed)
+        .nums("starts", &batch.starts)
+        .int("threads", batch.threads as u64);
 }
 
 /// Decodes a [`BatchConfig`] from a JSON object.
@@ -343,7 +414,7 @@ pub fn batch_from_json(v: &Json) -> Result<BatchConfig, DecodeError> {
 /// (cancelled or expired before the first result); NaN encodes as `null`
 /// and the decoder maps `null` back to NaN, so a summary round-trips
 /// through the wire with [`BatchSummary::stats_eq`] holding.
-pub fn summary_to_json(s: &BatchSummary) -> Json {
+pub fn summary_to_json(s: &BatchSummary) -> Json<'static> {
     Json::obj(vec![
         ("episodes", Json::Int(s.episodes as i128)),
         ("requested", Json::Int(s.requested as i128)),
@@ -381,6 +452,27 @@ pub fn summary_to_json(s: &BatchSummary) -> Json {
         ),
         ("cache_quarantined", Json::Int(s.cache_quarantined as i128)),
     ])
+}
+
+fn summary_into(o: &mut ObjWriter<'_>, s: &BatchSummary) {
+    o.int("episodes", s.episodes as u64)
+        .int("requested", s.requested as u64)
+        .int("failed", s.failed as u64)
+        .int("panicked", s.panicked as u64)
+        .int("skipped", s.skipped as u64)
+        .num("reaching_time", s.reaching_time)
+        .num("safe_rate", s.safe_rate)
+        .num("eta_mean", s.eta_mean)
+        .num("emergency_frequency", s.emergency_frequency)
+        .nums("etas", &s.etas)
+        .nums("reaching_times", &s.reaching_times)
+        .num("wall_time_secs", s.wall_time_secs)
+        .num("episodes_per_sec", s.episodes_per_sec)
+        .int("cache_hits", s.cache_hits as u64)
+        .int("cache_misses", s.cache_misses as u64)
+        .int("cache_evictions", s.cache_evictions as u64)
+        .int("cache_persisted_hits", s.cache_persisted_hits as u64)
+        .int("cache_quarantined", s.cache_quarantined as u64);
 }
 
 /// Decodes a [`BatchSummary`] from a JSON object.
@@ -458,8 +550,44 @@ pub enum Request {
 }
 
 impl Request {
-    /// Encodes the request as one JSON frame.
-    pub fn to_json(&self) -> Json {
+    /// Appends the request's frame (without the newline) to `out`.
+    pub fn encode_into(&self, out: &mut String) {
+        let mut o = ObjWriter::new(out);
+        match self {
+            Request::SubmitBatch {
+                batch,
+                stack,
+                deadline_ms,
+            } => {
+                o.str("op", "submit_batch")
+                    .obj("batch", |b| batch_into(b, batch))
+                    .str("stack", stack.name());
+                if let Some(ms) = deadline_ms {
+                    o.int("deadline_ms", *ms);
+                }
+            }
+            Request::Status { job } => {
+                o.str("op", "status");
+                if let Some(id) = job {
+                    o.int("job", *id);
+                }
+            }
+            Request::Cancel { job } => {
+                o.str("op", "cancel").int("job", *job);
+            }
+            Request::Ping => {
+                o.str("op", "ping");
+            }
+            Request::Shutdown => {
+                o.str("op", "shutdown");
+            }
+        }
+        o.end();
+    }
+
+    /// The request's frame as a [`Json`] tree: the oracle
+    /// [`Request::encode_into`] is tested against.
+    pub fn to_json(&self) -> Json<'_> {
         match self {
             Request::SubmitBatch {
                 batch,
@@ -639,8 +767,104 @@ pub struct JobStatus {
 }
 
 impl Event {
-    /// Encodes the event as one JSON frame.
-    pub fn to_json(&self) -> Json {
+    /// Appends the event's frame (without the newline) to `out`.
+    pub fn encode_into(&self, out: &mut String) {
+        let mut o = ObjWriter::new(out);
+        match self {
+            Event::Accepted { job, queued_ahead } => {
+                o.str("event", "accepted")
+                    .int("job", *job)
+                    .int("queued_ahead", *queued_ahead as u64);
+            }
+            Event::EpisodeDone {
+                job,
+                index,
+                eta,
+                done,
+                total,
+                eta_secs,
+            } => {
+                o.str("event", "episode_done")
+                    .int("job", *job)
+                    .int("index", *index as u64)
+                    .num("eta", *eta)
+                    .int("done", *done as u64)
+                    .int("total", *total as u64)
+                    .num("eta_secs", *eta_secs);
+            }
+            Event::BatchDone { job, summary } => {
+                o.str("event", "batch_done")
+                    .int("job", *job)
+                    .obj("summary", |s| summary_into(s, summary));
+            }
+            Event::Cancelled { job, done, partial } => {
+                o.str("event", "cancelled")
+                    .int("job", *job)
+                    .int("done", *done as u64);
+                if let Some(p) = partial {
+                    o.obj("partial", |s| summary_into(s, p));
+                }
+            }
+            Event::DeadlineExceeded { job, done, partial } => {
+                o.str("event", "deadline_exceeded")
+                    .int("job", *job)
+                    .int("done", *done as u64);
+                if let Some(p) = partial {
+                    o.obj("partial", |s| summary_into(s, p));
+                }
+            }
+            Event::EpisodeFault {
+                job,
+                index,
+                seed,
+                kind,
+                detail,
+            } => {
+                o.str("event", "episode_fault")
+                    .int("job", *job)
+                    .int("index", *index as u64)
+                    .int("seed", *seed)
+                    .str("kind", kind)
+                    .str("detail", detail);
+            }
+            Event::Overloaded { retry_after_ms } => {
+                o.str("event", "overloaded")
+                    .int("retry_after_ms", *retry_after_ms);
+            }
+            Event::Error { code, message } => {
+                o.str("event", "error")
+                    .str("code", code)
+                    .str("message", message);
+            }
+            Event::Status {
+                jobs,
+                queue_capacity,
+                queue_len,
+            } => {
+                o.str("event", "status")
+                    .objs("jobs", jobs, |o, j| {
+                        o.int("job", j.job)
+                            .str("state", &j.state)
+                            .int("done", j.done as u64)
+                            .int("total", j.total as u64);
+                    })
+                    .int("queue_capacity", *queue_capacity as u64)
+                    .int("queue_len", *queue_len as u64);
+            }
+            Event::Pong => {
+                o.str("event", "pong");
+            }
+            Event::ShutdownAck { draining } => {
+                o.str("event", "shutdown_ack")
+                    .int("draining", *draining as u64);
+            }
+        }
+        o.end();
+    }
+
+    /// The event's frame as a [`Json`] tree: the oracle
+    /// [`Event::encode_into`] is tested against.
+    pub fn to_json(&self) -> Json<'_> {
         match self {
             Event::Accepted { job, queued_ahead } => Json::obj(vec![
                 ("event", Json::str("accepted")),
@@ -701,8 +925,8 @@ impl Event {
                 ("job", Json::Int(*job as i128)),
                 ("index", Json::Int(*index as i128)),
                 ("seed", Json::Int(*seed as i128)),
-                ("kind", Json::str(kind.clone())),
-                ("detail", Json::str(detail.clone())),
+                ("kind", Json::str(kind.as_str())),
+                ("detail", Json::str(detail.as_str())),
             ]),
             Event::Overloaded { retry_after_ms } => Json::obj(vec![
                 ("event", Json::str("overloaded")),
@@ -710,8 +934,8 @@ impl Event {
             ]),
             Event::Error { code, message } => Json::obj(vec![
                 ("event", Json::str("error")),
-                ("code", Json::str(code.clone())),
-                ("message", Json::str(message.clone())),
+                ("code", Json::str(code.as_str())),
+                ("message", Json::str(message.as_str())),
             ]),
             Event::Status {
                 jobs,
@@ -726,7 +950,7 @@ impl Event {
                             .map(|j| {
                                 Json::obj(vec![
                                     ("job", Json::Int(j.job as i128)),
-                                    ("state", Json::str(j.state.clone())),
+                                    ("state", Json::str(j.state.as_str())),
                                     ("done", Json::Int(j.done as i128)),
                                     ("total", Json::Int(j.total as i128)),
                                 ])
@@ -868,9 +1092,11 @@ mod tests {
     #[test]
     fn batch_roundtrips_exactly() {
         let batch = sample_batch();
-        let json = batch_to_json(&batch);
-        let reparsed = Json::parse(&json.encode()).unwrap();
-        assert_eq!(batch_from_json(&reparsed).unwrap(), batch);
+        let text = batch_to_json(&batch).encode();
+        assert_eq!(
+            batch_from_json(&Json::parse(&text).unwrap()).unwrap(),
+            batch
+        );
     }
 
     #[test]
@@ -909,8 +1135,13 @@ mod tests {
             Request::Ping,
             Request::Shutdown,
         ] {
-            let reparsed = Json::parse(&req.to_json().encode()).unwrap();
-            assert_eq!(Request::from_json(&reparsed).unwrap(), req);
+            let mut line = String::new();
+            req.encode_into(&mut line);
+            assert_eq!(line, req.to_json().encode());
+            assert_eq!(
+                Request::from_json(&Json::parse(&line).unwrap()).unwrap(),
+                req
+            );
         }
     }
 
@@ -941,8 +1172,8 @@ mod tests {
     #[test]
     fn summary_with_nan_reaching_time_roundtrips_stats_eq() {
         let summary = sample_summary();
-        let reparsed = Json::parse(&summary_to_json(&summary).encode()).unwrap();
-        let back = summary_from_json(&reparsed).unwrap();
+        let text = summary_to_json(&summary).encode();
+        let back = summary_from_json(&Json::parse(&text).unwrap()).unwrap();
         assert!(back.stats_eq(&summary));
         assert_eq!(back.wall_time_secs, summary.wall_time_secs);
         assert_eq!(
@@ -989,7 +1220,7 @@ mod tests {
         let Json::Obj(mut pairs) = summary_to_json(&summary) else {
             panic!("summary must encode as an object");
         };
-        pairs.push(("lanes".to_string(), Json::Int(1)));
+        pairs.push(("lanes".into(), Json::Int(1)));
         let back = summary_from_json(&Json::parse(&Json::Obj(pairs).encode()).unwrap()).unwrap();
         assert!(back.stats_eq(&summary));
     }
@@ -1041,8 +1272,10 @@ mod tests {
             Event::Pong,
             Event::ShutdownAck { draining: 2 },
         ] {
-            let reparsed = Json::parse(&ev.to_json().encode()).unwrap();
-            assert_eq!(Event::from_json(&reparsed).unwrap(), ev);
+            let mut line = String::new();
+            ev.encode_into(&mut line);
+            assert_eq!(line, ev.to_json().encode());
+            assert_eq!(Event::from_json(&Json::parse(&line).unwrap()).unwrap(), ev);
         }
     }
 
@@ -1082,7 +1315,7 @@ mod tests {
             depth(&done.to_json()),
         ];
         // A platoon submission is the deepest frame: request, batch,
-        // template, the extra-vehicle list, one vehicle, its driver model.
+        // template, the `others` list, one vehicle, its driver model.
         assert_eq!(depths, [6, 3, 3]);
         assert!(depths.iter().all(|&d| d * 10 < crate::wire::MAX_DEPTH));
     }

@@ -224,7 +224,7 @@ mod tests {
     }
 
     #[test]
-    fn try_push_at_exact_capacity_returns_queue_full_without_blocking() {
+    fn try_push_at_exact_capacity_returns_full_without_blocking() {
         let q = JobQueue::new(3);
         for i in 0..3 {
             q.try_push(i).unwrap();

@@ -518,7 +518,7 @@ struct FrameWriter {
 impl FrameWriter {
     /// Appends one frame (`json` + `\n`) to the buffer.
     fn push(&mut self, event: &Event) {
-        event.to_json().encode_into(&mut self.buf);
+        event.encode_into(&mut self.buf);
         self.buf.push('\n');
     }
 

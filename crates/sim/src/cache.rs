@@ -36,13 +36,15 @@ use crate::{EpisodeConfig, EpisodeResult, StackSpec, WindowKind};
 /// [`PersistentCache::open`] with [`store_salt`] as the segment salt.
 pub type EpisodeCache = PersistentCache<EpisodeResult>;
 
-/// Default byte budget for an in-process episode cache (64 MiB — a few
-/// hundred thousand episode summaries).
+/// Default byte budget for an in-process episode cache (64 MiB — about
+/// 157,000 trace-free episode summaries on x86-64).
 pub const DEFAULT_CACHE_BYTES: usize = 64 << 20;
 
-/// Estimated resident weight of one cached episode result, in bytes: the
-/// value itself plus map/LRU bookkeeping. Cached results carry no traces
-/// (the batch paths run trace-free), so the struct size dominates.
+/// Resident weight of one cached episode result, in bytes: the memory
+/// tier's bound for an entry ([`PersistentCache::ENTRY_BYTES`]: the value,
+/// its LRU bookkeeping and its shares of the map and the recency index).
+/// Cached results carry no traces (the batch paths run trace-free), so a
+/// result owns no heap memory of its own.
 pub fn episode_weight(result: &EpisodeResult) -> usize {
     let traces = if result.traces.is_some() {
         // Trace-bearing results are heap-heavy and unbounded; weigh them
@@ -51,7 +53,7 @@ pub fn episode_weight(result: &EpisodeResult) -> usize {
     } else {
         0
     };
-    std::mem::size_of::<EpisodeResult>() + std::mem::size_of::<CacheKey>() + 64 + traces
+    EpisodeCache::ENTRY_BYTES + traces
 }
 
 fn feed_state(h: &mut KeyHasher, s: &VehicleState) -> Result<(), KeyError> {

@@ -90,10 +90,12 @@ timeout 300 cargo test -q --release --offline -p cv-server --test supervision_e2
 
 # Service smoke in release mode: the daemon's end-to-end contract
 # (bit-identical streamed summaries, malformed-input survival, cancel,
-# drain) and the wire codec's properties. Bursts of frames only form when
-# the runner and a connection thread race, and they race differently in
-# release than in debug.
-timeout 300 cargo test -q --release --offline -p cv-server --test e2e --test wire_props
+# drain), the wire codec's properties, and the cache's warm stream, whose
+# frames must be byte for byte what the `to_json` oracle encodes. Bursts
+# of frames only form when the runner and a connection thread race, and
+# they race differently in release than in debug.
+timeout 300 cargo test -q --release --offline -p cv-server --test e2e --test wire_props \
+  --test cache_e2e
 
 # Panic isolation behind the fault-injection feature: the deliberately
 # panicking planner stack is not nameable in default builds, so this is

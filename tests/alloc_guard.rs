@@ -6,17 +6,20 @@
 //! steady state, a warmed episode loop allocates only a small per-episode
 //! constant (the estimator boxes rebuilt by `EpisodeWorkspace::arm_pairs`) — never
 //! per step — and `Trainer::fit` allocates nothing per mini-batch once its
-//! scratch has grown. See DESIGN.md §13.
+//! scratch has grown. See DESIGN.md §13. The same allocator also tracks
+//! live heap bytes, which bound what the episode-result cache holds
+//! against its byte budget.
 //!
-//! Everything lives in one `#[test]` so the default parallel test harness
-//! cannot pollute the counter from another test's thread. The harness's own
+//! The tests take one lock, so the default parallel test harness cannot
+//! pollute the counters from another test's thread. The harness's own
 //! bookkeeping thread can still allocate at arbitrary moments, so each
 //! measurement takes the *minimum* over several attempts: background noise
 //! only ever adds counts, so a minimum of zero is a sound proof that the
 //! measured path allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use cv_dynamics::{VehicleLimits, VehicleState};
 use cv_estimation::Interval;
@@ -24,34 +27,60 @@ use cv_nn::{
     Activation, BatchScratch, Matrix, Mlp, MlpScratch, Optimizer, TrainConfig, Trainer, LANE_WIDTH,
 };
 use cv_planner::{FeatureScaling, NnPlanner};
-use cv_sim::{run_batch_lanes, BatchConfig, BatchMode, EpisodeConfig, EpisodeWorkspace, StackSpec};
-use safe_shield::{Observation, Planner};
+use cv_sim::{
+    episode_weight, run_batch_lanes, BatchConfig, BatchMode, EpisodeCache, EpisodeConfig,
+    EpisodeResult, EpisodeWorkspace, KeyHasher, StackSpec,
+};
+use safe_shield::{Observation, Outcome, Planner};
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes of the live heap blocks, each counted as 64-bit glibc malloc
+/// sizes it: the request plus an 8-byte header, rounded up to 16, at
+/// least 32.
+static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
 
-// SAFETY: defers every operation to `System`; the counter is a relaxed
-// atomic increment with no other side effects.
+fn heap_block(size: usize) -> isize {
+    ((size + 8).div_ceil(16) * 16).max(32) as isize
+}
+
+// SAFETY: defers every operation to `System`; the counters are relaxed
+// atomic updates with no other side effects.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(heap_block(layout.size()), Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(heap_block(layout.size()), Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(
+            heap_block(new_size) - heap_block(layout.size()),
+            Ordering::Relaxed,
+        );
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(heap_block(layout.size()), Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
+}
+
+/// Held by every test for its whole run, so no two measure at once.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 #[global_allocator]
@@ -84,6 +113,7 @@ fn case_study_net() -> Mlp {
 
 #[test]
 fn nn_hot_paths_are_allocation_free() {
+    let _serial = serial();
     // --- predict_into: exactly zero allocations per call once warm. ---
     let net = case_study_net();
     let mut scratch = MlpScratch::for_net(&net);
@@ -213,4 +243,45 @@ fn nn_hot_paths_are_allocation_free() {
         "lane batch of 24 episodes allocated {growth} more than a batch of 8 \
          (small: {small}, large: {large}) — something allocates per step"
     );
+}
+
+#[test]
+fn the_episode_cache_stays_within_its_byte_budget() {
+    let _serial = serial();
+    // Trace-free results, as the batch paths cache them. Filled four times
+    // over, with a hit re-stamping an older entry every third insert, the
+    // map and the recency index reach the layouts that eviction churn
+    // leaves; after every insert the cache's live heap must fit its budget.
+    let result = EpisodeResult {
+        outcome: Outcome::Timeout,
+        eta: 0.0,
+        emergency_steps: 0,
+        total_steps: 100,
+        collided_pair: None,
+        traces: None,
+    };
+    let weight = episode_weight(&result);
+    let key = |i: u64| {
+        let mut h = KeyHasher::new();
+        h.write_u64(i);
+        h.finish()
+    };
+    for budget in [1usize << 20, 3 << 20, 16 << 20] {
+        let base = LIVE_BYTES.load(Ordering::SeqCst);
+        let cache = EpisodeCache::new(budget);
+        let capacity = budget / weight;
+        let mut peak = 0;
+        for i in 0..4 * capacity as u64 {
+            cache.insert(key(i), result.clone(), weight);
+            if i % 3 == 0 {
+                cache.get(&key(i / 2));
+            }
+            peak = peak.max(LIVE_BYTES.load(Ordering::SeqCst) - base);
+        }
+        assert_eq!(cache.len(), capacity, "a {budget}-byte cache is full");
+        assert!(
+            peak <= budget as isize,
+            "a {budget}-byte cache of {capacity} results held {peak} live heap bytes"
+        );
+    }
 }
